@@ -29,8 +29,10 @@ from .policy import (
     PolicyModel,
     Vocabulary,
     grad_logprob,
+    grad_logprob_batch,
     greedy_decode,
     logprob,
+    logprob_batch,
     mle_step,
     sample,
 )

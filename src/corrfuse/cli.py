@@ -247,12 +247,13 @@ def _train_one(
     batch_size = max(1, cfg.get_int("train.batch"))
     lr = cfg.get_float("train.lr")
     last_nll = float("nan")
+    encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
     for _ in range(cfg.get_int("train.epochs")):
         order = rng.permutation(len(pairs))
         nll_sum = 0.0
         n_batches = 0
         for start in range(0, len(order), batch_size):
-            batch = [pairs[i] for i in order[start : start + batch_size]]
+            batch = [encoded[i] for i in order[start : start + batch_size]]
             nll_sum += mle_step(model, batch, lr)
             n_batches += 1
         last_nll = nll_sum / n_batches

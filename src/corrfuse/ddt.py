@@ -63,17 +63,15 @@ def rl_gradient(
             r = min(r, cfg.reward_clip)
         rewards.append(r)
     r_bar = sum(rewards) / k
-    grad = model.zero_grad_like()
     if max(rewards) == min(rewards):
-        return grad, r_bar  # zero-centered advantages: exactly no update
-    for y, r in zip(samples, rewards):
-        if r == r_bar:
-            continue
-        # a sample shorter than the cap ended by drawing the stop symbol,
-        # so its sampling probability includes the end-of-sentence factor
-        ended = len(y) < model.max_len
-        _, g = policy.grad_logprob(model, x, y, include_eos=ended)
-        grad += ((r - r_bar) / (k - 1)) * g
+        return model.zero_grad_like(), r_bar  # zero-centered advantages: exactly no update
+    active = [(y, r) for y, r in zip(samples, rewards) if r != r_bar]
+    ys = [y for y, _ in active]
+    # a sample shorter than the cap ended by drawing the stop symbol, so its
+    # sampling probability includes the end-of-sentence factor
+    ended = [len(y) < model.max_len for y in ys]
+    weights = [(r - r_bar) / (k - 1) for _, r in active]
+    _, grad = policy.grad_logprob_batch(model, [x] * len(ys), ys, ended, weights)
     return grad, r_bar
 
 
@@ -92,17 +90,15 @@ def ddt_step(
     if not batch:
         raise ValueError("empty batch")
     grad = model.zero_grad_like()
-    nll = 0.0
+    xs = [x for x, _, _ in batch]
+    refs = [y_ref for _, y_ref, _ in batch]
     if cfg.alpha < 1.0:
-        mle_grad = model.zero_grad_like()
-        for x, y_ref, _ in batch:
-            lp, g = policy.grad_logprob(model, x, y_ref)
-            nll -= lp
-            mle_grad += g
+        # the same call as in mle_step, so alpha == 0 reproduces it bitwise
+        lps, mle_grad = policy.grad_logprob_batch(model, xs, refs)
         grad += (1.0 - cfg.alpha) * mle_grad
     else:
-        for x, y_ref, _ in batch:
-            nll -= policy.logprob(model, x, y_ref)
+        lps = policy.logprob_batch(model, xs, refs)
+    nll = -sum(lps.tolist())
     mean_reward = 0.0
     if cfg.alpha > 0.0:
         rl_grad = model.zero_grad_like()

@@ -5,10 +5,17 @@ The model is deliberately tiny (single-layer tanh RNNs, a bag-of-source-
 embeddings context vector added to each decoder input, flat float64
 parameter vector) so that every gradient can be validated against central
 finite differences and every sampling distribution enumerated exactly.
+
+Likelihoods and gradients are computed per batch: sources and targets are
+padded with masks, the teacher-forced recurrences run once per time step
+for the whole batch, and every weight gradient is one stacked product after
+the backward recurrence.  Single-sentence ``logprob`` and ``grad_logprob``
+are batches of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -91,18 +98,20 @@ class PolicyModel:
         self.hidden_width = hidden_width
         self.max_len = max_len
         self.init_seed = init_seed
-        count = self.param_count(len(vocab), embed_width, hidden_width)
+        self._layout = _layout(len(vocab), embed_width, hidden_width)
+        count = self._layout[-1][1].stop
         if params is None:
             params = np.random.default_rng(init_seed).uniform(-0.1, 0.1, count)
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (count,):
             raise ValueError(f"expected {count} parameters, got {params.shape}")
         self.params = params
-        self._views = _make_views(params, len(vocab), embed_width, hidden_width)
+        self._views = _make_views(params, self._layout)
 
     @staticmethod
     def param_count(v: int, e: int, h: int) -> int:
-        return v * e + 2 * (h * e + h * h + h) + v * h + v
+        _, last, _ = _layout(v, e, h)[-1]
+        return last.stop
 
     def copy(self) -> "PolicyModel":
         return PolicyModel(
@@ -114,27 +123,24 @@ class PolicyModel:
         return np.zeros_like(self.params)
 
 
-def _make_views(params: np.ndarray, v: int, e: int, h: int) -> dict:
-    views = {}
+def _layout(v: int, e: int, h: int) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+    """Name, position and shape of each weight block in the flat vector."""
+    shapes = (
+        ("emb", (v, e)), ("enc_in", (h, e)), ("enc_rec", (h, h)), ("enc_b", (h,)),
+        ("dec_in", (h, e)), ("dec_rec", (h, h)), ("dec_b", (h,)),
+        ("out_w", (v, h)), ("out_b", (v,)),
+    )
+    blocks = []
     off = 0
-
-    def take(name: str, shape: tuple[int, ...]) -> None:
-        nonlocal off
-        size = int(np.prod(shape))
-        views[name] = params[off : off + size].reshape(shape)
+    for name, shape in shapes:
+        size = math.prod(shape)
+        blocks.append((name, slice(off, off + size), shape))
         off += size
+    return tuple(blocks)
 
-    take("emb", (v, e))
-    take("enc_in", (h, e))
-    take("enc_rec", (h, h))
-    take("enc_b", (h,))
-    take("dec_in", (h, e))
-    take("dec_rec", (h, h))
-    take("dec_b", (h,))
-    take("out_w", (v, h))
-    take("out_b", (v,))
-    assert off == params.size
-    return views
+
+def _make_views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+    return {name: flat[where].reshape(shape) for name, where, shape in layout}
 
 
 def _encode(model: PolicyModel, x_ids: Sequence[int]):
@@ -181,71 +187,183 @@ def logprob(model: PolicyModel, x: TokenSeq, y: TokenSeq, include_eos: bool = Tr
     ``include_eos=False`` scores a sequence that was cut off at the decode
     length limit, where no stop symbol was drawn.
     """
-    lp, _ = _forward(model, x, y, include_eos)
-    return lp
+    return float(logprob_batch(model, [x], [y], [include_eos])[0])
 
 
-def _forward(model: PolicyModel, x: TokenSeq, y: TokenSeq, include_eos: bool):
-    if len(y) > model.max_len:
-        raise ValueError(f"target of length {len(y)} exceeds decode limit {model.max_len}")
-    x_ids = model.vocab.encode(x)
-    y_ids = model.vocab.encode(y)
-    targets = y_ids + [EOS_ID] if include_eos else list(y_ids)
-    enc_states, context = _encode(model, x_ids)
-    s = enc_states[-1]
-    prev = BOS_ID
-    lp = 0.0
-    steps = []  # (prev_id, inp, s_prev, s, probs, target)
-    for t in targets:
-        inp, s_new, probs = _step(model, s, prev, context)
-        lp += float(np.log(max(probs[t], PROB_FLOOR)))
-        steps.append((prev, inp, s, s_new, probs, t))
-        s, prev = s_new, t
-    return lp, (x_ids, enc_states, context, steps)
+def logprob_batch(
+    model: PolicyModel,
+    xs: Sequence[Sequence],
+    ys: Sequence[Sequence],
+    include_eos: bool | Sequence[bool] = True,
+) -> np.ndarray:
+    """``logprob`` of each (source, target) row, from one batched forward."""
+    lps, _ = _forward_batch(model, xs, ys, include_eos)
+    return lps
+
+
+def _ids(vocab: Vocabulary, seq: Sequence) -> Sequence[int]:
+    """Token ids of ``seq``; a sequence that already holds ids passes through."""
+    return vocab.encode(seq) if len(seq) and isinstance(seq[0], str) else seq
+
+
+def _pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Time-major (longest, rows) id matrix and its validity mask; padding
+    goes before each row when ``left``, after it otherwise."""
+    width = max(map(len, rows), default=0)
+    padded = [
+        [BOS_ID] * (width - len(r)) + list(r) if left else list(r) + [BOS_ID] * (width - len(r))
+        for r in rows
+    ]
+    ids = np.array(padded, dtype=np.intp).reshape(len(rows), width).T
+    lengths = np.array([len(r) for r in rows])
+    steps = np.arange(width)[:, None]
+    return ids, (steps >= width - lengths if left else steps < lengths)
+
+
+@dataclass
+class _Tape:
+    """Forward values the backward pass reuses, time-major: Tx source and Ty
+    target steps of B rows."""
+
+    x_ids: np.ndarray  # (Tx, B)
+    x_mask: np.ndarray  # (Tx, B)
+    x_emb: np.ndarray  # (Tx, B, E)
+    x_count: np.ndarray  # (B, 1) source length, at least 1
+    enc: np.ndarray  # (Tx + 1, B, H) encoder states, enc[0] = 0
+    prev_ids: np.ndarray  # (Ty, B) decoder input ids
+    inp: np.ndarray  # (Ty, B, E) decoder inputs
+    dec: np.ndarray  # (Ty + 1, B, H) decoder states, dec[0] = enc[-1]
+    targets: np.ndarray  # (Ty, B)
+    t_mask: np.ndarray  # (Ty, B)
+    t_valid: tuple[np.ndarray, np.ndarray]  # (step, row) of each real target
+    probs: np.ndarray  # (Ty, B, V)
+
+
+def _forward_batch(model: PolicyModel, xs, ys, include_eos) -> tuple[np.ndarray, _Tape]:
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} sources for {len(ys)} targets")
+    vocab = model.vocab
+    if isinstance(include_eos, bool):
+        include_eos = [include_eos] * len(ys)
+    targets = []
+    for y, ended in zip(ys, include_eos, strict=True):
+        if len(y) > model.max_len:
+            raise ValueError(f"target of length {len(y)} exceeds decode limit {model.max_len}")
+        y_ids = list(_ids(vocab, y))
+        targets.append(y_ids + [EOS_ID] if ended else y_ids)
+    # sources are left-padded: a padded step has zero input and keeps the
+    # zero initial state, so the encoder loop needs no mask
+    x_ids, x_mask = _pad([_ids(vocab, x) for x in xs], left=True)
+    t_ids, t_mask = _pad(targets, left=False)
+    w = model._views
+    rows = len(ys)
+
+    x_emb = w["emb"][x_ids]
+    enc_pre = x_emb @ w["enc_in"].T + w["enc_b"]
+    enc_pre *= x_mask[..., None]
+    enc = np.zeros((len(x_ids) + 1, rows, model.hidden_width))
+    rec = w["enc_rec"].T
+    for t in range(len(x_ids)):
+        np.tanh(enc_pre[t] + enc[t] @ rec, out=enc[t + 1])
+    x_count = np.maximum(x_mask.sum(axis=0), 1)[:, None]
+    context = (x_emb * x_mask[..., None]).sum(axis=0) / x_count
+
+    # teacher forcing: the recurrence never reads the logits, so they and the
+    # softmax are computed for all steps at once after the loop; steps past a
+    # row's end are masked out of its likelihood
+    prev_ids = np.full_like(t_ids, BOS_ID)
+    prev_ids[1:] = t_ids[:-1]
+    inp = w["emb"][prev_ids] + context
+    dec_pre = inp @ w["dec_in"].T + w["dec_b"]
+    dec = np.empty((len(t_ids) + 1, rows, model.hidden_width))
+    dec[0] = enc[-1]
+    rec = w["dec_rec"].T
+    for t in range(len(t_ids)):
+        np.tanh(dec_pre[t] + dec[t] @ rec, out=dec[t + 1])
+    logits = dec[1:] @ w["out_w"].T + w["out_b"]
+    logits[..., BOS_ID] = -np.inf  # BOS is never emitted
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    steps, which = t_valid = np.nonzero(t_mask)
+    p_target = probs[steps, which, t_ids[steps, which]]
+    # per row, the terms are summed in step order
+    lps = np.bincount(which, np.log(np.maximum(p_target, PROB_FLOOR)), minlength=rows)
+    tape = _Tape(
+        x_ids, x_mask, x_emb, x_count, enc, prev_ids, inp, dec, t_ids, t_mask, t_valid, probs
+    )
+    return lps, tape
+
+
+def grad_logprob_batch(
+    model: PolicyModel,
+    xs: Sequence[Sequence],
+    ys: Sequence[Sequence],
+    include_eos: bool | Sequence[bool] = True,
+    weights: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's log-likelihood, and the weighted sum of their exact
+    gradients as a flat vector over params (unit weights by default).
+
+    Rows are (source, target) pairs of tokens or of token ids, as from
+    ``Vocabulary.encode``; ``include_eos`` is one flag or one per row.
+    """
+    lps, tape = _forward_batch(model, xs, ys, include_eos)
+    w = model._views
+    grad = model.zero_grad_like()
+    g = _make_views(grad, model._layout)
+    hidden, embed = model.hidden_width, model.embed_width
+
+    d_logits = -tape.probs
+    steps, rows = tape.t_valid
+    d_logits[steps, rows, tape.targets[steps, rows]] += 1.0
+    d_logits *= tape.t_mask[..., None]
+    if weights is not None:
+        d_logits *= np.asarray(weights, dtype=np.float64)[:, None]
+
+    # decoder: only the d_s recurrence is sequential; steps past a row's end
+    # have zero d_logits, so their d_s stays exactly zero
+    dec_out = tape.dec[1:]
+    dec_tanh = 1.0 - dec_out * dec_out
+    d_z_dec = d_logits @ w["out_w"]  # d_s from the logits, then d_z in place
+    d_z_dec *= dec_tanh
+    rec = w["dec_rec"]
+    for t in range(len(d_z_dec) - 1, 0, -1):
+        d_z_dec[t - 1] += (d_z_dec[t] @ rec) * dec_tanh[t - 1]
+    d_z_flat = d_z_dec.reshape(-1, hidden)
+    g["out_w"][:] = d_logits.reshape(-1, len(model.vocab)).T @ dec_out.reshape(-1, hidden)
+    g["out_b"][:] = d_logits.sum(axis=(0, 1))
+    g["dec_b"][:] = d_z_flat.sum(axis=0)
+    g["dec_in"][:] = d_z_flat.T @ tape.inp.reshape(-1, embed)
+    g["dec_rec"][:] = d_z_flat.T @ tape.dec[:-1].reshape(-1, hidden)
+    d_inp = d_z_dec @ w["dec_in"]
+    np.add.at(g["emb"], tape.prev_ids.ravel(), d_inp.reshape(-1, embed))
+    d_context = d_inp.sum(axis=0)
+
+    # encoder: the decoder start state is the final encoder state; padded
+    # steps come first and are masked, so their d_z is zero
+    enc_out = tape.enc[1:]
+    enc_tanh = (1.0 - enc_out * enc_out) * tape.x_mask[..., None]
+    d_z_enc = np.empty_like(enc_out)
+    d_h = d_z_dec[0] @ rec if len(d_z_dec) else np.zeros((len(lps), hidden))
+    rec = w["enc_rec"]
+    for t in range(len(enc_out) - 1, -1, -1):
+        np.multiply(d_h, enc_tanh[t], out=d_z_enc[t])
+        d_h = d_z_enc[t] @ rec
+    d_z_flat = d_z_enc.reshape(-1, hidden)
+    g["enc_b"][:] = d_z_flat.sum(axis=0)
+    g["enc_in"][:] = d_z_flat.T @ tape.x_emb.reshape(-1, embed)
+    g["enc_rec"][:] = d_z_flat.T @ tape.enc[:-1].reshape(-1, hidden)
+    d_x_emb = d_z_enc @ w["enc_in"] + (d_context / tape.x_count) * tape.x_mask[..., None]
+    np.add.at(g["emb"], tape.x_ids.ravel(), d_x_emb.reshape(-1, embed))
+    return lps, grad
 
 
 def grad_logprob(
     model: PolicyModel, x: TokenSeq, y: TokenSeq, include_eos: bool = True
 ) -> tuple[float, np.ndarray]:
     """Log-likelihood and its exact gradient as a flat vector over params."""
-    lp, (x_ids, enc_states, context, steps) = _forward(model, x, y, include_eos)
-    w = model._views
-    grad = model.zero_grad_like()
-    g = _make_views(grad, len(model.vocab), model.embed_width, model.hidden_width)
-
-    d_context = np.zeros(model.embed_width)
-    d_s = np.zeros(model.hidden_width)
-    for prev_id, inp, s_prev, s, probs, target in reversed(steps):
-        d_logits = -probs.copy()
-        d_logits[target] += 1.0
-        g["out_w"] += np.outer(d_logits, s)
-        g["out_b"] += d_logits
-        d_s = d_s + w["out_w"].T @ d_logits
-        d_z = d_s * (1.0 - s * s)
-        g["dec_b"] += d_z
-        g["dec_in"] += np.outer(d_z, inp)
-        g["dec_rec"] += np.outer(d_z, s_prev)
-        d_inp = w["dec_in"].T @ d_z
-        g["emb"][prev_id] += d_inp
-        d_context += d_inp
-        d_s = w["dec_rec"].T @ d_z
-
-    # decoder start state is the final encoder state
-    d_h = d_s
-    for t in range(len(x_ids) - 1, -1, -1):
-        h, h_prev = enc_states[t + 1], enc_states[t]
-        d_z = d_h * (1.0 - h * h)
-        g["enc_b"] += d_z
-        g["enc_in"] += np.outer(d_z, w["emb"][x_ids[t]])
-        g["enc_rec"] += np.outer(d_z, h_prev)
-        g["emb"][x_ids[t]] += w["enc_in"].T @ d_z
-        d_h = w["enc_rec"].T @ d_z
-
-    if x_ids:
-        share = d_context / len(x_ids)
-        for t in x_ids:
-            g["emb"][t] += share
-    return lp, grad
+    lps, grad = grad_logprob_batch(model, [x], [y], [include_eos])
+    return float(lps[0]), grad
 
 
 def sample(
@@ -300,18 +418,14 @@ def mle_step(
 ) -> float:
     """One gradient-ascent step on the summed reference log-likelihood.
 
+    Pairs may hold tokens or token ids (see ``grad_logprob_batch``).
     Returns the pre-step mean negative log-likelihood of the batch.
     """
     if not batch:
         raise ValueError("empty batch")
-    total = model.zero_grad_like()
-    nll = 0.0
-    for x, y in batch:
-        lp, grad = grad_logprob(model, x, y)
-        nll -= lp
-        total += grad
+    lps, total = grad_logprob_batch(model, [x for x, _ in batch], [y for _, y in batch])
     model.params += learning_rate * total
-    return nll / len(batch)
+    return -sum(lps.tolist()) / len(batch)
 
 
 CHECKPOINT_MAGIC = "corrfuse-policy"
@@ -325,9 +439,7 @@ def save_model(model: PolicyModel, path: str) -> None:
         f"hidden={model.hidden_width} max_len={model.max_len} seed={model.init_seed}"
     )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for v in model.params:
-            fh.write(repr(float(v)) + "\n")
+        fh.write(header + "\n" + "\n".join(map(repr, model.params.tolist())) + "\n")
 
 
 def load_model(path: str, vocab: Vocabulary) -> PolicyModel:
