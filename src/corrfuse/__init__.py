@@ -35,6 +35,7 @@ from .policy import (
     logprob_batch,
     mle_step,
     sample,
+    sample_many,
 )
 from .rewards import RewardKind, reward
 from .textcore import (

@@ -17,12 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import policy
-from .alignment import align_all
 from .combiner import (
     FeatureSchema,
     NGramLM,
-    beam_search,
-    build_space,
+    beam_search,  # noqa: F401  (unused here; bench/tests checks cli's traced binding)
+    build_spaces,
     ensemble_pick_best,
     load_weights,
     save_weights,
@@ -370,10 +369,7 @@ def _combine_stage(
     lm: NGramLM,
     tune_seed: int,
 ) -> tuple[list[TokenSeq], np.ndarray, ScoreStats, list[ScoreStats]]:
-    spaces = []
-    for i in range(len(dev_src)):
-        hyps = [outputs[i] for outputs in outputs_per_model]
-        spaces.append(build_space(hyps, align_all(hyps)))
+    spaces = build_spaces(outputs_per_model)
     schema = FeatureSchema(len(outputs_per_model))
     weights, _ = tune_loop(
         dev_src,
@@ -449,10 +445,9 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _decode_one(args: tuple) -> TokenSeq:
-    hyps, weights, lm, beam = args
-    space = build_space(hyps, align_all(hyps))
-    return beam_search(space, weights, lm, beam, k=1)[0][0]
+def _decode_chunk(args: tuple) -> list[TokenSeq]:
+    hyp_lines, weights, lm, beam = args
+    return decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
 
 
 def cmd_combine(cfg: ExperimentConfig) -> int:
@@ -478,15 +473,16 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
         else:
             weights = schema.default_weights()
         beam = cfg.get_int("combine.beam")
-        tasks = [
-            ([lines[i] for lines in hyp_lines], weights, lm, beam) for i in range(n)
-        ]
         jobs = max(1, cfg.get_int("jobs"))
         if jobs == 1:
-            combined = [_decode_one(t) for t in tasks]
+            combined = _decode_chunk((hyp_lines, weights, lm, beam))
         else:
+            tasks = [
+                ([lines[i : i + 16] for lines in hyp_lines], weights, lm, beam)
+                for i in range(0, n, 16)
+            ]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                combined = list(pool.map(_decode_one, tasks, chunksize=16))
+                combined = [o for chunk in pool.map(_decode_chunk, tasks) for o in chunk]
     else:
         raise UsageError(f"combine.kind must be lattice or ensemble, got {kind!r}")
     out_path = cfg.get_str("combine.out")
@@ -508,10 +504,7 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
         dev_src=dev_src, **{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)}
     )
     lm = _load_lm(cfg)
-    spaces = []
-    for i in range(len(dev_src)):
-        hyps = [lines[i] for lines in hyp_lines]
-        spaces.append(build_space(hyps, align_all(hyps)))
+    spaces = build_spaces(hyp_lines)
     schema = FeatureSchema(len(hyp_lines))
     weights, pool = tune_loop(
         dev_src,

@@ -6,17 +6,25 @@ scored by a linear model over per-system match counts, output length, and an
 n-gram language model, and searched breadth-synchronously with beam pruning
 and recombination.  A trivial pick-best-by-LM ensemble is included as the
 alternative combiner for swap experiments.
+
+The search is the hot loop of tuning and decoding, so the work it repeats is
+done once: each search space precomputes a table with every word's token,
+the per-system bitmask update of emitting it and its match-feature
+increments; search states are plain tuples; and ``NGramLM.logprob``
+memoizes its results per (token, context).  Scores are still the full dot
+product of weights and features, summed left to right, for every state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import add, mul, or_
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .alignment import Alignment
+from .alignment import Alignment, align_all
 from .textcore import TokenSeq
 
 LM_BOS, LM_EOS, LM_UNK = "<s>", "</s>", "<unk>"
@@ -54,6 +62,9 @@ class NGramLM:
         self._types = set(self._unigram) | {LM_UNK}
         self._vocab_size = len(self._types)
         self._z_cache: dict[tuple[str, ...], float] = {}
+        # log P(token | context) by (token, context): the lattice search asks
+        # for the same pairs again in every state, level and tuning round
+        self._logprob_memo: dict[tuple[str, tuple[str, ...]], float] = {}
 
     @property
     def vocabulary(self) -> frozenset[str]:
@@ -91,7 +102,11 @@ class NGramLM:
         return self._p(w, ctx)
 
     def logprob(self, token: str, context: tuple[str, ...]) -> float:
-        return math.log(self.prob(token, context))
+        key = (token, context)
+        lp = self._logprob_memo.get(key)
+        if lp is None:
+            lp = self._logprob_memo[key] = math.log(self.prob(token, context))
+        return lp
 
     def sequence_logprob(self, tokens: TokenSeq) -> float:
         ctx = self.start_context()
@@ -119,9 +134,6 @@ class FeatureSchema:
     @property
     def dim(self) -> int:
         return self.n_systems + 2
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.dim)
 
     def default_weights(self) -> np.ndarray:
         w = np.full(self.dim, 1.0)
@@ -151,13 +163,31 @@ def load_weights(path: str, schema: FeatureSchema) -> np.ndarray:
     return np.array([values[name] for name in schema.names])
 
 
-Word = tuple[int, int]  # (system, token index)
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     hyps: tuple[TokenSeq, ...]
     groups: tuple[tuple[frozenset, ...], ...]  # groups[s][i]: aligned group of word (s, i)
+    # words[s][i] = (token, bits, delta), derived from hyps and groups: emitting
+    # word (s, i) ORs bits[t] into system t's used mask and adds delta to the
+    # match features (1.0 for each system in the group) and the length feature
+    words: tuple[tuple[tuple[str, tuple[int, ...], tuple[float, ...]], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        n = len(self.hyps)
+        words = []
+        for s, row in enumerate(self.groups):
+            entries = []
+            for i, group in enumerate(row):
+                bits = [0] * n
+                delta = [0.0] * n + [1.0]
+                for sys_idx, tok_idx in group:
+                    bits[sys_idx] |= 1 << tok_idx
+                    delta[sys_idx] = 1.0
+                entries.append((self.hyps[s][i], tuple(bits), tuple(delta)))
+            words.append(tuple(entries))
+        object.__setattr__(self, "words", tuple(words))
 
     @property
     def n_systems(self) -> int:
@@ -200,8 +230,13 @@ def build_space(
     return SearchSpace(hyps, tuple(groups))
 
 
-@dataclass(frozen=True)
-class SearchState:
+def build_spaces(hyp_lines: Sequence[Sequence[TokenSeq]]) -> list[SearchSpace]:
+    """One aligned search space per sentence from line-aligned hypothesis
+    lists (``hyp_lines[s][i]`` is system s's output for sentence i)."""
+    return [build_space(hyps, align_all(hyps)) for hyps in zip(*hyp_lines)]
+
+
+class SearchState(NamedTuple):
     used: tuple[int, ...]  # per-system bitmask of consumed token indices
     out: TokenSeq
     lm_ctx: tuple[str, ...]
@@ -221,16 +256,8 @@ def initial_state(space: SearchSpace, lm: NGramLM) -> SearchState:
     )
 
 
-def _frontier(space: SearchSpace, used: tuple[int, ...], s: int) -> int | None:
-    mask = used[s]
-    for i in range(len(space.hyps[s])):
-        if not mask >> i & 1:
-            return i
-    return None
-
-
 def _dot(weights: Sequence[float], feats: Sequence[float]) -> float:
-    return sum(w * f for w, f in zip(weights, feats))
+    return sum(map(mul, weights, feats))
 
 
 def extensions(
@@ -240,52 +267,41 @@ def extensions(
     weights: Sequence[float],
 ) -> list[SearchState]:
     """Successor states: one word emission per system with an unused
-    frontier word, plus an end action once any system is exhausted."""
+    frontier word, plus an end action once any system is exhausted.
+
+    Emissions that consume the same words and output the same token as an
+    earlier system's emission are dropped (the earlier one is kept).
+    """
     if state.done:
         return []
-    n = space.n_systems
+    used0, out0, ctx, feats0, _, _ = state
+    shift_ctx = lm.order > 1
     succs: dict[tuple, SearchState] = {}
     exhausted = False
-    for s in range(n):
-        i = _frontier(space, state.used, s)
-        if i is None:
+    for mask, row in zip(used0, space.words):
+        i = ((mask + 1) & ~mask).bit_length() - 1  # lowest unconsumed index
+        if i >= len(row):
             exhausted = True
             continue
-        token = space.hyps[s][i]
-        group = space.groups[s][i]
-        used = list(state.used)
-        matched = set()
-        for sys_idx, tok_idx in group:
-            used[sys_idx] |= 1 << tok_idx
-            matched.add(sys_idx)
-        feats = list(state.feats)
-        for sys_idx in matched:
-            feats[sys_idx] += 1.0
-        feats[n] += 1.0  # length
-        feats[n + 1] += lm.logprob(token, state.lm_ctx)
-        new_ctx = (state.lm_ctx + (token,))[1:] if lm.order > 1 else ()
-        succ = SearchState(
-            used=tuple(used),
-            out=state.out + (token,),
-            lm_ctx=new_ctx,
-            feats=tuple(feats),
-            score=_dot(weights, feats),
+        token, bits, delta = row[i]
+        used = tuple(map(or_, used0, bits))
+        key = (used, token)
+        if key in succs:
+            continue
+        # match and length features only ever hold sums of 1.0 from +0.0, so
+        # adding a 0.0 increment leaves them bit-for-bit unchanged
+        feats = (*map(add, feats0, delta), feats0[-1] + lm.logprob(token, ctx))
+        succs[key] = SearchState(
+            used,
+            out0 + (token,),
+            (ctx + (token,))[1:] if shift_ctx else (),
+            feats,
+            _dot(weights, feats),
         )
-        succs.setdefault((succ.used, succ.out, succ.lm_ctx), succ)
     result = list(succs.values())
     if exhausted:
-        feats = list(state.feats)
-        feats[n + 1] += lm.logprob(LM_EOS, state.lm_ctx)
-        result.append(
-            SearchState(
-                used=state.used,
-                out=state.out,
-                lm_ctx=state.lm_ctx,
-                feats=tuple(feats),
-                score=_dot(weights, feats),
-                done=True,
-            )
-        )
+        feats = (*feats0[:-1], feats0[-1] + lm.logprob(LM_EOS, ctx))
+        result.append(SearchState(used0, out0, ctx, feats, _dot(weights, feats), True))
     return result
 
 
@@ -315,12 +331,10 @@ def beam_search(
             return s1 if s1.score > s2.score else s2
         return s1 if s1.out <= s2.out else s2
 
-    current: dict[tuple, SearchState] = {}
-    start = initial_state(space, lm)
-    current[(start.used, start.lm_ctx)] = start
-    while current:
+    states = [initial_state(space, lm)]
+    while states:
         nxt: dict[tuple, SearchState] = {}
-        for state in current.values():
+        for state in states:
             for succ in extensions(space, state, lm, weights):
                 if succ.done:
                     prev = completed.get(succ.out)
@@ -331,8 +345,7 @@ def beam_search(
                     nxt[key] = succ if prev is None else better(succ, prev)
         states = sorted(nxt.values(), key=lambda s: (-s.score, s.out))
         if beam is not None:
-            states = states[:beam]
-        current = {(s.used, s.lm_ctx): s for s in states}
+            del states[beam:]
     assert completed, "the end action is always reachable"
     ranked = sorted(completed.values(), key=lambda s: (-s.score, s.out))
     return [(s.out, np.array(s.feats), s.score) for s in ranked[:k]]
@@ -350,15 +363,3 @@ def ensemble_pick_best(hyps: Sequence[TokenSeq], lm: NGramLM) -> TokenSeq:
         if lp > best_lp:
             best_idx, best_lp = i, lp
     return tuple(hyps[best_idx])
-
-
-def format_kbest(entries: Iterable[tuple[int, TokenSeq, np.ndarray, float]],
-                 schema: FeatureSchema) -> str:
-    """K-best file lines: "index ||| tokens ||| name:value ... ||| score"."""
-    lines = []
-    for idx, tokens, feats, score in entries:
-        feat_str = " ".join(
-            f"{name}:{value:.6f}" for name, value in zip(schema.names, feats)
-        )
-        lines.append(f"{idx} ||| {' '.join(tokens)} ||| {feat_str} ||| {score:.6f}")
-    return "\n".join(lines) + "\n"

@@ -55,7 +55,7 @@ def rl_gradient(
     of E[R], not (1-1/k) of it.  Returns the gradient and the mean reward.
     """
     k = cfg.k_samples
-    samples = [policy.sample(model, x, rng) for _ in range(k)]
+    samples = policy.sample_many(model, x, rng, k)
     rewards = []
     for y in samples:
         r = reward(cfg.reward_kind, peer_outputs, y, cfg.normalize_reward)

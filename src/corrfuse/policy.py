@@ -377,21 +377,44 @@ def sample(
     Deterministic given the generator state; one uniform draw per step via
     inverse CDF over the vocabulary in index order.
     """
+    return sample_many(model, x, rng, 1, max_len)[0]
+
+
+def sample_many(
+    model: PolicyModel,
+    x: TokenSeq,
+    rng: np.random.Generator,
+    k: int,
+    max_len: int | None = None,
+) -> list[TokenSeq]:
+    """k draws as by ``sample``, one after another from the same generator.
+
+    The source encoding and the first decoder step from BOS are shared by
+    all draws and computed once; the generator is consumed in the same
+    order as k successive ``sample`` calls, so the draws are identical.
+    """
     limit = model.max_len if max_len is None else min(max_len, model.max_len)
+    if limit < 1:
+        return [()] * k
     states, context = _encode(model, model.vocab.encode(x))
-    s = states[-1]
-    prev = BOS_ID
-    out: list[str] = []
-    for _ in range(limit):
-        _, s, probs = _step(model, s, prev, context)
-        u = rng.random()
-        idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        idx = min(idx, len(probs) - 1)
-        if idx == EOS_ID:
-            return tuple(out)
-        out.append(model.vocab.tokens[idx])
-        prev = idx
-    return tuple(out)
+    _, s_first, probs = _step(model, states[-1], BOS_ID, context)
+    cdf_first = np.cumsum(probs)
+    draws: list[TokenSeq] = []
+    for _ in range(k):
+        s, cdf = s_first, cdf_first
+        out: list[str] = []
+        while True:
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+            idx = min(idx, len(cdf) - 1)
+            if idx == EOS_ID:
+                break
+            out.append(model.vocab.tokens[idx])
+            if len(out) == limit:
+                break
+            _, s, probs = _step(model, s, idx, context)
+            cdf = np.cumsum(probs)
+        draws.append(tuple(out))
+    return draws
 
 
 def greedy_decode(model: PolicyModel, x: TokenSeq, max_len: int | None = None) -> TokenSeq:

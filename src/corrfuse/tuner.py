@@ -3,7 +3,11 @@ upper envelope of per-sentence candidate scores, coordinate plus random
 directions, and the outer decode/merge/optimize loop.
 
 The objective is corpus F0.5 computed from summed per-sentence statistics
-over accumulated k-best pools.
+over accumulated k-best pools.  The pool keeps each sentence's candidate
+features as the rows of one matrix, so a line search gets every candidate's
+slope and intercept from two matrix-vector products per sentence, and
+``corpus_f`` its argmax from one; both read the same products, so they agree
+on which candidate is best.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import combiner
-from .combiner import FeatureSchema, NGramLM, SearchSpace, beam_search
+from .combiner import NGramLM, SearchSpace, beam_search
 from .evaluation import GoldAnnotation, ScoreStats, f_beta, score_sentence
 from .textcore import TokenSeq
 
@@ -28,9 +31,27 @@ class Candidate:
 
 @dataclass
 class KBestPool:
-    """Per-sentence candidate lists, deduplicated by token sequence."""
+    """Per-sentence candidate lists, deduplicated by token sequence.
+
+    Alongside each sentence's dict the pool keeps the candidates' features
+    as the rows of one matrix and their statistics as a list, both in
+    insertion order; ``add`` extends them, so model scores for a whole
+    sentence are one matrix-vector product.
+    """
 
     sentences: list[dict[TokenSeq, Candidate]] = field(default_factory=list)
+    # per sentence: feature rows (capacity grows by doubling; the first
+    # len(sentences[i]) rows are live) and statistics, in insertion order
+    _feats: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    _stats: list[list[ScoreStats]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        given, self.sentences = self.sentences, [{} for _ in self.sentences]
+        self._feats = [np.empty((0, 0)) for _ in given]
+        self._stats = [[] for _ in given]
+        for i, slot in enumerate(given):
+            for cand in slot.values():
+                self.add(i, cand)
 
     @classmethod
     def empty(cls, n_sentences: int) -> "KBestPool":
@@ -42,8 +63,26 @@ class KBestPool:
         slot = self.sentences[sentence]
         if cand.tokens in slot:
             return False
+        n = len(slot)
+        mat = self._feats[sentence]
+        if n == len(mat):
+            grown = np.empty((max(8, 2 * n), len(cand.feats)))
+            if n:
+                grown[:n] = mat
+            mat = self._feats[sentence] = grown
+        mat[n] = cand.feats
         slot[cand.tokens] = cand
+        self._stats[sentence].append(cand.stats)
         return True
+
+    def features(self, sentence: int) -> np.ndarray:
+        """Feature matrix of a sentence's candidates, one row each in
+        insertion order (a view: valid until the next ``add``)."""
+        return self._feats[sentence][: len(self.sentences[sentence])]
+
+    def stats(self, sentence: int) -> list[ScoreStats]:
+        """Statistics of a sentence's candidates in insertion order."""
+        return self._stats[sentence]
 
     def size(self) -> int:
         return sum(len(s) for s in self.sentences)
@@ -51,17 +90,14 @@ class KBestPool:
     def corpus_f(self, weights: np.ndarray, beta: float = 0.5) -> float:
         """F-score of the per-sentence argmax candidates under ``weights``
         (ties: earliest inserted)."""
-        total = ScoreStats()
-        for slot in self.sentences:
-            best: Candidate | None = None
-            best_score = -np.inf
-            for cand in slot.values():
-                score = float(np.dot(weights, cand.feats))
-                if score > best_score:
-                    best, best_score = cand, score
-            if best is not None:
-                total = total + best.stats
-        return f_beta(total.tp, total.fp, total.fn, beta)
+        tp = fp = fn = 0
+        for i, stats in enumerate(self._stats):
+            if stats:
+                best = stats[int(np.argmax(self.features(i) @ weights))]
+                tp += best.tp
+                fp += best.fp
+                fn += best.fn
+        return f_beta(tp, fp, fn, beta)
 
 
 def _envelope(
@@ -116,25 +152,23 @@ def line_search(
         raise ValueError("direction must be non-zero")
     base_stats: list[ScoreStats] = []
     events: list[tuple[float, int, ScoreStats, ScoreStats]] = []  # gamma, sent, old, new
-    for slot in pool.sentences:
-        cands = list(slot.values())
-        if not cands:
+    for i in range(len(pool.sentences)):
+        stats = pool.stats(i)
+        if not stats:
             continue
-        lines = [
-            (float(np.dot(direction, c.feats)), float(np.dot(weights, c.feats)), i)
-            for i, c in enumerate(cands)
-        ]
-        segments = _envelope(lines)
+        feats = pool.features(i)
+        slopes, intercepts = (feats @ direction).tolist(), (feats @ weights).tolist()
+        segments = _envelope(list(zip(slopes, intercepts, range(len(stats)))))
         sent = len(base_stats)
-        base_stats.append(cands[segments[0][1]].stats)
+        base_stats.append(stats[segments[0][1]])
         for seg_i in range(1, len(segments)):
             gamma = segments[seg_i][0]
             events.append(
                 (
                     gamma,
                     sent,
-                    cands[segments[seg_i - 1][1]].stats,
-                    cands[segments[seg_i][1]].stats,
+                    stats[segments[seg_i - 1][1]],
+                    stats[segments[seg_i][1]],
                 )
             )
     if not base_stats:

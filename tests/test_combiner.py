@@ -7,9 +7,9 @@ from corrfuse.combiner import (
     FeatureSchema,
     beam_search,
     build_space,
+    build_spaces,
     ensemble_pick_best,
     extensions,
-    format_kbest,
     initial_state,
     load_weights,
     save_weights,
@@ -110,6 +110,27 @@ class TestBuildSpace:
         assert space.groups[0][1] == frozenset({(0, 1), (1, 0)})
         assert space.groups[1][0] == frozenset({(0, 1), (1, 0)})
         assert space.groups[1][1] == frozenset({(1, 1)})
+
+    def test_build_spaces_aligns_each_sentence(self):
+        hyp_lines = [
+            [tokenize("the cat runs ."), tokenize("a dog")],
+            [tokenize("the cats run ."), tokenize("a dog .")],
+            [tokenize("The cat running"), tokenize("dog")],
+        ]
+        spaces = build_spaces(hyp_lines)
+        assert len(spaces) == 2
+        for i, space in enumerate(spaces):
+            want = make_space([lines[i] for lines in hyp_lines])
+            assert space == want
+            assert space.words == want.words
+
+    def test_word_table_checked_by_hand(self):
+        space = make_space([tokenize("a b"), tokenize("b c")])
+        # "b" aligns (0,1) <-> (1,0): emitting it consumes both and credits both systems
+        assert space.words[0][0] == ("a", (0b01, 0b00), (1.0, 0.0, 1.0))
+        assert space.words[0][1] == ("b", (0b10, 0b01), (1.0, 1.0, 1.0))
+        assert space.words[1][0] == ("b", (0b10, 0b01), (1.0, 1.0, 1.0))
+        assert space.words[1][1] == ("c", (0b00, 0b10), (0.0, 1.0, 1.0))
 
     def test_missing_alignment_rejected(self):
         h = [tokenize("a"), tokenize("b"), tokenize("c")]
@@ -244,8 +265,3 @@ class TestWeightsIO:
         save_weights(FeatureSchema(2), np.zeros(4), path)
         with pytest.raises(ValueError):
             load_weights(path, FeatureSchema(3))
-
-    def test_kbest_format(self):
-        schema = FeatureSchema(2)
-        text = format_kbest([(0, ("a", "b"), np.array([1.0, 0.0, 2.0, -0.5]), 1.25)], schema)
-        assert text == "0 ||| a b ||| match_0:1.000000 match_1:0.000000 length:2.000000 lm:-0.500000 ||| 1.250000\n"

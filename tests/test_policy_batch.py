@@ -231,6 +231,56 @@ class TestRlGradient:
         assert zero_cases >= 3
 
 
+def reference_sample(model, x, rng, max_len=None):
+    """The single-draw sampler that encoded the source on every call."""
+    limit = model.max_len if max_len is None else min(max_len, model.max_len)
+    states, context = policy._encode(model, model.vocab.encode(x))
+    s = states[-1]
+    prev = BOS_ID
+    out = []
+    for _ in range(limit):
+        _, s, probs = policy._step(model, s, prev, context)
+        u = rng.random()
+        idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+        idx = min(idx, len(probs) - 1)
+        if idx == EOS_ID:
+            return tuple(out)
+        out.append(model.vocab.tokens[idx])
+        prev = idx
+    return tuple(out)
+
+
+class TestSampleMany:
+    def test_equals_successive_single_draws(self):
+        rng = np.random.default_rng(33)
+        lengths = set()
+        for trial in range(40):
+            model = random_model(rng, max_len=int(rng.integers(1, 6)))
+            if trial % 8 == 0:
+                model.params[:] = 0.0
+                model._views["out_b"][EOS_ID] = 60.0  # every draw is ()
+            xs, _, _, _ = random_batch(rng, model)
+            k = int(rng.integers(1, 7))
+            max_len = None if trial % 3 else int(rng.integers(0, 4))
+            seed = int(rng.integers(1 << 30))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = policy.sample_many(model, xs[0], got_rng, k, max_len)
+            want = [reference_sample(model, xs[0], want_rng, max_len) for _ in range(k)]
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            lengths.update(len(y) for y in got)
+        assert 0 in lengths and max(lengths) >= 3  # stops at EOS and at the cap
+
+    def test_sample_is_one_draw(self):
+        rng = np.random.default_rng(5)
+        model = random_model(rng)
+        xs, _, _, _ = random_batch(rng, model)
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(5):
+            assert policy.sample(model, xs[0], got_rng) == reference_sample(model, xs[0], want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestDdtStep:
     def test_alpha_one_nll_is_mean_reference_nll(self):
         rng = np.random.default_rng(9)

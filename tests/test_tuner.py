@@ -214,3 +214,50 @@ class TestKBestPool:
         pool.add(1, Candidate(("y",), (1.0,), ScoreStats(1, 1, 0)))
         total = ScoreStats(2, 1, 1)
         assert pool.corpus_f(np.array([1.0])) == pytest.approx(total.f_beta(0.5))
+
+
+class TestPoolMatrix:
+    def test_matrix_tracks_adds_and_rejections(self):
+        rng = np.random.default_rng(3)
+        pool = KBestPool.empty(3)
+        for step in range(200):
+            i = int(rng.integers(0, 3))
+            tokens = (f"w{int(rng.integers(0, 25))}",)  # repeats: rejected duplicates
+            feats = tuple(rng.normal(size=4))
+            grew = pool.add(i, Candidate(tokens, feats, ScoreStats(step, 0, 0)))
+            assert grew == (pool.sentences[i][tokens].feats == feats)
+            for j, slot in enumerate(pool.sentences):
+                assert pool.features(j).tolist() == [list(c.feats) for c in slot.values()]
+
+    def test_pool_built_from_dicts_has_matrices(self):
+        built = random_pool(np.random.default_rng(4))
+        copied = KBestPool([dict(slot) for slot in built.sentences])
+        for i in range(len(built.sentences)):
+            assert np.array_equal(copied.features(i), built.features(i))
+        w = np.array([0.3, -1.0, 2.0])
+        assert copied.corpus_f(w) == built.corpus_f(w)
+
+    def test_corpus_f_tie_goes_to_earliest_inserted(self):
+        good, bad = ScoreStats(2, 0, 0), ScoreStats(0, 2, 2)
+        for first, second in ((good, bad), (bad, good)):
+            pool = KBestPool.empty(1)
+            pool.add(0, Candidate(("a",), (1.0, 2.0), first))
+            pool.add(0, Candidate(("b",), (2.0, 1.0), second))  # same score under w = (1, 1)
+            assert pool.corpus_f(np.array([1.0, 1.0])) == first.f_beta(0.5)
+
+    def test_pools_built_alike_search_alike(self):
+        def build(seed):
+            return random_pool(np.random.default_rng(seed), n_sentences=4, n_cands=30, dim=5)
+
+        rng = np.random.default_rng(8)
+        w, d = rng.normal(size=5), rng.normal(size=5)
+        first = build(12)
+        want = line_search(first, w, d)
+        want_w = mert(first, w, iters=2, rng_seed=5)
+        del first
+        for seed in (13, 12, 14, 12):  # new pools reuse the freed objects' ids
+            pool = build(seed)
+            if seed == 12:
+                assert line_search(pool, w, d) == want
+                assert np.array_equal(mert(pool, w, iters=2, rng_seed=5), want_w)
+            del pool
