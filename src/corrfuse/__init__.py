@@ -11,7 +11,7 @@ corruption corpus (toydata), and a CLI tying it together (cli).
 
 from .alignment import AlignedPair, Alignment, align_all, align_pair
 from .combiner import FeatureSchema, NGramLM, SearchSpace, beam_search, build_space, train_lm
-from .ddt import DdtConfig, StageReport, ddt_step, rl_gradient, round_robin
+from .ddt import DdtConfig, StageReport, ddt_step, rl_gradient, round_robin, train_stage
 from .evaluation import (
     GoldAnnotation,
     ScoreStats,

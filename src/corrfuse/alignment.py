@@ -201,7 +201,3 @@ def align_all(hyps: list[TokenSeq]) -> dict[tuple[int, int], Alignment]:
         for j in range(i + 1, len(hyps))
     }
 
-
-def format_alignment(alignment: Alignment) -> str:
-    """Debug form: space-separated "i-j:stage" entries."""
-    return " ".join(f"{p.a}-{p.b}:{p.stage}" for p in alignment.pairs)

@@ -3,7 +3,11 @@ diversity.  Every command is deterministic given its config, writes its
 artifacts as plain text, prints a key=value summary, and appends the same
 summary (with the config hash) to <data.dir>/report.txt.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success; 2 usage error (bad flags, unknown keys, out-of-range
+values); 3 data error (missing, misaligned or malformed input files, reserved
+tokens in the training text); 4 numeric failure (non-finite parameters).  The
+library's errors for bad values and malformed files are mapped to these here.
+Combination runs in one process, so ``--jobs`` accepts only 1.
 """
 
 from __future__ import annotations
@@ -11,15 +15,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import policy
 from .combiner import (
     FeatureSchema,
     NGramLM,
+    SearchSpace,
     beam_search,  # noqa: F401  (unused here; bench/tests checks cli's traced binding)
     build_spaces,
     ensemble_pick_best,
@@ -28,7 +31,7 @@ from .combiner import (
     train_lm,
 )
 from .config import ExperimentConfig
-from .ddt import DdtConfig, StageReport, ddt_step, mean_pairwise_diversity, round_robin
+from .ddt import DdtConfig, mean_pairwise_diversity, round_robin, train_stage
 from .errors import DataError, NumericError, UsageError
 from .evaluation import (
     GoldAnnotation,
@@ -44,7 +47,7 @@ from .policy import PolicyModel, Vocabulary, greedy_decode, load_model, load_voc
 from .rewards import RewardKind
 from .textcore import TokenSeq, detokenize, tokenize
 from .toydata import DEFAULT_GRAMMAR, CorruptionRule, RULE_KINDS, generate_corpus, parse_grammar
-from .tuner import decode_corpus, tune_loop
+from .tuner import KBestPool, decode_corpus, tune_loop
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +111,21 @@ def _split_paths(raw: str) -> list[str]:
     return [p.strip() for p in raw.split(",") if p.strip()]
 
 
+def _positive_int(cfg: ExperimentConfig, key: str) -> int:
+    value = cfg.get_int(key)
+    if value < 1:
+        raise UsageError(f"{key} must be >= 1, got {value}")
+    return value
+
+
+def _load_file(load: Callable, path: str, *args: object):
+    """Call a file loader; a malformed file is a data error."""
+    try:
+        return load(path, *args)
+    except (ValueError, KeyError) as exc:
+        raise DataError(f"cannot load {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # shared loading
 # ---------------------------------------------------------------------------
@@ -115,7 +133,7 @@ def _split_paths(raw: str) -> list[str]:
 def _model_paths(cfg: ExperimentConfig) -> tuple[str, list[str]]:
     model_dir = cfg.get_str("model.dir")
     vocab_path = os.path.join(model_dir, "vocab.txt")
-    n = cfg.get_int("train.models")
+    n = _positive_int(cfg, "train.models")
     return vocab_path, [os.path.join(model_dir, f"model_{i}.txt") for i in range(n)]
 
 
@@ -123,12 +141,12 @@ def _load_models(cfg: ExperimentConfig) -> tuple[Vocabulary, list[PolicyModel]]:
     vocab_path, model_paths = _model_paths(cfg)
     if not os.path.exists(vocab_path):
         raise DataError(f"missing vocabulary file: {vocab_path} (run the train command first)")
-    vocab = load_vocab(vocab_path)
+    vocab = _load_file(load_vocab, vocab_path)
     models = []
     for path in model_paths:
         if not os.path.exists(path):
             raise DataError(f"missing checkpoint: {path} (run the train command first)")
-        models.append(load_model(path, vocab))
+        models.append(_load_file(load_model, path, vocab))
     return vocab, models
 
 
@@ -145,7 +163,7 @@ def _load_lm(cfg: ExperimentConfig) -> NGramLM:
     corpus = _read_token_lines(corpus_path)
     if not corpus:
         raise DataError(f"empty language model corpus: {corpus_path}")
-    return train_lm(corpus, cfg.get_int("lm.order"))
+    return train_lm(corpus, _positive_int(cfg, "lm.order"))
 
 
 def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
@@ -154,16 +172,49 @@ def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
     except ValueError as exc:
         raise UsageError(f"ddt.reward must be one of edit|bleu|tokendiff: {exc}") from exc
     clip = cfg.get_float("ddt.clip")
-    return DdtConfig(
-        alpha=cfg.get_float("ddt.alpha"),
-        k_samples=cfg.get_int("ddt.k_samples"),
-        reward_kind=kind,
-        learning_rate=cfg.get_float("ddt.lr"),
-        epochs=cfg.get_int("ddt.epochs"),
-        seed=cfg.derived_seed("ddt.seed", 2),
-        reward_clip=clip if clip > 0 else None,
-        normalize_reward=cfg.get_bool("ddt.normalize"),
+    try:
+        return DdtConfig(
+            alpha=cfg.get_float("ddt.alpha"),
+            k_samples=cfg.get_int("ddt.k_samples"),
+            reward_kind=kind,
+            learning_rate=cfg.get_float("ddt.lr"),
+            epochs=cfg.get_int("ddt.epochs"),
+            seed=cfg.derived_seed("ddt.seed", 2),
+            reward_clip=clip if clip > 0 else None,
+            normalize_reward=cfg.get_bool("ddt.normalize"),
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid ddt setting: {exc}") from exc
+
+
+def _tune(
+    cfg: ExperimentConfig,
+    outputs_per_model: Sequence[Sequence[TokenSeq]],
+    sources: Sequence[TokenSeq],
+    golds: Sequence[GoldAnnotation],
+    lm: NGramLM,
+    rng_seed: int,
+) -> tuple[list[SearchSpace], np.ndarray, KBestPool]:
+    """Build the systems' search spaces and tune the combination weights on
+    ``sources``/``golds`` with the configured beam, k-best size and MERT
+    schedule.  Returns the spaces, the tuned weights and the k-best pool."""
+    beam, k = _positive_int(cfg, "combine.beam"), _positive_int(cfg, "combine.k")
+    rounds, iters = _positive_int(cfg, "tune.rounds"), _positive_int(cfg, "tune.iters")
+    spaces = build_spaces(outputs_per_model)
+    weights, pool = tune_loop(
+        sources,
+        golds,
+        spaces,
+        lm,
+        FeatureSchema(len(outputs_per_model)).default_weights(),
+        beam=beam,
+        k=k,
+        rounds=rounds,
+        mert_iters=iters,
+        n_random=cfg.get_int("tune.random_dirs"),
+        rng_seed=rng_seed,
     )
+    return spaces, weights, pool
 
 
 def _score_against_dev(
@@ -188,20 +239,19 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
                 grammar = parse_grammar(fh.read())
             except ValueError as exc:
                 raise DataError(f"{grammar_path}: {exc}") from exc
-    rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
+    try:
+        rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
+    except ValueError as exc:
+        raise UsageError(f"gen.rule_prob: {exc}") from exc
     seed = cfg.get_int("seed")
-    oversample = cfg.get_int("gen.oversample")
-    if oversample < 1:
-        raise UsageError(f"gen.oversample must be >= 1, got {oversample}")
+    oversample = _positive_int(cfg, "gen.oversample")
     # all splits draw reference sentences from one grammar stream, so dev and
     # test are freshly corrupted versions of sentences the models trained on;
     # the train split is oversampled with independent corruption passes
     grammar_seed = seed * 8
     summary: dict[str, object] = {}
     for split_idx, split in enumerate(("train", "dev", "test")):
-        n = cfg.get_int(f"gen.{split}")
-        if n < 1:
-            raise UsageError(f"gen.{split} must be >= 1, got {n}")
+        n = _positive_int(cfg, f"gen.{split}")
         passes = oversample if split == "train" else 1
         examples = []
         for corruption_pass in range(passes):
@@ -237,13 +287,13 @@ def _train_one(
     seed = cfg.get_int("seed")
     model = PolicyModel(
         vocab,
-        embed_width=cfg.get_int("policy.embed"),
-        hidden_width=cfg.get_int("policy.hidden"),
+        embed_width=_positive_int(cfg, "policy.embed"),
+        hidden_width=_positive_int(cfg, "policy.hidden"),
         max_len=cfg.get_int("policy.max_len"),
         init_seed=seed * 1000 + 100 + index,
     )
     rng = np.random.default_rng((seed, 200 + index))
-    batch_size = max(1, cfg.get_int("train.batch"))
+    batch_size = _positive_int(cfg, "train.batch")
     lr = cfg.get_float("train.lr")
     last_nll = float("nan")
     encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
@@ -266,16 +316,14 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     _require_aligned(train_src=train_src, train_ref=train_ref)
     if not train_src:
         raise DataError(f"empty training data: {cfg.get_str('data.train_src')}")
-    max_len = cfg.get_int("policy.max_len")
+    max_len = _positive_int(cfg, "policy.max_len")
     pairs = [(x, y) for x, y in zip(train_src, train_ref) if len(y) <= max_len]
     if not pairs:
         raise DataError("no training pair fits within policy.max_len")
-    content: list[str] = []
-    for x, y in pairs:
-        for tok in x + y:
-            if tok not in content:
-                content.append(tok)
-    vocab = Vocabulary.build(content)
+    try:
+        vocab = Vocabulary.build(tok for x, y in pairs for tok in x + y)
+    except ValueError as exc:
+        raise DataError(f"training text: {exc}") from exc
     vocab_path, model_paths = _model_paths(cfg)
     os.makedirs(os.path.dirname(vocab_path) or ".", exist_ok=True)
     save_vocab(vocab, vocab_path)
@@ -318,21 +366,16 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
         raise DataError("no peer systems: provide ddt.peers or train more than one model")
 
     backbone = models[backbone_idx].copy()
-    rng = np.random.default_rng((ddt_cfg.seed, 0))
-    max_len = backbone.max_len
-    loss_sum = reward_sum = 0.0
-    steps = 0
-    for _ in range(ddt_cfg.epochs):
-        for i, (x, y_ref) in enumerate(zip(dev_src, dev_ref)):
-            if len(y_ref) > max_len:
-                continue
-            peers = [p[i] for p in peer_outputs]
-            loss, r = ddt_step(backbone, [(x, y_ref, peers)], ddt_cfg, rng)
-            loss_sum += loss
-            reward_sum += r
-            steps += 1
-    if steps == 0:
+    kept = [i for i, y_ref in enumerate(dev_ref) if len(y_ref) <= backbone.max_len]
+    if not kept:
         raise DataError("no DDT sentence fits within the decode length limit")
+    mle_loss, mean_reward = train_stage(
+        backbone,
+        [(dev_src[i], dev_ref[i]) for i in kept],
+        [[p[i] for p in peer_outputs] for i in kept],
+        ddt_cfg,
+        np.random.default_rng((ddt_cfg.seed, 0)),
+    )
     _check_finite(backbone, "diversity-driven training")
 
     out_path = cfg.get_str("ddt.out") or os.path.join(
@@ -350,9 +393,9 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
             "backbone": backbone_idx,
             "reward": cfg.get_str("ddt.reward"),
             "alpha": ddt_cfg.alpha,
-            "steps": steps,
-            "mle_loss": loss_sum / steps,
-            "mean_reward": reward_sum / steps,
+            "steps": ddt_cfg.epochs * len(kept),
+            "mle_loss": mle_loss,
+            "mean_reward": mean_reward,
             "dev_f05": stats.f_beta(0.5),
             "diversity": div,
             "checkpoint": out_path,
@@ -361,46 +404,21 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _combine_stage(
-    cfg: ExperimentConfig,
-    outputs_per_model: Sequence[Sequence[TokenSeq]],
-    dev_src: Sequence[TokenSeq],
-    dev_golds: Sequence[GoldAnnotation],
-    lm: NGramLM,
-    tune_seed: int,
-) -> tuple[list[TokenSeq], np.ndarray, ScoreStats, list[ScoreStats]]:
-    spaces = build_spaces(outputs_per_model)
-    schema = FeatureSchema(len(outputs_per_model))
-    weights, _ = tune_loop(
-        dev_src,
-        dev_golds,
-        spaces,
-        lm,
-        schema.default_weights(),
-        beam=cfg.get_int("combine.beam"),
-        k=cfg.get_int("combine.k"),
-        rounds=cfg.get_int("tune.rounds"),
-        mert_iters=cfg.get_int("tune.iters"),
-        n_random=cfg.get_int("tune.random_dirs"),
-        rng_seed=tune_seed,
-    )
-    combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
-    stats, per_sentence = _score_against_dev(dev_src, dev_golds, combined)
-    return combined, weights, stats, per_sentence
-
-
 def cmd_stages(cfg: ExperimentConfig) -> int:
     vocab, models = _load_models(cfg)
     dev_src, dev_ref, dev_golds = _load_dev(cfg)
     lm = _load_lm(cfg)
     stages = cfg.get_int("ddt.stages")
     ddt_cfg = _ddt_config(cfg)
-    max_len = models[0].max_len
-    data = [(x, y) for x, y in zip(dev_src, dev_ref) if len(y) <= max_len]
-    kept = [i for i, (_, y) in enumerate(zip(dev_src, dev_ref)) if len(y) <= max_len]
-    if len(kept) != len(dev_src):
+    if stages < 0:
+        raise UsageError(f"ddt.stages must be >= 0, got {stages}")
+    if len(models) < 2:
+        raise UsageError(f"stages needs train.models >= 2, got {len(models)}")
+    if not dev_src:
+        raise DataError(f"empty dev data: {cfg.get_str('data.dev_src')}")
+    if any(len(y) > models[0].max_len for y in dev_ref):
         raise DataError("dev references longer than policy.max_len; regenerate or raise the limit")
-    _, reports = round_robin(models, data, ddt_cfg, stages)
+    _, reports = round_robin(models, list(zip(dev_src, dev_ref)), ddt_cfg, stages)
 
     out_dir = os.path.join(cfg.get_str("data.dir"), "out")
     tune_base = cfg.derived_seed("tune.seed", 3)
@@ -415,9 +433,11 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
                 os.path.join(out_dir, f"stage{report.stage}.sys{m}.hyp"),
                 [detokenize(o) for o in outputs],
             )
-        combined, weights, stats, per_sentence = _combine_stage(
+        spaces, weights, _ = _tune(
             cfg, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage
         )
+        combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
+        stats, per_sentence = _score_against_dev(dev_src, dev_golds, combined)
         _write_lines(
             os.path.join(out_dir, f"stage{report.stage}.combined.hyp"),
             [detokenize(o) for o in combined],
@@ -439,15 +459,10 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
     if best_stage != 0:
         outcomes = compare_outputs(per_sentence_by_stage[best_stage], per_sentence_by_stage[0])
         summary["p_best_vs_stage0"] = sign_test_bootstrap(
-            outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
+            outcomes, _positive_int(cfg, "eval.resamples"), cfg.derived_seed("eval.seed", 4)
         )
     _emit_summary(cfg, "stages", summary)
     return 0
-
-
-def _decode_chunk(args: tuple) -> list[TokenSeq]:
-    hyp_lines, weights, lm, beam = args
-    return decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
 
 
 def cmd_combine(cfg: ExperimentConfig) -> int:
@@ -469,20 +484,11 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
         schema = FeatureSchema(len(hyp_lines))
         weights_path = cfg.get_str("combine.weights")
         if os.path.exists(weights_path):
-            weights = load_weights(weights_path, schema)
+            weights = _load_file(load_weights, weights_path, schema)
         else:
             weights = schema.default_weights()
-        beam = cfg.get_int("combine.beam")
-        jobs = max(1, cfg.get_int("jobs"))
-        if jobs == 1:
-            combined = _decode_chunk((hyp_lines, weights, lm, beam))
-        else:
-            tasks = [
-                ([lines[i : i + 16] for lines in hyp_lines], weights, lm, beam)
-                for i in range(0, n, 16)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                combined = [o for chunk in pool.map(_decode_chunk, tasks) for o in chunk]
+        beam = _positive_int(cfg, "combine.beam")
+        combined = decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
     else:
         raise UsageError(f"combine.kind must be lattice or ensemble, got {kind!r}")
     out_path = cfg.get_str("combine.out")
@@ -504,24 +510,10 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
         dev_src=dev_src, **{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)}
     )
     lm = _load_lm(cfg)
-    spaces = build_spaces(hyp_lines)
-    schema = FeatureSchema(len(hyp_lines))
-    weights, pool = tune_loop(
-        dev_src,
-        dev_golds,
-        spaces,
-        lm,
-        schema.default_weights(),
-        beam=cfg.get_int("combine.beam"),
-        k=cfg.get_int("combine.k"),
-        rounds=cfg.get_int("tune.rounds"),
-        mert_iters=cfg.get_int("tune.iters"),
-        n_random=cfg.get_int("tune.random_dirs"),
-        rng_seed=cfg.derived_seed("tune.seed", 3),
-    )
+    _, weights, pool = _tune(cfg, hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3))
     out_path = cfg.get_str("tune.out")
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    save_weights(schema, weights, out_path)
+    save_weights(FeatureSchema(len(hyp_lines)), weights, out_path)
     _emit_summary(
         cfg, "tune",
         {
@@ -570,7 +562,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         outcomes = compare_outputs(per_sentence, base_per_sentence)
         summary["baseline"] = baseline_path
         summary["p_value"] = sign_test_bootstrap(
-            outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
+            outcomes, _positive_int(cfg, "eval.resamples"), cfg.derived_seed("eval.seed", 4)
         )
     _emit_summary(cfg, "eval", summary)
     return 0
@@ -612,7 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="path to a key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the base seed")
-    parser.add_argument("--jobs", type=int, default=None, help="worker processes for combination")
+    parser.add_argument(
+        "--jobs", type=int, choices=[1], default=1,
+        help="worker processes; combination runs in one process, so only 1 is accepted",
+    )
     parser.add_argument(
         "--set",
         action="append",
@@ -627,7 +622,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides: dict[str, object] = {"seed": args.seed, "jobs": args.jobs}
+        overrides: dict[str, object] = {"seed": args.seed}
         for item in args.set:
             if "=" not in item:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")

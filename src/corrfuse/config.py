@@ -20,7 +20,6 @@ ENV_PREFIX = "CORRFUSE_"
 # key -> (type tag, default)
 KNOWN_KEYS: dict[str, tuple[str, object]] = {
     "seed": ("int", 7),
-    "jobs": ("int", 1),
     "data.dir": ("str", "runs/toy"),
     "data.train_src": ("str", ""),
     "data.train_ref": ("str", ""),

@@ -2,6 +2,11 @@
 log-likelihood with an expected diversity reward, optimized by score-function
 gradients over multinomial samples with a baseline, plus round-robin
 scheduling when several systems are trainable.
+
+``train_stage`` is the one DDT training loop: ``cfg.epochs`` passes of one
+``ddt_step`` per sentence, in data order, against fixed peer outputs.
+``round_robin`` runs it once per stage with the other models' greedy outputs
+as peers; the ``ddt`` command runs it once for a single backbone.
 """
 
 from __future__ import annotations
@@ -131,20 +136,46 @@ def mean_pairwise_diversity(outputs_per_model: Sequence[Sequence[TokenSeq]]) -> 
     return sum(values) / len(values) if values else 0.0
 
 
+def train_stage(
+    model: PolicyModel,
+    data: Sequence[tuple[TokenSeq, TokenSeq]],
+    peer_sets: Sequence[Sequence[TokenSeq]],
+    cfg: DdtConfig,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Train ``model`` in place for ``cfg.epochs`` passes over ``data``, one
+    ``ddt_step`` per (source, reference) pair, in data order; ``peer_sets[i]``
+    holds the frozen peer outputs for sentence i.  Returns the mean
+    pre-step reference NLL and the mean sample reward over all steps.
+    """
+    if not data:
+        raise ValueError("empty training data")
+    if len(peer_sets) != len(data):
+        raise ValueError("peer outputs must be line-aligned with the data")
+    loss_sum = reward_sum = 0.0
+    for _ in range(cfg.epochs):
+        for (x, y_ref), peers in zip(data, peer_sets):
+            loss, r = ddt_step(model, [(x, y_ref, peers)], cfg, rng)
+            loss_sum += loss
+            reward_sum += r
+    steps = cfg.epochs * len(data)
+    return loss_sum / steps, reward_sum / steps
+
+
 def round_robin(
     models: Sequence[PolicyModel],
     data: Sequence[tuple[TokenSeq, TokenSeq]],
     cfg: DdtConfig,
     stages: int,
-    fixed_peer_outputs: Sequence[Sequence[TokenSeq]] = (),
 ) -> tuple[list[PolicyModel], list[StageReport]]:
     """Models take turns receiving diversity-driven training.
 
-    At stage s (1-based), model (s-1) mod n is the backbone; the other
+    At stage s (1-based), model (s-1) mod n is the backbone and is trained by
+    ``train_stage`` with generator ``default_rng((cfg.seed, s))``; the other
     models are frozen and their greedy outputs, recomputed at the stage
-    boundary, serve as peers, together with any fixed peer output lists.
-    Input models are not mutated; stage 0 in the report is the untrained
-    baseline.  Returns the updated models and per-stage reports.
+    boundary, serve as peers.  Input models are not mutated; stage 0 in the
+    report is the untrained baseline.  Returns the updated models and
+    per-stage reports.
     """
     if len(models) < 2:
         raise ValueError("round-robin training needs at least 2 models")
@@ -152,9 +183,6 @@ def round_robin(
         raise ValueError("stage count must be >= 0")
     if not data:
         raise ValueError("empty training data")
-    for peer_list in fixed_peer_outputs:
-        if len(peer_list) != len(data):
-            raise ValueError("fixed peer outputs must be line-aligned with the data")
     models = [m.copy() for m in models]
     sources = [x for x, _ in data]
 
@@ -168,25 +196,17 @@ def round_robin(
     ]
     for stage in range(1, stages + 1):
         backbone = (stage - 1) % len(models)
-        rng = np.random.default_rng((cfg.seed, stage))
         peer_sets = [
             [outputs[m][i] for m in range(len(models)) if m != backbone]
-            + [peer_list[i] for peer_list in fixed_peer_outputs]
             for i in range(len(data))
         ]
-        loss_sum = reward_sum = 0.0
-        steps = 0
-        for _ in range(cfg.epochs):
-            for i, (x, y_ref) in enumerate(data):
-                loss, r = ddt_step(models[backbone], [(x, y_ref, peer_sets[i])], cfg, rng)
-                loss_sum += loss
-                reward_sum += r
-                steps += 1
+        mle_loss, mean_reward = train_stage(
+            models[backbone], data, peer_sets, cfg, np.random.default_rng((cfg.seed, stage))
+        )
         outputs = decode_all()
         reports.append(
             StageReport(
-                stage, backbone, mean_pairwise_diversity(outputs),
-                loss_sum / steps, reward_sum / steps,
+                stage, backbone, mean_pairwise_diversity(outputs), mle_loss, mean_reward,
                 tuple(tuple(o) for o in outputs),
             )
         )

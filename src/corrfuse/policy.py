@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,13 +48,12 @@ class Vocabulary:
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
 
     @classmethod
-    def build(cls, content_tokens: Sequence[str]) -> "Vocabulary":
-        seen: list[str] = []
-        for t in content_tokens:
-            if t in RESERVED:
+    def build(cls, content_tokens: Iterable[str]) -> "Vocabulary":
+        """Reserved symbols, then each content token once, in first-seen order."""
+        seen = dict.fromkeys(content_tokens)
+        for t in RESERVED:
+            if t in seen:
                 raise ValueError(f"{t} is reserved")
-            if t not in seen:
-                seen.append(t)
         return cls(RESERVED + tuple(seen))
 
     def __len__(self) -> int:
@@ -167,18 +166,6 @@ def _step(model: PolicyModel, s_prev: np.ndarray, prev_id: int, context: np.ndar
     exp = np.exp(logits - m)
     probs = exp / exp.sum()
     return inp, s, probs
-
-
-def next_distribution(model: PolicyModel, x: TokenSeq, prefix: TokenSeq) -> np.ndarray:
-    """Next-token distribution after consuming ``prefix`` (for inspection)."""
-    states, context = _encode(model, model.vocab.encode(x))
-    s = states[-1]
-    prev = BOS_ID
-    for t in model.vocab.encode(prefix):
-        _, s, _ = _step(model, s, prev, context)
-        prev = t
-    _, _, probs = _step(model, s, prev, context)
-    return probs
 
 
 def logprob(model: PolicyModel, x: TokenSeq, y: TokenSeq, include_eos: bool = True) -> float:

@@ -58,24 +58,6 @@ class Edit:
 EditScript = tuple[Edit, ...]
 
 
-def edit_distance(a: TokenSeq, b: TokenSeq) -> int:
-    """Token-level Levenshtein distance with unit insert/delete/substitute cost."""
-    if a == b:
-        return 0
-    # keep the shorter sequence in the inner loop
-    if len(b) > len(a):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i in range(1, len(a) + 1):
-        cur = [i] + [0] * len(b)
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            sub = prev[j - 1] + (ai != b[j - 1])
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[len(b)]
-
-
 def _dp_matrix(a: TokenSeq, b: TokenSeq) -> list[list[int]]:
     n, m = len(a), len(b)
     dist = [[0] * (m + 1) for _ in range(n + 1)]
@@ -88,6 +70,13 @@ def _dp_matrix(a: TokenSeq, b: TokenSeq) -> list[list[int]]:
             sub = dist[i - 1][j - 1] + (a[i - 1] != b[j - 1])
             dist[i][j] = min(sub, dist[i - 1][j] + 1, dist[i][j - 1] + 1)
     return dist
+
+
+def edit_distance(a: TokenSeq, b: TokenSeq) -> int:
+    """Token-level Levenshtein distance with unit insert/delete/substitute cost."""
+    if a == b:
+        return 0
+    return _dp_matrix(a, b)[len(a)][len(b)]
 
 
 def edit_script(a: TokenSeq, b: TokenSeq) -> EditScript:
@@ -146,11 +135,6 @@ def apply_edits(source: TokenSeq, edits: EditScript) -> TokenSeq:
         pos = e.end
     out.extend(source[pos:])
     return tuple(out)
-
-
-def script_ops(edits: EditScript) -> int:
-    """Total single-token operation count of a script."""
-    return sum(e.ops for e in edits)
 
 
 def ngram_counts(s: TokenSeq, n: int) -> Counter:

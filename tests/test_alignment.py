@@ -10,7 +10,6 @@ from corrfuse.alignment import (
     Alignment,
     align_all,
     align_pair,
-    format_alignment,
     _stage_compatible,
 )
 from corrfuse.textcore import tokenize
@@ -181,7 +180,3 @@ class TestGuards:
     def test_alignment_rejects_duplicate_use(self):
         with pytest.raises(ValueError):
             Alignment(2, 2, (AlignedPair(0, 0, "exact"), AlignedPair(0, 1, "exact")))
-
-    def test_format(self):
-        al = align_pair(("He", "goes"), ("he", "go"))
-        assert format_alignment(al) == "0-0:lowercase 1-1:stem"

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from corrfuse.ddt import DdtConfig, ddt_step, mean_pairwise_diversity, rl_gradient, round_robin
+from corrfuse.ddt import (
+    DdtConfig,
+    ddt_step,
+    mean_pairwise_diversity,
+    rl_gradient,
+    round_robin,
+    train_stage,
+)
 from corrfuse.evaluation import diversity
 from corrfuse.policy import (
     EOS_ID,
@@ -228,15 +235,58 @@ class TestRoundRobin:
         _, reports = round_robin(models, data, DdtConfig(), stages=4)
         assert [r.backbone for r in reports[1:]] == [0, 1, 0, 1]
 
+    def test_stage_is_train_stage_with_stage_seed(self):
+        models, data = self._setup()
+        cfg = DdtConfig(seed=9, epochs=2)
+        out, reports = round_robin(models, data, cfg, stages=1)
+        expected = models[0].copy()
+        peers = [[greedy_decode(m, x) for m in models[1:]] for x, _ in data]
+        losses = train_stage(expected, data, peers, cfg, np.random.default_rng((9, 1)))
+        assert np.array_equal(out[0].params, expected.params)
+        assert (reports[1].mle_loss, reports[1].mean_reward) == losses
+
     def test_rejects_single_model(self):
         models, data = self._setup()
         with pytest.raises(ValueError):
             round_robin(models[:1], data, DdtConfig(), stages=1)
 
-    def test_fixed_peers_must_align(self):
-        models, data = self._setup()
+
+
+class TestTrainStage:
+    def _setup(self):
+        data = [(("a", "b"), ("a", "b")), (("c",), ("c",)), (("b", "c"), ("b", "c"))]
+        peers = [[("a",), ("b", "b")], [()], [("c", "a")]]
+        return tiny_model(max_len=3, seed=4), data, peers
+
+    def test_matches_step_loop(self):
+        model, data, peers = self._setup()
+        cfg = DdtConfig(epochs=3, learning_rate=0.1)
+        reference = model.copy()
+        rng = np.random.default_rng((cfg.seed, 5))
+        losses, rewards = [], []
+        for _ in range(cfg.epochs):
+            for (x, y), p in zip(data, peers):
+                loss, r = ddt_step(reference, [(x, y, p)], cfg, rng)
+                losses.append(loss)
+                rewards.append(r)
+        mle_loss, mean_reward = train_stage(
+            model, data, peers, cfg, np.random.default_rng((cfg.seed, 5))
+        )
+        assert np.array_equal(model.params, reference.params)
+        assert mle_loss == sum(losses) / len(losses)
+        assert mean_reward == sum(rewards) / len(rewards)
+
+    def test_rejects_misaligned_peers(self):
+        model, data, peers = self._setup()
+        before = model.params.copy()
         with pytest.raises(ValueError):
-            round_robin(models, data, DdtConfig(), stages=1, fixed_peer_outputs=[[("a",)]])
+            train_stage(model, data, peers[:2], DdtConfig(), np.random.default_rng(0))
+        assert np.array_equal(model.params, before)
+
+    def test_rejects_empty_data(self):
+        model, _, _ = self._setup()
+        with pytest.raises(ValueError):
+            train_stage(model, [], [], DdtConfig(), np.random.default_rng(0))
 
 
 class TestMeanPairwiseDiversity:

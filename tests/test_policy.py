@@ -6,6 +6,7 @@ import pytest
 
 from corrfuse.policy import (
     EOS_ID,
+    PROB_FLOOR,
     PolicyModel,
     Vocabulary,
     grad_logprob,
@@ -14,7 +15,6 @@ from corrfuse.policy import (
     load_vocab,
     logprob,
     mle_step,
-    next_distribution,
     sample,
     save_model,
     save_vocab,
@@ -51,6 +51,10 @@ class TestVocabulary:
         v = Vocabulary.build(["x", "y"])
         assert v.tokens[:3] == ("<bos>", "<eos>", "<unk>")
         assert len(v) == 5
+
+    def test_first_seen_order_without_duplicates(self):
+        v = Vocabulary.build(iter(["b", "a", "b", "c", "a"]))
+        assert v.tokens == ("<bos>", "<eos>", "<unk>", "b", "a", "c")
 
     def test_unknown_maps_to_unk(self):
         v = Vocabulary.build(["x"])
@@ -101,10 +105,17 @@ class TestLogprob:
         tokens = emittable_tokens(model)
         for _ in range(20):
             prefix = tuple(rng.choice(tokens, size=rng.integers(0, 3)))
-            probs = next_distribution(model, ("a", "b"), prefix)
-            assert probs[0] == 0.0  # BOS never emitted
-            assert np.all(probs[1:] > 0.0)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+            base = logprob(model, ("a", "b"), prefix, include_eos=False)
+            # P(tok | prefix) = P(prefix + tok) / P(prefix); EOS ends the prefix
+            probs = [
+                math.exp(logprob(model, ("a", "b"), prefix + (tok,), include_eos=False) - base)
+                for tok in tokens
+            ] + [math.exp(logprob(model, ("a", "b"), prefix) - base)]
+            assert all(p > 0.0 for p in probs)
+            assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+            # BOS is never emitted: its probability sits at the log floor
+            bos = logprob(model, ("a", "b"), prefix + ("<bos>",), include_eos=False) - base
+            assert bos == pytest.approx(math.log(PROB_FLOOR))
 
 
 class TestGradients:
@@ -169,7 +180,6 @@ class TestSampling:
     def test_first_token_frequencies_match_distribution(self):
         model = tiny_model(seed=7, max_len=1)
         x = ("b",)
-        probs = next_distribution(model, x, ())
         n = 50_000
         rng = np.random.default_rng(99)
         counts = {tok: 0 for tok in model.vocab.tokens}
@@ -182,11 +192,16 @@ class TestSampling:
                 counts[drawn[0]] += 1
         # 3-sigma binomial bounds per outcome
         for idx, tok in enumerate(model.vocab.tokens):
-            p = probs[idx]
             observed = eos_count if idx == EOS_ID else counts[tok]
             if idx == 0:
                 assert observed == 0
                 continue
+            # first-step probability: a one-token sample is cut at max_len = 1
+            # without an EOS factor; EOS alone is the empty sequence
+            if idx == EOS_ID:
+                p = math.exp(logprob(model, x, ()))
+            else:
+                p = math.exp(logprob(model, x, (tok,), include_eos=False))
             sigma = math.sqrt(n * p * (1 - p))
             assert abs(observed - n * p) <= 3 * sigma + 1e-9
 
