@@ -1,16 +1,17 @@
 """Monolingual word alignment between two hypotheses, built in staged
 matching passes (exact, lowercase, crude suffix-stripping stem).
 
-Within each stage the matcher picks, among maximum-cardinality matchings of
-the still-unmatched tokens, one that minimizes crossing pairs; ties go to
-the smallest sorted pair list.  The search is exact (branch and bound with
-cardinality and crossing pruning), which is affordable at the sentence
-lengths this project works with.
+Each stage matches the still-unmatched tokens in polynomial time: the
+lexicographically smallest longest non-crossing matching from an LCS table,
+then, until none is left, the compatible pair crossing the fewest chosen
+pairs (ties to the smallest).  Exact and lowercase compatibility are
+equivalences, so that is a maximum matching, and each token class's pairs
+are re-paired in order, which only removes crossings; stem compatibility is
+not transitive, so Kuhn's augmenting paths make its matching maximum.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from .textcore import TokenSeq
@@ -54,12 +55,7 @@ class Alignment:
 
     def crossings(self) -> int:
         pts = sorted((p.a, p.b) for p in self.pairs)
-        return sum(
-            1
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-            if pts[i][1] > pts[j][1]
-        )
+        return sum(b1 > b2 for i, (_, b1) in enumerate(pts) for _, b2 in pts[i + 1 :])
 
     def flipped(self) -> "Alignment":
         return Alignment(
@@ -79,102 +75,105 @@ def _stem_variants(token: str) -> frozenset[str]:
     return frozenset(variants)
 
 
+def _stage_key(stage: str, token: str) -> frozenset[str]:
+    """Two tokens are compatible in a stage when their keys intersect."""
+    if stage == "stem":
+        return _stem_variants(token)
+    return frozenset((token if stage == "exact" else token.lower(),))
+
+
 def _stage_compatible(stage: str, ta: str, tb: str) -> bool:
-    if stage == "exact":
-        return ta == tb
-    if stage == "lowercase":
-        return ta.lower() == tb.lower()
-    return bool(_stem_variants(ta) & _stem_variants(tb))
+    return bool(_stage_key(stage, ta) & _stage_key(stage, tb))
 
 
-def _max_cardinality(edges: dict[int, list[int]]) -> int:
-    """Kuhn's augmenting-path algorithm on a small bipartite graph."""
-    match_b: dict[int, int] = {}
+def _lcs_matching(ok: list[list[bool]]) -> list[tuple[int, int]]:
+    """Lexicographically smallest longest non-crossing matching of rows to
+    columns over the pairs where ``ok`` holds, in O(rows * columns)."""
+    n, m = len(ok), len(ok[0])
+    # longest[i][j]: size of the longest such matching of rows i.. to columns j..
+    longest = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row, below = longest[i], longest[i + 1]
+        for j in range(m - 1, -1, -1):
+            row[j] = below[j + 1] + 1 if ok[i][j] else max(below[j], row[j + 1])
+    pairs: list[tuple[int, int]] = []
+    i = j = 0
+    while longest[i][j]:
+        # the first pair that still completes a longest matching; the rows
+        # skipped on the way are never scanned again
+        rest = longest[i][j] - 1
+        i, j = next((r, c) for r in range(i, n) for c in range(j, m)
+                    if ok[r][c] and longest[r + 1][c + 1] == rest)
+        pairs.append((i, j))
+        i, j = i + 1, j + 1
+    return pairs
 
-    def try_augment(a: int, visited: set[int]) -> bool:
-        for b in edges[a]:
-            if b in visited:
-                continue
-            visited.add(b)
-            if b not in match_b or try_augment(match_b[b], visited):
-                match_b[b] = a
-                return True
+
+def _fill(ok: list[list[bool]], pairs: list[tuple[int, int]]) -> None:
+    """Add the compatible pair crossing the fewest chosen pairs (ties to the
+    smallest pair) until no compatible pair is left."""
+    rows, cols = {r for r, _ in pairs}, {c for _, c in pairs}
+    crossed = {
+        (r, c): sum((r2 < r) != (c2 < c) for r2, c2 in pairs)
+        for r in range(len(ok)) if r not in rows
+        for c in range(len(ok[r])) if ok[r][c] and c not in cols
+    }
+    while crossed:
+        _, r, c = min((n, r2, c2) for (r2, c2), n in crossed.items())
+        pairs.append((r, c))
+        crossed = {(r2, c2): n + ((r2 < r) != (c2 < c))
+                   for (r2, c2), n in crossed.items() if r2 != r and c2 != c}
+
+
+def _augment(ok: list[list[bool]], pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Kuhn's augmenting paths from ``pairs`` to a maximum-cardinality matching."""
+    row_of = {c: r for r, c in pairs}
+    # columns a failed search reached stay closed until the matching changes:
+    # no alternating path through them reaches a free column
+    visited: set[int] = set()
+
+    def try_augment(r: int) -> bool:
+        for c in range(len(ok[r])):
+            if ok[r][c] and c not in visited:
+                visited.add(c)
+                if c not in row_of or try_augment(row_of[c]):
+                    row_of[c] = r
+                    return True
         return False
 
-    count = 0
-    for a in sorted(edges):
-        if try_augment(a, set()):
-            count += 1
-    return count
+    for r in sorted(set(range(len(ok))) - set(row_of.values())):
+        if try_augment(r):
+            visited.clear()
+    return sorted((r, c) for c, r in row_of.items())
 
 
-def _min_crossing_matching(edges: dict[int, list[int]]) -> list[tuple[int, int]]:
-    """Exact maximum-cardinality matching with minimum crossings.
-
-    Ties between equal-crossing matchings resolve to the smallest sorted
-    pair list, which keeps results deterministic.
-    """
-    if not edges:
-        return []
-    target = _max_cardinality(edges)
-    a_positions = sorted(edges)
-    best: tuple[int, tuple[tuple[int, int], ...]] | None = None
-
-    def search(pos: int, used_b: set[int], chosen_b_sorted: list[int],
-               chosen: list[tuple[int, int]], crossings: int) -> None:
-        nonlocal best
-        if best is not None and crossings > best[0]:
-            return
-        # cardinality still reachable?
-        if len(chosen) + (len(a_positions) - pos) < target:
-            return
-        if pos == len(a_positions):
-            if len(chosen) == target:
-                key = (crossings, tuple(chosen))
-                if best is None or key < best:
-                    best = key
-            return
-        a = a_positions[pos]
-        for b in edges[a]:
-            if b in used_b:
-                continue
-            extra = len(chosen_b_sorted) - bisect_right(chosen_b_sorted, b)
-            if best is not None and crossings + extra > best[0]:
-                continue
-            used_b.add(b)
-            insort(chosen_b_sorted, b)
-            chosen.append((a, b))
-            search(pos + 1, used_b, chosen_b_sorted, chosen, crossings + extra)
-            chosen.pop()
-            chosen_b_sorted.remove(b)
-            used_b.discard(b)
-        search(pos + 1, used_b, chosen_b_sorted, chosen, crossings)
-
-    search(0, set(), [], [], 0)
-    assert best is not None
-    return list(best[1])
+def _uncross(pairs: list[tuple[int, int]], keys: list[frozenset[str]]) -> list[tuple[int, int]]:
+    """Re-pair the rows and columns of each equivalence class (``keys`` of the
+    rows) in order."""
+    classes: dict[frozenset[str], tuple[list[int], list[int]]] = {}
+    for r, c in pairs:
+        rows, cols = classes.setdefault(keys[r], ([], []))
+        rows.append(r)
+        cols.append(c)
+    return sorted(p for rows, cols in classes.values() for p in zip(sorted(rows), sorted(cols)))
 
 
 def _align_oriented(a: TokenSeq, b: TokenSeq) -> tuple[AlignedPair, ...]:
-    matched_a: set[int] = set()
-    matched_b: set[int] = set()
+    free_a, free_b = list(range(len(a))), list(range(len(b)))
     pairs: list[AlignedPair] = []
     for stage in STAGES:
-        edges: dict[int, list[int]] = {}
-        for i, ta in enumerate(a):
-            if i in matched_a:
-                continue
-            cands = [
-                j
-                for j, tb in enumerate(b)
-                if j not in matched_b and _stage_compatible(stage, ta, tb)
-            ]
-            if cands:
-                edges[i] = cands
-        for i, j in _min_crossing_matching(edges):
-            pairs.append(AlignedPair(i, j, stage))
-            matched_a.add(i)
-            matched_b.add(j)
+        keys_a = [_stage_key(stage, a[i]) for i in free_a]
+        keys_b = [_stage_key(stage, b[j]) for j in free_b]
+        ok = [[bool(ka & kb) for kb in keys_b] for ka in keys_a]
+        if not any(map(any, ok)):
+            continue
+        found = _lcs_matching(ok)
+        _fill(ok, found)
+        found = _augment(ok, found) if stage == "stem" else _uncross(found, keys_a)
+        pairs += (AlignedPair(free_a[r], free_b[c], stage) for r, c in found)
+        rows, cols = {r for r, _ in found}, {c for _, c in found}
+        free_a = [i for r, i in enumerate(free_a) if r not in rows]
+        free_b = [j for c, j in enumerate(free_b) if c not in cols]
     return tuple(sorted(pairs, key=lambda p: (p.a, p.b)))
 
 

@@ -4,9 +4,10 @@ artifacts as plain text, prints a key=value summary, and appends the same
 summary (with the config hash) to <data.dir>/report.txt.
 
 Exit codes: 0 success; 2 usage error (bad flags, unknown keys, out-of-range
-values); 3 data error (missing, misaligned or malformed input files, reserved
-tokens in the training text); 4 numeric failure (non-finite parameters).  The
-library's errors for bad values and malformed files are mapped to these here.
+values); 3 data error (missing, misaligned or malformed input files,
+hypothesis lines too long to align, reserved tokens in the training text);
+4 numeric failure (non-finite parameters).  The library's errors for bad
+values and malformed files are mapped to these here.
 Combination runs in one process, so ``--jobs`` accepts only 1.
 """
 
@@ -19,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .alignment import MAX_TOKENS
 from .combiner import (
     FeatureSchema,
     NGramLM,
@@ -76,6 +78,15 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _require_alignable(paths: Sequence[str], hyp_lines: Sequence[Sequence[TokenSeq]]) -> None:
+    for path, lines in zip(paths, hyp_lines):
+        for number, line in enumerate(lines, 1):
+            if len(line) > MAX_TOKENS:
+                raise DataError(
+                    f"{path}:{number}: {len(line)} tokens, alignment supports at most {MAX_TOKENS}"
+                )
 
 
 def _require_aligned(**named: Sequence) -> None:
@@ -200,6 +211,9 @@ def _tune(
     schedule.  Returns the spaces, the tuned weights and the k-best pool."""
     beam, k = _positive_int(cfg, "combine.beam"), _positive_int(cfg, "combine.k")
     rounds, iters = _positive_int(cfg, "tune.rounds"), _positive_int(cfg, "tune.iters")
+    n_random = cfg.get_int("tune.random_dirs")
+    if n_random < 0:
+        raise UsageError(f"tune.random_dirs must be >= 0, got {n_random}")
     spaces = build_spaces(outputs_per_model)
     weights, pool = tune_loop(
         sources,
@@ -211,7 +225,7 @@ def _tune(
         k=k,
         rounds=rounds,
         mert_iters=iters,
-        n_random=cfg.get_int("tune.random_dirs"),
+        n_random=n_random,
         rng_seed=rng_seed,
     )
     return spaces, weights, pool
@@ -414,6 +428,12 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
         raise UsageError(f"ddt.stages must be >= 0, got {stages}")
     if len(models) < 2:
         raise UsageError(f"stages needs train.models >= 2, got {len(models)}")
+    decode_limit = max(m.max_len for m in models)
+    if decode_limit > MAX_TOKENS:
+        raise UsageError(
+            f"stages aligns model outputs, so policy.max_len must be <= {MAX_TOKENS},"
+            f" got {decode_limit}"
+        )
     if not dev_src:
         raise DataError(f"empty dev data: {cfg.get_str('data.dev_src')}")
     if any(len(y) > models[0].max_len for y in dev_ref):
@@ -481,6 +501,7 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
             ensemble_pick_best([lines[i] for lines in hyp_lines], lm) for i in range(n)
         ]
     elif kind == "lattice":
+        _require_alignable(hyp_paths, hyp_lines)
         schema = FeatureSchema(len(hyp_lines))
         weights_path = cfg.get_str("combine.weights")
         if os.path.exists(weights_path):
@@ -505,6 +526,7 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
     if len(hyp_paths) < 2:
         raise UsageError("tune.hyps must list at least two comma-separated hypothesis files")
     hyp_lines = [_read_token_lines(p) for p in hyp_paths]
+    _require_alignable(hyp_paths, hyp_lines)
     dev_src, _, dev_golds = _load_dev(cfg)
     _require_aligned(
         dev_src=dev_src, **{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)}

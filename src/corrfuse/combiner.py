@@ -160,7 +160,11 @@ def load_weights(path: str, schema: FeatureSchema) -> np.ndarray:
         raise ValueError(
             f"{path}: weight names {sorted(values)} do not match schema {list(schema.names)}"
         )
-    return np.array([values[name] for name in schema.names])
+    weights = np.array([values[name] for name in schema.names])
+    if not np.isfinite(weights).all():
+        bad = [name for name, w in zip(schema.names, weights) if not np.isfinite(w)]
+        raise ValueError(f"{path}: non-finite weights {bad}")
+    return weights
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ through ``cli.main``, its determinism, and the exit-code contract."""
 import contextlib
 import os
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,7 @@ def workdir(pipeline, tmp_path):
         (["train"], "policy.max_len=0"),
         (["eval", "--set", "eval.hyp=run/out/combined.hyp", "--set", "eval.baseline=run/data/dev.src"],
          "eval.resamples=0"),
+        (["tune", "--set", f"tune.hyps={HYPS}"], "tune.random_dirs=-5"),
         (["train"], "no.such_key=1"),
     ],
 )
@@ -135,6 +137,12 @@ def test_jobs_accepts_only_one(workdir, capsys):
 def _truncate(path: Path) -> None:
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
+
+
+def _set_weight(path: Path, name: str, value: str) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = [f"{name}\t{value}" if line.startswith(name + "\t") else line for line in lines]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _keep_header_fields(path: Path, n: int) -> None:
@@ -159,6 +167,14 @@ def _keep_header_fields(path: Path, n: int) -> None:
             lambda run_dir: (run_dir / "out/combine.weights").write_text("lm\t1.0\n"),
         ),
         (
+            ["combine", "--set", f"combine.hyps={HYPS}"],
+            lambda run_dir: _set_weight(run_dir / "out/combine.weights", "lm", "nan"),
+        ),
+        (
+            ["combine", "--set", f"combine.hyps={HYPS}"],
+            lambda run_dir: _set_weight(run_dir / "out/combine.weights", "match_0", "-inf"),
+        ),
+        (
             ["train"],
             lambda run_dir: (run_dir / "data/train.ref").write_text(
                 "<unk> cat\n" * 12, encoding="utf-8"
@@ -179,6 +195,25 @@ def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):
     damage(workdir / "run")
     assert run(workdir, command) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["tune", "--set", f"tune.hyps={HYPS}"], ["combine", "--set", f"combine.hyps={HYPS}"]],
+)
+def test_overlong_hypothesis_line_is_data_error(workdir, capsys, command):
+    hyp = workdir / "run/out/stage2.sys1.hyp"
+    lines = hyp.read_text(encoding="utf-8").splitlines()
+    hyp.write_text("\n".join([" ".join(["word"] * 129)] + lines[1:]) + "\n", encoding="utf-8")
+    assert run(workdir, command) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "run/out/stage2.sys1.hyp:1: 129 tokens" in err
+
+
+def test_decode_limit_above_aligner_limit_is_usage_error(workdir, capsys):
+    assert run(workdir, ["train"], "--set", "policy.max_len=200") == 0
+    assert run(workdir, ["stages"], "--set", "policy.max_len=200") == 2
+    assert "policy.max_len must be <= 128" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -214,3 +249,20 @@ def test_ddt_checkpoint_is_one_train_stage(pipeline):
     train_stage(models[0], list(zip(src, ref)), peers, cfg, np.random.default_rng((seed, 0)))
     ddt = load_model(str(models_dir / "model_0_ddt.txt"), vocab)
     assert np.array_equal(ddt.params, models[0].params)
+
+
+def test_repeated_token_outputs_combine_quickly(tmp_path):
+    """Models this small and this briefly trained emit "." repeated to the
+    decode limit (or nothing), the input on which an exact minimum-crossing
+    aligner takes exponential time; the combination commands must still
+    finish."""
+    small = ["--set", "policy.embed=4", "--set", "policy.hidden=8", "--set", "train.epochs=2"]
+    assert [run(tmp_path, command, *small) for command in (["gen"], ["train"])] == [0, 0]
+    start = time.perf_counter()
+    assert run(tmp_path, ["stages"], *small) == 0
+    dots = " ".join(["."] * 16)
+    outputs = [(tmp_path / p).read_text(encoding="utf-8").splitlines() for p in HYPS.split(",")]
+    assert sum(all(line == dots for line in lines) for lines in outputs) >= 2
+    assert run(tmp_path, PIPELINE[4], *small) == 0  # tune
+    assert run(tmp_path, PIPELINE[5], *small) == 0  # combine
+    assert time.perf_counter() - start < 2.0
