@@ -118,8 +118,8 @@ def workdir(pipeline, tmp_path):
         (["train"], "policy.max_len=0"),
         (["eval", "--set", "eval.hyp=run/out/combined.hyp", "--set", "eval.baseline=run/data/dev.src"],
          "eval.resamples=0"),
-        (["tune", "--set", f"tune.hyps={HYPS}"], "tune.random_dirs=-5"),
         (["train"], "no.such_key=1"),
+        (["tune", "--set", f"tune.hyps={HYPS}"], "tune.random_dirs=-5"),
     ],
 )
 def test_bad_values_are_usage_errors(workdir, capsys, command, override):
