@@ -53,10 +53,6 @@ class Alignment:
     def a_to_b(self) -> dict[int, int]:
         return {p.a: p.b for p in self.pairs}
 
-    def crossings(self) -> int:
-        pts = sorted((p.a, p.b) for p in self.pairs)
-        return sum(b1 > b2 for i, (_, b1) in enumerate(pts) for _, b2 in pts[i + 1 :])
-
     def flipped(self) -> "Alignment":
         return Alignment(
             self.len_b,
@@ -80,10 +76,6 @@ def _stage_key(stage: str, token: str) -> frozenset[str]:
     if stage == "stem":
         return _stem_variants(token)
     return frozenset((token if stage == "exact" else token.lower(),))
-
-
-def _stage_compatible(stage: str, ta: str, tb: str) -> bool:
-    return bool(_stage_key(stage, ta) & _stage_key(stage, tb))
 
 
 def _lcs_matching(ok: list[list[bool]]) -> list[tuple[int, int]]:

@@ -27,7 +27,6 @@ from .combiner import (
     SearchSpace,
     beam_search,  # noqa: F401  (unused here; bench/tests checks cli's traced binding)
     build_spaces,
-    ensemble_pick_best,
     load_weights,
     save_weights,
     train_lm,
@@ -182,7 +181,6 @@ def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
         kind = RewardKind(cfg.get_str("ddt.reward"))
     except ValueError as exc:
         raise UsageError(f"ddt.reward must be one of edit|bleu|tokendiff: {exc}") from exc
-    clip = cfg.get_float("ddt.clip")
     try:
         return DdtConfig(
             alpha=cfg.get_float("ddt.alpha"),
@@ -191,15 +189,29 @@ def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
             learning_rate=cfg.get_float("ddt.lr"),
             epochs=cfg.get_int("ddt.epochs"),
             seed=cfg.derived_seed("ddt.seed", 2),
-            reward_clip=clip if clip > 0 else None,
             normalize_reward=cfg.get_bool("ddt.normalize"),
         )
     except ValueError as exc:
         raise UsageError(f"invalid ddt setting: {exc}") from exc
 
 
+def _tune_settings(cfg: ExperimentConfig) -> dict[str, int]:
+    """The checked beam, k-best size and MERT schedule, as ``tune_loop``
+    keyword arguments."""
+    settings = {
+        "beam": _positive_int(cfg, "combine.beam"),
+        "k": _positive_int(cfg, "combine.k"),
+        "rounds": _positive_int(cfg, "tune.rounds"),
+        "mert_iters": _positive_int(cfg, "tune.iters"),
+        "n_random": cfg.get_int("tune.random_dirs"),
+    }
+    if settings["n_random"] < 0:
+        raise UsageError(f"tune.random_dirs must be >= 0, got {settings['n_random']}")
+    return settings
+
+
 def _tune(
-    cfg: ExperimentConfig,
+    settings: dict[str, int],
     outputs_per_model: Sequence[Sequence[TokenSeq]],
     sources: Sequence[TokenSeq],
     golds: Sequence[GoldAnnotation],
@@ -207,13 +219,8 @@ def _tune(
     rng_seed: int,
 ) -> tuple[list[SearchSpace], np.ndarray, KBestPool]:
     """Build the systems' search spaces and tune the combination weights on
-    ``sources``/``golds`` with the configured beam, k-best size and MERT
-    schedule.  Returns the spaces, the tuned weights and the k-best pool."""
-    beam, k = _positive_int(cfg, "combine.beam"), _positive_int(cfg, "combine.k")
-    rounds, iters = _positive_int(cfg, "tune.rounds"), _positive_int(cfg, "tune.iters")
-    n_random = cfg.get_int("tune.random_dirs")
-    if n_random < 0:
-        raise UsageError(f"tune.random_dirs must be >= 0, got {n_random}")
+    ``sources``/``golds`` with ``_tune_settings``.  Returns the spaces, the
+    tuned weights and the k-best pool."""
     spaces = build_spaces(outputs_per_model)
     weights, pool = tune_loop(
         sources,
@@ -221,12 +228,8 @@ def _tune(
         spaces,
         lm,
         FeatureSchema(len(outputs_per_model)).default_weights(),
-        beam=beam,
-        k=k,
-        rounds=rounds,
-        mert_iters=iters,
-        n_random=n_random,
         rng_seed=rng_seed,
+        **settings,
     )
     return spaces, weights, pool
 
@@ -438,10 +441,14 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
         raise DataError(f"empty dev data: {cfg.get_str('data.dev_src')}")
     if any(len(y) > models[0].max_len for y in dev_ref):
         raise DataError("dev references longer than policy.max_len; regenerate or raise the limit")
+    # a bad setting must fail before the DDT stages train, not after
+    settings = _tune_settings(cfg)
+    tune_base = cfg.derived_seed("tune.seed", 3)
+    resamples = _positive_int(cfg, "eval.resamples")
+    eval_seed = cfg.derived_seed("eval.seed", 4)
     _, reports = round_robin(models, list(zip(dev_src, dev_ref)), ddt_cfg, stages)
 
     out_dir = os.path.join(cfg.get_str("data.dir"), "out")
-    tune_base = cfg.derived_seed("tune.seed", 3)
     schema = FeatureSchema(len(models))
     summary: dict[str, object] = {"stages": stages, "models": len(models)}
     stage_f05: list[float] = []
@@ -454,9 +461,9 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
                 [detokenize(o) for o in outputs],
             )
         spaces, weights, _ = _tune(
-            cfg, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage
+            settings, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage
         )
-        combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
+        combined = decode_corpus(spaces, weights, lm, settings["beam"])
         stats, per_sentence = _score_against_dev(dev_src, dev_golds, combined)
         _write_lines(
             os.path.join(out_dir, f"stage{report.stage}.combined.hyp"),
@@ -478,9 +485,7 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
     summary["best_combined_f05"] = stage_f05[best_stage]
     if best_stage != 0:
         outcomes = compare_outputs(per_sentence_by_stage[best_stage], per_sentence_by_stage[0])
-        summary["p_best_vs_stage0"] = sign_test_bootstrap(
-            outcomes, _positive_int(cfg, "eval.resamples"), cfg.derived_seed("eval.seed", 4)
-        )
+        summary["p_best_vs_stage0"] = sign_test_bootstrap(outcomes, resamples, eval_seed)
     _emit_summary(cfg, "stages", summary)
     return 0
 
@@ -495,28 +500,19 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
     if n == 0:
         raise DataError(f"empty hypothesis file: {hyp_paths[0]}")
     lm = _load_lm(cfg)
-    kind = cfg.get_str("combine.kind")
-    if kind == "ensemble":
-        combined = [
-            ensemble_pick_best([lines[i] for lines in hyp_lines], lm) for i in range(n)
-        ]
-    elif kind == "lattice":
-        _require_alignable(hyp_paths, hyp_lines)
-        schema = FeatureSchema(len(hyp_lines))
-        weights_path = cfg.get_str("combine.weights")
-        if os.path.exists(weights_path):
-            weights = _load_file(load_weights, weights_path, schema)
-        else:
-            weights = schema.default_weights()
-        beam = _positive_int(cfg, "combine.beam")
-        combined = decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
+    _require_alignable(hyp_paths, hyp_lines)
+    schema = FeatureSchema(len(hyp_lines))
+    weights_path = cfg.get_str("combine.weights")
+    if os.path.exists(weights_path):
+        weights = _load_file(load_weights, weights_path, schema)
     else:
-        raise UsageError(f"combine.kind must be lattice or ensemble, got {kind!r}")
+        weights = schema.default_weights()
+    beam = _positive_int(cfg, "combine.beam")
+    combined = decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
     out_path = cfg.get_str("combine.out")
     _write_lines(out_path, [detokenize(o) for o in combined])
     _emit_summary(
-        cfg, "combine",
-        {"kind": kind, "systems": len(hyp_lines), "sentences": n, "out": out_path},
+        cfg, "combine", {"systems": len(hyp_lines), "sentences": n, "out": out_path}
     )
     return 0
 
@@ -532,7 +528,9 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
         dev_src=dev_src, **{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)}
     )
     lm = _load_lm(cfg)
-    _, weights, pool = _tune(cfg, hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3))
+    _, weights, pool = _tune(
+        _tune_settings(cfg), hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3)
+    )
     out_path = cfg.get_str("tune.out")
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     save_weights(FeatureSchema(len(hyp_lines)), weights, out_path)

@@ -4,8 +4,7 @@ Hypotheses are pairwise aligned; emitting a word consumes it together with
 its directly aligned counterparts in the other systems.  Partial outputs are
 scored by a linear model over per-system match counts, output length, and an
 n-gram language model, and searched breadth-synchronously with beam pruning
-and recombination.  A trivial pick-best-by-LM ensemble is included as the
-alternative combiner for swap experiments.
+and recombination.  This lattice search is the only combiner.
 
 The search is the hot loop of tuning and decoding, so the work it repeats is
 done once: each search space precomputes a table with every word's token,
@@ -106,14 +105,6 @@ class NGramLM:
         lp = self._logprob_memo.get(key)
         if lp is None:
             lp = self._logprob_memo[key] = math.log(self.prob(token, context))
-        return lp
-
-    def sequence_logprob(self, tokens: TokenSeq) -> float:
-        ctx = self.start_context()
-        lp = 0.0
-        for w in tuple(tokens) + (LM_EOS,):
-            lp += self.logprob(w, ctx)
-            ctx = (ctx + (w,))[1:] if self.order > 1 else ()
         return lp
 
 
@@ -353,17 +344,3 @@ def beam_search(
     assert completed, "the end action is always reachable"
     ranked = sorted(completed.values(), key=lambda s: (-s.score, s.out))
     return [(s.out, np.array(s.feats), s.score) for s in ranked[:k]]
-
-
-def ensemble_pick_best(hyps: Sequence[TokenSeq], lm: NGramLM) -> TokenSeq:
-    """Swap-in reference combiner: keep the hypothesis the LM likes best
-    (uniform system weighting, ties to the lowest system index)."""
-    if not hyps:
-        raise ValueError("no hypotheses")
-    best_idx = 0
-    best_lp = lm.sequence_logprob(hyps[0])
-    for i, h in enumerate(hyps[1:], start=1):
-        lp = lm.sequence_logprob(h)
-        if lp > best_lp:
-            best_idx, best_lp = i, lp
-    return tuple(hyps[best_idx])

@@ -1,9 +1,9 @@
 """Experiment configuration: a flat dotted-key table with typed defaults.
 
 Sources, in increasing precedence: built-in defaults, config file lines
-("key = value", # comments allowed), CORRFUSE_* environment variables
-(dots become underscores, uppercased), then CLI flag overrides.  Unset path
-keys are derived from data.dir after merging, so a config file is optional.
+("key = value", # comments allowed), then CLI flag overrides; the
+environment is not read.  Unset path keys are derived from data.dir after
+merging, so a config file is optional.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import UsageError
-
-ENV_PREFIX = "CORRFUSE_"
 
 # key -> (type tag, default)
 KNOWN_KEYS: dict[str, tuple[str, object]] = {
@@ -54,13 +52,11 @@ KNOWN_KEYS: dict[str, tuple[str, object]] = {
     "ddt.stages": ("int", 3),
     "ddt.peers": ("str", ""),
     "ddt.out": ("str", ""),
-    "ddt.clip": ("float", 0.0),
     "ddt.normalize": ("bool", False),
     "lm.order": ("int", 3),
     "lm.corpus": ("str", ""),
     "combine.beam": ("int", 64),
     "combine.k": ("int", 50),
-    "combine.kind": ("str", "lattice"),
     "combine.weights": ("str", ""),
     "combine.hyps": ("str", ""),
     "combine.out": ("str", ""),
@@ -127,7 +123,6 @@ class ExperimentConfig:
     def load(
         cls,
         config_path: str | None = None,
-        env: Mapping[str, str] | None = None,
         overrides: Mapping[str, object] | None = None,
     ) -> "ExperimentConfig":
         values = {key: default for key, (_, default) in KNOWN_KEYS.items()}
@@ -146,11 +141,6 @@ class ExperimentConfig:
                     if key not in KNOWN_KEYS:
                         raise UsageError(f"{config_path}:{lineno}: unknown config key {key!r}")
                     values[key] = _coerce(key, raw)
-        env_map = dict(env) if env is not None else dict(os.environ)
-        for key in KNOWN_KEYS:
-            env_name = ENV_PREFIX + key.upper().replace(".", "_")
-            if env_name in env_map:
-                values[key] = _coerce(key, env_map[env_name])
         for key, value in (overrides or {}).items():
             if value is None:
                 continue

@@ -31,7 +31,6 @@ class DdtConfig:
     learning_rate: float = 0.05
     epochs: int = 1
     seed: int = 0
-    reward_clip: float | None = None
     normalize_reward: bool = False
 
     def __post_init__(self) -> None:
@@ -61,12 +60,7 @@ def rl_gradient(
     """
     k = cfg.k_samples
     samples = policy.sample_many(model, x, rng, k)
-    rewards = []
-    for y in samples:
-        r = reward(cfg.reward_kind, peer_outputs, y, cfg.normalize_reward)
-        if cfg.reward_clip is not None:
-            r = min(r, cfg.reward_clip)
-        rewards.append(r)
+    rewards = [reward(cfg.reward_kind, peer_outputs, y, cfg.normalize_reward) for y in samples]
     r_bar = sum(rewards) / k
     if max(rewards) == min(rewards):
         return model.zero_grad_like(), r_bar  # zero-centered advantages: exactly no update

@@ -10,7 +10,7 @@ Likelihoods and gradients are computed per batch: sources and targets are
 padded with masks, the teacher-forced recurrences run once per time step
 for the whole batch, and every weight gradient is one stacked product after
 the backward recurrence.  Single-sentence ``logprob`` and ``grad_logprob``
-are batches of one.
+are batches of one; greedy decoding and sampling reuse its helpers on 1-D rows.
 """
 
 from __future__ import annotations
@@ -142,30 +142,41 @@ def _make_views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
     return {name: flat[where].reshape(shape) for name, where, shape in layout}
 
 
-def _encode(model: PolicyModel, x_ids: Sequence[int]):
-    w = model._views
-    h = np.zeros(model.hidden_width)
-    states = [h]
-    for t in x_ids:
-        h = np.tanh(w["enc_in"] @ w["emb"][t] + w["enc_rec"] @ h + w["enc_b"])
-        states.append(h)
-    if x_ids:
-        context = w["emb"][list(x_ids)].mean(axis=0)
-    else:
-        context = np.zeros(model.embed_width)
-    return states, context
+def _encoder(w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray):
+    """Encoder states (Tx + 1, ..., H) from a zero start, mean source
+    embeddings and source lengths (at least 1) of time-major sources: (Tx, B,
+    E) for a batch, (Tx, E) for one source; ``x_mask`` marks real steps."""
+    pre = x_emb @ w["enc_in"].T + w["enc_b"]
+    pre *= x_mask[..., None]
+    enc = np.zeros((len(x_emb) + 1, *pre.shape[1:]))
+    rec = w["enc_rec"].T
+    for t in range(len(x_emb)):
+        np.tanh(pre[t] + enc[t] @ rec, out=enc[t + 1])
+    x_count = np.maximum(x_mask.sum(axis=0), 1)[..., None]
+    context = (x_emb * x_mask[..., None]).sum(axis=0) / x_count
+    return enc, context, x_count
 
 
-def _step(model: PolicyModel, s_prev: np.ndarray, prev_id: int, context: np.ndarray):
-    w = model._views
-    inp = w["emb"][prev_id] + context
-    s = np.tanh(w["dec_in"] @ inp + w["dec_rec"] @ s_prev + w["dec_b"])
-    logits = w["out_w"] @ s + w["out_b"]
-    logits[BOS_ID] = -np.inf  # BOS is never emitted
-    m = logits.max()
-    exp = np.exp(logits - m)
-    probs = exp / exp.sum()
-    return inp, s, probs
+def _decoder_input(w: dict[str, np.ndarray], prev_ids, context: np.ndarray):
+    """Decoder inputs and their share of the decoder pre-activation."""
+    inp = w["emb"][prev_ids] + context
+    return inp, inp @ w["dec_in"].T + w["dec_b"]
+
+
+def _output_probs(w: dict[str, np.ndarray], states: np.ndarray) -> np.ndarray:
+    """Next-token distribution over the vocabulary from decoder states."""
+    logits = states @ w["out_w"].T + w["out_b"]
+    logits[..., BOS_ID] = -np.inf  # BOS is never emitted
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def _decoder_step(w: dict[str, np.ndarray], s: np.ndarray, prev_id: int, context: np.ndarray):
+    """Next state and next-token distribution of one row, as 1-D vectors."""
+    _, pre = _decoder_input(w, prev_id, context)
+    s = np.tanh(pre + s @ w["dec_rec"].T)
+    return s, _output_probs(w, s)
 
 
 def logprob(model: PolicyModel, x: TokenSeq, y: TokenSeq, include_eos: bool = True) -> float:
@@ -246,31 +257,20 @@ def _forward_batch(model: PolicyModel, xs, ys, include_eos) -> tuple[np.ndarray,
     rows = len(ys)
 
     x_emb = w["emb"][x_ids]
-    enc_pre = x_emb @ w["enc_in"].T + w["enc_b"]
-    enc_pre *= x_mask[..., None]
-    enc = np.zeros((len(x_ids) + 1, rows, model.hidden_width))
-    rec = w["enc_rec"].T
-    for t in range(len(x_ids)):
-        np.tanh(enc_pre[t] + enc[t] @ rec, out=enc[t + 1])
-    x_count = np.maximum(x_mask.sum(axis=0), 1)[:, None]
-    context = (x_emb * x_mask[..., None]).sum(axis=0) / x_count
+    enc, context, x_count = _encoder(w, x_emb, x_mask)
 
     # teacher forcing: the recurrence never reads the logits, so they and the
     # softmax are computed for all steps at once after the loop; steps past a
     # row's end are masked out of its likelihood
     prev_ids = np.full_like(t_ids, BOS_ID)
     prev_ids[1:] = t_ids[:-1]
-    inp = w["emb"][prev_ids] + context
-    dec_pre = inp @ w["dec_in"].T + w["dec_b"]
+    inp, dec_pre = _decoder_input(w, prev_ids, context)
     dec = np.empty((len(t_ids) + 1, rows, model.hidden_width))
     dec[0] = enc[-1]
     rec = w["dec_rec"].T
     for t in range(len(t_ids)):
         np.tanh(dec_pre[t] + dec[t] @ rec, out=dec[t + 1])
-    logits = dec[1:] @ w["out_w"].T + w["out_b"]
-    logits[..., BOS_ID] = -np.inf  # BOS is never emitted
-    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = _output_probs(w, dec[1:])
     steps, which = t_valid = np.nonzero(t_mask)
     p_target = probs[steps, which, t_ids[steps, which]]
     # per row, the terms are summed in step order
@@ -383,8 +383,9 @@ def sample_many(
     limit = model.max_len if max_len is None else min(max_len, model.max_len)
     if limit < 1:
         return [()] * k
-    states, context = _encode(model, model.vocab.encode(x))
-    _, s_first, probs = _step(model, states[-1], BOS_ID, context)
+    w, x_ids = model._views, model.vocab.encode(x)
+    enc, context, _ = _encoder(w, w["emb"][x_ids], np.ones(len(x_ids), bool))
+    s_first, probs = _decoder_step(w, enc[-1], BOS_ID, context)
     cdf_first = np.cumsum(probs)
     draws: list[TokenSeq] = []
     for _ in range(k):
@@ -398,7 +399,7 @@ def sample_many(
             out.append(model.vocab.tokens[idx])
             if len(out) == limit:
                 break
-            _, s, probs = _step(model, s, idx, context)
+            s, probs = _decoder_step(w, s, idx, context)
             cdf = np.cumsum(probs)
         draws.append(tuple(out))
     return draws
@@ -407,17 +408,16 @@ def sample_many(
 def greedy_decode(model: PolicyModel, x: TokenSeq, max_len: int | None = None) -> TokenSeq:
     """Argmax decode; ties go to the lowest vocabulary index."""
     limit = model.max_len if max_len is None else min(max_len, model.max_len)
-    states, context = _encode(model, model.vocab.encode(x))
-    s = states[-1]
-    prev = BOS_ID
+    w, x_ids = model._views, model.vocab.encode(x)
+    enc, context, _ = _encoder(w, w["emb"][x_ids], np.ones(len(x_ids), bool))
+    s, prev = enc[-1], BOS_ID
     out: list[str] = []
     for _ in range(limit):
-        _, s, probs = _step(model, s, prev, context)
-        idx = int(np.argmax(probs))
-        if idx == EOS_ID:
-            return tuple(out)
-        out.append(model.vocab.tokens[idx])
-        prev = idx
+        s, probs = _decoder_step(w, s, prev, context)
+        prev = int(np.argmax(probs))
+        if prev == EOS_ID:
+            break
+        out.append(model.vocab.tokens[prev])
     return tuple(out)
 
 

@@ -14,10 +14,20 @@ from corrfuse.alignment import (
     Alignment,
     align_all,
     align_pair,
-    _stage_compatible,
+    _stage_key,
 )
 from corrfuse.textcore import TokenSeq, tokenize
 from corrfuse.toydata import RULE_KINDS, CorruptionRule, generate_corpus
+
+
+def stage_compatible(stage: str, ta: str, tb: str) -> bool:
+    return bool(_stage_key(stage, ta) & _stage_key(stage, tb))
+
+
+def count_crossings(al: Alignment) -> int:
+    """Pairs of aligned pairs that cross, the quantity the aligner minimizes."""
+    pts = sorted((p.a, p.b) for p in al.pairs)
+    return sum(b1 > b2 for i, (_, b1) in enumerate(pts) for _, b2 in pts[i + 1 :])
 
 
 def exhaustive_best_matching(edges):
@@ -52,12 +62,12 @@ def stage_edges(a, b, stage, matched_a=(), matched_b=()):
         i: [
             j
             for j in range(len(b))
-            if j not in matched_b and _stage_compatible(stage, a[i], b[j])
+            if j not in matched_b and stage_compatible(stage, a[i], b[j])
         ]
         for i in range(len(a))
         if i not in matched_a
         and any(
-            j not in matched_b and _stage_compatible(stage, a[i], b[j])
+            j not in matched_b and stage_compatible(stage, a[i], b[j])
             for j in range(len(b))
         )
     }
@@ -68,7 +78,7 @@ class TestStages:
         s = tokenize("the cat sat on the mat")
         al = align_pair(s, s)
         assert al.pairs == tuple(AlignedPair(i, i, "exact") for i in range(len(s)))
-        assert al.crossings() == 0
+        assert count_crossings(al) == 0
 
     def test_lowercase_and_stem_stages(self):
         al = align_pair(("He", "goes"), ("he", "go"))
@@ -83,7 +93,7 @@ class TestStages:
     def test_crossing_pair_still_fully_matched(self):
         al = align_pair(("x", "y"), ("y", "x"))
         assert {(p.a, p.b) for p in al.pairs} == {(0, 1), (1, 0)}
-        assert al.crossings() == 1
+        assert count_crossings(al) == 1
 
     def test_exact_stage_wins_before_stem(self):
         # "cats" could stem-match "cat", but the exact copy takes priority
@@ -301,7 +311,7 @@ def ref_align_oriented(a: TokenSeq, b: TokenSeq) -> tuple[AlignedPair, ...]:
             cands = [
                 j
                 for j, tb in enumerate(b)
-                if j not in matched_b and _stage_compatible(stage, ta, tb)
+                if j not in matched_b and stage_compatible(stage, ta, tb)
             ]
             if cands:
                 edges[i] = cands
@@ -350,4 +360,4 @@ class TestAgainstExactSearch:
             for a, b in itertools.combinations(line, 2):
                 got, ref = align_pair(a, b), ref_align_pair(a, b)
                 assert len(got.pairs) == len(ref.pairs), (a, b)
-                assert got.crossings() == ref.crossings(), (a, b)
+                assert count_crossings(got) == count_crossings(ref), (a, b)

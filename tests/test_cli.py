@@ -23,6 +23,7 @@ TINY = [
     "--set", "tune.rounds=1", "--set", "tune.iters=1",
 ]
 HYPS = ",".join(f"run/out/stage2.sys{m}.hyp" for m in range(3))
+DIV_A, DIV_B = "div.a=run/out/stage2.sys0.hyp", "div.b=run/out/stage2.sys1.hyp"
 PIPELINE = [
     ["gen"],
     ["train"],
@@ -32,13 +33,6 @@ PIPELINE = [
     ["combine", "--set", f"combine.hyps={HYPS}"],
     ["eval", "--set", "eval.hyp=run/out/combined.hyp"],
 ]
-
-
-@pytest.fixture(autouse=True)
-def _no_env_overrides(monkeypatch):
-    for name in list(os.environ):
-        if name.startswith("CORRFUSE_"):
-            monkeypatch.delenv(name)
 
 
 def run(cwd: Path, command: list[str], *extra: str) -> int:
@@ -120,10 +114,40 @@ def workdir(pipeline, tmp_path):
          "eval.resamples=0"),
         (["train"], "no.such_key=1"),
         (["tune", "--set", f"tune.hyps={HYPS}"], "tune.random_dirs=-5"),
+        (["stages"], "eval.resamples=0"),
+        (["diversity", "--set", DIV_A], "div.b="),
     ],
 )
 def test_bad_values_are_usage_errors(workdir, capsys, command, override):
     assert run(workdir, command, "--set", override) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_diversity_is_a_fraction(workdir, capsys):
+    assert run(workdir, ["diversity"], "--set", DIV_A, "--set", DIV_B) == 0
+    summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert 0.0 <= float(summary["diversity"]) <= 1.0
+
+
+def test_config_file_values_apply_and_comments_are_ignored(workdir, capsys):
+    (workdir / "exp.cfg").write_text(
+        f"# the systems to compare\n{DIV_A.replace('=', ' = ')}  # first system\n\n{DIV_B}\n",
+        encoding="utf-8",
+    )
+    assert run(workdir, ["diversity"], "--config", "exp.cfg") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "a=run/out/stage2.sys0.hyp" in out and "b=run/out/stage2.sys1.hyp" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["no.such_key = 1\n", "# a comment\ndiv.a run/out/stage2.sys0.hyp\n", None],
+    ids=["unknown-key", "no-equals", "missing-file"],
+)
+def test_bad_config_file_is_usage_error(workdir, capsys, text):
+    if text is not None:
+        (workdir / "exp.cfg").write_text(text, encoding="utf-8")
+    assert run(workdir, ["diversity"], "--config", "exp.cfg") == 2
     assert "usage error" in capsys.readouterr().err
 
 
@@ -188,6 +212,10 @@ def _keep_header_fields(path: Path, n: int) -> None:
         (
             ["tune", "--set", f"tune.hyps={HYPS}"],
             lambda run_dir: _truncate(run_dir / "out/stage2.sys0.hyp"),
+        ),
+        (
+            ["diversity", "--set", DIV_A, "--set", DIV_B],
+            lambda run_dir: _truncate(run_dir / "out/stage2.sys1.hyp"),
         ),
     ],
 )

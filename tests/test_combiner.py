@@ -8,7 +8,6 @@ from corrfuse.combiner import (
     beam_search,
     build_space,
     build_spaces,
-    ensemble_pick_best,
     extensions,
     initial_state,
     load_weights,
@@ -75,10 +74,6 @@ class TestNGramLM:
 
     def test_seen_ngram_beats_backoff(self, lm):
         assert lm.prob("sleeps", ("the", "cat")) > lm.prob("runs", ("a", "sleeps"))
-
-    def test_sequence_logprob_is_finite_and_negative(self, lm):
-        lp = lm.sequence_logprob(tokenize("the cat sleeps ."))
-        assert np.isfinite(lp) and lp < 0.0
 
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
@@ -239,17 +234,6 @@ class TestBeamSearch:
             beam_search(space, space.schema().default_weights(), lm, beam=0)
         with pytest.raises(ValueError):
             beam_search(space, space.schema().default_weights(), lm, k=0)
-
-
-class TestEnsembleReference:
-    def test_picks_most_fluent(self, lm):
-        fluent = tokenize("the cat sleeps .")
-        garbled = tokenize("sleeps the . cat")
-        assert ensemble_pick_best([garbled, fluent], lm) == fluent
-
-    def test_tie_goes_to_lowest_index(self, lm):
-        s = tokenize("a dog runs .")
-        assert ensemble_pick_best([s, s], lm) == s
 
 
 class TestWeightsIO:

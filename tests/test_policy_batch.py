@@ -3,10 +3,14 @@
 ``reference_grad_logprob`` is the per-sentence, per-token algorithm the
 batched routine replaced (one ``np.outer`` per weight and step); it is kept
 here as the oracle that padding, masking, weighting and stacked products
-must reproduce to rounding error.
+must reproduce to rounding error.  ``reference_encode`` and
+``reference_step`` are the per-sentence forward that greedy decoding and
+sampling ran on before they shared the batched forward's helpers; the
+decoders must draw the same tokens from them.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from corrfuse.policy import (
     Vocabulary,
     grad_logprob,
     grad_logprob_batch,
+    greedy_decode,
     load_model,
     logprob,
     logprob_batch,
@@ -231,15 +236,90 @@ class TestRlGradient:
         assert zero_cases >= 3
 
 
-def reference_sample(model, x, rng, max_len=None):
-    """The single-draw sampler that encoded the source on every call."""
+# Verbatim copies of the former per-sentence forward (``policy._encode`` and
+# ``policy._step``), names prefixed.
+def reference_encode(model: PolicyModel, x_ids: Sequence[int]):
+    w = model._views
+    h = np.zeros(model.hidden_width)
+    states = [h]
+    for t in x_ids:
+        h = np.tanh(w["enc_in"] @ w["emb"][t] + w["enc_rec"] @ h + w["enc_b"])
+        states.append(h)
+    if x_ids:
+        context = w["emb"][list(x_ids)].mean(axis=0)
+    else:
+        context = np.zeros(model.embed_width)
+    return states, context
+
+
+def reference_step(model: PolicyModel, s_prev: np.ndarray, prev_id: int, context: np.ndarray):
+    w = model._views
+    inp = w["emb"][prev_id] + context
+    s = np.tanh(w["dec_in"] @ inp + w["dec_rec"] @ s_prev + w["dec_b"])
+    logits = w["out_w"] @ s + w["out_b"]
+    logits[BOS_ID] = -np.inf  # BOS is never emitted
+    m = logits.max()
+    exp = np.exp(logits - m)
+    probs = exp / exp.sum()
+    return inp, s, probs
+
+
+def reference_greedy_decode(model, x, max_len=None):
+    """The argmax decoder on the former per-sentence forward."""
     limit = model.max_len if max_len is None else min(max_len, model.max_len)
-    states, context = policy._encode(model, model.vocab.encode(x))
+    states, context = reference_encode(model, model.vocab.encode(x))
     s = states[-1]
     prev = BOS_ID
     out = []
     for _ in range(limit):
-        _, s, probs = policy._step(model, s, prev, context)
+        _, s, probs = reference_step(model, s, prev, context)
+        idx = int(np.argmax(probs))
+        if idx == EOS_ID:
+            return tuple(out)
+        out.append(model.vocab.tokens[idx])
+        prev = idx
+    return tuple(out)
+
+
+class TestGreedyDecode:
+    def test_equals_reference_on_random_models(self):
+        rng = np.random.default_rng(41)
+        lengths, sources = set(), set()
+        for trial in range(80):
+            model = random_model(rng, max_len=int(rng.integers(1, 7)))
+            model.params *= rng.uniform(1.0, 40.0)  # peaked enough to emit tokens
+            max_len = None if trial % 3 else int(rng.integers(0, 5))
+            for x in random_batch(rng, model)[0]:
+                got = greedy_decode(model, x, max_len)
+                assert got == reference_greedy_decode(model, x, max_len)
+                lengths.add(len(got))
+                sources.add("empty" if not x else "oov" if "oov" in x else "known")
+        assert {"empty", "oov", "known"} <= sources
+        assert 0 in lengths and max(lengths) >= 4
+
+    def test_zero_parameter_ties_go_to_the_lowest_index(self):
+        model = random_model(np.random.default_rng(12), max_len=6)
+        model.params[:] = 0.0
+        for x in [(), ("t0",), ("oov", "t0")]:
+            # every token but BOS is equally likely: EOS has the lowest index
+            assert greedy_decode(model, x) == reference_greedy_decode(model, x) == ()
+        content = model.vocab.tokens[3:]
+        model._views["out_b"][3:] = 1.0  # the content tokens tie above EOS
+        for max_len in (None, 0, 2, 9):
+            want = (content[0],) * min(6 if max_len is None else max_len, 6)
+            assert greedy_decode(model, ("t0",), max_len) == want
+            assert reference_greedy_decode(model, ("t0",), max_len) == want
+
+
+def reference_sample(model, x, rng, max_len=None):
+    """The single-draw sampler that encoded the source on every call."""
+    limit = model.max_len if max_len is None else min(max_len, model.max_len)
+    states, context = reference_encode(model, model.vocab.encode(x))
+    s = states[-1]
+    prev = BOS_ID
+    out = []
+    for _ in range(limit):
+        _, s, probs = reference_step(model, s, prev, context)
         u = rng.random()
         idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
         idx = min(idx, len(probs) - 1)
