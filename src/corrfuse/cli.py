@@ -453,6 +453,8 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
     summary: dict[str, object] = {"stages": stages, "models": len(models)}
     stage_f05: list[float] = []
     per_sentence_by_stage: list[list[ScoreStats]] = []
+    # a model's outputs stay the same across the stages that do not train it
+    component_f05: dict[tuple[TokenSeq, ...], float] = {}
     for report in reports:
         outputs_per_model = [list(o) for o in report.outputs]
         for m, outputs in enumerate(outputs_per_model):
@@ -470,16 +472,15 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
             [detokenize(o) for o in combined],
         )
         save_weights(schema, weights, os.path.join(out_dir, f"stage{report.stage}.weights"))
-        comp_f = []
-        for m, outputs in enumerate(outputs_per_model):
-            comp_stats, _ = _score_against_dev(dev_src, dev_golds, outputs)
-            comp_f.append(comp_stats.f_beta(0.5))
         stage_f05.append(stats.f_beta(0.5))
         per_sentence_by_stage.append(per_sentence)
         summary[f"stage{report.stage}_diversity"] = report.diversity
         summary[f"stage{report.stage}_combined_f05"] = stats.f_beta(0.5)
-        for m, f in enumerate(comp_f):
-            summary[f"stage{report.stage}_component{m}_f05"] = f
+        for m, outputs in enumerate(report.outputs):
+            if outputs not in component_f05:
+                comp_stats, _ = _score_against_dev(dev_src, dev_golds, outputs)
+                component_f05[outputs] = comp_stats.f_beta(0.5)
+            summary[f"stage{report.stage}_component{m}_f05"] = component_f05[outputs]
     best_stage = max(range(len(stage_f05)), key=lambda i: (stage_f05[i], -i))
     summary["best_stage"] = best_stage
     summary["best_combined_f05"] = stage_f05[best_stage]

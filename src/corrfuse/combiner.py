@@ -6,19 +6,29 @@ scored by a linear model over per-system match counts, output length, and an
 n-gram language model, and searched breadth-synchronously with beam pruning
 and recombination.  This lattice search is the only combiner.
 
-The search is the hot loop of tuning and decoding, so the work it repeats is
-done once: each search space precomputes a table with every word's token,
-the per-system bitmask update of emitting it and its match-feature
-increments; search states are plain tuples; and ``NGramLM.logprob``
-memoizes its results per (token, context).  Scores are still the full dot
-product of weights and features, summed left to right, for every state.
+The search is the hot loop of tuning and decoding, so it is one flat loop
+over plain tuples ``(used, out, lm_ctx, feats, score)``:
+
+- Each search space packs the per-system used masks into one int, system s
+  in a field of ``max(len(h)) + 1`` bits, and precomputes every word's token,
+  packed mask update and match-feature increments.  A successor's mask is
+  one ``|``, a system's frontier is the lowest unset bit of its field, and
+  states recombine on ``(used, lm_ctx)``.
+- The LM memoizes transitions: ``(context, token)`` maps to the log
+  probability and the next context, so scoring a word is one dict lookup.
+- ``_successors`` is the successor rule, once per state; ``beam_search``
+  recombines its output inline and ``extensions`` shows it as
+  ``SearchState`` tuples with per-system masks.
+
+Scores are still the full dot product of weights and features, summed left
+to right, for every state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, mul, or_
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,9 +71,12 @@ class NGramLM:
         self._types = set(self._unigram) | {LM_UNK}
         self._vocab_size = len(self._types)
         self._z_cache: dict[tuple[str, ...], float] = {}
-        # log P(token | context) by (token, context): the lattice search asks
-        # for the same pairs again in every state, level and tuning round
-        self._logprob_memo: dict[tuple[str, tuple[str, ...]], float] = {}
+        # (log P(token | context), next context) by (context, token): the
+        # lattice search asks for the same pairs again in every state, level
+        # and tuning round
+        self._transitions: dict[
+            tuple[tuple[str, ...], str], tuple[float, tuple[str, ...]]
+        ] = {}
 
     @property
     def vocabulary(self) -> frozenset[str]:
@@ -101,11 +114,18 @@ class NGramLM:
         return self._p(w, ctx)
 
     def logprob(self, token: str, context: tuple[str, ...]) -> float:
-        key = (token, context)
-        lp = self._logprob_memo.get(key)
-        if lp is None:
-            lp = self._logprob_memo[key] = math.log(self.prob(token, context))
-        return lp
+        return self.transition(context, token)[0]
+
+    def transition(
+        self, context: tuple[str, ...], token: str
+    ) -> tuple[float, tuple[str, ...]]:
+        """(log P(token | context), the context after ``token``), memoized."""
+        key = (context, token)
+        step = self._transitions.get(key)
+        if step is None:
+            after = (context + (token,))[1:] if self.order > 1 else ()
+            step = self._transitions[key] = (math.log(self.prob(token, context)), after)
+        return step
 
 
 def train_lm(corpus: Sequence[TokenSeq], order: int = 3) -> NGramLM:
@@ -168,6 +188,13 @@ class SearchSpace:
     words: tuple[tuple[tuple[str, tuple[int, ...], tuple[float, ...]], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    # the search's form of words: all used masks live in one int, system s in
+    # the field_width bits from s * field_width (one bit more than the longest
+    # hypothesis, so a field's lowest unset bit never leaves it); packed[s] is
+    # (s * field_width, row), row[i] = (token, bits of every system, delta),
+    # then None: the frontier index of an exhausted system
+    field_width: int = field(init=False, repr=False, compare=False)
+    packed: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.hyps)
@@ -183,6 +210,16 @@ class SearchSpace:
                 entries.append((self.hyps[s][i], tuple(bits), tuple(delta)))
             words.append(tuple(entries))
         object.__setattr__(self, "words", tuple(words))
+        width = max(map(len, self.hyps), default=0) + 1
+        packed = []
+        for s, row in enumerate(words):
+            packed_row = [
+                (token, sum(b << (t * width) for t, b in enumerate(bits)), delta)
+                for token, bits, delta in row
+            ]
+            packed.append((s * width, (*packed_row, None)))
+        object.__setattr__(self, "field_width", width)
+        object.__setattr__(self, "packed", tuple(packed))
 
     @property
     def n_systems(self) -> int:
@@ -251,8 +288,45 @@ def initial_state(space: SearchSpace, lm: NGramLM) -> SearchState:
     )
 
 
-def _dot(weights: Sequence[float], feats: Sequence[float]) -> float:
-    return sum(map(mul, weights, feats))
+def _successors(
+    state: tuple, space: SearchSpace, lm: NGramLM, weights: Sequence[float]
+) -> tuple[list[tuple], tuple | None]:
+    """The successor rule on a packed state ``(used, out, lm_ctx, feats,
+    score)``: one word emission per system with an unused frontier word, and
+    the end state once any system is exhausted (None otherwise).
+
+    Emissions that consume the same words and output the same token as an
+    earlier system's emission are dropped (the earlier one is kept).
+    """
+    used0, out0, ctx, feats0, _ = state
+    lm0 = feats0[-1]
+    memo = lm._transitions
+    succs = []
+    seen = []
+    exhausted = False
+    for offset, row in space.packed:
+        x = used0 >> offset
+        word = row[(x ^ (x + 1)).bit_length() - 1]  # lowest unconsumed index
+        if word is None:
+            exhausted = True
+            continue
+        token, bits, delta = word
+        used = used0 | bits
+        key = (used, token)
+        if key in seen:
+            continue
+        seen.append(key)
+        lp, next_ctx = memo.get((ctx, token)) or lm.transition(ctx, token)
+        # match and length features only ever hold sums of 1.0 from +0.0, so
+        # adding a 0.0 increment leaves them bit-for-bit unchanged
+        feats = (*map(add, feats0, delta), lm0 + lp)
+        succs.append((used, out0 + (token,), next_ctx, feats, sum(map(mul, weights, feats))))
+    end = None
+    if exhausted:
+        lp = (memo.get((ctx, LM_EOS)) or lm.transition(ctx, LM_EOS))[0]
+        feats = (*feats0[:-1], lm0 + lp)
+        end = (used0, out0, ctx, feats, sum(map(mul, weights, feats)))
+    return succs, end
 
 
 def extensions(
@@ -261,43 +335,25 @@ def extensions(
     lm: NGramLM,
     weights: Sequence[float],
 ) -> list[SearchState]:
-    """Successor states: one word emission per system with an unused
-    frontier word, plus an end action once any system is exhausted.
-
-    Emissions that consume the same words and output the same token as an
-    earlier system's emission are dropped (the earlier one is kept).
-    """
+    """Successor states of ``state`` as ``beam_search`` generates them, with
+    the end state (``done``) last; a finished state has none."""
     if state.done:
         return []
-    used0, out0, ctx, feats0, _, _ = state
-    shift_ctx = lm.order > 1
-    succs: dict[tuple, SearchState] = {}
-    exhausted = False
-    for mask, row in zip(used0, space.words):
-        i = ((mask + 1) & ~mask).bit_length() - 1  # lowest unconsumed index
-        if i >= len(row):
-            exhausted = True
-            continue
-        token, bits, delta = row[i]
-        used = tuple(map(or_, used0, bits))
-        key = (used, token)
-        if key in succs:
-            continue
-        # match and length features only ever hold sums of 1.0 from +0.0, so
-        # adding a 0.0 increment leaves them bit-for-bit unchanged
-        feats = (*map(add, feats0, delta), feats0[-1] + lm.logprob(token, ctx))
-        succs[key] = SearchState(
-            used,
-            out0 + (token,),
-            (ctx + (token,))[1:] if shift_ctx else (),
-            feats,
-            _dot(weights, feats),
-        )
-    result = list(succs.values())
-    if exhausted:
-        feats = (*feats0[:-1], feats0[-1] + lm.logprob(LM_EOS, ctx))
-        result.append(SearchState(used0, out0, ctx, feats, _dot(weights, feats), True))
+    width = space.field_width
+    field = (1 << width) - 1
+    used = sum(mask << (s * width) for s, mask in enumerate(state.used))
+    succs, end = _successors((used, *state[1:5]), space, lm, weights)
+    result = [
+        SearchState(tuple(u >> (s * width) & field for s in range(space.n_systems)), *rest)
+        for u, *rest in succs
+    ]
+    if end is not None:
+        result.append(SearchState(state.used, *end[1:], True))
     return result
+
+
+def _rank(state: tuple) -> tuple:
+    return -state[4], state[1]
 
 
 def beam_search(
@@ -319,28 +375,29 @@ def beam_search(
     if k < 1:
         raise ValueError("k must be >= 1")
     weights = tuple(float(w) for w in weights)
-    completed: dict[TokenSeq, SearchState] = {}
-
-    def better(s1: SearchState, s2: SearchState) -> SearchState:
-        if s1.score != s2.score:
-            return s1 if s1.score > s2.score else s2
-        return s1 if s1.out <= s2.out else s2
-
-    states = [initial_state(space, lm)]
+    completed: dict[TokenSeq, tuple] = {}
+    states = [(0, *initial_state(space, lm)[1:5])]  # packed: no word used
     while states:
-        nxt: dict[tuple, SearchState] = {}
+        nxt: dict[tuple, tuple] = {}
         for state in states:
-            for succ in extensions(space, state, lm, weights):
-                if succ.done:
-                    prev = completed.get(succ.out)
-                    completed[succ.out] = succ if prev is None else better(succ, prev)
-                else:
-                    key = (succ.used, succ.lm_ctx)
-                    prev = nxt.get(key)
-                    nxt[key] = succ if prev is None else better(succ, prev)
-        states = sorted(nxt.values(), key=lambda s: (-s.score, s.out))
+            succs, end = _successors(state, space, lm, weights)
+            for succ in succs:
+                key = (succ[0], succ[2])
+                prev = nxt.get(key)
+                # on equal scores and equal outputs the later state wins
+                if (
+                    prev is None
+                    or succ[4] > prev[4]
+                    or (succ[4] == prev[4] and succ[1] <= prev[1])
+                ):
+                    nxt[key] = succ
+            if end is not None:
+                prev = completed.get(end[1])
+                if prev is None or end[4] >= prev[4]:
+                    completed[end[1]] = end
+        states = sorted(nxt.values(), key=_rank)
         if beam is not None:
             del states[beam:]
     assert completed, "the end action is always reachable"
-    ranked = sorted(completed.values(), key=lambda s: (-s.score, s.out))
-    return [(s.out, np.array(s.feats), s.score) for s in ranked[:k]]
+    ranked = sorted(completed.values(), key=_rank)
+    return [(out, np.array(feats), score) for _, out, _, feats, score in ranked[:k]]

@@ -166,10 +166,11 @@ def round_robin(
 
     At stage s (1-based), model (s-1) mod n is the backbone and is trained by
     ``train_stage`` with generator ``default_rng((cfg.seed, s))``; the other
-    models are frozen and their greedy outputs, recomputed at the stage
-    boundary, serve as peers.  Input models are not mutated; stage 0 in the
-    report is the untrained baseline.  Returns the updated models and
-    per-stage reports.
+    models are frozen and their greedy outputs serve as peers.  Greedy
+    decoding is deterministic, so after a stage only the backbone's outputs
+    are decoded again.  Input models are not mutated; stage 0 in the report
+    is the untrained baseline.  Returns the updated models and per-stage
+    reports.
     """
     if len(models) < 2:
         raise ValueError("round-robin training needs at least 2 models")
@@ -180,10 +181,10 @@ def round_robin(
     models = [m.copy() for m in models]
     sources = [x for x, _ in data]
 
-    def decode_all() -> list[list[TokenSeq]]:
-        return [[policy.greedy_decode(m, x) for x in sources] for m in models]
+    def decode(model: PolicyModel) -> list[TokenSeq]:
+        return [policy.greedy_decode(model, x) for x in sources]
 
-    outputs = decode_all()
+    outputs = [decode(m) for m in models]
     reports = [
         StageReport(0, None, mean_pairwise_diversity(outputs), float("nan"), float("nan"),
                     tuple(tuple(o) for o in outputs))
@@ -197,7 +198,7 @@ def round_robin(
         mle_loss, mean_reward = train_stage(
             models[backbone], data, peer_sets, cfg, np.random.default_rng((cfg.seed, stage))
         )
-        outputs = decode_all()
+        outputs[backbone] = decode(models[backbone])
         reports.append(
             StageReport(
                 stage, backbone, mean_pairwise_diversity(outputs), mle_loss, mean_reward,

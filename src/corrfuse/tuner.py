@@ -8,10 +8,17 @@ features as the rows of one matrix, so a line search gets every candidate's
 slope and intercept from two matrix-vector products per sentence, and
 ``corpus_f`` its argmax from one; both read the same products, so they agree
 on which candidate is best.
+
+A line search builds each sentence's envelope from plain sorted
+``(slope, -intercept, id)`` tuples, records each breakpoint as integer
+``(gamma, dtp, dfp, dfn)`` deltas, and sweeps all sentences' breakpoints in
+one sorted pass.  ``mert`` does not repeat an axis search whose start point
+has not moved since that axis was last searched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -100,41 +107,6 @@ class KBestPool:
         return f_beta(tp, fp, fn, beta)
 
 
-def _envelope(
-    lines: list[tuple[float, float, int]]
-) -> list[tuple[float, int]]:
-    """Upper envelope of lines (slope, intercept, id).
-
-    Returns [(start_gamma, id), ...] segments covering (-inf, inf) in
-    increasing gamma order; the first segment starts at -inf.
-    """
-    # steepest-descending slope wins at -inf; for equal slopes keep the
-    # higher intercept (ties: smaller id, deterministic)
-    lines = sorted(lines, key=lambda l: (l[0], -l[1], l[2]))
-    dedup: list[tuple[float, float, int]] = []
-    for sl, ic, idx in lines:
-        if dedup and dedup[-1][0] == sl:
-            continue  # same slope, lower or equal height: dominated
-        dedup.append((sl, ic, idx))
-    hull: list[tuple[float, float, int]] = []  # kept lines
-    starts: list[float] = []  # start gamma of each kept line; starts[0] = -inf
-    for sl, ic, idx in dedup:
-        while hull:
-            p_sl, p_ic, _ = hull[-1]
-            # intersection with the previous hull line
-            x = (p_ic - ic) / (sl - p_sl)
-            if starts and len(hull) > 1 and x <= starts[-1]:
-                hull.pop()
-                starts.pop()
-                continue
-            hull.append((sl, ic, idx))
-            starts.append(x)
-            break
-        else:
-            hull.append((sl, ic, idx))
-    return [(-np.inf if i == 0 else starts[i - 1], idx) for i, (_, _, idx) in enumerate(hull)]
-
-
 def line_search(
     pool: KBestPool,
     weights: np.ndarray,
@@ -150,70 +122,80 @@ def line_search(
     direction = np.asarray(direction, dtype=float)
     if not np.any(direction):
         raise ValueError("direction must be non-zero")
-    base_stats: list[ScoreStats] = []
-    events: list[tuple[float, int, ScoreStats, ScoreStats]] = []  # gamma, sent, old, new
+    if not any(pool.sentences):
+        raise ValueError("empty pool")
+    tp = fp = fn = 0
+    events: list[tuple[float, int, int, int]] = []  # gamma, dtp, dfp, dfn
     for i in range(len(pool.sentences)):
         stats = pool.stats(i)
         if not stats:
             continue
         feats = pool.features(i)
-        slopes, intercepts = (feats @ direction).tolist(), (feats @ weights).tolist()
-        segments = _envelope(list(zip(slopes, intercepts, range(len(stats)))))
-        sent = len(base_stats)
-        base_stats.append(stats[segments[0][1]])
-        for seg_i in range(1, len(segments)):
-            gamma = segments[seg_i][0]
-            events.append(
-                (
-                    gamma,
-                    sent,
-                    stats[segments[seg_i - 1][1]],
-                    stats[segments[seg_i][1]],
-                )
-            )
-    if not base_stats:
-        raise ValueError("empty pool")
+        # candidate j is the line gamma * slope + intercept; sorted by slope,
+        # then by height (negated intercept), then by id, the first line of
+        # each slope dominates the rest and the steepest descent wins at -inf
+        lines = sorted(
+            zip((feats @ direction).tolist(), (-(feats @ weights)).tolist(), range(len(stats)))
+        )
+        hull: list[tuple[float, float, int]] = []  # upper envelope, left to right
+        starts: list[float] = []  # starts[j]: gamma where hull[j + 1] takes over
+        slope = None
+        for line in lines:
+            if line[0] == slope:
+                continue
+            slope, neg_ic, _ = line
+            while hull:
+                p_slope, p_neg_ic, _ = hull[-1]
+                # intersection with the previous hull line; the same bits as
+                # (p_intercept - intercept) / (slope - p_slope)
+                x = (neg_ic - p_neg_ic) / (slope - p_slope)
+                if starts and x <= starts[-1]:
+                    hull.pop()
+                    starts.pop()
+                    continue
+                starts.append(x)
+                break
+            hull.append(line)
+        old = stats[hull[0][2]]
+        tp += old.tp
+        fp += old.fp
+        fn += old.fn
+        for gamma, (_, _, j) in zip(starts, hull[1:]):
+            new = stats[j]
+            events.append((gamma, new.tp - old.tp, new.fp - old.fp, new.fn - old.fn))
+            old = new
 
-    current = ScoreStats()
-    for st in base_stats:
-        current = current + st
-
-    events.sort(key=lambda e: e[0])
-    # interval boundaries: (-inf, g1), [g1, g2), ..., [gn, inf)
-    boundaries = sorted({e[0] for e in events})
-    intervals: list[tuple[float, float, ScoreStats]] = []
-    lo = -np.inf
-    ev = 0
-    for b in boundaries:
-        intervals.append((lo, b, current))
-        while ev < len(events) and events[ev][0] == b:
-            _, _, old, new = events[ev]
-            current = ScoreStats(
-                current.tp - old.tp + new.tp,
-                current.fp - old.fp + new.fp,
-                current.fn - old.fn + new.fn,
-            )
-            ev += 1
-        lo = b
-    intervals.append((lo, np.inf, current))
-
+    # sweep the intervals (-inf, g1), [g1, g2), ..., [gn, inf) in order
+    events.sort()
     best_f = -1.0
     best_gamma = 0.0
-    for lo, hi, stats in intervals:
-        f = f_beta(stats.tp, stats.fp, stats.fn, beta)
-        if lo < 0.0 < hi:
-            gamma = 0.0
-        elif np.isinf(lo) and np.isinf(hi):
-            gamma = 0.0
-        elif np.isinf(lo):
-            gamma = hi - 1.0
-        elif np.isinf(hi):
-            gamma = lo + 1.0
-        else:
-            gamma = (lo + hi) / 2.0
-        if f > best_f or (f == best_f and (abs(gamma), gamma) < (abs(best_gamma), best_gamma)):
-            best_f, best_gamma = f, gamma
-    return best_gamma, best_f
+    lo = -math.inf
+    ev = 0
+    while True:
+        hi = events[ev][0] if ev < len(events) else math.inf
+        f = f_beta(tp, fp, fn, beta)
+        if f >= best_f:
+            if lo < 0.0 < hi:
+                gamma = 0.0
+            elif math.isinf(lo) and math.isinf(hi):
+                gamma = 0.0
+            elif math.isinf(lo):
+                gamma = hi - 1.0
+            elif math.isinf(hi):
+                gamma = lo + 1.0
+            else:
+                gamma = (lo + hi) / 2.0
+            if f > best_f or (abs(gamma), gamma) < (abs(best_gamma), best_gamma):
+                best_f, best_gamma = f, gamma
+        if ev == len(events):
+            return best_gamma, best_f
+        while ev < len(events) and events[ev][0] == hi:
+            _, dtp, dfp, dfn = events[ev]
+            tp += dtp
+            fp += dfp
+            fn += dfn
+            ev += 1
+        lo = hi
 
 
 def mert(
@@ -225,19 +207,29 @@ def mert(
     beta: float = 0.5,
 ) -> np.ndarray:
     """Iterated line search over coordinate axes plus random directions,
-    accepting only strictly improving steps.  Deterministic given the seed."""
+    accepting only strictly improving steps.  Deterministic given the seed.
+
+    An axis is not searched again while ``w`` is the array its last search
+    started from: no step has been accepted since, so the search would
+    return the same rejected step.
+    """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     w = np.asarray(w0, dtype=float).copy()
     dim = w.shape[0]
     rng = np.random.default_rng(rng_seed)
     current_f = pool.corpus_f(w, beta)
+    searched_at: list[np.ndarray | None] = [None] * dim  # w at each axis's last search
     for _ in range(iters):
         directions = [np.eye(dim)[i] for i in range(dim)]
         for _ in range(n_random):
             d = rng.normal(size=dim)
             directions.append(d / np.linalg.norm(d))
-        for d in directions:
+        for axis, d in enumerate(directions):
+            if axis < dim:
+                if searched_at[axis] is w:
+                    continue
+                searched_at[axis] = w
             gamma, f = line_search(pool, w, d, beta)
             if f > current_f:
                 w = w + gamma * d

@@ -4,6 +4,8 @@ through ``cli.main``, its determinism, and the exit-code contract."""
 import contextlib
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 
 from corrfuse import cli
 from corrfuse.ddt import DdtConfig, train_stage
+from corrfuse.evaluation import parse_m2, score_corpus
 from corrfuse.policy import greedy_decode, load_model, load_vocab
 from corrfuse.textcore import tokenize
 
@@ -72,6 +75,21 @@ def test_pipeline_exits_zero(pipeline):
         assert (root / "run" / name).is_file()
     commands = [line for line in stdout.splitlines() if line.startswith("command=")]
     assert commands == [f"command={c[0]}" for c in PIPELINE]
+
+
+def test_stages_reports_each_components_score(pipeline):
+    root, _, stdout = pipeline
+    section = stdout.split("command=stages\n")[1].split("command=")[0]
+    summary = dict(line.split("=", 1) for line in section.splitlines())
+    data = root / "run" / "data"
+    sources = [tokenize(line) for line in (data / "dev.src").read_text().splitlines()]
+    golds = parse_m2((data / "dev.m2").read_text())
+    for stage in range(3):
+        for m in range(3):
+            path = root / "run" / "out" / f"stage{stage}.sys{m}.hyp"
+            hyps = [tokenize(line) for line in path.read_text().splitlines()]
+            total, _ = score_corpus(sources, hyps, golds)
+            assert summary[f"stage{stage}_component{m}_f05"] == cli._fmt(total.f_beta(0.5))
 
 
 def test_rerun_is_byte_identical(pipeline, tmp_path, capsys):
@@ -294,3 +312,40 @@ def test_repeated_token_outputs_combine_quickly(tmp_path):
     assert run(tmp_path, PIPELINE[4], *small) == 0  # tune
     assert run(tmp_path, PIPELINE[5], *small) == 0  # combine
     assert time.perf_counter() - start < 2.0
+
+
+def test_tune_and_combine_do_not_depend_on_the_hash_seed(workdir, tmp_path):
+    # the lattice search and the tuner keep tables keyed by strings, token
+    # tuples and packed bit masks; no output may follow the per-process
+    # string hash seed
+    refs = [line.split() for line in (workdir / "run/data/dev.ref").read_text().splitlines()]
+    # two damaged copies of the references and the references; an LM trained
+    # on the first copy prefers it, so tuning has weights to move
+    systems = [[r[:1] + r[2:] for r in refs], [r[:2] + r[1:] for r in refs], refs]
+    names = []
+    for m, lines in enumerate(systems):
+        names.append(f"run/system{m}.hyp")
+        (workdir / names[-1]).write_text("".join(" ".join(t) + "\n" for t in lines))
+    hyps = ",".join(names)
+    lm = ("--set", f"lm.corpus={names[0]}")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    results = []
+    for seed in ("1", "2"):
+        copy = tmp_path / f"hashseed{seed}"
+        shutil.copytree(workdir, copy)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for command in (
+            ["tune", "--set", f"tune.hyps={hyps}", "--set", "tune.rounds=3",
+             "--set", "tune.iters=3", *lm],
+            ["combine", "--set", f"combine.hyps={hyps}", *lm],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "corrfuse.cli", *command[:1], *TINY, *command[1:]],
+                cwd=copy, env=env, check=True, capture_output=True, timeout=120,
+            )
+        out = copy / "run" / "out"
+        results.append(((out / "combine.weights").read_bytes(), (out / "combined.hyp").read_bytes()))
+    assert results[0] == results[1]
+    schema = cli.FeatureSchema(len(systems))
+    tuned = cli.load_weights(str(copy / "run/out/combine.weights"), schema)
+    assert not np.array_equal(tuned, schema.default_weights())

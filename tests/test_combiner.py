@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from corrfuse.alignment import align_all
+from corrfuse.alignment import MAX_TOKENS, align_all
 from corrfuse.combiner import (
     LM_EOS,
     FeatureSchema,
@@ -199,6 +201,16 @@ class TestBeamSearch:
         outs = [tokens for tokens, _, _ in first]
         assert outs == sorted(outs)
         assert all(score == 0.0 for _, _, score in first)
+
+    def test_longest_unaligned_inputs_finish_in_bounded_time(self, lm):
+        # nothing aligns: every state has four successors on each of the
+        # 4 * MAX_TOKENS levels, and the unknown words tie in the LM
+        hyps = [tuple(f"w{s}_{i}" for i in range(MAX_TOKENS)) for s in range(4)]
+        space = make_space(hyps)
+        start = time.perf_counter()
+        result = beam_search(space, space.schema().default_weights(), lm, beam=64, k=50)
+        assert time.perf_counter() - start < 2.0
+        assert len(result) == 50
 
     def test_score_additivity(self, lm):
         space = make_space([tokenize("the cat runs ."), tokenize("the dog sleeps .")])

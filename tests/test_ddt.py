@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from corrfuse import policy
 from corrfuse.ddt import (
     DdtConfig,
+    StageReport,
     ddt_step,
     mean_pairwise_diversity,
     rl_gradient,
@@ -196,6 +198,45 @@ class TestDdtStep:
         assert trained_div > base_div
 
 
+def reference_round_robin(models, data, cfg, stages):
+    """The round-robin loop that decoded every model again after each stage
+    (verbatim, apart from the name)."""
+    if len(models) < 2:
+        raise ValueError("round-robin training needs at least 2 models")
+    if stages < 0:
+        raise ValueError("stage count must be >= 0")
+    if not data:
+        raise ValueError("empty training data")
+    models = [m.copy() for m in models]
+    sources = [x for x, _ in data]
+
+    def decode_all():
+        return [[policy.greedy_decode(m, x) for x in sources] for m in models]
+
+    outputs = decode_all()
+    reports = [
+        StageReport(0, None, mean_pairwise_diversity(outputs), float("nan"), float("nan"),
+                    tuple(tuple(o) for o in outputs))
+    ]
+    for stage in range(1, stages + 1):
+        backbone = (stage - 1) % len(models)
+        peer_sets = [
+            [outputs[m][i] for m in range(len(models)) if m != backbone]
+            for i in range(len(data))
+        ]
+        mle_loss, mean_reward = train_stage(
+            models[backbone], data, peer_sets, cfg, np.random.default_rng((cfg.seed, stage))
+        )
+        outputs = decode_all()
+        reports.append(
+            StageReport(
+                stage, backbone, mean_pairwise_diversity(outputs), mle_loss, mean_reward,
+                tuple(tuple(o) for o in outputs),
+            )
+        )
+    return models, reports
+
+
 class TestRoundRobin:
     def _setup(self, n_models=3):
         data = [(("a", "b"), ("a", "b")), (("c",), ("c",)), (("b", "c"), ("b", "c"))]
@@ -249,6 +290,34 @@ class TestRoundRobin:
         models, data = self._setup()
         with pytest.raises(ValueError):
             round_robin(models[:1], data, DdtConfig(), stages=1)
+
+    def test_decodes_only_the_backbone_again(self, monkeypatch):
+        models, data = self._setup()
+        cfg = DdtConfig(seed=3, learning_rate=0.3, epochs=3)
+        stages, calls = 4, []
+        real_decode = policy.greedy_decode
+
+        def counted(model, x):
+            calls.append(x)
+            return real_decode(model, x)
+
+        monkeypatch.setattr(policy, "greedy_decode", counted)
+        out, reports = round_robin(models, data, cfg, stages)
+        new_calls, calls[:] = len(calls), []
+        want_out, want_reports = reference_round_robin(models, data, cfg, stages)
+        old_calls = len(calls)
+
+        def fields(report):
+            return (report.stage, report.backbone, report.diversity.hex(),
+                    report.mle_loss.hex(), report.mean_reward.hex(), report.outputs)
+
+        assert [fields(r) for r in reports] == [fields(r) for r in want_reports]
+        assert len({r.outputs for r in reports}) > 1  # training moved some outputs
+        for got, want in zip(out, want_out):
+            assert np.array_equal(got.params, want.params)
+        n, n_models = len(data), len(models)
+        assert old_calls == (stages + 1) * n_models * n
+        assert new_calls == n_models * n + stages * n
 
 
 
