@@ -8,6 +8,11 @@ pairs (ties to the smallest).  Exact and lowercase compatibility are
 equivalences, so that is a maximum matching, and each token class's pairs
 are re-paired in order, which only removes crossings; stem compatibility is
 not transitive, so Kuhn's augmenting paths make its matching maximum.
+
+The quadratic parts are plain loops: exact and lowercase keys are
+singletons, so their compatibility matrices compare keys for equality, and
+stem keys are tested with ``isdisjoint``; the LCS table is filled row by
+row, right to left, by comparisons instead of ``max()``.
 """
 
 from __future__ import annotations
@@ -85,9 +90,15 @@ def _lcs_matching(ok: list[list[bool]]) -> list[tuple[int, int]]:
     # longest[i][j]: size of the longest such matching of rows i.. to columns j..
     longest = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        row, below = longest[i], longest[i + 1]
+        row, below, ok_row = longest[i], longest[i + 1], ok[i]
+        # right is row[j + 1] while column j is filled, right to left
+        right = 0
         for j in range(m - 1, -1, -1):
-            row[j] = below[j + 1] + 1 if ok[i][j] else max(below[j], row[j + 1])
+            if ok_row[j]:
+                right = below[j + 1] + 1
+            elif below[j] > right:
+                right = below[j]
+            row[j] = right
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while longest[i][j]:
@@ -156,7 +167,10 @@ def _align_oriented(a: TokenSeq, b: TokenSeq) -> tuple[AlignedPair, ...]:
     for stage in STAGES:
         keys_a = [_stage_key(stage, a[i]) for i in free_a]
         keys_b = [_stage_key(stage, b[j]) for j in free_b]
-        ok = [[bool(ka & kb) for kb in keys_b] for ka in keys_a]
+        if stage == "stem":
+            ok = [[not ka.isdisjoint(kb) for kb in keys_b] for ka in keys_a]
+        else:  # singleton keys: compatible when equal
+            ok = [[ka == kb for kb in keys_b] for ka in keys_a]
         if not any(map(any, ok)):
             continue
         found = _lcs_matching(ok)

@@ -46,7 +46,7 @@ from .evaluation import (
 )
 from .policy import PolicyModel, Vocabulary, greedy_decode, load_model, load_vocab, mle_step, save_model, save_vocab
 from .rewards import RewardKind
-from .textcore import TokenSeq, detokenize, tokenize
+from .textcore import TokenSeq, detokenize, split_lines, tokenize
 from .toydata import DEFAULT_GRAMMAR, CorruptionRule, RULE_KINDS, generate_corpus, parse_grammar
 from .tuner import KBestPool, decode_corpus, tune_loop
 
@@ -59,7 +59,7 @@ def _read_token_lines(path: str) -> list[TokenSeq]:
     if not os.path.exists(path):
         raise DataError(f"missing input file: {path}")
     with open(path, encoding="utf-8") as fh:
-        return [tokenize(line) for line in fh.read().splitlines()]
+        return [tokenize(line) for line in split_lines(fh.read())]
 
 
 def _read_golds(path: str) -> list[GoldAnnotation]:
@@ -93,6 +93,14 @@ def _require_aligned(**named: Sequence) -> None:
     if len(set(lengths.values())) > 1:
         detail = ", ".join(f"{name}: {n} lines" for name, n in lengths.items())
         raise DataError(f"line-count mismatch across aligned files ({detail})")
+
+
+def _require_same_sources(
+    src_path: str, sources: Sequence[TokenSeq], m2_path: str, golds: Sequence[GoldAnnotation]
+) -> None:
+    for number, (source, gold) in enumerate(zip(sources, golds), 1):
+        if source != gold.source:
+            raise DataError(f"{src_path}:{number}: source line differs from its S line in {m2_path}")
 
 
 def _check_finite(model: PolicyModel, what: str) -> None:
@@ -161,10 +169,12 @@ def _load_models(cfg: ExperimentConfig) -> tuple[Vocabulary, list[PolicyModel]]:
 
 
 def _load_dev(cfg: ExperimentConfig) -> tuple[list[TokenSeq], list[TokenSeq], list[GoldAnnotation]]:
-    src = _read_token_lines(cfg.get_str("data.dev_src"))
+    src_path, m2_path = cfg.get_str("data.dev_src"), cfg.get_str("data.dev_m2")
+    src = _read_token_lines(src_path)
     ref = _read_token_lines(cfg.get_str("data.dev_ref"))
-    golds = _read_golds(cfg.get_str("data.dev_m2"))
+    golds = _read_golds(m2_path)
     _require_aligned(dev_src=src, dev_ref=ref, dev_m2=golds)
+    _require_same_sources(src_path, src, m2_path, golds)
     return src, ref, golds
 
 
@@ -551,9 +561,11 @@ def _eval_inputs(cfg: ExperimentConfig) -> tuple[list[TokenSeq], list[GoldAnnota
     split = cfg.get_str("eval.split")
     if split not in ("dev", "test"):
         raise UsageError(f"eval.split must be dev or test, got {split!r}")
-    src = _read_token_lines(cfg.get_str(f"data.{split}_src"))
-    golds = _read_golds(cfg.get_str(f"data.{split}_m2"))
+    src_path, m2_path = cfg.get_str(f"data.{split}_src"), cfg.get_str(f"data.{split}_m2")
+    src = _read_token_lines(src_path)
+    golds = _read_golds(m2_path)
     _require_aligned(src=src, golds=golds)
+    _require_same_sources(src_path, src, m2_path, golds)
     return src, golds
 
 

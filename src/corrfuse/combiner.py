@@ -22,11 +22,18 @@ over plain tuples ``(used, out, lm_ctx, feats, score)``:
 
 Scores are still the full dot product of weights and features, summed left
 to right, for every state.
+
+The LM counts each n-gram order with one ``Counter`` over shifted slices of
+the padded sentences.  A context's continuations keep the order in which
+they first occur in the corpus: the normalizer ``_z`` sums their backoff
+probabilities in that order, so the order fixes the bits of every
+probability the search and the tuner see.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import NamedTuple, Sequence
@@ -51,23 +58,22 @@ class NGramLM:
         if not corpus:
             raise ValueError("empty LM training corpus")
         self.order = order
-        # continuations[ctx] lists (token, count); ctx_total[ctx] is the
-        # prefix count, so seen continuation mass always sums to exactly 1
+        padded = [(LM_BOS,) * (order - 1) + tuple(sent) + (LM_EOS,) for sent in corpus]
+        # unigrams: every token after the start padding, the end marker included
+        self._unigram: dict[str, int] = Counter(w for sent in padded for w in sent[order - 1 :])
+        self._total = sum(self._unigram.values())
+        # continuations[ctx] maps each token seen after ctx to its count, in
+        # order of first occurrence (see the module docstring); ctx_total[ctx]
+        # is the prefix count, so seen continuation mass always sums to exactly 1
         self._continuations: dict[tuple[str, ...], dict[str, int]] = {}
-        self._ctx_total: dict[tuple[str, ...], int] = {}
-        self._unigram: dict[str, int] = {}
-        self._total = 0
-        for sent in corpus:
-            padded = (LM_BOS,) * (order - 1) + tuple(sent) + (LM_EOS,)
-            for pos in range(order - 1, len(padded)):
-                w = padded[pos]
-                self._unigram[w] = self._unigram.get(w, 0) + 1
-                self._total += 1
-                for n in range(2, order + 1):
-                    ctx = padded[pos - n + 1 : pos]
-                    slot = self._continuations.setdefault(ctx, {})
-                    slot[w] = slot.get(w, 0) + 1
-                    self._ctx_total[ctx] = self._ctx_total.get(ctx, 0) + 1
+        for n in range(2, order + 1):
+            # the n-grams ending at each counted token, in corpus order
+            grams = Counter(
+                gram for sent in padded for gram in zip(*(sent[k:] for k in range(order - n, order)))
+            )
+            for gram, count in grams.items():
+                self._continuations.setdefault(gram[:-1], {})[gram[-1]] = count
+        self._ctx_total = {ctx: sum(slot.values()) for ctx, slot in self._continuations.items()}
         self._types = set(self._unigram) | {LM_UNK}
         self._vocab_size = len(self._types)
         self._z_cache: dict[tuple[str, ...], float] = {}

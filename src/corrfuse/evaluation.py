@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .textcore import Edit, EditScript, TokenSeq, edit_script, ngram_counts, tokenize
+from .textcore import Edit, EditScript, TokenSeq, edit_script, ngram_counts, split_lines, tokenize
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,7 @@ def parse_m2(text: str) -> list[GoldAnnotation]:
         annotations.append(GoldAnnotation(source, annotators))
         source, per_annotator = None, {}
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             flush()
             continue

@@ -2,6 +2,11 @@
 
 Everything downstream (scoring, rewards, alignment, combination) works on
 whitespace-tokenized sentences represented as tuples of token strings.
+
+``edit_distance`` and ``edit_script`` share one Levenshtein table.  Scoring
+runs ``edit_script`` on every new k-best candidate while tuning, so the
+table is filled row by row, walking the row above with ``zip``, and a cell
+is a comparison and an assignment rather than indexing and ``min()``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,19 @@ TokenSeq = tuple[str, ...]
 def tokenize(line: str) -> TokenSeq:
     """Split a line on runs of whitespace. Empty / blank input gives ()."""
     return tuple(line.split())
+
+
+def split_lines(text: str) -> list[str]:
+    """Lines of ``text``, split only at the line ends of text mode: LF, CR LF, CR.
+
+    Unlike ``str.splitlines`` this keeps a form feed, U+0085, U+2028 or an
+    information separator inside its line, where ``tokenize`` reads it as a
+    space.  As with ``splitlines``, a final line end adds no empty line.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def detokenize(tokens: TokenSeq) -> str:
@@ -59,16 +77,29 @@ EditScript = tuple[Edit, ...]
 
 
 def _dp_matrix(a: TokenSeq, b: TokenSeq) -> list[list[int]]:
-    n, m = len(a), len(b)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            sub = dist[i - 1][j - 1] + (a[i - 1] != b[j - 1])
-            dist[i][j] = min(sub, dist[i - 1][j] + 1, dist[i][j - 1] + 1)
+    """Levenshtein table: ``dist[i][j]`` is the distance of ``a[:i]`` to ``b[:j]``.
+
+    Built row by row from the row above, walking ``b`` with the cells above
+    (``up``) and above-left (``diag``).  A match copies ``diag``: neighbouring
+    cells differ by at most one, so ``diag`` is never above ``up + 1`` or
+    ``left + 1``.  A mismatch is one more than the smallest of the three.
+    """
+    prev = list(range(len(b) + 1))
+    dist = [prev]
+    for i, x in enumerate(a, 1):
+        row = [i]
+        left = i
+        for y, diag, up in zip(b, prev, prev[1:]):
+            if x != y:
+                if up < diag:
+                    diag = up
+                if left < diag:
+                    diag = left
+                diag += 1
+            left = diag
+            row.append(diag)
+        dist.append(row)
+        prev = row
     return dist
 
 
@@ -87,6 +118,8 @@ def edit_script(a: TokenSeq, b: TokenSeq) -> EditScript:
     deterministic.  Adjacent single-token operations are merged into one
     span edit; total single-token operation count equals edit_distance(a, b).
     """
+    if a == b:
+        return ()
     dist = _dp_matrix(a, b)
     # raw single-token ops collected back-to-front: (start, end, replacement)
     raw: list[tuple[int, int, TokenSeq]] = []

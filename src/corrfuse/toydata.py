@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .textcore import EditScript, TokenSeq, edit_script
+from .textcore import EditScript, TokenSeq, edit_script, split_lines
 
 RULE_KINDS = (
     "drop_determiner",
@@ -92,7 +92,7 @@ def parse_grammar(text: str) -> Grammar:
     """
     slots: dict[str, list] = {k: [] for k in ("det", "noun", "verbi", "verbt", "adj", "prep", "adv")}
     arity = {"det": 1, "noun": 2, "verbi": 2, "verbt": 2, "adj": 1, "prep": 1, "adv": 1}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -181,6 +181,15 @@ def _truncate(path: Path) -> None:
     path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
 
 
+def _replace_first_line(path: Path, text: str) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([text] + lines[1:]) + "\n", encoding="utf-8")
+
+
+def _prepend_bom(path: Path) -> None:
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+
+
 def _set_weight(path: Path, name: str, value: str) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
     lines = [f"{name}\t{value}" if line.startswith(name + "\t") else line for line in lines]
@@ -235,6 +244,12 @@ def _keep_header_fields(path: Path, n: int) -> None:
             ["diversity", "--set", DIV_A, "--set", DIV_B],
             lambda run_dir: _truncate(run_dir / "out/stage2.sys1.hyp"),
         ),
+        (["eval", "--set", "eval.hyp=run/out/combined.hyp"], lambda run_dir: _prepend_bom(run_dir / "data/dev.src")),
+        (
+            ["tune", "--set", f"tune.hyps={HYPS}"],
+            lambda run_dir: _replace_first_line(run_dir / "data/dev.src", "no such source line"),
+        ),
+        (["train"], lambda run_dir: _replace_first_line(run_dir / "data/dev.src", "no such source line")),
     ],
 )
 def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):
@@ -349,3 +364,52 @@ def test_tune_and_combine_do_not_depend_on_the_hash_seed(workdir, tmp_path):
     schema = cli.FeatureSchema(len(systems))
     tuned = cli.load_weights(str(copy / "run/out/combine.weights"), schema)
     assert not np.array_equal(tuned, schema.default_weights())
+
+
+@pytest.mark.parametrize("command", [["eval", "--set", "eval.hyp=run/out/combined.hyp"], ["stages"]])
+def test_source_line_unlike_its_m2_line_names_both_files(workdir, capsys, command):
+    _prepend_bom(workdir / "run/data/dev.src")
+    assert run(workdir, command) == 3
+    err = capsys.readouterr().err
+    assert "run/data/dev.src:1:" in err and "run/data/dev.m2" in err
+
+
+def _eval_counts(workdir: Path, capsys, src: str, m2: str, hyp: str) -> dict[str, str]:
+    capsys.readouterr()
+    assert run(workdir, ["eval"], "--set", f"data.dev_src={src}", "--set", f"data.dev_m2={m2}",
+               "--set", f"eval.hyp={hyp}") == 0
+    summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    return {key: summary[key] for key in ("tp", "fp", "fn")}
+
+
+def _dev_eval_files(workdir: Path) -> dict[str, Path]:
+    return {"src": workdir / "run/data/dev.src", "m2": workdir / "run/data/dev.m2",
+            "hyp": workdir / "run/out/combined.hyp"}
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_unicode_separators_inside_lines_read_as_spaces(workdir, capsys, separator):
+    # str.splitlines would break these lines in two; tokenize reads the
+    # separator as a space, so the scores must not move
+    files = _dev_eval_files(workdir)
+    want = _eval_counts(workdir, capsys, *map(str, files.values()))
+    for name, path in files.items():
+        lines = path.read_text(encoding="utf-8").split("\n")
+        if name == "m2":  # the sentence of each S line, not its prefix or the A lines
+            lines = ["S " + line[2:].replace(" ", separator, 1) if line.startswith("S ") else line
+                     for line in lines]
+        else:
+            lines = [line.replace(" ", separator, 1) for line in lines]
+        assert any(separator in line for line in lines)
+        (workdir / f"sep.{name}").write_text("\n".join(lines), encoding="utf-8")
+    assert _eval_counts(workdir, capsys, "sep.src", "sep.m2", "sep.hyp") == want
+    assert len(cli._read_token_lines(str(workdir / "sep.hyp"))) == len(cli._read_token_lines(str(files["hyp"])))
+
+
+def test_crlf_files_read_as_before(workdir, capsys):
+    files = _dev_eval_files(workdir)
+    want = _eval_counts(workdir, capsys, *map(str, files.values()))
+    for name, path in files.items():
+        (workdir / f"crlf.{name}").write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert cli._read_token_lines(str(workdir / "crlf.src")) == cli._read_token_lines(str(files["src"]))
+    assert _eval_counts(workdir, capsys, "crlf.src", "crlf.m2", "crlf.hyp") == want

@@ -293,3 +293,14 @@ class TestM2Format:
         total, per = score_corpus([source], [hyp], parsed)
         assert total == ScoreStats(1, 0, 0)
         assert compare_outputs(per, per) == ["tie"]
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c", "\x1c"])
+def test_m2_separator_inside_a_sentence_reads_as_a_space(separator):
+    text = "S she walk{} fast\nA 1 2|||SVA|||walks|||REQUIRED|||-NONE-|||0\n\nS ok .\n"
+    assert parse_m2(text.format(separator)) == parse_m2(text.format(" "))
+
+
+def test_m2_crlf_reads_as_lf():
+    text = "S she walk fast\nA 1 2|||SVA|||walks|||REQUIRED|||-NONE-|||0\n\nS ok .\n"
+    assert parse_m2(text.replace("\n", "\r\n")) == parse_m2(text)

@@ -11,6 +11,7 @@ from corrfuse.textcore import (
     edit_distance,
     edit_script,
     ngram_counts,
+    split_lines,
     tokenize,
 )
 
@@ -156,3 +157,17 @@ class TestNgramCounts:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             ngram_counts(("a",), 0)
+
+
+SEPARATORS = ("\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+class TestSplitLines:
+    @pytest.mark.parametrize("text", ["", "a", "a\n", "a\n\n", "\n", "a\nb", "a b\n\nc\n", "a\r\nb\rc\r\n"])
+    def test_like_splitlines_on_line_ends(self, text):
+        assert split_lines(text) == text.splitlines()
+
+    @pytest.mark.parametrize("separator", SEPARATORS)
+    def test_other_separators_stay_inside_the_line(self, separator):
+        assert split_lines(f"she walk{separator} fast\nok\n") == [f"she walk{separator} fast", "ok"]
+        assert tokenize(split_lines(f"she walk{separator}fast")[0]) == ("she", "walk", "fast")

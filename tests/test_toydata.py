@@ -138,3 +138,11 @@ class TestGenerateCorpus:
         annotations = [GoldAnnotation(ex.source, (ex.gold_edits,)) for ex in examples]
         parsed = parse_m2(format_m2(annotations))
         assert parsed == annotations
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c", "\x1c"])
+def test_grammar_separator_inside_a_line_reads_as_a_space(separator):
+    text = "det the\nnoun cat{} cats\nverbi runs run\nverbt sees see\nprep in\n"
+    assert parse_grammar(text.format(separator)) == parse_grammar(text.format(" "))
+    with pytest.raises(ValueError, match="line 2:"):
+        parse_grammar(f"det the{separator}\nnou cat cats\n")
