@@ -14,6 +14,7 @@ Combination runs in one process, so ``--jobs`` accepts only 1.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Sequence
@@ -227,11 +228,15 @@ def _tune(
     golds: Sequence[GoldAnnotation],
     lm: NGramLM,
     rng_seed: int,
+    known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] | None = None,
+    scores: dict[tuple, ScoreStats] | None = None,
 ) -> tuple[list[SearchSpace], np.ndarray, KBestPool]:
     """Build the systems' search spaces and tune the combination weights on
     ``sources``/``golds`` with ``_tune_settings``.  Returns the spaces, the
-    tuned weights and the k-best pool."""
-    spaces = build_spaces(outputs_per_model)
+    tuned weights and the k-best pool.  ``known_spaces`` and ``scores`` are
+    ``build_spaces``'s and ``tune_loop``'s memos, for a caller that tunes
+    several times on the same sentences."""
+    spaces = build_spaces(outputs_per_model, known_spaces)
     weights, pool = tune_loop(
         sources,
         golds,
@@ -239,6 +244,7 @@ def _tune(
         lm,
         FeatureSchema(len(outputs_per_model)).default_weights(),
         rng_seed=rng_seed,
+        scores=scores,
         **settings,
     )
     return spaces, weights, pool
@@ -344,6 +350,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     if not train_src:
         raise DataError(f"empty training data: {cfg.get_str('data.train_src')}")
     max_len = _positive_int(cfg, "policy.max_len")
+    lr = cfg.get_float("train.lr")
+    if not (math.isfinite(lr) and lr > 0):
+        raise UsageError(f"train.lr must be finite and > 0, got {lr}")
     pairs = [(x, y) for x, y in zip(train_src, train_ref) if len(y) <= max_len]
     if not pairs:
         raise DataError("no training pair fits within policy.max_len")
@@ -456,15 +465,25 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
     tune_base = cfg.derived_seed("tune.seed", 3)
     resamples = _positive_int(cfg, "eval.resamples")
     eval_seed = cfg.derived_seed("eval.seed", 4)
-    _, reports = round_robin(models, list(zip(dev_src, dev_ref)), ddt_cfg, stages)
+    _, reports = round_robin(
+        models,
+        list(zip(dev_src, dev_ref)),
+        ddt_cfg,
+        stages,
+        lambda model, stage: _check_finite(model, f"diversity-driven training stage {stage}"),
+    )
 
     out_dir = os.path.join(cfg.get_str("data.dir"), "out")
     schema = FeatureSchema(len(models))
     summary: dict[str, object] = {"stages": stages, "models": len(models)}
     stage_f05: list[float] = []
     per_sentence_by_stage: list[list[ScoreStats]] = []
-    # a model's outputs stay the same across the stages that do not train it
+    # a model's outputs stay the same across the stages that do not train it,
+    # so its scores, most search spaces (one per hypothesis tuple, each with
+    # its memo of k-best searches) and most candidate scores recur
     component_f05: dict[tuple[TokenSeq, ...], float] = {}
+    known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
+    scores: dict[tuple, ScoreStats] = {}
     for report in reports:
         outputs_per_model = [list(o) for o in report.outputs]
         for m, outputs in enumerate(outputs_per_model):
@@ -473,7 +492,8 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
                 [detokenize(o) for o in outputs],
             )
         spaces, weights, _ = _tune(
-            settings, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage
+            settings, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage,
+            known_spaces, scores,
         )
         combined = decode_corpus(spaces, weights, lm, settings["beam"])
         stats, per_sentence = _score_against_dev(dev_src, dev_golds, combined)

@@ -23,6 +23,15 @@ over plain tuples ``(used, out, lm_ctx, feats, score)``:
 Scores are still the full dot product of weights and features, summed left
 to right, for every state.
 
+A search is a pure function of its space, LM, weights and beam, and k only
+truncates its ranked result, so tuning rounds, the final decode and the
+stages of one ``stages`` command repeat many searches.  ``build_spaces``
+builds one space per distinct hypothesis tuple (optionally over several
+corpora), and each space memoizes its searches in ``kbest``: keyed by the LM
+object, the weights' exact bits and the beam, it keeps the ranked (tokens,
+features, score) tuples up to the largest k asked for, never the search's
+other states.  The memo lives and dies with its space.
+
 The LM counts each n-gram order with one ``Counter`` over shifted slices of
 the padded sentences.  A context's continuations keep the order in which
 they first occur in the corpus: the normalizer ``_z`` sums their backoff
@@ -33,6 +42,7 @@ probability the search and the tuner see.
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, mul
@@ -201,6 +211,11 @@ class SearchSpace:
     # then None: the frontier index of an exhausted system
     field_width: int = field(init=False, repr=False, compare=False)
     packed: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
+    # beam_search's memo: (LM, weight bits, beam) -> (ranked (tokens, features,
+    # score) tuples, whether they are all the completed hypotheses)
+    kbest: dict[tuple, tuple[list[tuple], bool]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.hyps)
@@ -226,6 +241,7 @@ class SearchSpace:
             packed.append((s * width, (*packed_row, None)))
         object.__setattr__(self, "field_width", width)
         object.__setattr__(self, "packed", tuple(packed))
+        object.__setattr__(self, "kbest", {})
 
     @property
     def n_systems(self) -> int:
@@ -268,10 +284,27 @@ def build_space(
     return SearchSpace(hyps, tuple(groups))
 
 
-def build_spaces(hyp_lines: Sequence[Sequence[TokenSeq]]) -> list[SearchSpace]:
+def build_spaces(
+    hyp_lines: Sequence[Sequence[TokenSeq]],
+    known: dict[tuple[TokenSeq, ...], SearchSpace] | None = None,
+) -> list[SearchSpace]:
     """One aligned search space per sentence from line-aligned hypothesis
-    lists (``hyp_lines[s][i]`` is system s's output for sentence i)."""
-    return [build_space(hyps, align_all(hyps)) for hyps in zip(*hyp_lines)]
+    lists (``hyp_lines[s][i]`` is system s's output for sentence i).
+
+    Sentences with the same hypothesis tuple share one space.  ``known`` maps
+    hypothesis tuples to spaces built before and receives the new ones, so a
+    caller that keeps it aligns each tuple once over several corpora.
+    """
+    if known is None:
+        known = {}
+    spaces = []
+    for hyps in zip(*hyp_lines):
+        hyps = tuple(map(tuple, hyps))
+        space = known.get(hyps)
+        if space is None:
+            space = known[hyps] = build_space(hyps, align_all(hyps))
+        spaces.append(space)
+    return spaces
 
 
 class SearchState(NamedTuple):
@@ -373,14 +406,34 @@ def beam_search(
 
     States with the same (used words, LM context) recombine, keeping the
     higher score (ties: lexicographically smaller output).  Returns up to k
-    completed hypotheses sorted by score, deduplicated by token sequence.
-    beam=None disables pruning entirely.
+    completed hypotheses sorted by score, deduplicated by token sequence,
+    each with a fresh feature array.  beam=None disables pruning entirely.
+
+    The result depends on k only by truncation, so ``space.kbest`` keeps the
+    ranked list of each (LM object, exact weight bits, beam) searched, up to
+    the largest k asked for; a repeated call searches again only when it
+    asks for more hypotheses than were kept and more exist.
     """
     if beam is not None and beam < 1:
         raise ValueError("beam must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     weights = tuple(float(w) for w in weights)
+    key = (lm, struct.pack(f"{len(weights)}d", *weights), beam)
+    kept = space.kbest.get(key)
+    if kept is None or (len(kept[0]) < k and not kept[1]):
+        ranked = _search(space, weights, lm, beam)
+        kept = space.kbest[key] = (
+            [(out, feats, score) for _, out, _, feats, score in ranked[:k]],
+            len(ranked) <= k,
+        )
+    return [(out, np.array(feats), score) for out, feats, score in kept[0][:k]]
+
+
+def _search(
+    space: SearchSpace, weights: tuple[float, ...], lm: NGramLM, beam: int | None
+) -> list[tuple]:
+    """Every completed packed state of ``beam_search``'s search, ranked."""
     completed: dict[TokenSeq, tuple] = {}
     states = [(0, *initial_state(space, lm)[1:5])]  # packed: no word used
     while states:
@@ -405,5 +458,4 @@ def beam_search(
         if beam is not None:
             del states[beam:]
     assert completed, "the end action is always reachable"
-    ranked = sorted(completed.values(), key=_rank)
-    return [(out, np.array(feats), score) for _, out, _, feats, score in ranked[:k]]
+    return sorted(completed.values(), key=_rank)

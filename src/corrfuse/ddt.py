@@ -11,8 +11,9 @@ as peers; the ``ddt`` command runs it once for a single backbone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,8 +39,8 @@ class DdtConfig:
             raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
         if self.k_samples < 2:
             raise ValueError("k_samples must be >= 2 (the baseline needs multiple samples)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -161,6 +162,7 @@ def round_robin(
     data: Sequence[tuple[TokenSeq, TokenSeq]],
     cfg: DdtConfig,
     stages: int,
+    after_stage: Callable[[PolicyModel, int], None] | None = None,
 ) -> tuple[list[PolicyModel], list[StageReport]]:
     """Models take turns receiving diversity-driven training.
 
@@ -168,9 +170,10 @@ def round_robin(
     ``train_stage`` with generator ``default_rng((cfg.seed, s))``; the other
     models are frozen and their greedy outputs serve as peers.  Greedy
     decoding is deterministic, so after a stage only the backbone's outputs
-    are decoded again.  Input models are not mutated; stage 0 in the report
-    is the untrained baseline.  Returns the updated models and per-stage
-    reports.
+    are decoded again.  ``after_stage(backbone, s)``, when given, sees each
+    trained backbone before it decodes and may raise to stop the schedule.
+    Input models are not mutated; stage 0 in the report is the untrained
+    baseline.  Returns the updated models and per-stage reports.
     """
     if len(models) < 2:
         raise ValueError("round-robin training needs at least 2 models")
@@ -198,6 +201,8 @@ def round_robin(
         mle_loss, mean_reward = train_stage(
             models[backbone], data, peer_sets, cfg, np.random.default_rng((cfg.seed, stage))
         )
+        if after_stage is not None:
+            after_stage(models[backbone], stage)
         outputs[backbone] = decode(models[backbone])
         reports.append(
             StageReport(

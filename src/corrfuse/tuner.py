@@ -14,6 +14,14 @@ A line search builds each sentence's envelope from plain sorted
 ``(gamma, dtp, dfp, dfn)`` deltas, and sweeps all sentences' breakpoints in
 one sorted pass.  ``mert`` does not repeat an axis search whose start point
 has not moved since that axis was last searched.
+
+``tune_loop`` and ``decode_corpus`` search through ``beam_search``, whose
+per-space memo (keyed by LM object, exact weight bits and beam) serves a
+repeated search, such as the final decode with weights that the last round
+already searched.  ``tune_loop`` also takes a dict of candidate statistics
+keyed by (source, gold, tokens), so a caller that tunes several times on the
+same sentences, as ``stages`` does once per stage, scores each candidate
+once.
 """
 
 from __future__ import annotations
@@ -249,13 +257,22 @@ def tune_loop(
     mert_iters: int = 5,
     n_random: int = 8,
     rng_seed: int = 0,
+    scores: dict[tuple[TokenSeq, GoldAnnotation, TokenSeq], ScoreStats] | None = None,
 ) -> tuple[np.ndarray, KBestPool]:
     """Decode k-best, merge into the pool, re-optimize; stop early when a
-    round contributes no new candidates."""
+    round contributes no new candidates.
+
+    ``scores`` maps (source, gold, candidate tokens) to the candidate's
+    statistics; it is filled as candidates are scored, so a caller that keeps
+    it across several tuning runs on the same sentences scores each
+    candidate once.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if not len(sources) == len(golds) == len(spaces):
         raise ValueError("sources, golds and search spaces must be line-aligned")
+    if scores is None:
+        scores = {}
     pool = KBestPool.empty(len(sources))
     w = np.asarray(w0, dtype=float).copy()
     for round_idx in range(rounds):
@@ -264,7 +281,10 @@ def tune_loop(
             for tokens, feats, _ in beam_search(space, w, lm, beam, k):
                 if tokens in pool.sentences[i]:
                     continue
-                stats = score_sentence(sources[i], tokens, golds[i])
+                key = (sources[i], golds[i], tokens)
+                stats = scores.get(key)
+                if stats is None:
+                    stats = scores[key] = score_sentence(sources[i], tokens, golds[i])
                 grew |= pool.add(i, Candidate(tokens, tuple(feats), stats))
         if not grew and round_idx > 0:
             break

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrfuse import cli
+from corrfuse import cli, combiner, tuner
 from corrfuse.ddt import DdtConfig, train_stage
 from corrfuse.evaluation import parse_m2, score_corpus
 from corrfuse.policy import greedy_decode, load_model, load_vocab
@@ -134,6 +134,14 @@ def workdir(pipeline, tmp_path):
         (["tune", "--set", f"tune.hyps={HYPS}"], "tune.random_dirs=-5"),
         (["stages"], "eval.resamples=0"),
         (["diversity", "--set", DIV_A], "div.b="),
+        (["train"], "train.lr=-0.5"),
+        (["train"], "train.lr=0"),
+        (["train"], "train.lr=nan"),
+        (["train"], "train.lr=inf"),
+        (["ddt"], "ddt.lr=nan"),
+        (["ddt"], "ddt.lr=inf"),
+        (["stages"], "ddt.lr=nan"),
+        (["stages"], "ddt.lr=-inf"),
     ],
 )
 def test_bad_values_are_usage_errors(workdir, capsys, command, override):
@@ -283,6 +291,17 @@ def test_diverging_training_is_numeric_failure(workdir, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_stage_training_is_numeric_failure(workdir, capsys):
+    report = workdir / "run/report.txt"
+    before = report.read_bytes()
+    assert run(workdir, ["stages"], "--set", "ddt.lr=1e300") == 4
+    captured = capsys.readouterr()
+    assert "numeric failure: non-finite parameters after diversity-driven training stage 1" in captured.err
+    assert "command=stages" not in captured.out
+    assert report.read_bytes() == before
+
+
 def test_ddt_skips_references_over_the_length_limit(workdir, capsys):
     ref = workdir / "run/data/dev.ref"
     lines = ref.read_text(encoding="utf-8").splitlines()
@@ -310,6 +329,76 @@ def test_ddt_checkpoint_is_one_train_stage(pipeline):
     train_stage(models[0], list(zip(src, ref)), peers, cfg, np.random.default_rng((seed, 0)))
     ddt = load_model(str(models_dir / "model_0_ddt.txt"), vocab)
     assert np.array_equal(ddt.params, models[0].params)
+
+
+# more stages and tuning rounds than TINY: models, spaces and weights recur
+REUSE = ("--set", "ddt.stages=4", "--set", "tune.rounds=3", "--set", "tune.iters=2")
+
+
+def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
+    """Every distinct hypothesis tuple is aligned once, every distinct
+    (space, weights, beam) searched once and every distinct (sentence,
+    candidate) scored once over all stages."""
+    aligned, searches, scored, tuned_spaces, pools = [], [], [], [], []
+    expansions = 0
+    align_all, successors = combiner.align_all, combiner._successors
+    search, score, tune = tuner.beam_search, tuner.score_sentence, cli.tune_loop
+
+    def counted_successors(*args):
+        nonlocal expansions
+        expansions += 1
+        return successors(*args)
+
+    def recorded_search(space, weights, lm, beam, k):
+        before = expansions
+        result = search(space, weights, lm, beam, k)
+        key = (space.hyps, np.asarray(weights, dtype=float).tobytes(), beam)
+        searches.append((key, expansions > before))
+        return result
+
+    def recorded_tune(sources, golds, spaces, *args, **kwargs):
+        weights, pool = tune(sources, golds, spaces, *args, **kwargs)
+        tuned_spaces.append(spaces)
+        pools.append({(sources[i], golds[i], t) for i, slot in enumerate(pool.sentences) for t in slot})
+        return weights, pool
+
+    monkeypatch.setattr(combiner, "align_all", lambda hyps: aligned.append(hyps) or align_all(hyps))
+    monkeypatch.setattr(combiner, "_successors", counted_successors)
+    monkeypatch.setattr(tuner, "beam_search", recorded_search)
+    monkeypatch.setattr(tuner, "score_sentence", lambda s, t, g: scored.append((s, g, t)) or score(s, t, g))
+    monkeypatch.setattr(cli, "tune_loop", recorded_tune)
+    assert run(workdir, ["stages"], *REUSE) == 0
+
+    assert len(tuned_spaces) == 5
+    hyp_tuples = {space.hyps for spaces in tuned_spaces for space in spaces}
+    assert len(aligned) == len(hyp_tuples) < sum(map(len, tuned_spaces))
+    assert set(aligned) == hyp_tuples
+    keys = {key for key, _ in searches}
+    expanded = [key for key, grew in searches if grew]
+    assert len(expanded) == len(keys) < len(searches)
+    candidates = set().union(*pools)
+    assert len(scored) == len(candidates) < sum(map(len, pools))
+    assert set(scored) == candidates
+
+
+def test_stages_artifacts_do_not_depend_on_the_search_memo(pipeline, tmp_path, monkeypatch, capsys):
+    root, _, _ = pipeline
+    search = tuner.beam_search
+    results = []
+    for memo in (True, False):
+        if not memo:  # every search on a fresh copy of its space, whose memo is empty
+            monkeypatch.setattr(
+                tuner, "beam_search",
+                lambda space, *args, **kwargs: search(
+                    cli.SearchSpace(space.hyps, space.groups), *args, **kwargs
+                ),
+            )
+        copy = tmp_path / f"memo{memo}"
+        shutil.copytree(root, copy)
+        capsys.readouterr()
+        assert run(copy, ["stages"], *REUSE) == 0
+        results.append((capsys.readouterr().out, tree_bytes(copy)))
+    assert results[0] == results[1]
 
 
 def test_repeated_token_outputs_combine_quickly(tmp_path):

@@ -71,6 +71,11 @@ class TestDdtConfig:
         with pytest.raises(ValueError):
             DdtConfig(k_samples=1)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            DdtConfig(learning_rate=rate)
+
 
 class TestRlGradient:
     def test_zero_when_all_samples_identical(self):
@@ -318,6 +323,30 @@ class TestRoundRobin:
         n, n_models = len(data), len(models)
         assert old_calls == (stages + 1) * n_models * n
         assert new_calls == n_models * n + stages * n
+
+    def test_after_stage_sees_each_trained_backbone_before_it_decodes(self, monkeypatch):
+        models, data = self._setup()
+        seen = []
+        decoded = []
+        real_decode = policy.greedy_decode
+        monkeypatch.setattr(policy, "greedy_decode", lambda m, x: decoded.append(m) or real_decode(m, x))
+
+        def after_stage(model, stage):
+            seen.append((stage, model, model.params.copy(), len(decoded)))
+
+        out, _ = round_robin(models, data, DdtConfig(), 4, after_stage)
+        first_decodes = len(models) * len(data)
+        assert [(stage, model) for stage, model, _, _ in seen] == [
+            (1, out[0]), (2, out[1]), (3, out[2]), (4, out[0])
+        ]
+        assert [n for *_, n in seen] == [first_decodes + i * len(data) for i in range(4)]
+        assert np.array_equal(seen[1][2], out[1].params)
+
+        def stop(model, stage):
+            raise RuntimeError(f"stop at {stage}")
+
+        with pytest.raises(RuntimeError, match="stop at 1"):
+            round_robin(models, data, DdtConfig(), 4, stop)
 
 
 
