@@ -45,7 +45,17 @@ from .evaluation import (
     score_corpus,
     sign_test_bootstrap,
 )
-from .policy import PolicyModel, Vocabulary, greedy_decode, load_model, load_vocab, mle_step, save_model, save_vocab
+from .policy import (
+    PolicyModel,
+    Vocabulary,
+    greedy_decode,
+    load_model,
+    load_vocab,
+    mle_step_stack,
+    save_model,
+    save_vocab,
+    stack_params,
+)
 from .rewards import RewardKind
 from .textcore import TokenSeq, detokenize, split_lines, tokenize
 from .toydata import DEFAULT_GRAMMAR, CorruptionRule, RULE_KINDS, generate_corpus, parse_grammar
@@ -311,39 +321,58 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _train_one(
-    cfg: ExperimentConfig,
-    vocab: Vocabulary,
-    pairs: list[tuple[TokenSeq, TokenSeq]],
-    index: int,
-) -> tuple[PolicyModel, float]:
+def _train_models(
+    cfg: ExperimentConfig, vocab: Vocabulary, pairs: list[tuple[TokenSeq, TokenSeq]]
+) -> tuple[list[PolicyModel], list[float]]:
+    """Train the ``train.models`` component models in lockstep and return
+    them with each one's mean NLL over its last epoch.
+
+    Model i has its own initial parameters and its own generator for the
+    order of the pairs in each epoch, as if trained alone.  The models'
+    parameters are the rows of one array, and each minibatch step advances
+    every model on its own minibatch in one stacked forward and backward
+    pass (``mle_step_stack``), with the numbers of separate steps.
+    """
     seed = cfg.get_int("seed")
-    model = PolicyModel(
-        vocab,
-        embed_width=_positive_int(cfg, "policy.embed"),
-        hidden_width=_positive_int(cfg, "policy.hidden"),
-        max_len=cfg.get_int("policy.max_len"),
-        init_seed=seed * 1000 + 100 + index,
-    )
-    rng = np.random.default_rng((seed, 200 + index))
+    n_models = _positive_int(cfg, "train.models")
+    models = [
+        PolicyModel(
+            vocab,
+            embed_width=_positive_int(cfg, "policy.embed"),
+            hidden_width=_positive_int(cfg, "policy.hidden"),
+            max_len=cfg.get_int("policy.max_len"),
+            init_seed=seed * 1000 + 100 + i,
+        )
+        for i in range(n_models)
+    ]
+    stack = stack_params(models)
+    rngs = [np.random.default_rng((seed, 200 + i)) for i in range(n_models)]
     batch_size = _positive_int(cfg, "train.batch")
+    epochs = _positive_int(cfg, "train.epochs")
     lr = cfg.get_float("train.lr")
-    last_nll = float("nan")
     encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
-    for _ in range(cfg.get_int("train.epochs")):
-        order = rng.permutation(len(pairs))
-        nll_sum = 0.0
+    last_nll: list[float] = []
+    for _ in range(epochs):
+        orders = [rng.permutation(len(pairs)) for rng in rngs]
+        nll_sums = [0.0] * n_models
         n_batches = 0
-        for start in range(0, len(order), batch_size):
-            batch = [encoded[i] for i in order[start : start + batch_size]]
-            nll_sum += mle_step(model, batch, lr)
+        for start in range(0, len(pairs), batch_size):
+            batches = [[encoded[i] for i in order[start : start + batch_size]] for order in orders]
+            nlls = mle_step_stack(models[0], stack, batches, lr)
+            nll_sums = [total + nll for total, nll in zip(nll_sums, nlls)]
             n_batches += 1
-        last_nll = nll_sum / n_batches
-        _check_finite(model, f"individual training of model {index}")
-    return model, last_nll
+        last_nll = [total / n_batches for total in nll_sums]
+        for i, model in enumerate(models):
+            _check_finite(model, f"individual training of model {i}")
+    return models, last_nll
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
+    """Build the vocabulary from the training pairs that fit
+    ``policy.max_len``, train the models in lockstep (``_train_models``),
+    then write the vocabulary and every checkpoint, and score each model's
+    greedy dev output.  Nothing is written until every model has trained
+    and is finite, so a failed run leaves ``model.dir`` as it was."""
     train_src = _read_token_lines(cfg.get_str("data.train_src"))
     train_ref = _read_token_lines(cfg.get_str("data.train_ref"))
     _require_aligned(train_src=train_src, train_ref=train_ref)
@@ -361,14 +390,15 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     except ValueError as exc:
         raise DataError(f"training text: {exc}") from exc
     vocab_path, model_paths = _model_paths(cfg)
+    dev_src, _, dev_golds = _load_dev(cfg)
+    models, nlls = _train_models(cfg, vocab, pairs)
+
     os.makedirs(os.path.dirname(vocab_path) or ".", exist_ok=True)
     save_vocab(vocab, vocab_path)
-
-    dev_src, _, dev_golds = _load_dev(cfg)
-    summary: dict[str, object] = {"vocab_size": len(vocab), "n_pairs": len(pairs)}
-    for i, path in enumerate(model_paths):
-        model, nll = _train_one(cfg, vocab, pairs, i)
+    for model, path in zip(models, model_paths):
         save_model(model, path)
+    summary: dict[str, object] = {"vocab_size": len(vocab), "n_pairs": len(pairs)}
+    for i, (model, nll) in enumerate(zip(models, nlls)):
         outputs = [greedy_decode(model, x) for x in dev_src]
         stats, _ = _score_against_dev(dev_src, dev_golds, outputs)
         summary[f"model_{i}_nll"] = nll

@@ -11,6 +11,19 @@ padded with masks, the teacher-forced recurrences run once per time step
 for the whole batch, and every weight gradient is one stacked product after
 the backward recurrence.  Single-sentence ``logprob`` and ``grad_logprob``
 are batches of one; greedy decoding and sampling reuse its helpers on 1-D rows.
+
+The same code runs a stack of M models of one architecture, each on its own
+batch of B rows (``mle_step_stack``): their parameters are the rows of one
+(M, P) array (``stack_params``), and every time-major array gets a model
+axis after the step axis, (T, M, B, ...).  All models' rows are padded to
+common widths, sources on the left and targets on the right, so each
+per-step product is one broadcast matmul, (M, B, H) @ (M, H, H), that runs
+one GEMM per model with the shapes of that model's batch alone.  Padded
+steps only add exact zeros.  Sums over steps and the weight-gradient
+products, whose rounding depends on the number and layout of the terms, take
+each model's own steps: the steps its batch alone would have.  So every
+model gets, bit for bit, the numbers of its batch alone; a single model
+(M = 1) keeps the arrays without the model axis.
 """
 
 from __future__ import annotations
@@ -139,43 +152,97 @@ def _layout(v: int, e: int, h: int) -> tuple[tuple[str, slice, tuple[int, ...]],
 
 
 def _make_views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
-    return {name: flat[where].reshape(shape) for name, where, shape in layout}
+    """Weight blocks of one parameter vector (P,), or of the rows of a stack
+    (M, P) with the model axis first.  Each matrix also appears transposed as
+    ``<name>_t``; a stacked bias is (M, 1, n), so that it broadcasts over the
+    rows of (..., M, B, n)."""
+    lead = flat.shape[:-1]
+    views = {}
+    for name, where, shape in layout:
+        block = flat[..., where].reshape(*lead, *shape)
+        if len(shape) == 2:
+            views[name + "_t"] = block.swapaxes(-1, -2)
+        elif lead:
+            block = block[..., None, :]
+        views[name] = block
+    return views
 
 
-def _encoder(w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray):
-    """Encoder states (Tx + 1, ..., H) from a zero start, mean source
-    embeddings and source lengths (at least 1) of time-major sources: (Tx, B,
-    E) for a batch, (Tx, E) for one source; ``x_mask`` marks real steps."""
-    pre = x_emb @ w["enc_in"].T + w["enc_b"]
+def stack_params(models: Sequence[PolicyModel]) -> np.ndarray:
+    """Copy the parameters of models of one architecture into the rows of
+    one (M, P) array and point each model at its row, so that an update of
+    the array updates every model."""
+    stacked = np.stack([model.params for model in models])
+    for model, row in zip(models, stacked):
+        model.params = row
+        model._views = _make_views(row, model._layout)
+    return stacked
+
+
+def _encoder(w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray) -> np.ndarray:
+    """Encoder states (Tx + 1, ..., H) from a zero start, of time-major
+    sources: (Tx, M, B, E) for a stack of batches, (Tx, E) for one source;
+    ``x_mask`` is 1.0 on real steps and 0.0 on padding."""
+    pre = x_emb @ w["enc_in_t"]
+    pre += w["enc_b"]
     pre *= x_mask[..., None]
     enc = np.zeros((len(x_emb) + 1, *pre.shape[1:]))
-    rec = w["enc_rec"].T
+    rec = w["enc_rec_t"]
     for t in range(len(x_emb)):
-        np.tanh(pre[t] + enc[t] @ rec, out=enc[t + 1])
+        z = enc[t] @ rec
+        z += pre[t]
+        np.tanh(z, out=enc[t + 1])
+    return enc
+
+
+def _context(
+    x_emb: np.ndarray, x_mask: np.ndarray, starts: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean embedding of the real source steps and the source lengths (at
+    least 1), of time-major sources: (Tx, B, E) for a batch, (Tx, E) for one
+    source.  With ``starts``, the sources are a stack's (Tx, M, B, E), and
+    model m adds up its own steps only, from ``starts[m]`` on: the order of
+    a sum depends on the shape of what it adds up."""
     x_count = np.maximum(x_mask.sum(axis=0), 1)[..., None]
-    context = (x_emb * x_mask[..., None]).sum(axis=0) / x_count
-    return enc, context, x_count
+    masked = x_emb * x_mask[..., None]
+    if starts is None:
+        total = masked.sum(axis=0)
+    else:
+        total = np.stack([masked[start:, m].sum(axis=0) for m, start in enumerate(starts)])
+    return total / x_count, x_count
 
 
-def _decoder_input(w: dict[str, np.ndarray], prev_ids, context: np.ndarray):
-    """Decoder inputs and their share of the decoder pre-activation."""
-    inp = w["emb"][prev_ids] + context
-    return inp, inp @ w["dec_in"].T + w["dec_b"]
+def _encode_source(w: dict[str, np.ndarray], x_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Final encoder state and context of one source, as 1-D vectors."""
+    x_emb, x_mask = w["emb"][x_ids], np.ones(len(x_ids))
+    context, _ = _context(x_emb, x_mask)
+    return _encoder(w, x_emb, x_mask)[-1], context
+
+
+def _decoder_input(w: dict[str, np.ndarray], prev_emb: np.ndarray, context: np.ndarray):
+    """Decoder inputs from the previous tokens' embeddings, and their share
+    of the decoder pre-activation."""
+    inp = prev_emb + context
+    pre = inp @ w["dec_in_t"]
+    pre += w["dec_b"]
+    return inp, pre
 
 
 def _output_probs(w: dict[str, np.ndarray], states: np.ndarray) -> np.ndarray:
     """Next-token distribution over the vocabulary from decoder states."""
-    logits = states @ w["out_w"].T + w["out_b"]
+    logits = states @ w["out_w_t"]
+    logits += w["out_b"]
     logits[..., BOS_ID] = -np.inf  # BOS is never emitted
-    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    logits -= logits.max(axis=-1, keepdims=True)
+    probs = np.exp(logits, out=logits)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
 def _decoder_step(w: dict[str, np.ndarray], s: np.ndarray, prev_id: int, context: np.ndarray):
     """Next state and next-token distribution of one row, as 1-D vectors."""
-    _, pre = _decoder_input(w, prev_id, context)
-    s = np.tanh(pre + s @ w["dec_rec"].T)
+    _, pre = _decoder_input(w, w["emb"][prev_id], context)
+    s = np.tanh(pre + s @ w["dec_rec_t"])
     return s, _output_probs(w, s)
 
 
@@ -207,78 +274,220 @@ def _ids(vocab: Vocabulary, seq: Sequence) -> Sequence[int]:
 def _pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]:
     """Time-major (longest, rows) id matrix and its validity mask; padding
     goes before each row when ``left``, after it otherwise."""
-    width = max(map(len, rows), default=0)
+    lengths = [len(r) for r in rows]
+    width = max(lengths, default=0)
     padded = [
-        [BOS_ID] * (width - len(r)) + list(r) if left else list(r) + [BOS_ID] * (width - len(r))
-        for r in rows
+        [BOS_ID] * (width - n) + list(r) if left else list(r) + [BOS_ID] * (width - n)
+        for r, n in zip(rows, lengths)
     ]
     ids = np.array(padded, dtype=np.intp).reshape(len(rows), width).T
-    lengths = np.array([len(r) for r in rows])
     steps = np.arange(width)[:, None]
-    return ids, (steps >= width - lengths if left else steps < lengths)
+    return ids, (steps >= width - np.array(lengths) if left else steps < np.array(lengths))
 
 
 @dataclass
 class _Tape:
     """Forward values the backward pass reuses, time-major: Tx source and Ty
-    target steps of B rows."""
+    target steps of B rows, with a model axis M after the step axis for a
+    stack.  Model m's own steps, the ones its batch alone would have, are
+    the source steps from ``x_starts[m]`` on and the first ``t_ends[m]``
+    target steps."""
 
-    x_ids: np.ndarray  # (Tx, B)
-    x_mask: np.ndarray  # (Tx, B)
-    x_emb: np.ndarray  # (Tx, B, E)
-    x_count: np.ndarray  # (B, 1) source length, at least 1
-    enc: np.ndarray  # (Tx + 1, B, H) encoder states, enc[0] = 0
-    prev_ids: np.ndarray  # (Ty, B) decoder input ids
-    inp: np.ndarray  # (Ty, B, E) decoder inputs
-    dec: np.ndarray  # (Ty + 1, B, H) decoder states, dec[0] = enc[-1]
-    targets: np.ndarray  # (Ty, B)
-    t_mask: np.ndarray  # (Ty, B)
-    t_valid: tuple[np.ndarray, np.ndarray]  # (step, row) of each real target
-    probs: np.ndarray  # (Ty, B, V)
+    stacked: bool
+    w: dict[str, np.ndarray]  # weight views, stacked for a stack
+    x_ids: np.ndarray  # (Tx, [M,] B)
+    x_mask: np.ndarray  # (Tx, [M,] B), 1.0 on real steps
+    x_emb: np.ndarray  # (Tx, [M,] B, E)
+    x_count: np.ndarray  # ([M,] B, 1) source length, at least 1
+    enc: np.ndarray  # (Tx + 1, [M,] B, H) encoder states, enc[0] = 0
+    prev_ids: np.ndarray  # (Ty, [M,] B) decoder input ids
+    inp: np.ndarray  # (Ty, [M,] B, E) decoder inputs
+    dec: np.ndarray  # (Ty + 1, [M,] B, H) decoder states, dec[0] = enc[-1]
+    targets: np.ndarray  # (Ty, [M,] B)
+    t_mask: np.ndarray  # (Ty, [M,] B)
+    t_valid: tuple[np.ndarray, ...]  # (step, [model,] row) of each real target
+    probs: np.ndarray  # (Ty, [M,] B, V)
+    x_starts: list[int]
+    t_ends: list[int]
 
 
-def _forward_batch(model: PolicyModel, xs, ys, include_eos) -> tuple[np.ndarray, _Tape]:
-    if len(xs) != len(ys):
-        raise ValueError(f"{len(xs)} sources for {len(ys)} targets")
+def _own_rows(a: np.ndarray, stacked: bool, m: int, steps: slice) -> np.ndarray:
+    """Model m's own ``steps`` of a time-major array as (steps * B, n) rows
+    in contiguous memory, the layout its batch alone has: BLAS takes
+    another path for a strided vector, which adds in another order.  A
+    single model owns all steps of its arrays, which are contiguous."""
+    if not stacked:
+        return a.reshape(-1, a.shape[-1])
+    return np.ascontiguousarray(a[steps, m].reshape(-1, a.shape[-1]))
+
+
+def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray | None = None):
+    """Row log-likelihoods and the tape, of ``model`` or of a stack of M
+    models.
+
+    For ``model`` itself, ``xs``, ``ys`` and ``include_eos`` (one flag or
+    one per row) are its batch, and the likelihoods are (B,).  A ``stack``
+    (M, P) holds one model of ``model``'s architecture and vocabulary per
+    row (see ``stack_params``); ``xs[m]``, ``ys[m]`` and ``include_eos[m]``
+    (or one flag for all) are model m's batch, every batch has B rows, and
+    the likelihoods are (M, B).
+    """
+    stacked = stack is not None
+    if not stacked:
+        xs, ys, include_eos = [xs], [ys], [include_eos]
+    elif not len(xs) == len(ys) == len(stack) or any(len(m_ys) != len(ys[0]) for m_ys in ys):
+        raise ValueError(f"a stack of {len(stack)} models needs one batch each, all of one size")
+    elif isinstance(include_eos, bool):
+        include_eos = [include_eos] * len(stack)
     vocab = model.vocab
-    if isinstance(include_eos, bool):
-        include_eos = [include_eos] * len(ys)
-    targets = []
-    for y, ended in zip(ys, include_eos, strict=True):
-        if len(y) > model.max_len:
-            raise ValueError(f"target of length {len(y)} exceeds decode limit {model.max_len}")
-        y_ids = list(_ids(vocab, y))
-        targets.append(y_ids + [EOS_ID] if ended else y_ids)
+    sources, targets = [], []
+    for m_xs, m_ys, m_eos in zip(xs, ys, include_eos, strict=True):
+        if len(m_xs) != len(m_ys):
+            raise ValueError(f"{len(m_xs)} sources for {len(m_ys)} targets")
+        if isinstance(m_eos, bool):
+            m_eos = [m_eos] * len(m_ys)
+        for y, ended in zip(m_ys, m_eos, strict=True):
+            if len(y) > model.max_len:
+                raise ValueError(f"target of length {len(y)} exceeds decode limit {model.max_len}")
+            y_ids = list(_ids(vocab, y))
+            targets.append(y_ids + [EOS_ID] if ended else y_ids)
+        sources += [_ids(vocab, x) for x in m_xs]
+    n_models, rows = len(ys), len(ys[0])
     # sources are left-padded: a padded step has zero input and keeps the
     # zero initial state, so the encoder loop needs no mask
-    x_ids, x_mask = _pad([_ids(vocab, x) for x in xs], left=True)
+    x_ids, x_mask = _pad(sources, left=True)
     t_ids, t_mask = _pad(targets, left=False)
-    w = model._views
-    rows = len(ys)
-
-    x_emb = w["emb"][x_ids]
-    enc, context, x_count = _encoder(w, x_emb, x_mask)
+    x_mask = x_mask.astype(np.float64)  # as floats, it scales four arrays without a cast
+    if stacked:
+        x_ids, x_mask, t_ids, t_mask = (
+            a.reshape(len(a), n_models, rows) for a in (x_ids, x_mask, t_ids, t_mask)
+        )
+        per_model = [slice(m * rows, (m + 1) * rows) for m in range(n_models)]
+        x_starts = [len(x_ids) - max(map(len, sources[s]), default=0) for s in per_model]
+        t_ends = [max(map(len, targets[s]), default=0) for s in per_model]
+        w = _make_views(stack, model._layout)
+        models = np.arange(n_models)[:, None]
+        x_emb = w["emb"][models, x_ids]
+    else:
+        x_starts, t_ends = [0], [len(t_ids)]
+        w = model._views
+        x_emb = w["emb"][x_ids]
+    enc = _encoder(w, x_emb, x_mask)
+    context, x_count = _context(x_emb, x_mask, x_starts if stacked else None)
 
     # teacher forcing: the recurrence never reads the logits, so they and the
     # softmax are computed for all steps at once after the loop; steps past a
     # row's end are masked out of its likelihood
     prev_ids = np.full_like(t_ids, BOS_ID)
     prev_ids[1:] = t_ids[:-1]
-    inp, dec_pre = _decoder_input(w, prev_ids, context)
-    dec = np.empty((len(t_ids) + 1, rows, model.hidden_width))
+    prev_emb = w["emb"][models, prev_ids] if stacked else w["emb"][prev_ids]
+    inp, dec_pre = _decoder_input(w, prev_emb, context)
+    dec = np.empty((len(t_ids) + 1, *t_ids.shape[1:], model.hidden_width))
     dec[0] = enc[-1]
-    rec = w["dec_rec"].T
+    rec = w["dec_rec_t"]
     for t in range(len(t_ids)):
-        np.tanh(dec_pre[t] + dec[t] @ rec, out=dec[t + 1])
+        z = dec[t] @ rec
+        z += dec_pre[t]
+        np.tanh(z, out=dec[t + 1])
     probs = _output_probs(w, dec[1:])
-    steps, which = t_valid = np.nonzero(t_mask)
-    p_target = probs[steps, which, t_ids[steps, which]]
-    # per row, the terms are summed in step order
-    lps = np.bincount(which, np.log(np.maximum(p_target, PROB_FLOOR)), minlength=rows)
+    t_valid = np.nonzero(t_mask)
+    p_target = probs[(*t_valid, t_ids[t_valid])]
+    # per row, the terms are summed in step order; without any terms,
+    # np.bincount would count in integers
+    row = t_valid[1] * rows + t_valid[2] if stacked else t_valid[1]
+    lps = np.bincount(row, np.log(np.maximum(p_target, PROB_FLOOR)), minlength=n_models * rows)
+    lps = lps.astype(np.float64, copy=False)
     tape = _Tape(
-        x_ids, x_mask, x_emb, x_count, enc, prev_ids, inp, dec, t_ids, t_mask, t_valid, probs
+        stacked, w, x_ids, x_mask, x_emb, x_count, enc, prev_ids, inp, dec, t_ids, t_mask, t_valid,
+        probs, x_starts, t_ends,
     )
-    return lps, tape
+    return lps.reshape(n_models, rows) if stacked else lps, tape
+
+
+def _grad_batch(
+    model: PolicyModel, xs, ys, include_eos, weights, stack: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-likelihoods and the weighted sum of their exact gradients,
+    (B,) and (P,) for ``model``, (M, B) and (M, P) for a ``stack``, with
+    the arguments of ``_forward_batch``; ``weights`` is None or one per row.
+    Each stacked model's numbers are bit-identical to those of its batch
+    alone."""
+    lps, tape = _forward_batch(model, xs, ys, include_eos, stack)
+    w, stacked, n_models = tape.w, tape.stacked, len(tape.t_ends)
+    vocab_size, embed, hidden = len(model.vocab), model.embed_width, model.hidden_width
+
+    d_logits = -tape.probs
+    d_logits[(*tape.t_valid, tape.targets[tape.t_valid])] += 1.0
+    d_logits *= tape.t_mask[..., None]
+    if weights is not None:
+        d_logits *= np.asarray(weights, dtype=np.float64)[..., None]
+
+    # decoder: only the d_s recurrence is sequential; steps past a row's end
+    # have zero d_logits, so their d_s stays exactly zero
+    dec_out = tape.dec[1:]
+    dec_tanh = dec_out * dec_out
+    np.subtract(1.0, dec_tanh, out=dec_tanh)
+    d_z_dec = d_logits @ w["out_w"]  # d_s from the logits, then d_z in place
+    d_z_dec *= dec_tanh
+    rec = w["dec_rec"]
+    for t in range(len(d_z_dec) - 1, 0, -1):
+        d_s = d_z_dec[t] @ rec
+        d_s *= dec_tanh[t - 1]
+        d_z_dec[t - 1] += d_s
+    d_inp = d_z_dec @ w["dec_in"]
+    if stacked:
+        d_context = np.stack([d_inp[:end, m].sum(axis=0) for m, end in enumerate(tape.t_ends)])
+    else:
+        d_context = d_inp.sum(axis=0)
+
+    # encoder: the decoder start state is the final encoder state; padded
+    # steps come first and are masked, so their d_z is zero
+    enc_out = tape.enc[1:]
+    enc_tanh = enc_out * enc_out
+    np.subtract(1.0, enc_tanh, out=enc_tanh)
+    enc_tanh *= tape.x_mask[..., None]
+    d_z_enc = np.empty_like(enc_out)
+    d_h = d_z_dec[0] @ rec if len(d_z_dec) else np.zeros((*lps.shape, hidden))
+    rec = w["enc_rec"]
+    for t in range(len(enc_out) - 1, -1, -1):
+        np.multiply(d_h, enc_tanh[t], out=d_z_enc[t])
+        d_h = d_z_enc[t] @ rec
+    d_x_emb = d_z_enc @ w["enc_in"]
+    d_x_emb += (d_context / tape.x_count) * tape.x_mask[..., None]
+
+    # every model's embedding gradient in one count: per entry, the decoder
+    # terms and then the source terms, each in step order, as two in-place
+    # adds would take them; padded steps add zeros
+    rows_of = np.concatenate([tape.prev_ids, tape.x_ids])
+    if stacked:
+        rows_of += vocab_size * np.arange(n_models)[:, None]
+    g_emb = np.bincount(
+        (rows_of[..., None] * embed + np.arange(embed)).ravel(),
+        np.concatenate([d_inp, d_x_emb]).ravel(),
+        minlength=n_models * vocab_size * embed,
+    ).reshape(n_models, -1)
+
+    # the weight gradients are products and sums over each model's own steps:
+    # a product's rounding depends on its inner dimension, a sum's order on
+    # its shape
+    grads = np.empty((n_models, len(model.params)))
+    for m, (start, end) in enumerate(zip(tape.x_starts, tape.t_ends)):
+        src, tgt = slice(start, None), slice(end)
+        e_z = _own_rows(d_z_enc, stacked, m, src)
+        d_z = _own_rows(d_z_dec, stacked, m, tgt)
+        blocks = {
+            "emb": g_emb[m],
+            "enc_in": e_z.T @ _own_rows(tape.x_emb, stacked, m, src),
+            "enc_rec": e_z.T @ _own_rows(tape.enc[:-1], stacked, m, src),
+            "enc_b": e_z.sum(axis=0),
+            "dec_in": d_z.T @ _own_rows(tape.inp, stacked, m, tgt),
+            "dec_rec": d_z.T @ _own_rows(tape.dec[:-1], stacked, m, tgt),
+            "dec_b": d_z.sum(axis=0),
+            "out_w": _own_rows(d_logits, stacked, m, tgt).T @ _own_rows(dec_out, stacked, m, tgt),
+            "out_b": (d_logits[tgt, m] if stacked else d_logits).sum(axis=(0, 1)),
+        }
+        np.concatenate([blocks[name].ravel() for name, _, _ in model._layout], out=grads[m])
+    return lps, grads if stacked else grads[0]
 
 
 def grad_logprob_batch(
@@ -294,55 +503,7 @@ def grad_logprob_batch(
     Rows are (source, target) pairs of tokens or of token ids, as from
     ``Vocabulary.encode``; ``include_eos`` is one flag or one per row.
     """
-    lps, tape = _forward_batch(model, xs, ys, include_eos)
-    w = model._views
-    grad = model.zero_grad_like()
-    g = _make_views(grad, model._layout)
-    hidden, embed = model.hidden_width, model.embed_width
-
-    d_logits = -tape.probs
-    steps, rows = tape.t_valid
-    d_logits[steps, rows, tape.targets[steps, rows]] += 1.0
-    d_logits *= tape.t_mask[..., None]
-    if weights is not None:
-        d_logits *= np.asarray(weights, dtype=np.float64)[:, None]
-
-    # decoder: only the d_s recurrence is sequential; steps past a row's end
-    # have zero d_logits, so their d_s stays exactly zero
-    dec_out = tape.dec[1:]
-    dec_tanh = 1.0 - dec_out * dec_out
-    d_z_dec = d_logits @ w["out_w"]  # d_s from the logits, then d_z in place
-    d_z_dec *= dec_tanh
-    rec = w["dec_rec"]
-    for t in range(len(d_z_dec) - 1, 0, -1):
-        d_z_dec[t - 1] += (d_z_dec[t] @ rec) * dec_tanh[t - 1]
-    d_z_flat = d_z_dec.reshape(-1, hidden)
-    g["out_w"][:] = d_logits.reshape(-1, len(model.vocab)).T @ dec_out.reshape(-1, hidden)
-    g["out_b"][:] = d_logits.sum(axis=(0, 1))
-    g["dec_b"][:] = d_z_flat.sum(axis=0)
-    g["dec_in"][:] = d_z_flat.T @ tape.inp.reshape(-1, embed)
-    g["dec_rec"][:] = d_z_flat.T @ tape.dec[:-1].reshape(-1, hidden)
-    d_inp = d_z_dec @ w["dec_in"]
-    np.add.at(g["emb"], tape.prev_ids.ravel(), d_inp.reshape(-1, embed))
-    d_context = d_inp.sum(axis=0)
-
-    # encoder: the decoder start state is the final encoder state; padded
-    # steps come first and are masked, so their d_z is zero
-    enc_out = tape.enc[1:]
-    enc_tanh = (1.0 - enc_out * enc_out) * tape.x_mask[..., None]
-    d_z_enc = np.empty_like(enc_out)
-    d_h = d_z_dec[0] @ rec if len(d_z_dec) else np.zeros((len(lps), hidden))
-    rec = w["enc_rec"]
-    for t in range(len(enc_out) - 1, -1, -1):
-        np.multiply(d_h, enc_tanh[t], out=d_z_enc[t])
-        d_h = d_z_enc[t] @ rec
-    d_z_flat = d_z_enc.reshape(-1, hidden)
-    g["enc_b"][:] = d_z_flat.sum(axis=0)
-    g["enc_in"][:] = d_z_flat.T @ tape.x_emb.reshape(-1, embed)
-    g["enc_rec"][:] = d_z_flat.T @ tape.enc[:-1].reshape(-1, hidden)
-    d_x_emb = d_z_enc @ w["enc_in"] + (d_context / tape.x_count) * tape.x_mask[..., None]
-    np.add.at(g["emb"], tape.x_ids.ravel(), d_x_emb.reshape(-1, embed))
-    return lps, grad
+    return _grad_batch(model, xs, ys, include_eos, weights)
 
 
 def grad_logprob(
@@ -383,9 +544,9 @@ def sample_many(
     limit = model.max_len if max_len is None else min(max_len, model.max_len)
     if limit < 1:
         return [()] * k
-    w, x_ids = model._views, model.vocab.encode(x)
-    enc, context, _ = _encoder(w, w["emb"][x_ids], np.ones(len(x_ids), bool))
-    s_first, probs = _decoder_step(w, enc[-1], BOS_ID, context)
+    w = model._views
+    s_start, context = _encode_source(w, model.vocab.encode(x))
+    s_first, probs = _decoder_step(w, s_start, BOS_ID, context)
     cdf_first = np.cumsum(probs)
     draws: list[TokenSeq] = []
     for _ in range(k):
@@ -408,9 +569,9 @@ def sample_many(
 def greedy_decode(model: PolicyModel, x: TokenSeq, max_len: int | None = None) -> TokenSeq:
     """Argmax decode; ties go to the lowest vocabulary index."""
     limit = model.max_len if max_len is None else min(max_len, model.max_len)
-    w, x_ids = model._views, model.vocab.encode(x)
-    enc, context, _ = _encoder(w, w["emb"][x_ids], np.ones(len(x_ids), bool))
-    s, prev = enc[-1], BOS_ID
+    w = model._views
+    s, context = _encode_source(w, model.vocab.encode(x))
+    prev = BOS_ID
     out: list[str] = []
     for _ in range(limit):
         s, probs = _decoder_step(w, s, prev, context)
@@ -431,11 +592,28 @@ def mle_step(
     Pairs may hold tokens or token ids (see ``grad_logprob_batch``).
     Returns the pre-step mean negative log-likelihood of the batch.
     """
-    if not batch:
+    return mle_step_stack(model, model.params[None], [batch], learning_rate)[0]
+
+
+def mle_step_stack(
+    model: PolicyModel,
+    stack: np.ndarray,
+    batches: Sequence[Sequence[tuple[TokenSeq, TokenSeq]]],
+    learning_rate: float,
+) -> list[float]:
+    """``mle_step`` of a stack of M models (see ``stack_params``) of
+    ``model``'s architecture and vocabulary, in one forward and backward
+    pass: row m of ``stack`` steps on ``batches[m]``, and all batches have
+    one size.  Returns each model's pre-step mean NLL, bit-identical to that
+    of its own ``mle_step``."""
+    if not all(batches):
         raise ValueError("empty batch")
-    lps, total = grad_logprob_batch(model, [x for x, _ in batch], [y for _, y in batch])
-    model.params += learning_rate * total
-    return -sum(lps.tolist()) / len(batch)
+    xs = [[x for x, _ in batch] for batch in batches]
+    ys = [[y for _, y in batch] for batch in batches]
+    lps, grads = _grad_batch(model, xs, ys, True, None, stack)
+    grads *= learning_rate  # in place: a second (M, P) array costs page faults
+    stack += grads
+    return [-sum(row) / len(batch) for row, batch in zip(lps.tolist(), batches)]
 
 
 CHECKPOINT_MAGIC = "corrfuse-policy"

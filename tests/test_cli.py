@@ -142,6 +142,8 @@ def workdir(pipeline, tmp_path):
         (["ddt"], "ddt.lr=inf"),
         (["stages"], "ddt.lr=nan"),
         (["stages"], "ddt.lr=-inf"),
+        (["train"], "train.epochs=0"),
+        (["train"], "train.epochs=-1"),
     ],
 )
 def test_bad_values_are_usage_errors(workdir, capsys, command, override):
@@ -289,6 +291,21 @@ def test_decode_limit_above_aligner_limit_is_usage_error(workdir, capsys):
 def test_diverging_training_is_numeric_failure(workdir, capsys):
     assert run(workdir, ["train"], "--set", "train.lr=1e300") == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "override, code",
+    [("train.lr=1e300", 4), ("train.epochs=0", 2)],
+    ids=["diverging", "no-epochs"],
+)
+def test_failed_training_leaves_the_model_directory_as_it_was(workdir, override, code):
+    """A shorter policy.max_len keeps fewer pairs and so builds a smaller
+    vocabulary; a failed run must not put it next to the old checkpoints."""
+    models = workdir / "run/models"
+    before = tree_bytes(models)
+    assert run(workdir, ["train"], "--set", "policy.max_len=6", "--set", override) == code
+    assert tree_bytes(models) == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

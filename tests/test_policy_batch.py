@@ -7,15 +7,28 @@ must reproduce to rounding error.  ``reference_encode`` and
 ``reference_step`` are the per-sentence forward that greedy decoding and
 sampling ran on before they shared the batched forward's helpers; the
 decoders must draw the same tokens from them.
+
+The ``ref_`` functions at the end are verbatim copies (apart from their
+names) of the single-model forward and backward, ``mle_step`` and the
+per-model training loop ``cli._train_one`` that the stacked kernel and the
+lockstep ``cli._train_models`` replaced.  Every model of a stack must get
+the log-likelihoods and gradients of its batch alone, bit for bit, and
+lockstep training must write the checkpoints and NLLs of separate training.
 """
 
+import contextlib
+import io
 import math
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from corrfuse import policy
+from corrfuse import cli, policy
+from corrfuse.cli import _check_finite, _positive_int
+from corrfuse.config import ExperimentConfig
 from corrfuse.ddt import DdtConfig, ddt_step, rl_gradient
 from corrfuse.policy import (
     BOS_ID,
@@ -23,6 +36,7 @@ from corrfuse.policy import (
     PROB_FLOOR,
     PolicyModel,
     Vocabulary,
+    _ids,
     grad_logprob,
     grad_logprob_batch,
     greedy_decode,
@@ -30,9 +44,12 @@ from corrfuse.policy import (
     logprob,
     logprob_batch,
     mle_step,
+    mle_step_stack,
     save_model,
+    stack_params,
 )
 from corrfuse.rewards import reward
+from corrfuse.textcore import TokenSeq, tokenize
 
 REL = 1e-12
 
@@ -105,16 +122,17 @@ def random_model(rng, max_len=5):
     )
 
 
-def random_batch(rng, model):
+def random_batch(rng, model, rows=None, longest_source=6):
     """Mixed lengths, empty sources and targets, unknown tokens, a repeated
-    source, truncated rows and signed (some zero) weights."""
+    source, truncated rows and signed (some zero) weights; 1-6 rows unless
+    ``rows`` is given."""
     alphabet = [t for t in model.vocab.tokens[1:] if t != "<eos>"] + ["oov"]
-    rows = int(rng.integers(1, 7))
+    rows = int(rng.integers(1, 7)) if rows is None else rows
 
     def seq(longest):
         return tuple(rng.choice(alphabet, size=int(rng.integers(0, longest + 1))))
 
-    xs = [seq(6) for _ in range(rows)]
+    xs = [seq(longest_source) for _ in range(rows)]
     if rows > 2:
         xs[1] = xs[0]
     ys = [seq(model.max_len) for _ in range(rows)]
@@ -381,3 +399,394 @@ def test_checkpoint_bytes_are_one_repr_per_line(tmp_path):
     lines += [repr(float(v)) for v in model.params]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
     assert np.array_equal(load_model(str(path), model.vocab).params, model.params)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel and lockstep training against the code they replaced
+# ---------------------------------------------------------------------------
+
+def ref_make_views(flat: np.ndarray, layout) -> dict[str, np.ndarray]:
+    return {name: flat[where].reshape(shape) for name, where, shape in layout}
+
+
+def ref_encoder(w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray):
+    """Encoder states (Tx + 1, ..., H) from a zero start, mean source
+    embeddings and source lengths (at least 1) of time-major sources: (Tx, B,
+    E) for a batch, (Tx, E) for one source; ``x_mask`` marks real steps."""
+    pre = x_emb @ w["enc_in"].T + w["enc_b"]
+    pre *= x_mask[..., None]
+    enc = np.zeros((len(x_emb) + 1, *pre.shape[1:]))
+    rec = w["enc_rec"].T
+    for t in range(len(x_emb)):
+        np.tanh(pre[t] + enc[t] @ rec, out=enc[t + 1])
+    x_count = np.maximum(x_mask.sum(axis=0), 1)[..., None]
+    context = (x_emb * x_mask[..., None]).sum(axis=0) / x_count
+    return enc, context, x_count
+
+
+def ref_decoder_input(w: dict[str, np.ndarray], prev_ids, context: np.ndarray):
+    """Decoder inputs and their share of the decoder pre-activation."""
+    inp = w["emb"][prev_ids] + context
+    return inp, inp @ w["dec_in"].T + w["dec_b"]
+
+
+def ref_output_probs(w: dict[str, np.ndarray], states: np.ndarray) -> np.ndarray:
+    """Next-token distribution over the vocabulary from decoder states."""
+    logits = states @ w["out_w"].T + w["out_b"]
+    logits[..., BOS_ID] = -np.inf  # BOS is never emitted
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def ref_pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Time-major (longest, rows) id matrix and its validity mask; padding
+    goes before each row when ``left``, after it otherwise."""
+    width = max(map(len, rows), default=0)
+    padded = [
+        [BOS_ID] * (width - len(r)) + list(r) if left else list(r) + [BOS_ID] * (width - len(r))
+        for r in rows
+    ]
+    ids = np.array(padded, dtype=np.intp).reshape(len(rows), width).T
+    lengths = np.array([len(r) for r in rows])
+    steps = np.arange(width)[:, None]
+    return ids, (steps >= width - lengths if left else steps < lengths)
+
+
+@dataclass
+class RefTape:
+    """Forward values the backward pass reuses, time-major: Tx source and Ty
+    target steps of B rows."""
+
+    x_ids: np.ndarray  # (Tx, B)
+    x_mask: np.ndarray  # (Tx, B)
+    x_emb: np.ndarray  # (Tx, B, E)
+    x_count: np.ndarray  # (B, 1) source length, at least 1
+    enc: np.ndarray  # (Tx + 1, B, H) encoder states, enc[0] = 0
+    prev_ids: np.ndarray  # (Ty, B) decoder input ids
+    inp: np.ndarray  # (Ty, B, E) decoder inputs
+    dec: np.ndarray  # (Ty + 1, B, H) decoder states, dec[0] = enc[-1]
+    targets: np.ndarray  # (Ty, B)
+    t_mask: np.ndarray  # (Ty, B)
+    t_valid: tuple[np.ndarray, np.ndarray]  # (step, row) of each real target
+    probs: np.ndarray  # (Ty, B, V)
+
+
+def ref_forward_batch(model: PolicyModel, xs, ys, include_eos) -> tuple[np.ndarray, RefTape]:
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} sources for {len(ys)} targets")
+    vocab = model.vocab
+    if isinstance(include_eos, bool):
+        include_eos = [include_eos] * len(ys)
+    targets = []
+    for y, ended in zip(ys, include_eos, strict=True):
+        if len(y) > model.max_len:
+            raise ValueError(f"target of length {len(y)} exceeds decode limit {model.max_len}")
+        y_ids = list(_ids(vocab, y))
+        targets.append(y_ids + [EOS_ID] if ended else y_ids)
+    # sources are left-padded: a padded step has zero input and keeps the
+    # zero initial state, so the encoder loop needs no mask
+    x_ids, x_mask = ref_pad([_ids(vocab, x) for x in xs], left=True)
+    t_ids, t_mask = ref_pad(targets, left=False)
+    w = model._views
+    rows = len(ys)
+
+    x_emb = w["emb"][x_ids]
+    enc, context, x_count = ref_encoder(w, x_emb, x_mask)
+
+    # teacher forcing: the recurrence never reads the logits, so they and the
+    # softmax are computed for all steps at once after the loop; steps past a
+    # row's end are masked out of its likelihood
+    prev_ids = np.full_like(t_ids, BOS_ID)
+    prev_ids[1:] = t_ids[:-1]
+    inp, dec_pre = ref_decoder_input(w, prev_ids, context)
+    dec = np.empty((len(t_ids) + 1, rows, model.hidden_width))
+    dec[0] = enc[-1]
+    rec = w["dec_rec"].T
+    for t in range(len(t_ids)):
+        np.tanh(dec_pre[t] + dec[t] @ rec, out=dec[t + 1])
+    probs = ref_output_probs(w, dec[1:])
+    steps, which = t_valid = np.nonzero(t_mask)
+    p_target = probs[steps, which, t_ids[steps, which]]
+    # per row, the terms are summed in step order
+    lps = np.bincount(which, np.log(np.maximum(p_target, PROB_FLOOR)), minlength=rows)
+    tape = RefTape(
+        x_ids, x_mask, x_emb, x_count, enc, prev_ids, inp, dec, t_ids, t_mask, t_valid, probs
+    )
+    return lps, tape
+
+
+def ref_grad_logprob_batch(
+    model: PolicyModel,
+    xs: Sequence[Sequence],
+    ys: Sequence[Sequence],
+    include_eos: bool | Sequence[bool] = True,
+    weights: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's log-likelihood, and the weighted sum of their exact
+    gradients as a flat vector over params (unit weights by default).
+
+    Rows are (source, target) pairs of tokens or of token ids, as from
+    ``Vocabulary.encode``; ``include_eos`` is one flag or one per row.
+    """
+    lps, tape = ref_forward_batch(model, xs, ys, include_eos)
+    w = model._views
+    grad = model.zero_grad_like()
+    g = ref_make_views(grad, model._layout)
+    hidden, embed = model.hidden_width, model.embed_width
+
+    d_logits = -tape.probs
+    steps, rows = tape.t_valid
+    d_logits[steps, rows, tape.targets[steps, rows]] += 1.0
+    d_logits *= tape.t_mask[..., None]
+    if weights is not None:
+        d_logits *= np.asarray(weights, dtype=np.float64)[:, None]
+
+    # decoder: only the d_s recurrence is sequential; steps past a row's end
+    # have zero d_logits, so their d_s stays exactly zero
+    dec_out = tape.dec[1:]
+    dec_tanh = 1.0 - dec_out * dec_out
+    d_z_dec = d_logits @ w["out_w"]  # d_s from the logits, then d_z in place
+    d_z_dec *= dec_tanh
+    rec = w["dec_rec"]
+    for t in range(len(d_z_dec) - 1, 0, -1):
+        d_z_dec[t - 1] += (d_z_dec[t] @ rec) * dec_tanh[t - 1]
+    d_z_flat = d_z_dec.reshape(-1, hidden)
+    g["out_w"][:] = d_logits.reshape(-1, len(model.vocab)).T @ dec_out.reshape(-1, hidden)
+    g["out_b"][:] = d_logits.sum(axis=(0, 1))
+    g["dec_b"][:] = d_z_flat.sum(axis=0)
+    g["dec_in"][:] = d_z_flat.T @ tape.inp.reshape(-1, embed)
+    g["dec_rec"][:] = d_z_flat.T @ tape.dec[:-1].reshape(-1, hidden)
+    d_inp = d_z_dec @ w["dec_in"]
+    np.add.at(g["emb"], tape.prev_ids.ravel(), d_inp.reshape(-1, embed))
+    d_context = d_inp.sum(axis=0)
+
+    # encoder: the decoder start state is the final encoder state; padded
+    # steps come first and are masked, so their d_z is zero
+    enc_out = tape.enc[1:]
+    enc_tanh = (1.0 - enc_out * enc_out) * tape.x_mask[..., None]
+    d_z_enc = np.empty_like(enc_out)
+    d_h = d_z_dec[0] @ rec if len(d_z_dec) else np.zeros((len(lps), hidden))
+    rec = w["enc_rec"]
+    for t in range(len(enc_out) - 1, -1, -1):
+        np.multiply(d_h, enc_tanh[t], out=d_z_enc[t])
+        d_h = d_z_enc[t] @ rec
+    d_z_flat = d_z_enc.reshape(-1, hidden)
+    g["enc_b"][:] = d_z_flat.sum(axis=0)
+    g["enc_in"][:] = d_z_flat.T @ tape.x_emb.reshape(-1, embed)
+    g["enc_rec"][:] = d_z_flat.T @ tape.enc[:-1].reshape(-1, hidden)
+    d_x_emb = d_z_enc @ w["enc_in"] + (d_context / tape.x_count) * tape.x_mask[..., None]
+    np.add.at(g["emb"], tape.x_ids.ravel(), d_x_emb.reshape(-1, embed))
+    return lps, grad
+
+
+def ref_mle_step(
+    model: PolicyModel,
+    batch: Sequence[tuple[TokenSeq, TokenSeq]],
+    learning_rate: float,
+) -> float:
+    """One gradient-ascent step on the summed reference log-likelihood.
+
+    Pairs may hold tokens or token ids (see ``ref_grad_logprob_batch``).
+    Returns the pre-step mean negative log-likelihood of the batch.
+    """
+    if not batch:
+        raise ValueError("empty batch")
+    lps, total = ref_grad_logprob_batch(model, [x for x, _ in batch], [y for _, y in batch])
+    model.params += learning_rate * total
+    return -sum(lps.tolist()) / len(batch)
+
+
+def ref_train_one(
+    cfg: ExperimentConfig,
+    vocab: Vocabulary,
+    pairs: list[tuple[TokenSeq, TokenSeq]],
+    index: int,
+) -> tuple[PolicyModel, float]:
+    seed = cfg.get_int("seed")
+    model = PolicyModel(
+        vocab,
+        embed_width=_positive_int(cfg, "policy.embed"),
+        hidden_width=_positive_int(cfg, "policy.hidden"),
+        max_len=cfg.get_int("policy.max_len"),
+        init_seed=seed * 1000 + 100 + index,
+    )
+    rng = np.random.default_rng((seed, 200 + index))
+    batch_size = _positive_int(cfg, "train.batch")
+    lr = cfg.get_float("train.lr")
+    last_nll = float("nan")
+    encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
+    for _ in range(cfg.get_int("train.epochs")):
+        order = rng.permutation(len(pairs))
+        nll_sum = 0.0
+        n_batches = 0
+        for start in range(0, len(order), batch_size):
+            batch = [encoded[i] for i in order[start : start + batch_size]]
+            nll_sum += ref_mle_step(model, batch, lr)
+            n_batches += 1
+        last_nll = nll_sum / n_batches
+        _check_finite(model, f"individual training of model {index}")
+    return model, last_nll
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def random_stack(
+    rng, n_models: int, max_len: int, embed: int | None = None
+) -> tuple[list[PolicyModel], np.ndarray]:
+    """Models of one random architecture, each with its own parameters,
+    stacked; embedding and hidden widths of 1 included."""
+    vocab = Vocabulary.build([f"t{i}" for i in range(int(rng.integers(1, 7)))])
+    embed = int(rng.integers(1, 6)) if embed is None else embed
+    hidden = int(rng.integers(1, 8))
+    models = [
+        PolicyModel(vocab, embed, hidden, max_len, init_seed=int(rng.integers(1 << 30)))
+        for _ in range(n_models)
+    ]
+    return models, stack_params(models)
+
+
+def widest(rows) -> int:
+    return max(map(len, rows), default=0)
+
+
+class TestStackedKernel:
+    def test_each_model_gets_its_batch_alone_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        differing = 0
+        for trial in range(160):
+            n_models, rows = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            models, stack = random_stack(rng, n_models, max_len=int(rng.integers(1, 7)))
+            batches = [random_batch(rng, models[0], rows) for _ in models]
+            xs, ys, eos, weights = map(list, zip(*batches))
+            if trial % 5 == 0:
+                eos = bool(trial % 2)  # one flag for every row of every model
+            if trial % 4 == 1:
+                weights = None
+            lps, grads = policy._grad_batch(models[0], xs, ys, eos, weights, stack)
+            for m, model in enumerate(models):
+                want_lps, want_grad = ref_grad_logprob_batch(
+                    model, xs[m], ys[m], eos if isinstance(eos, bool) else eos[m],
+                    None if weights is None else weights[m],
+                )
+                # a batch without target tokens gets integer zeros from np.bincount
+                assert same_bits(lps[m], want_lps.astype(np.float64))
+                assert same_bits(grads[m], want_grad)
+            if len({widest(x) for x in xs}) > 1 and len({widest(y) for y in ys}) > 1:
+                differing += 1
+        assert differing >= 40  # source and target widths differ between the models
+
+    def test_one_row_of_width_one_embeddings(self):
+        """With one row of one-wide embeddings, a model's sums over steps
+        are contiguous vectors, which numpy adds pairwise from 9 terms on,
+        not in step order; each model must still sum only its own steps."""
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            models, stack = random_stack(rng, int(rng.integers(2, 5)), max_len=16, embed=1)
+            batches = [random_batch(rng, models[0], 1, longest_source=16) for _ in models]
+            xs, ys, eos, weights = map(list, zip(*batches))
+            lps, grads = policy._grad_batch(models[0], xs, ys, eos, weights, stack)
+            for m, model in enumerate(models):
+                want_lps, want_grad = ref_grad_logprob_batch(model, xs[m], ys[m], eos[m], weights[m])
+                assert same_bits(lps[m], want_lps.astype(np.float64))
+                assert same_bits(grads[m], want_grad)
+
+    def test_single_model_calls_match_the_reference(self):
+        rng = np.random.default_rng(72)
+        for _ in range(60):
+            model = random_model(rng, max_len=int(rng.integers(1, 7)))
+            xs, ys, eos, weights = random_batch(rng, model)
+            lps, grad = grad_logprob_batch(model, xs, ys, eos, weights)
+            want_lps, want_grad = ref_grad_logprob_batch(model, xs, ys, eos, weights)
+            assert same_bits(lps, want_lps.astype(np.float64)) and same_bits(grad, want_grad)
+            want_lps = ref_forward_batch(model, xs, ys, eos)[0].astype(np.float64)
+            assert same_bits(logprob_batch(model, xs, ys, eos), want_lps)
+            twin = model.copy()
+            batch = list(zip(xs, ys))
+            assert mle_step(model, batch, 0.05) == ref_mle_step(twin, batch, 0.05)
+            assert same_bits(model.params, twin.params)
+
+    def test_a_stack_needs_one_batch_per_model_of_one_size(self):
+        models, stack = random_stack(np.random.default_rng(3), 2, max_len=4)
+        with pytest.raises(ValueError, match="needs one batch each"):
+            policy._grad_batch(models[0], [[("t0",)]], [[("t0",)]], True, None, stack)
+        with pytest.raises(ValueError, match="needs one batch each"):
+            policy._grad_batch(models[0], [[("t0",)], []], [[("t0",)], []], True, None, stack)
+
+    def test_stack_params_makes_each_model_a_view_of_its_row(self):
+        models, stack = random_stack(np.random.default_rng(4), 3, max_len=4)
+        before = [model.params.copy() for model in models]
+        stack[1] += 1.0
+        assert same_bits(models[0].params, before[0]) and same_bits(models[2].params, before[2])
+        assert same_bits(models[1].params, before[1] + 1.0)
+        assert same_bits(models[1]._views["out_b"], models[1].params[-len(models[1].vocab):])
+
+
+def gen_train_data(root: Path, seed: int, sentences: int) -> list[list[TokenSeq]]:
+    """``gen`` into ``root``/run with ``sentences`` training and dev
+    sentences; the training sources and references it wrote."""
+    args = ["--seed", str(seed), "--set", f"data.dir={root / 'run'}",
+            "--set", f"gen.train={sentences}", "--set", f"gen.dev={sentences}", "--set", "gen.test=5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", *args]) == 0
+    data = root / "run" / "data"
+    return [
+        [tokenize(line) for line in (data / name).read_text(encoding="utf-8").splitlines()]
+        for name in ("train.src", "train.ref")
+    ]
+
+
+def test_stacked_kernel_on_the_benchmark_train_inputs(tmp_path):
+    """The train workload's inputs at CLI seed 1000 (10 sentences, 40
+    pairs) and the default architecture: every minibatch of the first two
+    lockstep epochs of three models, at their initial parameters."""
+    src, ref = gen_train_data(tmp_path, 1000, 10)
+    pairs = list(zip(src, ref))
+    assert len(pairs) == 40 and all(len(y) <= 16 for y in ref)
+    vocab = Vocabulary.build(tok for x, y in pairs for tok in x + y)
+    encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
+    models = [PolicyModel(vocab, 32, 64, 16, init_seed=1000 * 1000 + 100 + i) for i in range(3)]
+    stack = stack_params(models)
+    rngs = [np.random.default_rng((1000, 200 + i)) for i in range(3)]
+    for _ in range(2):
+        orders = [rng.permutation(len(pairs)) for rng in rngs]
+        for start in range(0, len(pairs), 4):
+            batches = [[encoded[i] for i in order[start : start + 4]] for order in orders]
+            xs = [[x for x, _ in batch] for batch in batches]
+            ys = [[y for _, y in batch] for batch in batches]
+            lps, grads = policy._grad_batch(models[0], xs, ys, True, None, stack)
+            for m, model in enumerate(models):
+                want_lps, want_grad = ref_grad_logprob_batch(model, xs[m], ys[m])
+                assert same_bits(lps[m], want_lps) and same_bits(grads[m], want_grad)
+
+
+@pytest.mark.parametrize(
+    "n_models, max_len, kept",
+    [(1, 16, 36), (4, 16, 36), (3, 7, 24)],
+    ids=["one-model", "four-models", "pairs-over-max-len-dropped"],
+)
+def test_lockstep_training_matches_separate_training(tmp_path, capsys, n_models, max_len, kept):
+    """36 pairs in minibatches of 7, so the last minibatch is smaller
+    (1 row, or 3 of the 24 pairs that fit ``policy.max_len`` 7)."""
+    src, ref = gen_train_data(tmp_path, 5, 9)
+    settings = {"train.batch": 7, "train.epochs": 3, "train.models": n_models,
+                "policy.max_len": max_len, "data.dir": str(tmp_path / "run")}
+    args = [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+    assert cli.main(["train", "--seed", "5", *args]) == 0
+    summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    cfg = ExperimentConfig.load(None, overrides={"seed": 5, **settings})
+    pairs = [(x, y) for x, y in zip(src, ref) if len(y) <= max_len]
+    assert len(pairs) == kept
+    vocab = Vocabulary.build(tok for x, y in pairs for tok in x + y)
+    models, nlls = cli._train_models(cfg, vocab, pairs)
+    assert len(models) == n_models
+    for i in range(n_models):
+        want, want_nll = ref_train_one(cfg, vocab, pairs, i)
+        assert nlls[i] == want_nll
+        assert summary[f"model_{i}_nll"] == cli._fmt(want_nll)
+        save_model(want, str(tmp_path / "want.txt"))
+        written = tmp_path / "run" / "models" / f"model_{i}.txt"
+        assert written.read_bytes() == (tmp_path / "want.txt").read_bytes()
+        assert same_bits(models[i].params, want.params)
