@@ -69,8 +69,12 @@ from .tuner import KBestPool, decode_corpus, tune_loop
 def _read_token_lines(path: str) -> list[TokenSeq]:
     if not os.path.exists(path):
         raise DataError(f"missing input file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return [tokenize(line) for line in split_lines(fh.read())]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    return [tokenize(line) for line in split_lines(text)]
 
 
 def _read_golds(path: str) -> list[GoldAnnotation]:
@@ -488,8 +492,12 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
         )
     if not dev_src:
         raise DataError(f"empty dev data: {cfg.get_str('data.dev_src')}")
-    if any(len(y) > models[0].max_len for y in dev_ref):
-        raise DataError("dev references longer than policy.max_len; regenerate or raise the limit")
+    shortest_limit = min(m.max_len for m in models)
+    if any(len(y) > shortest_limit for y in dev_ref):
+        raise DataError(
+            f"dev references longer than the shortest model decode limit ({shortest_limit});"
+            " regenerate or raise policy.max_len"
+        )
     # a bad setting must fail before the DDT stages train, not after
     settings = _tune_settings(cfg)
     tune_base = cfg.derived_seed("tune.seed", 3)

@@ -129,18 +129,22 @@ class ExperimentConfig:
         if config_path:
             if not os.path.exists(config_path):
                 raise UsageError(f"config file not found: {config_path}")
-            with open(config_path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise UsageError(f"{config_path}:{lineno}: expected 'key = value'")
-                    key, _, raw = line.partition("=")
-                    key = key.strip()
-                    if key not in KNOWN_KEYS:
-                        raise UsageError(f"{config_path}:{lineno}: unknown config key {key!r}")
-                    values[key] = _coerce(key, raw)
+            try:
+                with open(config_path, encoding="utf-8") as fh:
+                    lines = fh.read().split("\n")
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"{config_path}: not UTF-8 text: {exc}") from exc
+            for lineno, line in enumerate(lines, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{config_path}:{lineno}: expected 'key = value'")
+                key, _, raw = line.partition("=")
+                key = key.strip()
+                if key not in KNOWN_KEYS:
+                    raise UsageError(f"{config_path}:{lineno}: unknown config key {key!r}")
+                values[key] = _coerce(key, raw)
         for key, value in (overrides or {}).items():
             if value is None:
                 continue

@@ -6,24 +6,22 @@ embeddings context vector added to each decoder input, flat float64
 parameter vector) so that every gradient can be validated against central
 finite differences and every sampling distribution enumerated exactly.
 
-Likelihoods and gradients are computed per batch: sources and targets are
-padded with masks, the teacher-forced recurrences run once per time step
-for the whole batch, and every weight gradient is one stacked product after
-the backward recurrence.  Single-sentence ``logprob`` and ``grad_logprob``
-are batches of one; greedy decoding and sampling reuse its helpers on 1-D rows.
-
-The same code runs a stack of M models of one architecture, each on its own
-batch of B rows (``mle_step_stack``): their parameters are the rows of one
-(M, P) array (``stack_params``), and every time-major array gets a model
-axis after the step axis, (T, M, B, ...).  All models' rows are padded to
-common widths, sources on the left and targets on the right, so each
-per-step product is one broadcast matmul, (M, B, H) @ (M, H, H), that runs
-one GEMM per model with the shapes of that model's batch alone.  Padded
-steps only add exact zeros.  Sums over steps and the weight-gradient
-products, whose rounding depends on the number and layout of the terms, take
-each model's own steps: the steps its batch alone would have.  So every
-model gets, bit for bit, the numbers of its batch alone; a single model
-(M = 1) keeps the arrays without the model axis.
+Likelihoods and gradients are computed by one kernel for a stack of M
+models of one architecture, each on its own batch of B rows: their
+parameters are the rows of one (M, P) array (``stack_params``), and every
+time-major array has a model axis after the step axis, (T, M, B, ...).  One
+model is a stack of one: ``logprob_batch``, ``grad_logprob_batch`` and
+``mle_step`` pass ``model.params[None]`` and return row 0.  All models'
+rows are padded to common widths, sources on the left and targets on the
+right; the teacher-forced recurrences run once per time step for the whole
+stack, and each per-step product is one broadcast matmul, (M, B, H) @
+(M, H, H), that runs one GEMM per model with the shapes of that model's
+batch alone.  Padded steps only add exact zeros.  Sums over steps and the
+weight-gradient products after the backward recurrence, whose rounding
+depends on the number and layout of the terms, take each model's own steps:
+the steps its batch alone would have.  So every model gets, bit for bit, the
+numbers of its batch alone.  Greedy decoding and sampling reuse the
+kernel's helpers on the 1-D rows of one model.
 """
 
 from __future__ import annotations
@@ -172,11 +170,11 @@ def stack_params(models: Sequence[PolicyModel]) -> np.ndarray:
     """Copy the parameters of models of one architecture into the rows of
     one (M, P) array and point each model at its row, so that an update of
     the array updates every model."""
-    stacked = np.stack([model.params for model in models])
-    for model, row in zip(models, stacked):
+    stack = np.stack([model.params for model in models])
+    for model, row in zip(models, stack):
         model.params = row
         model._views = _make_views(row, model._layout)
-    return stacked
+    return stack
 
 
 def _encoder(w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray) -> np.ndarray:
@@ -196,27 +194,24 @@ def _encoder(w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray) ->
 
 
 def _context(
-    x_emb: np.ndarray, x_mask: np.ndarray, starts: list[int] | None = None
+    x_emb: np.ndarray, x_mask: np.ndarray, starts: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean embedding of the real source steps and the source lengths (at
-    least 1), of time-major sources: (Tx, B, E) for a batch, (Tx, E) for one
-    source.  With ``starts``, the sources are a stack's (Tx, M, B, E), and
-    model m adds up its own steps only, from ``starts[m]`` on: the order of
-    a sum depends on the shape of what it adds up."""
+    least 1), of a stack's time-major sources (Tx, M, B, E).  Model m adds up
+    its own steps only, from ``starts[m]`` on: the order of a sum depends on
+    the shape of what it adds up."""
     x_count = np.maximum(x_mask.sum(axis=0), 1)[..., None]
     masked = x_emb * x_mask[..., None]
-    if starts is None:
-        total = masked.sum(axis=0)
-    else:
-        total = np.stack([masked[start:, m].sum(axis=0) for m, start in enumerate(starts)])
+    total = np.stack([masked[start:, m].sum(axis=0) for m, start in enumerate(starts)])
     return total / x_count, x_count
 
 
 def _encode_source(w: dict[str, np.ndarray], x_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Final encoder state and context of one source, as 1-D vectors."""
-    x_emb, x_mask = w["emb"][x_ids], np.ones(len(x_ids))
-    context, _ = _context(x_emb, x_mask)
-    return _encoder(w, x_emb, x_mask)[-1], context
+    """Final encoder state and context (mean embedding, zero for an empty
+    source) of one source, as 1-D vectors."""
+    x_emb = w["emb"][x_ids]
+    context = x_emb.sum(axis=0) / max(len(x_ids), 1)
+    return _encoder(w, x_emb, np.ones(len(x_ids)))[-1], context
 
 
 def _decoder_input(w: dict[str, np.ndarray], prev_emb: np.ndarray, context: np.ndarray):
@@ -262,8 +257,8 @@ def logprob_batch(
     include_eos: bool | Sequence[bool] = True,
 ) -> np.ndarray:
     """``logprob`` of each (source, target) row, from one batched forward."""
-    lps, _ = _forward_batch(model, xs, ys, include_eos)
-    return lps
+    lps, _ = _forward_batch(model, [xs], [ys], [include_eos], model.params[None])
+    return lps[0]
 
 
 def _ids(vocab: Vocabulary, seq: Sequence) -> Sequence[int]:
@@ -288,56 +283,46 @@ def _pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]
 @dataclass
 class _Tape:
     """Forward values the backward pass reuses, time-major: Tx source and Ty
-    target steps of B rows, with a model axis M after the step axis for a
-    stack.  Model m's own steps, the ones its batch alone would have, are
-    the source steps from ``x_starts[m]`` on and the first ``t_ends[m]``
-    target steps."""
+    target steps of M models' B rows each.  Model m's own steps, the ones
+    its batch alone would have, are the source steps from ``x_starts[m]`` on
+    and the first ``t_ends[m]`` target steps."""
 
-    stacked: bool
-    w: dict[str, np.ndarray]  # weight views, stacked for a stack
-    x_ids: np.ndarray  # (Tx, [M,] B)
-    x_mask: np.ndarray  # (Tx, [M,] B), 1.0 on real steps
-    x_emb: np.ndarray  # (Tx, [M,] B, E)
-    x_count: np.ndarray  # ([M,] B, 1) source length, at least 1
-    enc: np.ndarray  # (Tx + 1, [M,] B, H) encoder states, enc[0] = 0
-    prev_ids: np.ndarray  # (Ty, [M,] B) decoder input ids
-    inp: np.ndarray  # (Ty, [M,] B, E) decoder inputs
-    dec: np.ndarray  # (Ty + 1, [M,] B, H) decoder states, dec[0] = enc[-1]
-    targets: np.ndarray  # (Ty, [M,] B)
-    t_mask: np.ndarray  # (Ty, [M,] B)
-    t_valid: tuple[np.ndarray, ...]  # (step, [model,] row) of each real target
-    probs: np.ndarray  # (Ty, [M,] B, V)
+    w: dict[str, np.ndarray]  # weight views of the stack
+    x_ids: np.ndarray  # (Tx, M, B)
+    x_mask: np.ndarray  # (Tx, M, B), 1.0 on real steps
+    x_emb: np.ndarray  # (Tx, M, B, E)
+    x_count: np.ndarray  # (M, B, 1) source length, at least 1
+    enc: np.ndarray  # (Tx + 1, M, B, H) encoder states, enc[0] = 0
+    prev_ids: np.ndarray  # (Ty, M, B) decoder input ids
+    inp: np.ndarray  # (Ty, M, B, E) decoder inputs
+    dec: np.ndarray  # (Ty + 1, M, B, H) decoder states, dec[0] = enc[-1]
+    targets: np.ndarray  # (Ty, M, B)
+    t_mask: np.ndarray  # (Ty, M, B)
+    t_valid: tuple[np.ndarray, ...]  # (step, model, row) of each real target
+    probs: np.ndarray  # (Ty, M, B, V)
     x_starts: list[int]
     t_ends: list[int]
 
 
-def _own_rows(a: np.ndarray, stacked: bool, m: int, steps: slice) -> np.ndarray:
+def _own_rows(a: np.ndarray, m: int, steps: slice) -> np.ndarray:
     """Model m's own ``steps`` of a time-major array as (steps * B, n) rows
     in contiguous memory, the layout its batch alone has: BLAS takes
-    another path for a strided vector, which adds in another order.  A
-    single model owns all steps of its arrays, which are contiguous."""
-    if not stacked:
-        return a.reshape(-1, a.shape[-1])
+    another path for a strided vector, which adds in another order."""
     return np.ascontiguousarray(a[steps, m].reshape(-1, a.shape[-1]))
 
 
-def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray | None = None):
-    """Row log-likelihoods and the tape, of ``model`` or of a stack of M
-    models.
+def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray):
+    """Row log-likelihoods (M, B) and the tape of a stack of M models.
 
-    For ``model`` itself, ``xs``, ``ys`` and ``include_eos`` (one flag or
-    one per row) are its batch, and the likelihoods are (B,).  A ``stack``
-    (M, P) holds one model of ``model``'s architecture and vocabulary per
-    row (see ``stack_params``); ``xs[m]``, ``ys[m]`` and ``include_eos[m]``
-    (or one flag for all) are model m's batch, every batch has B rows, and
-    the likelihoods are (M, B).
+    ``stack`` (M, P) holds one model of ``model``'s architecture and
+    vocabulary per row (see ``stack_params``; ``model.params[None]`` for
+    ``model`` alone); ``xs[m]``, ``ys[m]`` and ``include_eos[m]`` (one flag
+    or one per row; or one flag for all models) are model m's batch, and
+    every batch has B rows.
     """
-    stacked = stack is not None
-    if not stacked:
-        xs, ys, include_eos = [xs], [ys], [include_eos]
-    elif not len(xs) == len(ys) == len(stack) or any(len(m_ys) != len(ys[0]) for m_ys in ys):
+    if not len(xs) == len(ys) == len(stack) or any(len(m_ys) != len(ys[0]) for m_ys in ys):
         raise ValueError(f"a stack of {len(stack)} models needs one batch each, all of one size")
-    elif isinstance(include_eos, bool):
+    if isinstance(include_eos, bool):
         include_eos = [include_eos] * len(stack)
     vocab = model.vocab
     sources, targets = [], []
@@ -358,29 +343,24 @@ def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray | 
     x_ids, x_mask = _pad(sources, left=True)
     t_ids, t_mask = _pad(targets, left=False)
     x_mask = x_mask.astype(np.float64)  # as floats, it scales four arrays without a cast
-    if stacked:
-        x_ids, x_mask, t_ids, t_mask = (
-            a.reshape(len(a), n_models, rows) for a in (x_ids, x_mask, t_ids, t_mask)
-        )
-        per_model = [slice(m * rows, (m + 1) * rows) for m in range(n_models)]
-        x_starts = [len(x_ids) - max(map(len, sources[s]), default=0) for s in per_model]
-        t_ends = [max(map(len, targets[s]), default=0) for s in per_model]
-        w = _make_views(stack, model._layout)
-        models = np.arange(n_models)[:, None]
-        x_emb = w["emb"][models, x_ids]
-    else:
-        x_starts, t_ends = [0], [len(t_ids)]
-        w = model._views
-        x_emb = w["emb"][x_ids]
+    x_ids, x_mask, t_ids, t_mask = (
+        a.reshape(len(a), n_models, rows) for a in (x_ids, x_mask, t_ids, t_mask)
+    )
+    per_model = [slice(m * rows, (m + 1) * rows) for m in range(n_models)]
+    x_starts = [len(x_ids) - max(map(len, sources[s]), default=0) for s in per_model]
+    t_ends = [max(map(len, targets[s]), default=0) for s in per_model]
+    w = _make_views(stack, model._layout)
+    models = np.arange(n_models)[:, None]
+    x_emb = w["emb"][models, x_ids]
     enc = _encoder(w, x_emb, x_mask)
-    context, x_count = _context(x_emb, x_mask, x_starts if stacked else None)
+    context, x_count = _context(x_emb, x_mask, x_starts)
 
     # teacher forcing: the recurrence never reads the logits, so they and the
     # softmax are computed for all steps at once after the loop; steps past a
     # row's end are masked out of its likelihood
     prev_ids = np.full_like(t_ids, BOS_ID)
     prev_ids[1:] = t_ids[:-1]
-    prev_emb = w["emb"][models, prev_ids] if stacked else w["emb"][prev_ids]
+    prev_emb = w["emb"][models, prev_ids]
     inp, dec_pre = _decoder_input(w, prev_emb, context)
     dec = np.empty((len(t_ids) + 1, *t_ids.shape[1:], model.hidden_width))
     dec[0] = enc[-1]
@@ -394,26 +374,25 @@ def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray | 
     p_target = probs[(*t_valid, t_ids[t_valid])]
     # per row, the terms are summed in step order; without any terms,
     # np.bincount would count in integers
-    row = t_valid[1] * rows + t_valid[2] if stacked else t_valid[1]
+    row = t_valid[1] * rows + t_valid[2]
     lps = np.bincount(row, np.log(np.maximum(p_target, PROB_FLOOR)), minlength=n_models * rows)
     lps = lps.astype(np.float64, copy=False)
     tape = _Tape(
-        stacked, w, x_ids, x_mask, x_emb, x_count, enc, prev_ids, inp, dec, t_ids, t_mask, t_valid,
+        w, x_ids, x_mask, x_emb, x_count, enc, prev_ids, inp, dec, t_ids, t_mask, t_valid,
         probs, x_starts, t_ends,
     )
-    return lps.reshape(n_models, rows) if stacked else lps, tape
+    return lps.reshape(n_models, rows), tape
 
 
 def _grad_batch(
-    model: PolicyModel, xs, ys, include_eos, weights, stack: np.ndarray | None = None
+    model: PolicyModel, xs, ys, include_eos, weights, stack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row log-likelihoods and the weighted sum of their exact gradients,
-    (B,) and (P,) for ``model``, (M, B) and (M, P) for a ``stack``, with
-    the arguments of ``_forward_batch``; ``weights`` is None or one per row.
-    Each stacked model's numbers are bit-identical to those of its batch
-    alone."""
+    """Row log-likelihoods (M, B) and, per model, the weighted sum of their
+    exact gradients (M, P), with the arguments of ``_forward_batch``;
+    ``weights`` is None or one per row of each model (M, B).  Each model's
+    numbers are bit-identical to those of its batch alone."""
     lps, tape = _forward_batch(model, xs, ys, include_eos, stack)
-    w, stacked, n_models = tape.w, tape.stacked, len(tape.t_ends)
+    w, n_models = tape.w, len(tape.t_ends)
     vocab_size, embed, hidden = len(model.vocab), model.embed_width, model.hidden_width
 
     d_logits = -tape.probs
@@ -435,10 +414,7 @@ def _grad_batch(
         d_s *= dec_tanh[t - 1]
         d_z_dec[t - 1] += d_s
     d_inp = d_z_dec @ w["dec_in"]
-    if stacked:
-        d_context = np.stack([d_inp[:end, m].sum(axis=0) for m, end in enumerate(tape.t_ends)])
-    else:
-        d_context = d_inp.sum(axis=0)
+    d_context = np.stack([d_inp[:end, m].sum(axis=0) for m, end in enumerate(tape.t_ends)])
 
     # encoder: the decoder start state is the final encoder state; padded
     # steps come first and are masked, so their d_z is zero
@@ -459,8 +435,7 @@ def _grad_batch(
     # terms and then the source terms, each in step order, as two in-place
     # adds would take them; padded steps add zeros
     rows_of = np.concatenate([tape.prev_ids, tape.x_ids])
-    if stacked:
-        rows_of += vocab_size * np.arange(n_models)[:, None]
+    rows_of += vocab_size * np.arange(n_models)[:, None]
     g_emb = np.bincount(
         (rows_of[..., None] * embed + np.arange(embed)).ravel(),
         np.concatenate([d_inp, d_x_emb]).ravel(),
@@ -473,21 +448,21 @@ def _grad_batch(
     grads = np.empty((n_models, len(model.params)))
     for m, (start, end) in enumerate(zip(tape.x_starts, tape.t_ends)):
         src, tgt = slice(start, None), slice(end)
-        e_z = _own_rows(d_z_enc, stacked, m, src)
-        d_z = _own_rows(d_z_dec, stacked, m, tgt)
+        e_z = _own_rows(d_z_enc, m, src)
+        d_z = _own_rows(d_z_dec, m, tgt)
         blocks = {
             "emb": g_emb[m],
-            "enc_in": e_z.T @ _own_rows(tape.x_emb, stacked, m, src),
-            "enc_rec": e_z.T @ _own_rows(tape.enc[:-1], stacked, m, src),
+            "enc_in": e_z.T @ _own_rows(tape.x_emb, m, src),
+            "enc_rec": e_z.T @ _own_rows(tape.enc[:-1], m, src),
             "enc_b": e_z.sum(axis=0),
-            "dec_in": d_z.T @ _own_rows(tape.inp, stacked, m, tgt),
-            "dec_rec": d_z.T @ _own_rows(tape.dec[:-1], stacked, m, tgt),
+            "dec_in": d_z.T @ _own_rows(tape.inp, m, tgt),
+            "dec_rec": d_z.T @ _own_rows(tape.dec[:-1], m, tgt),
             "dec_b": d_z.sum(axis=0),
-            "out_w": _own_rows(d_logits, stacked, m, tgt).T @ _own_rows(dec_out, stacked, m, tgt),
-            "out_b": (d_logits[tgt, m] if stacked else d_logits).sum(axis=(0, 1)),
+            "out_w": _own_rows(d_logits, m, tgt).T @ _own_rows(dec_out, m, tgt),
+            "out_b": d_logits[tgt, m].sum(axis=(0, 1)),
         }
         np.concatenate([blocks[name].ravel() for name, _, _ in model._layout], out=grads[m])
-    return lps, grads if stacked else grads[0]
+    return lps, grads
 
 
 def grad_logprob_batch(
@@ -503,7 +478,10 @@ def grad_logprob_batch(
     Rows are (source, target) pairs of tokens or of token ids, as from
     ``Vocabulary.encode``; ``include_eos`` is one flag or one per row.
     """
-    return _grad_batch(model, xs, ys, include_eos, weights)
+    lps, grads = _grad_batch(
+        model, [xs], [ys], [include_eos], None if weights is None else [weights], model.params[None]
+    )
+    return lps[0], grads[0]
 
 
 def grad_logprob(
@@ -518,14 +496,14 @@ def sample(
     model: PolicyModel,
     x: TokenSeq,
     rng: np.random.Generator,
-    max_len: int | None = None,
 ) -> TokenSeq:
-    """Draw tokens sequentially from the policy until EOS or the length cap.
+    """Draw tokens sequentially from the policy until EOS or the model's
+    ``max_len``.
 
     Deterministic given the generator state; one uniform draw per step via
     inverse CDF over the vocabulary in index order.
     """
-    return sample_many(model, x, rng, 1, max_len)[0]
+    return sample_many(model, x, rng, 1)[0]
 
 
 def sample_many(
@@ -533,7 +511,6 @@ def sample_many(
     x: TokenSeq,
     rng: np.random.Generator,
     k: int,
-    max_len: int | None = None,
 ) -> list[TokenSeq]:
     """k draws as by ``sample``, one after another from the same generator.
 
@@ -541,8 +518,7 @@ def sample_many(
     all draws and computed once; the generator is consumed in the same
     order as k successive ``sample`` calls, so the draws are identical.
     """
-    limit = model.max_len if max_len is None else min(max_len, model.max_len)
-    if limit < 1:
+    if model.max_len < 1:
         return [()] * k
     w = model._views
     s_start, context = _encode_source(w, model.vocab.encode(x))
@@ -558,7 +534,7 @@ def sample_many(
             if idx == EOS_ID:
                 break
             out.append(model.vocab.tokens[idx])
-            if len(out) == limit:
+            if len(out) == model.max_len:
                 break
             s, probs = _decoder_step(w, s, idx, context)
             cdf = np.cumsum(probs)
@@ -566,14 +542,14 @@ def sample_many(
     return draws
 
 
-def greedy_decode(model: PolicyModel, x: TokenSeq, max_len: int | None = None) -> TokenSeq:
-    """Argmax decode; ties go to the lowest vocabulary index."""
-    limit = model.max_len if max_len is None else min(max_len, model.max_len)
+def greedy_decode(model: PolicyModel, x: TokenSeq) -> TokenSeq:
+    """Argmax decode up to the model's ``max_len``; ties go to the lowest
+    vocabulary index."""
     w = model._views
     s, context = _encode_source(w, model.vocab.encode(x))
     prev = BOS_ID
     out: list[str] = []
-    for _ in range(limit):
+    for _ in range(model.max_len):
         s, probs = _decoder_step(w, s, prev, context)
         prev = int(np.argmax(probs))
         if prev == EOS_ID:

@@ -169,11 +169,18 @@ def test_config_file_values_apply_and_comments_are_ignored(workdir, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["no.such_key = 1\n", "# a comment\ndiv.a run/out/stage2.sys0.hyp\n", None],
-    ids=["unknown-key", "no-equals", "missing-file"],
+    [
+        "no.such_key = 1\n",
+        "# a comment\ndiv.a run/out/stage2.sys0.hyp\n",
+        None,
+        "# caf\u00e9\n".encode("latin-1"),
+    ],
+    ids=["unknown-key", "no-equals", "missing-file", "not-utf8"],
 )
 def test_bad_config_file_is_usage_error(workdir, capsys, text):
-    if text is not None:
+    if isinstance(text, bytes):
+        (workdir / "exp.cfg").write_bytes(text)
+    elif text is not None:
         (workdir / "exp.cfg").write_text(text, encoding="utf-8")
     assert run(workdir, ["diversity"], "--config", "exp.cfg") == 2
     assert "usage error" in capsys.readouterr().err
@@ -198,6 +205,11 @@ def _replace_first_line(path: Path, text: str) -> None:
 
 def _prepend_bom(path: Path) -> None:
     path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+
+
+def _prepend_latin1_word(path: Path) -> None:
+    """A Latin-1 encoded word at the start, which makes the file invalid UTF-8."""
+    path.write_bytes("caf\u00e9 ".encode("latin-1") + path.read_bytes())
 
 
 def _set_weight(path: Path, name: str, value: str) -> None:
@@ -260,12 +272,32 @@ def _keep_header_fields(path: Path, n: int) -> None:
             lambda run_dir: _replace_first_line(run_dir / "data/dev.src", "no such source line"),
         ),
         (["train"], lambda run_dir: _replace_first_line(run_dir / "data/dev.src", "no such source line")),
+        (
+            ["eval", "--set", "eval.hyp=run/out/combined.hyp"],
+            lambda run_dir: _prepend_latin1_word(run_dir / "out/combined.hyp"),
+        ),
+        (["train"], lambda run_dir: _prepend_latin1_word(run_dir / "data/train.src")),
+        (["ddt"], lambda run_dir: _prepend_latin1_word(run_dir / "data/dev.ref")),
+        (
+            ["ddt", "--set", "ddt.peers=run/out/stage2.sys1.hyp"],
+            lambda run_dir: _prepend_latin1_word(run_dir / "out/stage2.sys1.hyp"),
+        ),
+        (
+            ["combine", "--set", f"combine.hyps={HYPS}"],
+            lambda run_dir: _prepend_latin1_word(run_dir / "data/train.ref"),
+        ),
     ],
 )
 def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):
     damage(workdir / "run")
     assert run(workdir, command) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_text_input_that_is_not_utf8_is_a_data_error_naming_the_file(workdir, capsys):
+    _prepend_latin1_word(workdir / "run/out/combined.hyp")
+    assert run(workdir, ["eval"], "--set", "eval.hyp=run/out/combined.hyp") == 3
+    assert "data error: run/out/combined.hyp: not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -285,6 +317,19 @@ def test_decode_limit_above_aligner_limit_is_usage_error(workdir, capsys):
     assert run(workdir, ["train"], "--set", "policy.max_len=200") == 0
     assert run(workdir, ["stages"], "--set", "policy.max_len=200") == 2
     assert "policy.max_len must be <= 128" in capsys.readouterr().err
+
+
+def test_stages_checks_dev_references_against_every_decode_limit(workdir, capsys):
+    """Model 1 decodes at most 3 tokens, fewer than the longest dev
+    reference: stages must fail before it trains or writes anything."""
+    checkpoint = workdir / "run/models/model_1.txt"
+    header, _, body = checkpoint.read_text(encoding="utf-8").partition("\n")
+    assert "max_len=16" in header.split()
+    checkpoint.write_text(header.replace("max_len=16", "max_len=3") + "\n" + body, encoding="utf-8")
+    before = tree_bytes(workdir)
+    assert run(workdir, ["stages"]) == 3
+    assert "shortest model decode limit (3)" in capsys.readouterr().err
+    assert tree_bytes(workdir) == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

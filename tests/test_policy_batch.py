@@ -282,14 +282,13 @@ def reference_step(model: PolicyModel, s_prev: np.ndarray, prev_id: int, context
     return inp, s, probs
 
 
-def reference_greedy_decode(model, x, max_len=None):
+def reference_greedy_decode(model, x):
     """The argmax decoder on the former per-sentence forward."""
-    limit = model.max_len if max_len is None else min(max_len, model.max_len)
     states, context = reference_encode(model, model.vocab.encode(x))
     s = states[-1]
     prev = BOS_ID
     out = []
-    for _ in range(limit):
+    for _ in range(model.max_len):
         _, s, probs = reference_step(model, s, prev, context)
         idx = int(np.argmax(probs))
         if idx == EOS_ID:
@@ -307,9 +306,12 @@ class TestGreedyDecode:
             model = random_model(rng, max_len=int(rng.integers(1, 7)))
             model.params *= rng.uniform(1.0, 40.0)  # peaked enough to emit tokens
             max_len = None if trial % 3 else int(rng.integers(0, 5))
-            for x in random_batch(rng, model)[0]:
-                got = greedy_decode(model, x, max_len)
-                assert got == reference_greedy_decode(model, x, max_len)
+            sources_of_trial = random_batch(rng, model)[0]
+            if max_len is not None:  # a shorter limit, 0 included
+                model.max_len = min(max_len, model.max_len)
+            for x in sources_of_trial:
+                got = greedy_decode(model, x)
+                assert got == reference_greedy_decode(model, x)
                 lengths.add(len(got))
                 sources.add("empty" if not x else "oov" if "oov" in x else "known")
         assert {"empty", "oov", "known"} <= sources
@@ -323,20 +325,20 @@ class TestGreedyDecode:
             assert greedy_decode(model, x) == reference_greedy_decode(model, x) == ()
         content = model.vocab.tokens[3:]
         model._views["out_b"][3:] = 1.0  # the content tokens tie above EOS
-        for max_len in (None, 0, 2, 9):
-            want = (content[0],) * min(6 if max_len is None else max_len, 6)
-            assert greedy_decode(model, ("t0",), max_len) == want
-            assert reference_greedy_decode(model, ("t0",), max_len) == want
+        for max_len in (6, 0, 2):
+            model.max_len = max_len
+            want = (content[0],) * max_len
+            assert greedy_decode(model, ("t0",)) == want
+            assert reference_greedy_decode(model, ("t0",)) == want
 
 
-def reference_sample(model, x, rng, max_len=None):
+def reference_sample(model, x, rng):
     """The single-draw sampler that encoded the source on every call."""
-    limit = model.max_len if max_len is None else min(max_len, model.max_len)
     states, context = reference_encode(model, model.vocab.encode(x))
     s = states[-1]
     prev = BOS_ID
     out = []
-    for _ in range(limit):
+    for _ in range(model.max_len):
         _, s, probs = reference_step(model, s, prev, context)
         u = rng.random()
         idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
@@ -360,10 +362,12 @@ class TestSampleMany:
             xs, _, _, _ = random_batch(rng, model)
             k = int(rng.integers(1, 7))
             max_len = None if trial % 3 else int(rng.integers(0, 4))
+            if max_len is not None:  # a shorter limit, 0 included
+                model.max_len = min(max_len, model.max_len)
             seed = int(rng.integers(1 << 30))
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = policy.sample_many(model, xs[0], got_rng, k, max_len)
-            want = [reference_sample(model, xs[0], want_rng, max_len) for _ in range(k)]
+            got = policy.sample_many(model, xs[0], got_rng, k)
+            want = [reference_sample(model, xs[0], want_rng) for _ in range(k)]
             assert got == want
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             lengths.update(len(y) for y in got)
@@ -790,3 +794,62 @@ def test_lockstep_training_matches_separate_training(tmp_path, capsys, n_models,
         written = tmp_path / "run" / "models" / f"model_{i}.txt"
         assert written.read_bytes() == (tmp_path / "want.txt").read_bytes()
         assert same_bits(models[i].params, want.params)
+
+
+# ---------------------------------------------------------------------------
+# one source's encoding against the batch context it used to share
+# ---------------------------------------------------------------------------
+
+def ref_context(
+    x_emb: np.ndarray, x_mask: np.ndarray, starts: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean embedding of the real source steps and the source lengths (at
+    least 1), of time-major sources: (Tx, B, E) for a batch, (Tx, E) for one
+    source.  With ``starts``, the sources are a stack's (Tx, M, B, E), and
+    model m adds up its own steps only, from ``starts[m]`` on: the order of
+    a sum depends on the shape of what it adds up."""
+    x_count = np.maximum(x_mask.sum(axis=0), 1)[..., None]
+    masked = x_emb * x_mask[..., None]
+    if starts is None:
+        total = masked.sum(axis=0)
+    else:
+        total = np.stack([masked[start:, m].sum(axis=0) for m, start in enumerate(starts)])
+    return total / x_count, x_count
+
+
+def ref_encode_source(w: dict[str, np.ndarray], x_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Final encoder state and context of one source, as 1-D vectors."""
+    x_emb, x_mask = w["emb"][x_ids], np.ones(len(x_ids))
+    context, _ = ref_context(x_emb, x_mask)
+    return policy._encoder(w, x_emb, x_mask)[-1], context
+
+
+def test_one_source_encoding_and_decoding_match_the_batch_context(monkeypatch):
+    """Sources of up to 16 tokens (numpy sums 9 or more contiguous terms
+    pairwise), empty sources and embeddings of width 1; the decoders must
+    draw the same tokens on either encoding."""
+    rng = np.random.default_rng(91)
+    empty = width_one = emitted = 0
+    for trial in range(120):
+        model = random_model(rng, max_len=int(rng.integers(1, 7)))
+        if trial % 3 == 0:
+            model = PolicyModel(model.vocab, 1, model.hidden_width, model.max_len, model.init_seed)
+            width_one += 1
+        model.params *= rng.uniform(1.0, 40.0)  # peaked enough to emit tokens
+        xs = random_batch(rng, model, longest_source=16)[0]
+        for x in xs:
+            x_ids = model.vocab.encode(x)
+            state, context = policy._encode_source(model._views, x_ids)
+            want_state, want_context = ref_encode_source(model._views, x_ids)
+            assert same_bits(state, want_state) and same_bits(context, want_context)
+            empty += not x
+        seed = int(rng.integers(1 << 30))
+        got = [greedy_decode(model, x) for x in xs]
+        got += policy.sample_many(model, xs[0], np.random.default_rng(seed), 4)
+        with monkeypatch.context() as patched:
+            patched.setattr(policy, "_encode_source", ref_encode_source)
+            want = [greedy_decode(model, x) for x in xs]
+            want += policy.sample_many(model, xs[0], np.random.default_rng(seed), 4)
+        assert got == want
+        emitted += sum(map(len, got))
+    assert empty >= 20 and width_one == 40 and emitted >= 1000
