@@ -9,15 +9,29 @@ hypothesis lines too long to align, reserved tokens in the training text);
 4 numeric failure (non-finite parameters).  The library's errors for bad
 values and malformed files are mapped to these here.
 Combination runs in one process, so ``--jobs`` accepts only 1.
+
+``entry`` is the process entry, behind both the ``corrfuse`` script and
+``python -m corrfuse.cli``.  It calls ``gc.freeze()`` once, after every
+import, and then exits with ``main()``'s return code.  The freeze moves the
+about 22,000 container objects that the numpy and corrfuse imports made into
+the permanent generation, which no collection examines again: neither the
+full collections during a run nor those at interpreter exit, and the OS takes
+their memory back when the process ends.  That cuts the exit of a CLI child
+from about 35 ms to about 7 ms.  No output can depend on it: the collector
+only frees unreachable cycles, and no command reads when or whether it ran.
+``main(argv)`` leaves the collector alone, because tests and in-process
+runners call it many times in one long-lived process, where a freeze would
+pin every object alive at that moment for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -717,6 +731,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         for item in args.set:
             if "=" not in item:
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError:
+                raise UsageError(f"--set {item!r} is not valid UTF-8") from None
             key, _, value = item.partition("=")
             overrides[key.strip()] = value
         cfg = ExperimentConfig.load(args.config, overrides=overrides)
@@ -732,5 +750,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
 
 
-if __name__ == "__main__":
+def entry() -> NoReturn:
+    """Freeze the import-time heap, then exit with ``main()``'s code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -2,6 +2,7 @@
 through ``cli.main``, its determinism, and the exit-code contract."""
 
 import contextlib
+import gc
 import os
 import shutil
 import subprocess
@@ -480,13 +481,11 @@ def test_repeated_token_outputs_combine_quickly(tmp_path):
     assert time.perf_counter() - start < 2.0
 
 
-def test_tune_and_combine_do_not_depend_on_the_hash_seed(workdir, tmp_path):
-    # the lattice search and the tuner keep tables keyed by strings, token
-    # tuples and packed bit masks; no output may follow the per-process
-    # string hash seed
+def _fuse_commands(workdir: Path) -> list[list[str]]:
+    """tune and combine over three systems written into ``workdir``: two
+    damaged copies of the dev references and the references.  An LM trained
+    on the first copy prefers it, so tuning has weights to move."""
     refs = [line.split() for line in (workdir / "run/data/dev.ref").read_text().splitlines()]
-    # two damaged copies of the references and the references; an LM trained
-    # on the first copy prefers it, so tuning has weights to move
     systems = [[r[:1] + r[2:] for r in refs], [r[:2] + r[1:] for r in refs], refs]
     names = []
     for m, lines in enumerate(systems):
@@ -494,25 +493,37 @@ def test_tune_and_combine_do_not_depend_on_the_hash_seed(workdir, tmp_path):
         (workdir / names[-1]).write_text("".join(" ".join(t) + "\n" for t in lines))
     hyps = ",".join(names)
     lm = ("--set", f"lm.corpus={names[0]}")
+    return [
+        ["tune", "--set", f"tune.hyps={hyps}", "--set", "tune.rounds=3", "--set", "tune.iters=3", *lm],
+        ["combine", "--set", f"combine.hyps={hyps}", *lm],
+    ]
+
+
+def _run_child(cwd: Path, command: list[str], **env: str) -> subprocess.CompletedProcess:
+    """``command`` on the tiny config as a ``python -m corrfuse.cli`` child."""
     src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "corrfuse.cli", *command[:1], *TINY, *command[1:]],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=src, **env), check=True, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+def test_tune_and_combine_do_not_depend_on_the_hash_seed(workdir, tmp_path):
+    # the lattice search and the tuner keep tables keyed by strings, token
+    # tuples and packed bit masks; no output may follow the per-process
+    # string hash seed
+    commands = _fuse_commands(workdir)
     results = []
     for seed in ("1", "2"):
         copy = tmp_path / f"hashseed{seed}"
         shutil.copytree(workdir, copy)
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        for command in (
-            ["tune", "--set", f"tune.hyps={hyps}", "--set", "tune.rounds=3",
-             "--set", "tune.iters=3", *lm],
-            ["combine", "--set", f"combine.hyps={hyps}", *lm],
-        ):
-            subprocess.run(
-                [sys.executable, "-m", "corrfuse.cli", *command[:1], *TINY, *command[1:]],
-                cwd=copy, env=env, check=True, capture_output=True, timeout=120,
-            )
+        for command in commands:
+            _run_child(copy, command, PYTHONHASHSEED=seed)
         out = copy / "run" / "out"
         results.append(((out / "combine.weights").read_bytes(), (out / "combined.hyp").read_bytes()))
     assert results[0] == results[1]
-    schema = cli.FeatureSchema(len(systems))
+    schema = cli.FeatureSchema(3)
     tuned = cli.load_weights(str(copy / "run/out/combine.weights"), schema)
     assert not np.array_equal(tuned, schema.default_weights())
 
@@ -564,3 +575,65 @@ def test_crlf_files_read_as_before(workdir, capsys):
         (workdir / f"crlf.{name}").write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert cli._read_token_lines(str(workdir / "crlf.src")) == cli._read_token_lines(str(files["src"]))
     assert _eval_counts(workdir, capsys, "crlf.src", "crlf.m2", "crlf.hyp") == want
+
+
+def test_set_value_that_is_not_utf8_is_a_usage_error_before_any_work(tmp_path, capsys):
+    # the shell hands over b"r\xff", which Python decodes to "r\udcff"
+    assert run(tmp_path, ["gen"], "--set", "data.dir=r\udcff") == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_entry_freezes_once_then_exits_with_mains_code(monkeypatch, code):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+    def spy(argv=None):
+        events.append(("main", argv))
+        return code
+
+    monkeypatch.setattr(cli, "main", spy)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert events == ["freeze", ("main", None)]
+    assert exc.value.code == code
+
+
+def test_module_run_and_console_script_go_through_entry(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import gc, runpy, sys; gc.freeze = lambda: print('freeze'); "
+            "sys.argv[1:] = ['eval', '--set', 'eval.hyp=']; "
+            "runpy.run_module('corrfuse.cli', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "freeze\n")
+    scripts = (src.parent / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
+    assert scripts.split("[")[0].split() == ["corrfuse", "=", '"corrfuse.cli:entry"']
+
+
+def test_main_leaves_the_collector_alone(workdir, capsys):
+    frozen = gc.get_freeze_count()
+    assert run(workdir, PIPELINE[6]) == 0
+    assert run(workdir, ["eval"], "--set", "eval.hyp=") == 2
+    assert gc.get_freeze_count() == frozen
+
+
+def test_frozen_children_write_what_main_writes(workdir, tmp_path, capsys):
+    # python -m corrfuse.cli goes through entry, which freezes the heap;
+    # main() in this process does not
+    commands = _fuse_commands(workdir)
+    commands.append(["eval", "--set", "eval.hyp=run/out/combined.hyp",
+                     "--set", "eval.baseline=run/system0.hyp", "--set", "eval.resamples=50"])
+    child, here = tmp_path / "child", tmp_path / "here"
+    shutil.copytree(workdir, child)
+    shutil.copytree(workdir, here)
+    child_out = [_run_child(child, command).stdout for command in commands]
+    capsys.readouterr()
+    here_out = []
+    for command in commands:
+        assert run(here, command[:1], *command[1:]) == 0  # the child's argv
+        here_out.append(capsys.readouterr().out)
+    assert child_out == here_out
+    assert tree_bytes(child) == tree_bytes(here)
+    assert "p_value=" in here_out[2]
