@@ -4,10 +4,14 @@ artifacts as plain text, prints a key=value summary, and appends the same
 summary (with the config hash) to <data.dir>/report.txt.
 
 Exit codes: 0 success; 2 usage error (bad flags, unknown keys, out-of-range
-values); 3 data error (missing, misaligned or malformed input files,
-hypothesis lines too long to align, reserved tokens in the training text);
-4 numeric failure (non-finite parameters).  The library's errors for bad
-values and malformed files are mapped to these here.
+values); 3 data error (missing, misaligned or malformed input files, an empty
+dev or test split, empty hypothesis files, hypothesis lines too long to
+align, reserved tokens in the training text); 4 numeric failure (non-finite
+parameters).  The library's errors for bad values and malformed files are
+mapped to these here.  Every text input is read by ``_read_text``, every
+split by ``_load_split`` (its sources and M2 gold edits) and every hypothesis
+list of ``combine`` and ``tune`` by ``_read_hyps``.  Only ``ddt`` and
+``stages`` read ``data.dev_ref``, the references that DDT trains on.
 Combination runs in one process, so ``--jobs`` accepts only 1.
 
 ``entry`` is the process entry, behind both the ``corrfuse`` script and
@@ -31,7 +35,7 @@ import gc
 import math
 import os
 import sys
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -75,30 +79,33 @@ from .textcore import TokenSeq, detokenize, split_lines, tokenize
 from .toydata import DEFAULT_GRAMMAR, CorruptionRule, RULE_KINDS, generate_corpus, parse_grammar
 from .tuner import KBestPool, decode_corpus, tune_loop
 
+T = TypeVar("T")
+
 
 # ---------------------------------------------------------------------------
 # small I/O helpers
 # ---------------------------------------------------------------------------
 
-def _read_token_lines(path: str) -> list[TokenSeq]:
-    if not os.path.exists(path):
-        raise DataError(f"missing input file: {path}")
+def _read_text(path: str, parse: Callable[[str], T]) -> T:
+    """Read a UTF-8 text input and parse it; a missing, undecodable or
+    malformed file is a data error, as is one that cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+    except FileNotFoundError:
+        raise DataError(f"missing input file: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    return [tokenize(line) for line in split_lines(text)]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
-def _read_golds(path: str) -> list[GoldAnnotation]:
-    if not os.path.exists(path):
-        raise DataError(f"missing gold file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_m2(fh.read())
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+def _read_token_lines(path: str) -> list[TokenSeq]:
+    return _read_text(path, lambda text: [tokenize(line) for line in split_lines(text)])
 
 
 def _write_lines(path: str, lines: Sequence[str]) -> None:
@@ -108,28 +115,11 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
             fh.write(line + "\n")
 
 
-def _require_alignable(paths: Sequence[str], hyp_lines: Sequence[Sequence[TokenSeq]]) -> None:
-    for path, lines in zip(paths, hyp_lines):
-        for number, line in enumerate(lines, 1):
-            if len(line) > MAX_TOKENS:
-                raise DataError(
-                    f"{path}:{number}: {len(line)} tokens, alignment supports at most {MAX_TOKENS}"
-                )
-
-
 def _require_aligned(**named: Sequence) -> None:
     lengths = {name: len(seq) for name, seq in named.items()}
     if len(set(lengths.values())) > 1:
         detail = ", ".join(f"{name}: {n} lines" for name, n in lengths.items())
         raise DataError(f"line-count mismatch across aligned files ({detail})")
-
-
-def _require_same_sources(
-    src_path: str, sources: Sequence[TokenSeq], m2_path: str, golds: Sequence[GoldAnnotation]
-) -> None:
-    for number, (source, gold) in enumerate(zip(sources, golds), 1):
-        if source != gold.source:
-            raise DataError(f"{src_path}:{number}: source line differs from its S line in {m2_path}")
 
 
 def _check_finite(model: PolicyModel, what: str) -> None:
@@ -166,10 +156,10 @@ def _positive_int(cfg: ExperimentConfig, key: str) -> int:
 
 
 def _load_file(load: Callable, path: str, *args: object):
-    """Call a file loader; a malformed file is a data error."""
+    """Call a file loader; a malformed or unreadable file is a data error."""
     try:
         return load(path, *args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         raise DataError(f"cannot load {path}: {exc}") from exc
 
 
@@ -197,14 +187,41 @@ def _load_models(cfg: ExperimentConfig) -> tuple[Vocabulary, list[PolicyModel]]:
     return vocab, models
 
 
-def _load_dev(cfg: ExperimentConfig) -> tuple[list[TokenSeq], list[TokenSeq], list[GoldAnnotation]]:
-    src_path, m2_path = cfg.get_str("data.dev_src"), cfg.get_str("data.dev_m2")
-    src = _read_token_lines(src_path)
-    ref = _read_token_lines(cfg.get_str("data.dev_ref"))
-    golds = _read_golds(m2_path)
-    _require_aligned(dev_src=src, dev_ref=ref, dev_m2=golds)
-    _require_same_sources(src_path, src, m2_path, golds)
-    return src, ref, golds
+def _load_split(
+    cfg: ExperimentConfig, split: str
+) -> tuple[list[TokenSeq], list[GoldAnnotation]]:
+    """The sources and gold edits of ``split`` (dev or test): non-empty, one
+    M2 sentence per source line, and each source equal to its ``S`` line."""
+    src_path, m2_path = cfg.get_str(f"data.{split}_src"), cfg.get_str(f"data.{split}_m2")
+    sources = _read_token_lines(src_path)
+    golds = _read_text(m2_path, parse_m2)
+    _require_aligned(**{f"{split}_src": sources, f"{split}_m2": golds})
+    if not sources:
+        raise DataError(f"empty {split} data: {src_path}")
+    for number, (source, gold) in enumerate(zip(sources, golds), 1):
+        if source != gold.source:
+            raise DataError(f"{src_path}:{number}: source line differs from its S line in {m2_path}")
+    return sources, golds
+
+
+def _read_hyps(key: str, raw: str) -> list[list[TokenSeq]]:
+    """The hypothesis files listed in ``raw`` (the value of ``key``): at
+    least two, line-aligned, non-empty, and every line short enough to
+    align."""
+    paths = _split_paths(raw)
+    if len(paths) < 2:
+        raise UsageError(f"{key} must list at least two comma-separated hypothesis files")
+    hyp_lines = [_read_token_lines(p) for p in paths]
+    _require_aligned(**{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)})
+    if not hyp_lines[0]:
+        raise DataError(f"empty hypothesis file: {paths[0]}")
+    for path, lines in zip(paths, hyp_lines):
+        for number, line in enumerate(lines, 1):
+            if len(line) > MAX_TOKENS:
+                raise DataError(
+                    f"{path}:{number}: {len(line)} tokens, alignment supports at most {MAX_TOKENS}"
+                )
+    return hyp_lines
 
 
 def _load_lm(cfg: ExperimentConfig) -> NGramLM:
@@ -278,28 +295,13 @@ def _tune(
     return spaces, weights, pool
 
 
-def _score_against_dev(
-    sources: Sequence[TokenSeq], golds: Sequence[GoldAnnotation], hyps: Sequence[TokenSeq]
-) -> tuple[ScoreStats, list[ScoreStats]]:
-    _require_aligned(sources=sources, hypotheses=hyps, golds=golds)
-    return score_corpus(sources, hyps, golds)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_gen(cfg: ExperimentConfig) -> int:
-    grammar = DEFAULT_GRAMMAR
     grammar_path = cfg.get_str("gen.grammar")
-    if grammar_path:
-        if not os.path.exists(grammar_path):
-            raise DataError(f"missing grammar file: {grammar_path}")
-        with open(grammar_path, encoding="utf-8") as fh:
-            try:
-                grammar = parse_grammar(fh.read())
-            except ValueError as exc:
-                raise DataError(f"{grammar_path}: {exc}") from exc
+    grammar = _read_text(grammar_path, parse_grammar) if grammar_path else DEFAULT_GRAMMAR
     try:
         rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
     except ValueError as exc:
@@ -408,7 +410,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     except ValueError as exc:
         raise DataError(f"training text: {exc}") from exc
     vocab_path, model_paths = _model_paths(cfg)
-    dev_src, _, dev_golds = _load_dev(cfg)
+    dev_src, dev_golds = _load_split(cfg, "dev")
     models, nlls = _train_models(cfg, vocab, pairs)
 
     os.makedirs(os.path.dirname(vocab_path) or ".", exist_ok=True)
@@ -418,7 +420,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     summary: dict[str, object] = {"vocab_size": len(vocab), "n_pairs": len(pairs)}
     for i, (model, nll) in enumerate(zip(models, nlls)):
         outputs = [greedy_decode(model, x) for x in dev_src]
-        stats, _ = _score_against_dev(dev_src, dev_golds, outputs)
+        stats, _ = score_corpus(dev_src, outputs, dev_golds)
         summary[f"model_{i}_nll"] = nll
         summary[f"model_{i}_dev_f05"] = stats.f_beta(0.5)
     _emit_summary(cfg, "train", summary)
@@ -427,7 +429,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 def cmd_ddt(cfg: ExperimentConfig) -> int:
     vocab, models = _load_models(cfg)
-    dev_src, dev_ref, dev_golds = _load_dev(cfg)
+    dev_src, dev_golds = _load_split(cfg, "dev")
+    dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
+    _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
     backbone_idx = cfg.get_int("ddt.backbone")
     if not 0 <= backbone_idx < len(models):
         raise UsageError(f"ddt.backbone must be in [0,{len(models) - 1}], got {backbone_idx}")
@@ -435,11 +439,9 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
     peer_files = _split_paths(cfg.get_str("ddt.peers"))
     if peer_files:
         peer_outputs = [_read_token_lines(p) for p in peer_files]
-        for path, lines in zip(peer_files, peer_outputs):
-            if len(lines) != len(dev_src):
-                raise DataError(
-                    f"peer file {path} has {len(lines)} lines, expected {len(dev_src)}"
-                )
+        _require_aligned(
+            dev_src=dev_src, **{f"peer_{i}": lines for i, lines in enumerate(peer_outputs)}
+        )
     else:
         peer_outputs = [
             [greedy_decode(m, x) for x in dev_src]
@@ -468,7 +470,7 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     save_model(backbone, out_path)
     outputs = [greedy_decode(backbone, x) for x in dev_src]
-    stats, _ = _score_against_dev(dev_src, dev_golds, outputs)
+    stats, _ = score_corpus(dev_src, outputs, dev_golds)
     div = mean_pairwise_diversity([outputs] + [list(p) for p in peer_outputs])
     _emit_summary(
         cfg,
@@ -490,7 +492,9 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
 
 def cmd_stages(cfg: ExperimentConfig) -> int:
     vocab, models = _load_models(cfg)
-    dev_src, dev_ref, dev_golds = _load_dev(cfg)
+    dev_src, dev_golds = _load_split(cfg, "dev")
+    dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
+    _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
     lm = _load_lm(cfg)
     stages = cfg.get_int("ddt.stages")
     ddt_cfg = _ddt_config(cfg)
@@ -504,8 +508,6 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
             f"stages aligns model outputs, so policy.max_len must be <= {MAX_TOKENS},"
             f" got {decode_limit}"
         )
-    if not dev_src:
-        raise DataError(f"empty dev data: {cfg.get_str('data.dev_src')}")
     shortest_limit = min(m.max_len for m in models)
     if any(len(y) > shortest_limit for y in dev_ref):
         raise DataError(
@@ -548,7 +550,7 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
             known_spaces, scores,
         )
         combined = decode_corpus(spaces, weights, lm, settings["beam"])
-        stats, per_sentence = _score_against_dev(dev_src, dev_golds, combined)
+        stats, per_sentence = score_corpus(dev_src, combined, dev_golds)
         _write_lines(
             os.path.join(out_dir, f"stage{report.stage}.combined.hyp"),
             [detokenize(o) for o in combined],
@@ -560,7 +562,7 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
         summary[f"stage{report.stage}_combined_f05"] = stats.f_beta(0.5)
         for m, outputs in enumerate(report.outputs):
             if outputs not in component_f05:
-                comp_stats, _ = _score_against_dev(dev_src, dev_golds, outputs)
+                comp_stats, _ = score_corpus(dev_src, outputs, dev_golds)
                 component_f05[outputs] = comp_stats.f_beta(0.5)
             summary[f"stage{report.stage}_component{m}_f05"] = component_f05[outputs]
     best_stage = max(range(len(stage_f05)), key=lambda i: (stage_f05[i], -i))
@@ -574,16 +576,8 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
 
 
 def cmd_combine(cfg: ExperimentConfig) -> int:
-    hyp_paths = _split_paths(cfg.get_str("combine.hyps"))
-    if len(hyp_paths) < 2:
-        raise UsageError("combine.hyps must list at least two comma-separated hypothesis files")
-    hyp_lines = [_read_token_lines(p) for p in hyp_paths]
-    _require_aligned(**{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)})
-    n = len(hyp_lines[0])
-    if n == 0:
-        raise DataError(f"empty hypothesis file: {hyp_paths[0]}")
+    hyp_lines = _read_hyps("combine.hyps", cfg.get_str("combine.hyps"))
     lm = _load_lm(cfg)
-    _require_alignable(hyp_paths, hyp_lines)
     schema = FeatureSchema(len(hyp_lines))
     weights_path = cfg.get_str("combine.weights")
     if os.path.exists(weights_path):
@@ -595,18 +589,16 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
     out_path = cfg.get_str("combine.out")
     _write_lines(out_path, [detokenize(o) for o in combined])
     _emit_summary(
-        cfg, "combine", {"systems": len(hyp_lines), "sentences": n, "out": out_path}
+        cfg,
+        "combine",
+        {"systems": len(hyp_lines), "sentences": len(hyp_lines[0]), "out": out_path},
     )
     return 0
 
 
 def cmd_tune(cfg: ExperimentConfig) -> int:
-    hyp_paths = _split_paths(cfg.get_str("tune.hyps") or cfg.get_str("combine.hyps"))
-    if len(hyp_paths) < 2:
-        raise UsageError("tune.hyps must list at least two comma-separated hypothesis files")
-    hyp_lines = [_read_token_lines(p) for p in hyp_paths]
-    _require_alignable(hyp_paths, hyp_lines)
-    dev_src, _, dev_golds = _load_dev(cfg)
+    hyp_lines = _read_hyps("tune.hyps", cfg.get_str("tune.hyps") or cfg.get_str("combine.hyps"))
+    dev_src, dev_golds = _load_split(cfg, "dev")
     _require_aligned(
         dev_src=dev_src, **{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)}
     )
@@ -629,29 +621,20 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _eval_inputs(cfg: ExperimentConfig) -> tuple[list[TokenSeq], list[GoldAnnotation]]:
-    split = cfg.get_str("eval.split")
-    if split not in ("dev", "test"):
-        raise UsageError(f"eval.split must be dev or test, got {split!r}")
-    src_path, m2_path = cfg.get_str(f"data.{split}_src"), cfg.get_str(f"data.{split}_m2")
-    src = _read_token_lines(src_path)
-    golds = _read_golds(m2_path)
-    _require_aligned(src=src, golds=golds)
-    _require_same_sources(src_path, src, m2_path, golds)
-    return src, golds
-
-
 def cmd_eval(cfg: ExperimentConfig) -> int:
     hyp_path = cfg.get_str("eval.hyp")
     if not hyp_path:
         raise UsageError("eval.hyp must name the hypothesis file to score")
     hyps = _read_token_lines(hyp_path)
-    src, golds = _eval_inputs(cfg)
+    split = cfg.get_str("eval.split")
+    if split not in ("dev", "test"):
+        raise UsageError(f"eval.split must be dev or test, got {split!r}")
+    src, golds = _load_split(cfg, split)
     _require_aligned(src=src, hyps=hyps)
     stats, per_sentence = score_corpus(src, hyps, golds)
     summary: dict[str, object] = {
         "hyp": hyp_path,
-        "split": cfg.get_str("eval.split"),
+        "split": split,
         "tp": stats.tp,
         "fp": stats.fp,
         "fn": stats.fn,

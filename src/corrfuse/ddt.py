@@ -4,7 +4,9 @@ gradients over multinomial samples with a baseline, plus round-robin
 scheduling when several systems are trainable.
 
 ``train_stage`` is the one DDT training loop: ``cfg.epochs`` passes of one
-``ddt_step`` per sentence, in data order, against fixed peer outputs.
+``ddt_step`` per sentence, in data order, against fixed peer outputs.  A step
+trains on one sentence: its reference gradient and its sampled reward
+gradient move the parameters before the next sentence is seen.
 ``round_robin`` runs it once per stage with the other models' greedy outputs
 as peers; the ``ddt`` command runs it once for a single backbone.
 """
@@ -77,40 +79,27 @@ def rl_gradient(
 
 def ddt_step(
     model: PolicyModel,
-    batch: Sequence[tuple[TokenSeq, TokenSeq, Sequence[TokenSeq]]],
+    x: TokenSeq,
+    y_ref: TokenSeq,
+    peers: Sequence[TokenSeq],
     cfg: DdtConfig,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """One ascent step on (1-alpha) * MLE + alpha * expected reward.
+    """One ascent step on (1-alpha) * MLE + alpha * expected reward, for one
+    sentence: source ``x``, reference ``y_ref`` and the peer outputs for it.
 
-    Batch items are (source, reference, peer outputs).  Returns the pre-step
-    mean reference NLL and the mean sample reward (0.0 when alpha == 0, in
-    which case no sampling happens and the update equals mle_step exactly).
+    Returns the pre-step reference NLL and the mean sample reward (0.0 when
+    alpha == 0, in which case no sampling happens and the update equals
+    mle_step exactly).
     """
-    if not batch:
-        raise ValueError("empty batch")
-    grad = model.zero_grad_like()
-    xs = [x for x, _, _ in batch]
-    refs = [y_ref for _, y_ref, _ in batch]
-    if cfg.alpha < 1.0:
-        # the same call as in mle_step, so alpha == 0 reproduces it bitwise
-        lps, mle_grad = policy.grad_logprob_batch(model, xs, refs)
-        grad += (1.0 - cfg.alpha) * mle_grad
-    else:
-        lps = policy.logprob_batch(model, xs, refs)
-    nll = -sum(lps.tolist())
+    lp, grad = policy.grad_logprob(model, x, y_ref)
+    grad *= 1.0 - cfg.alpha  # mle_step's kernel, so alpha == 0 reproduces it bitwise
     mean_reward = 0.0
     if cfg.alpha > 0.0:
-        rl_grad = model.zero_grad_like()
-        r_sum = 0.0
-        for x, _, peers in batch:
-            g, r_bar = rl_gradient(model, x, peers, cfg, rng)
-            rl_grad += g
-            r_sum += r_bar
+        rl_grad, mean_reward = rl_gradient(model, x, peers, cfg, rng)
         grad += cfg.alpha * rl_grad
-        mean_reward = r_sum / len(batch)
     model.params += cfg.learning_rate * grad
-    return nll / len(batch), mean_reward
+    return -lp, mean_reward
 
 
 @dataclass(frozen=True)
@@ -150,7 +139,7 @@ def train_stage(
     loss_sum = reward_sum = 0.0
     for _ in range(cfg.epochs):
         for (x, y_ref), peers in zip(data, peer_sets):
-            loss, r = ddt_step(model, [(x, y_ref, peers)], cfg, rng)
+            loss, r = ddt_step(model, x, y_ref, peers, cfg, rng)
             loss_sum += loss
             reward_sum += r
     steps = cfg.epochs * len(data)

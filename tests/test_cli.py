@@ -287,6 +287,25 @@ def _keep_header_fields(path: Path, n: int) -> None:
             ["combine", "--set", f"combine.hyps={HYPS}"],
             lambda run_dir: _prepend_latin1_word(run_dir / "data/train.ref"),
         ),
+        (
+            ["tune", "--set", f"tune.hyps={HYPS}"],
+            lambda run_dir: [
+                (run_dir / name).write_text("")
+                for name in ["data/dev.src", "data/dev.ref", "data/dev.m2"]
+                + [f"out/stage2.sys{m}.hyp" for m in range(3)]
+            ],
+        ),
+        (
+            ["eval", "--set", "eval.hyp=run/out/combined.hyp", "--set", "eval.baseline=run/data/dev.src"],
+            lambda run_dir: [
+                (run_dir / name).write_text("")
+                for name in ("data/dev.src", "data/dev.m2", "out/combined.hyp")
+            ],
+        ),
+        (
+            ["train"],
+            lambda run_dir: [(run_dir / f"data/dev.{ext}").write_text("") for ext in ("src", "ref", "m2")],
+        ),
     ],
 )
 def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):
@@ -299,6 +318,33 @@ def test_text_input_that_is_not_utf8_is_a_data_error_naming_the_file(workdir, ca
     _prepend_latin1_word(workdir / "run/out/combined.hyp")
     assert run(workdir, ["eval"], "--set", "eval.hyp=run/out/combined.hyp") == 3
     assert "data error: run/out/combined.hyp: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"noun cat cats\n", "café".encode("latin-1"), "directory"],
+    ids=["missing", "malformed", "not-utf8", "directory"],
+)
+def test_bad_grammar_file_is_a_data_error_naming_it(tmp_path, capsys, content):
+    if content == "directory":
+        (tmp_path / "grammar.txt").mkdir()
+    elif content is not None:
+        (tmp_path / "grammar.txt").write_bytes(content)
+    assert run(tmp_path, ["gen"], "--set", "gen.grammar=grammar.txt") == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "grammar.txt" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--set", "eval.hyp=run/out"],
+        ["combine", "--set", f"combine.hyps={HYPS}", "--set", "combine.weights=run/out"],
+    ],
+)
+def test_directory_in_place_of_an_input_file_is_a_data_error(workdir, capsys, command):
+    assert run(workdir, command) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -610,6 +656,17 @@ def test_module_run_and_console_script_go_through_entry(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "freeze\n")
     scripts = (src.parent / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
     assert scripts.split("[")[0].split() == ["corrfuse", "=", '"corrfuse.cli:entry"']
+
+
+def test_package_import_loads_no_module():
+    # a child that imports the package alone must not pay for numpy or for
+    # any corrfuse module it does not use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, corrfuse; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('corrfuse.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_main_leaves_the_collector_alone(workdir, capsys):

@@ -140,10 +140,10 @@ class TestDdtStep:
     def test_alpha_zero_matches_mle_step_bitwise(self):
         model_a = tiny_model(seed=8)
         model_b = model_a.copy()
-        batch = [(("a",), ("b",), [("c",)]), (("b",), ("c", "a"), [("a",)])]
+        x, y = ("b",), ("c", "a")
         cfg = DdtConfig(alpha=0.0, learning_rate=0.03)
-        loss_ddt, mean_r = ddt_step(model_a, batch, cfg, np.random.default_rng(0))
-        loss_mle = mle_step(model_b, [(x, y) for x, y, _ in batch], 0.03)
+        loss_ddt, mean_r = ddt_step(model_a, x, y, [("a",)], cfg, np.random.default_rng(0))
+        loss_mle = mle_step(model_b, [(x, y)], 0.03)
         assert np.array_equal(model_a.params, model_b.params)
         assert loss_ddt == pytest.approx(loss_mle)
         assert mean_r == 0.0
@@ -154,35 +154,31 @@ class TestDdtStep:
         model._views["out_b"][EOS_ID] = 60.0  # only possible output is ()
         before = model.params.copy()
         cfg = DdtConfig(alpha=1.0)
-        ddt_step(model, [(("a",), ("a",), [()])], cfg, np.random.default_rng(1))
+        ddt_step(model, ("a",), ("a",), [()], cfg, np.random.default_rng(1))
         assert np.array_equal(model.params, before)
 
     def test_alpha_interpolation(self):
-        batch = [(("a",), ("b",), [("c", "c")]), (("c",), ("a", "b"), [("b",)])]
+        step = (("c",), ("a", "b"), [("b",)])
         alpha = 0.3
         base = tiny_model(seed=17)
 
         m_mle = base.copy()
         cfg_mle = DdtConfig(alpha=0.0, learning_rate=1.0)
-        ddt_step(m_mle, batch, cfg_mle, np.random.default_rng(55))
+        ddt_step(m_mle, *step, cfg_mle, np.random.default_rng(55))
         update_mle = m_mle.params - base.params
 
         m_rl = base.copy()
         cfg_rl = DdtConfig(alpha=1.0, learning_rate=1.0)
-        ddt_step(m_rl, batch, cfg_rl, np.random.default_rng(55))
+        ddt_step(m_rl, *step, cfg_rl, np.random.default_rng(55))
         update_rl = m_rl.params - base.params
 
         m_mix = base.copy()
         cfg_mix = DdtConfig(alpha=alpha, learning_rate=1.0)
-        ddt_step(m_mix, batch, cfg_mix, np.random.default_rng(55))
+        ddt_step(m_mix, *step, cfg_mix, np.random.default_rng(55))
         update_mix = m_mix.params - base.params
 
         expected = (1 - alpha) * update_mle + alpha * update_rl
         assert np.allclose(update_mix, expected, rtol=1e-12, atol=1e-12)
-
-    def test_rejects_empty_batch(self):
-        with pytest.raises(ValueError):
-            ddt_step(tiny_model(), [], DdtConfig(), np.random.default_rng(0))
 
     def test_training_increases_diversity_from_peers(self):
         model = tiny_model(content=("a", "b", "c"), embed=4, hidden=6, max_len=3, seed=2)
@@ -196,7 +192,7 @@ class TestDdtStep:
         rng = np.random.default_rng(23)
         for _ in range(50):
             for x in inputs:
-                ddt_step(model, [(x, refs[x], peers[x])], cfg, rng)
+                ddt_step(model, x, refs[x], peers[x], cfg, rng)
         trained_div = diversity(
             [greedy_decode(model, x) for x in inputs], [peers[x][0] for x in inputs]
         )
@@ -364,7 +360,7 @@ class TestTrainStage:
         losses, rewards = [], []
         for _ in range(cfg.epochs):
             for (x, y), p in zip(data, peers):
-                loss, r = ddt_step(reference, [(x, y, p)], cfg, rng)
+                loss, r = ddt_step(reference, x, y, p, cfg, rng)
                 losses.append(loss)
                 rewards.append(r)
         mle_loss, mean_reward = train_stage(

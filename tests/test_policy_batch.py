@@ -387,10 +387,9 @@ class TestDdtStep:
     def test_alpha_one_nll_is_mean_reference_nll(self):
         rng = np.random.default_rng(9)
         model = random_model(rng)
-        xs, ys, _, _ = random_batch(rng, model)
-        batch = [(x, y, [y]) for x, y in zip(xs, ys)]
-        want = -sum(logprob(model, x, y) for x, y in zip(xs, ys)) / len(xs)
-        nll, _ = ddt_step(model, batch, DdtConfig(alpha=1.0), np.random.default_rng(0))
+        xs, ys, _, _ = random_batch(rng, model, rows=1)
+        want = -logprob(model, xs[0], ys[0])
+        nll, _ = ddt_step(model, xs[0], ys[0], ys, DdtConfig(alpha=1.0), np.random.default_rng(0))
         assert nll == pytest.approx(want, rel=REL, abs=REL)
 
 
