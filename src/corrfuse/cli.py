@@ -69,7 +69,7 @@ from .policy import (
     greedy_decode,
     load_model,
     load_vocab,
-    mle_step_stack,
+    mle_step,
     save_model,
     save_vocab,
     stack_params,
@@ -351,7 +351,7 @@ def _train_models(
     order of the pairs in each epoch, as if trained alone.  The models'
     parameters are the rows of one array, and each minibatch step advances
     every model on its own minibatch in one stacked forward and backward
-    pass (``mle_step_stack``), with the numbers of separate steps.
+    pass (``mle_step``), with the numbers of separate steps.
     """
     seed = cfg.get_int("seed")
     n_models = _positive_int(cfg, "train.models")
@@ -378,7 +378,7 @@ def _train_models(
         n_batches = 0
         for start in range(0, len(pairs), batch_size):
             batches = [[encoded[i] for i in order[start : start + batch_size]] for order in orders]
-            nlls = mle_step_stack(models[0], stack, batches, lr)
+            nlls = mle_step(models[0], stack, batches, lr)
             nll_sums = [total + nll for total, nll in zip(nll_sums, nlls)]
             n_batches += 1
         last_nll = [total / n_batches for total in nll_sums]

@@ -16,9 +16,8 @@ over plain tuples ``(used, out, lm_ctx, feats, score)``:
   states recombine on ``(used, lm_ctx)``.
 - The LM memoizes transitions: ``(context, token)`` maps to the log
   probability and the next context, so scoring a word is one dict lookup.
-- ``_successors`` is the successor rule, once per state; ``beam_search``
-  recombines its output inline and ``extensions`` shows it as
-  ``SearchState`` tuples with per-system masks.
+- ``extensions`` is the successor rule, once per state; ``beam_search``
+  recombines its output inline.
 
 Scores are still the full dot product of weights and features, summed left
 to right, for every state.
@@ -46,7 +45,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -198,18 +197,13 @@ def load_weights(path: str, schema: FeatureSchema) -> np.ndarray:
 class SearchSpace:
     hyps: tuple[TokenSeq, ...]
     groups: tuple[tuple[frozenset, ...], ...]  # groups[s][i]: aligned group of word (s, i)
-    # words[s][i] = (token, bits, delta), derived from hyps and groups: emitting
-    # word (s, i) ORs bits[t] into system t's used mask and adds delta to the
-    # match features (1.0 for each system in the group) and the length feature
-    words: tuple[tuple[tuple[str, tuple[int, ...], tuple[float, ...]], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    # the search's form of words: all used masks live in one int, system s in
-    # the field_width bits from s * field_width (one bit more than the longest
+    # the search's form of groups: all used masks live in one int, system s in
+    # the width bits from s * width (width is one more than the longest
     # hypothesis, so a field's lowest unset bit never leaves it); packed[s] is
-    # (s * field_width, row), row[i] = (token, bits of every system, delta),
-    # then None: the frontier index of an exhausted system
-    field_width: int = field(init=False, repr=False, compare=False)
+    # (s * width, row), row[i] = (token, bits, delta): emitting word (s, i) ORs
+    # bits into the used mask and adds delta to the match features (1.0 for
+    # each system in the group) and the length feature; row ends with None,
+    # the frontier index of an exhausted system
     packed: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
     # beam_search's memo: (LM, weight bits, beam) -> (ranked (tokens, features,
     # score) tuples, whether they are all the completed hypotheses)
@@ -219,27 +213,18 @@ class SearchSpace:
 
     def __post_init__(self) -> None:
         n = len(self.hyps)
-        words = []
+        width = max(map(len, self.hyps), default=0) + 1
+        packed = []
         for s, row in enumerate(self.groups):
             entries = []
             for i, group in enumerate(row):
-                bits = [0] * n
+                bits = 0
                 delta = [0.0] * n + [1.0]
                 for sys_idx, tok_idx in group:
-                    bits[sys_idx] |= 1 << tok_idx
+                    bits |= 1 << (sys_idx * width + tok_idx)
                     delta[sys_idx] = 1.0
-                entries.append((self.hyps[s][i], tuple(bits), tuple(delta)))
-            words.append(tuple(entries))
-        object.__setattr__(self, "words", tuple(words))
-        width = max(map(len, self.hyps), default=0) + 1
-        packed = []
-        for s, row in enumerate(words):
-            packed_row = [
-                (token, sum(b << (t * width) for t, b in enumerate(bits)), delta)
-                for token, bits, delta in row
-            ]
-            packed.append((s * width, (*packed_row, None)))
-        object.__setattr__(self, "field_width", width)
+                entries.append((self.hyps[s][i], bits, tuple(delta)))
+            packed.append((s * width, (*entries, None)))
         object.__setattr__(self, "packed", tuple(packed))
         object.__setattr__(self, "kbest", {})
 
@@ -307,28 +292,8 @@ def build_spaces(
     return spaces
 
 
-class SearchState(NamedTuple):
-    used: tuple[int, ...]  # per-system bitmask of consumed token indices
-    out: TokenSeq
-    lm_ctx: tuple[str, ...]
-    feats: tuple[float, ...]
-    score: float
-    done: bool = False
-
-
-def initial_state(space: SearchSpace, lm: NGramLM) -> SearchState:
-    schema = space.schema()
-    return SearchState(
-        used=(0,) * space.n_systems,
-        out=(),
-        lm_ctx=lm.start_context(),
-        feats=(0.0,) * schema.dim,
-        score=0.0,
-    )
-
-
-def _successors(
-    state: tuple, space: SearchSpace, lm: NGramLM, weights: Sequence[float]
+def extensions(
+    space: SearchSpace, state: tuple, lm: NGramLM, weights: Sequence[float]
 ) -> tuple[list[tuple], tuple | None]:
     """The successor rule on a packed state ``(used, out, lm_ctx, feats,
     score)``: one word emission per system with an unused frontier word, and
@@ -366,29 +331,6 @@ def _successors(
         feats = (*feats0[:-1], lm0 + lp)
         end = (used0, out0, ctx, feats, sum(map(mul, weights, feats)))
     return succs, end
-
-
-def extensions(
-    space: SearchSpace,
-    state: SearchState,
-    lm: NGramLM,
-    weights: Sequence[float],
-) -> list[SearchState]:
-    """Successor states of ``state`` as ``beam_search`` generates them, with
-    the end state (``done``) last; a finished state has none."""
-    if state.done:
-        return []
-    width = space.field_width
-    field = (1 << width) - 1
-    used = sum(mask << (s * width) for s, mask in enumerate(state.used))
-    succs, end = _successors((used, *state[1:5]), space, lm, weights)
-    result = [
-        SearchState(tuple(u >> (s * width) & field for s in range(space.n_systems)), *rest)
-        for u, *rest in succs
-    ]
-    if end is not None:
-        result.append(SearchState(state.used, *end[1:], True))
-    return result
 
 
 def _rank(state: tuple) -> tuple:
@@ -435,11 +377,11 @@ def _search(
 ) -> list[tuple]:
     """Every completed packed state of ``beam_search``'s search, ranked."""
     completed: dict[TokenSeq, tuple] = {}
-    states = [(0, *initial_state(space, lm)[1:5])]  # packed: no word used
+    states = [(0, (), lm.start_context(), (0.0,) * space.schema().dim, 0.0)]  # no word used
     while states:
         nxt: dict[tuple, tuple] = {}
         for state in states:
-            succs, end = _successors(state, space, lm, weights)
+            succs, end = extensions(space, state, lm, weights)
             for succ in succs:
                 key = (succ[0], succ[2])
                 prev = nxt.get(key)

@@ -134,6 +134,8 @@ class ExperimentConfig:
                     lines = fh.read().split("\n")
             except UnicodeDecodeError as exc:
                 raise UsageError(f"{config_path}: not UTF-8 text: {exc}") from exc
+            except OSError as exc:  # a directory, unreadable, ...
+                raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
             for lineno, line in enumerate(lines, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -151,6 +153,8 @@ class ExperimentConfig:
             if key not in KNOWN_KEYS:
                 raise UsageError(f"unknown config key {key!r}")
             values[key] = _coerce(key, value)
+        if values["seed"] < 0:  # type: ignore[operator]
+            raise UsageError(f"seed must be >= 0, got {values['seed']}")
         base = str(values["data.dir"])
         for key, rel in _DERIVED_PATHS.items():
             if not values[key]:

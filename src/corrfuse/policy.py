@@ -10,8 +10,9 @@ Likelihoods and gradients are computed by one kernel for a stack of M
 models of one architecture, each on its own batch of B rows: their
 parameters are the rows of one (M, P) array (``stack_params``), and every
 time-major array has a model axis after the step axis, (T, M, B, ...).  One
-model is a stack of one: ``logprob_batch``, ``grad_logprob_batch`` and
-``mle_step`` pass ``model.params[None]`` and return row 0.  All models'
+model is a stack of one: ``logprob_batch`` and ``grad_logprob_batch`` pass
+``model.params[None]`` and return row 0, and ``mle_step`` steps one model
+on the view ``model.params[None]``, which updates it in place.  All models'
 rows are padded to common widths, sources on the left and targets on the
 right; the teacher-forced recurrences run once per time step for the whole
 stack, and each per-step product is one broadcast matmul, (M, B, H) @
@@ -560,28 +561,17 @@ def greedy_decode(model: PolicyModel, x: TokenSeq) -> TokenSeq:
 
 def mle_step(
     model: PolicyModel,
-    batch: Sequence[tuple[TokenSeq, TokenSeq]],
-    learning_rate: float,
-) -> float:
-    """One gradient-ascent step on the summed reference log-likelihood.
-
-    Pairs may hold tokens or token ids (see ``grad_logprob_batch``).
-    Returns the pre-step mean negative log-likelihood of the batch.
-    """
-    return mle_step_stack(model, model.params[None], [batch], learning_rate)[0]
-
-
-def mle_step_stack(
-    model: PolicyModel,
     stack: np.ndarray,
     batches: Sequence[Sequence[tuple[TokenSeq, TokenSeq]]],
     learning_rate: float,
 ) -> list[float]:
-    """``mle_step`` of a stack of M models (see ``stack_params``) of
-    ``model``'s architecture and vocabulary, in one forward and backward
-    pass: row m of ``stack`` steps on ``batches[m]``, and all batches have
-    one size.  Returns each model's pre-step mean NLL, bit-identical to that
-    of its own ``mle_step``."""
+    """One gradient-ascent step on the summed reference log-likelihood for
+    each of a stack of M models (see ``stack_params``) of ``model``'s
+    architecture and vocabulary, in one forward and backward pass: row m of
+    ``stack`` steps on ``batches[m]``, and all batches have one size.  Pairs
+    may hold tokens or token ids (see ``grad_logprob_batch``).  Returns each
+    model's pre-step mean negative log-likelihood, bit-identical to that of
+    a step of its row alone."""
     if not all(batches):
         raise ValueError("empty batch")
     xs = [[x for x, _ in batch] for batch in batches]

@@ -18,7 +18,6 @@ from corrfuse.combiner import (
     LM_EOS,
     NGramLM,
     SearchSpace,
-    SearchState,
     beam_search,
     build_space,
     extensions,
@@ -233,6 +232,28 @@ def test_zero_weights_all_ties(lms):
             )
 
 
+STATE_FIELDS = ("used", "out", "lm_ctx", "feats", "score", "done")
+
+
+def unpacked_extensions(
+    space: SearchSpace, state: RefSearchState, lm: NGramLM, weights: Sequence[float]
+) -> list[tuple]:
+    """``extensions`` of ``state`` in the reference's form: per-system used
+    masks and a ``done`` flag, with the end state last."""
+    width = max(map(len, space.hyps), default=0) + 1  # one field per system
+    field = (1 << width) - 1
+    used = sum(mask << (s * width) for s, mask in enumerate(state.used))
+    packed = (used, state.out, state.lm_ctx, state.feats, state.score)
+    succs, end = extensions(space, packed, lm, weights)
+    result = [
+        (tuple(u >> (s * width) & field for s in range(space.n_systems)), *rest, False)
+        for u, *rest in succs
+    ]
+    if end is not None:
+        result.append((state.used, *end[1:], True))
+    return result
+
+
 def test_extensions_match_reference_on_every_reachable_state(lms):
     rng = np.random.default_rng(11)
     lm = lms[3]
@@ -244,13 +265,10 @@ def test_extensions_match_reference_on_every_reachable_state(lms):
         seen = 0
         while frontier:
             ref_state = frontier.pop()
-            state = SearchState(*(getattr(ref_state, f) for f in SearchState._fields))
-            got = extensions(space, state, lm, weights)
+            got = unpacked_extensions(space, ref_state, lm, weights)
             want = ref_extensions(space, ref_state, lm, weights)
-            assert [tuple(g) for g in got] == [
-                tuple(getattr(w, f) for f in SearchState._fields) for w in want
-            ]
-            assert [bits(g.score) for g in got] == [bits(w.score) for w in want]
+            assert got == [tuple(getattr(w, f) for f in STATE_FIELDS) for w in want]
+            assert [bits(g[4]) for g in got] == [bits(w.score) for w in want]
             frontier.extend(w for w in want if not w.done)
             seen += 1
         assert seen > 1

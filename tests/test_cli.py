@@ -3,6 +3,7 @@ through ``cli.main``, its determinism, and the exit-code contract."""
 
 import contextlib
 import gc
+import math
 import os
 import shutil
 import subprocess
@@ -145,6 +146,7 @@ def workdir(pipeline, tmp_path):
         (["stages"], "ddt.lr=-inf"),
         (["train"], "train.epochs=0"),
         (["train"], "train.epochs=-1"),
+        (["gen"], "seed=-1"),
     ],
 )
 def test_bad_values_are_usage_errors(workdir, capsys, command, override):
@@ -184,6 +186,12 @@ def test_bad_config_file_is_usage_error(workdir, capsys, text):
     elif text is not None:
         (workdir / "exp.cfg").write_text(text, encoding="utf-8")
     assert run(workdir, ["diversity"], "--config", "exp.cfg") == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_config_directory_is_usage_error(workdir, capsys):
+    (workdir / "exp.cfg").mkdir()
+    assert run(workdir, ["eval"], "--config", "exp.cfg") == 2
     assert "usage error" in capsys.readouterr().err
 
 
@@ -423,6 +431,15 @@ def test_ddt_skips_references_over_the_length_limit(workdir, capsys):
     assert "no DDT sentence fits" in capsys.readouterr().err
 
 
+def test_train_takes_one_lockstep_step_per_minibatch(workdir, monkeypatch, capsys):
+    steps = []
+    mle_step = cli.mle_step
+    monkeypatch.setattr(cli, "mle_step", lambda *args: steps.append(len(args[2])) or mle_step(*args))
+    assert run(workdir, ["train"], "--set", "train.epochs=2", "--set", "train.batch=4") == 0
+    summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert steps == [3] * 2 * math.ceil(int(summary["n_pairs"]) / 4)  # a batch per model
+
+
 def test_ddt_checkpoint_is_one_train_stage(pipeline):
     root, _, _ = pipeline
     models_dir = root / "run/models"
@@ -450,13 +467,13 @@ def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
     candidate) scored once over all stages."""
     aligned, searches, scored, tuned_spaces, pools = [], [], [], [], []
     expansions = 0
-    align_all, successors = combiner.align_all, combiner._successors
+    align_all, extensions = combiner.align_all, combiner.extensions
     search, score, tune = tuner.beam_search, tuner.score_sentence, cli.tune_loop
 
-    def counted_successors(*args):
+    def counted_extensions(*args):
         nonlocal expansions
         expansions += 1
-        return successors(*args)
+        return extensions(*args)
 
     def recorded_search(space, weights, lm, beam, k):
         before = expansions
@@ -472,7 +489,7 @@ def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
         return weights, pool
 
     monkeypatch.setattr(combiner, "align_all", lambda hyps: aligned.append(hyps) or align_all(hyps))
-    monkeypatch.setattr(combiner, "_successors", counted_successors)
+    monkeypatch.setattr(combiner, "extensions", counted_extensions)
     monkeypatch.setattr(tuner, "beam_search", recorded_search)
     monkeypatch.setattr(tuner, "score_sentence", lambda s, t, g: scored.append((s, g, t)) or score(s, t, g))
     monkeypatch.setattr(cli, "tune_loop", recorded_tune)

@@ -11,7 +11,6 @@ from corrfuse.combiner import (
     build_space,
     build_spaces,
     extensions,
-    initial_state,
     load_weights,
     save_weights,
     train_lm,
@@ -36,22 +35,25 @@ def make_space(hyps):
     return build_space(hyps, align_all(hyps))
 
 
+def start_state(space, lm):
+    """The packed state ``(used, out, lm_ctx, feats, score)`` with no word used."""
+    return (0, (), lm.start_context(), (0.0,) * space.schema().dim, 0.0)
+
+
 def exhaustive_best(space, weights, lm):
     """Oracle: recursively expand every action sequence, return the best
     (score, output) over all completed states."""
     best = [None]
 
     def recurse(state):
-        succs = extensions(space, state, lm, weights)
+        succs, end = extensions(space, state, lm, weights)
         for s in succs:
-            if s.done:
-                key = (s.score, s.out)
-                if best[0] is None or s.score > best[0][0]:
-                    best[0] = key
-            else:
-                recurse(s)
+            recurse(s)
+        if end is not None:
+            if best[0] is None or end[4] > best[0][0]:
+                best[0] = (end[4], end[1])
 
-    recurse(initial_state(space, lm))
+    recurse(start_state(space, lm))
     assert best[0] is not None
     return best[0]
 
@@ -119,15 +121,17 @@ class TestBuildSpace:
         for i, space in enumerate(spaces):
             want = make_space([lines[i] for lines in hyp_lines])
             assert space == want
-            assert space.words == want.words
+            assert space.packed == want.packed
 
     def test_word_table_checked_by_hand(self):
         space = make_space([tokenize("a b"), tokenize("b c")])
-        # "b" aligns (0,1) <-> (1,0): emitting it consumes both and credits both systems
-        assert space.words[0][0] == ("a", (0b01, 0b00), (1.0, 0.0, 1.0))
-        assert space.words[0][1] == ("b", (0b10, 0b01), (1.0, 1.0, 1.0))
-        assert space.words[1][0] == ("b", (0b10, 0b01), (1.0, 1.0, 1.0))
-        assert space.words[1][1] == ("c", (0b00, 0b10), (0.0, 1.0, 1.0))
+        # "b" aligns (0,1) <-> (1,0): emitting it consumes both and credits both
+        # systems; each system's mask is a field of 3 bits, system 1's from bit 3
+        b = ("b", 0b10 | 0b01 << 3, (1.0, 1.0, 1.0))
+        assert space.packed == (
+            (0, (("a", 0b01, (1.0, 0.0, 1.0)), b, None)),
+            (3, (b, ("c", 0b10 << 3, (0.0, 1.0, 1.0)), None)),
+        )
 
     def test_missing_alignment_rejected(self):
         h = [tokenize("a"), tokenize("b"), tokenize("c")]
@@ -140,46 +144,44 @@ class TestExtensions:
     def test_identical_systems_collapse(self, lm):
         space = make_space([tokenize("a b")] * 3)
         weights = space.schema().default_weights()
-        succs = extensions(space, initial_state(space, lm), lm, weights)
-        assert len(succs) == 1
-        assert succs[0].out == ("a",)
-        assert succs[0].used == (1, 1, 1)
+        succs, end = extensions(space, start_state(space, lm), lm, weights)
+        assert len(succs) == 1 and end is None
+        used, out = succs[0][:2]
+        assert out == ("a",)
+        assert used == 1 | 1 << 3 | 1 << 6  # word 0 of each 3-bit field
 
     def test_disjoint_single_word_systems(self, lm):
         space = make_space([("a",), ("b",)])
         weights = space.schema().default_weights()
-        succs = extensions(space, initial_state(space, lm), lm, weights)
-        assert {s.out for s in succs if not s.done} == {("a",), ("b",)}
+        succs, _ = extensions(space, start_state(space, lm), lm, weights)
+        assert {s[1] for s in succs} == {("a",), ("b",)}
 
     def test_aligned_word_consumes_both_copies(self, lm):
         space = make_space([("a", "b"), ("b", "c")])
         weights = space.schema().default_weights()
-        start = initial_state(space, lm)
-        emit_b = [
-            s
-            for s in extensions(space, start, lm, weights)
-            if not s.done and s.out == ("b",)
-        ]
+        succs, _ = extensions(space, start_state(space, lm), lm, weights)
+        emit_b = [s for s in succs if s[1] == ("b",)]
         assert emit_b  # system 1's frontier word is "b"
-        assert emit_b[0].used == (0b10, 0b01)
+        used, _, _, feats, _ = emit_b[0]
+        assert used == 0b10 | 0b01 << 3  # word 1 of system 0, word 0 of system 1
         # match features credited to both systems
-        assert emit_b[0].feats[0] == 1.0 and emit_b[0].feats[1] == 1.0
+        assert feats[0] == 1.0 and feats[1] == 1.0
 
     def test_end_action_requires_exhausted_system(self, lm):
         space = make_space([("a",), ("b",)])
         weights = space.schema().default_weights()
-        start = initial_state(space, lm)
-        assert not any(s.done for s in extensions(space, start, lm, weights))
-        after_a = [s for s in extensions(space, start, lm, weights) if s.out == ("a",)][0]
-        assert any(s.done for s in extensions(space, after_a, lm, weights))
+        succs, end = extensions(space, start_state(space, lm), lm, weights)
+        assert end is None
+        after_a = [s for s in succs if s[1] == ("a",)][0]
+        assert extensions(space, after_a, lm, weights)[1] is not None
 
     def test_terminal_state_has_no_extensions(self, lm):
         space = make_space([("a",), ("a",)])
         weights = space.schema().default_weights()
-        start = initial_state(space, lm)
-        done = [s for s in extensions(space, start, lm, weights) if not s.done][0]
-        final = [s for s in extensions(space, done, lm, weights) if s.done][0]
-        assert extensions(space, final, lm, weights) == []
+        (after_a,), _ = extensions(space, start_state(space, lm), lm, weights)
+        succs, end = extensions(space, after_a, lm, weights)
+        assert succs == []
+        assert end[:2] == after_a[:2]  # the end state emits nothing more
 
 
 class TestBeamSearch:

@@ -143,7 +143,7 @@ class TestDdtStep:
         x, y = ("b",), ("c", "a")
         cfg = DdtConfig(alpha=0.0, learning_rate=0.03)
         loss_ddt, mean_r = ddt_step(model_a, x, y, [("a",)], cfg, np.random.default_rng(0))
-        loss_mle = mle_step(model_b, [(x, y)], 0.03)
+        loss_mle = mle_step(model_b, model_b.params[None], [[(x, y)]], 0.03)[0]
         assert np.array_equal(model_a.params, model_b.params)
         assert loss_ddt == pytest.approx(loss_mle)
         assert mean_r == 0.0

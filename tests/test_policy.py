@@ -250,25 +250,26 @@ class TestMleStep:
     def test_nll_decreases_over_repeated_steps(self):
         model = tiny_model(seed=13)
         batch = [(("a", "b"), ("a", "c"))]
-        losses = [mle_step(model, batch, learning_rate=0.02) for _ in range(100)]
+        losses = [mle_step(model, model.params[None], [batch], 0.02)[0] for _ in range(100)]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
     def test_zero_learning_rate_keeps_params(self):
         model = tiny_model(seed=1)
         before = model.params.copy()
-        mle_step(model, [(("a",), ("b",))], learning_rate=0.0)
+        mle_step(model, model.params[None], [[(("a",), ("b",))]], 0.0)
         assert np.array_equal(model.params, before)
 
     def test_rejects_empty_batch(self):
+        model = tiny_model()
         with pytest.raises(ValueError):
-            mle_step(tiny_model(), [], 0.1)
+            mle_step(model, model.params[None], [[]], 0.1)
 
     def test_returns_pre_step_mean_nll(self):
         model = tiny_model(seed=4)
         batch = [(("a",), ("b",)), (("b",), ("c",))]
         expected = -sum(logprob(model, x, y) for x, y in batch) / 2
-        got = mle_step(model, batch, learning_rate=0.05)
+        got = mle_step(model, model.params[None], [batch], 0.05)[0]
         assert got == pytest.approx(expected)
 
 

@@ -44,7 +44,6 @@ from corrfuse.policy import (
     logprob,
     logprob_batch,
     mle_step,
-    mle_step_stack,
     save_model,
     stack_params,
 )
@@ -208,9 +207,10 @@ class TestMleStep:
         a = random_model(rng)
         b = a.copy()
         xs, ys, _, _ = random_batch(rng, a)
-        nll_tokens = mle_step(a, list(zip(xs, ys)), 0.1)
+        nll_tokens = mle_step(a, a.params[None], [list(zip(xs, ys))], 0.1)[0]
         encode = a.vocab.encode
-        nll_ids = mle_step(b, [(encode(x), encode(y)) for x, y in zip(xs, ys)], 0.1)
+        ids = [(encode(x), encode(y)) for x, y in zip(xs, ys)]
+        nll_ids = mle_step(b, b.params[None], [ids], 0.1)[0]
         assert nll_tokens == nll_ids
         assert np.array_equal(a.params, b.params)
 
@@ -708,7 +708,8 @@ class TestStackedKernel:
             assert same_bits(logprob_batch(model, xs, ys, eos), want_lps)
             twin = model.copy()
             batch = list(zip(xs, ys))
-            assert mle_step(model, batch, 0.05) == ref_mle_step(twin, batch, 0.05)
+            got = mle_step(model, model.params[None], [batch], 0.05)[0]
+            assert got == ref_mle_step(twin, batch, 0.05)
             assert same_bits(model.params, twin.params)
 
     def test_a_stack_needs_one_batch_per_model_of_one_size(self):
