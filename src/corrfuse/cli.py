@@ -4,15 +4,21 @@ artifacts as plain text, prints a key=value summary, and appends the same
 summary (with the config hash) to <data.dir>/report.txt.
 
 Exit codes: 0 success; 2 usage error (bad flags, unknown keys, out-of-range
-values); 3 data error (missing, misaligned or malformed input files, an empty
-dev or test split, empty hypothesis files, hypothesis lines too long to
-align, reserved tokens in the training text); 4 numeric failure (non-finite
-parameters).  The library's errors for bad values and malformed files are
-mapped to these here.  Every text input is read by ``_read_text``, every
-split by ``_load_split`` (its sources and M2 gold edits) and every hypothesis
-list of ``combine`` and ``tune`` by ``_read_hyps``.  Only ``ddt`` and
-``stages`` read ``data.dev_ref``, the references that DDT trains on.
-Combination runs in one process, so ``--jobs`` accepts only 1.
+values); 3 data error (missing, misaligned or malformed input files, an
+output path that cannot be written, an empty dev or test split, empty
+hypothesis files, hypothesis lines too long to align, reserved tokens in the
+training text); 4 numeric failure (non-finite parameters).  The library's
+errors for bad values and malformed files are mapped to these here.
+
+``_read_text`` reads and parses every input and ``_write_text`` writes
+every artifact and the report: they are the only file access, apart from
+``config`` reading ``--config``, whose failures are usage errors.  The
+formats are pure text functions in the library, such as ``parse_m2`` and
+``format_m2``.  Every split is read by ``_load_split`` (its sources and M2
+gold edits) and every hypothesis list of ``combine`` and ``tune`` by
+``_read_hyps``.  Only ``ddt`` and ``stages`` read ``data.dev_ref``, the
+references that DDT trains on.  Combination runs in one process, so
+``--jobs`` accepts only 1.
 
 ``entry`` is the process entry, behind both the ``corrfuse`` script and
 ``python -m corrfuse.cli``.  It calls ``gc.freeze()`` once, after every
@@ -46,8 +52,8 @@ from .combiner import (
     SearchSpace,
     beam_search,  # noqa: F401  (unused here; bench/tests checks cli's traced binding)
     build_spaces,
-    load_weights,
-    save_weights,
+    format_weights,
+    parse_weights,
     train_lm,
 )
 from .config import ExperimentConfig
@@ -66,12 +72,12 @@ from .evaluation import (
 from .policy import (
     PolicyModel,
     Vocabulary,
+    format_model,
+    format_vocab,
     greedy_decode,
-    load_model,
-    load_vocab,
     mle_step,
-    save_model,
-    save_vocab,
+    parse_model,
+    parse_vocab,
     stack_params,
 )
 from .rewards import RewardKind
@@ -88,7 +94,8 @@ T = TypeVar("T")
 
 def _read_text(path: str, parse: Callable[[str], T]) -> T:
     """Read a UTF-8 text input and parse it; a missing, undecodable or
-    malformed file is a data error, as is one that cannot be read."""
+    malformed file is a data error, as is one that cannot be read.  This is
+    the only reader of data files."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -108,11 +115,21 @@ def _read_token_lines(path: str) -> list[TokenSeq]:
     return _read_text(path, lambda text: [tokenize(line) for line in split_lines(text)])
 
 
-def _write_lines(path: str, lines: Sequence[str]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _write_text(path: str, text: str, mode: str = "w") -> None:
+    """Write (``mode`` "w") or append ("a") UTF-8 text, creating the parent
+    directory; a path that cannot be written is a data error.  This is the
+    only writer of data files."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _lines_text(token_lines: Sequence[TokenSeq]) -> str:
+    """One detokenized line per token sequence, each ended by a newline."""
+    return "".join(detokenize(tokens) + "\n" for tokens in token_lines)
 
 
 def _require_aligned(**named: Sequence) -> None:
@@ -139,9 +156,7 @@ def _emit_summary(cfg: ExperimentConfig, command: str, summary: dict[str, object
     for line in lines:
         print(line)
     report = os.path.join(cfg.get_str("data.dir"), "report.txt")
-    os.makedirs(os.path.dirname(report) or ".", exist_ok=True)
-    with open(report, "a", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n--\n")
+    _write_text(report, "\n".join(lines) + "\n--\n", mode="a")
 
 
 def _split_paths(raw: str) -> list[str]:
@@ -153,14 +168,6 @@ def _positive_int(cfg: ExperimentConfig, key: str) -> int:
     if value < 1:
         raise UsageError(f"{key} must be >= 1, got {value}")
     return value
-
-
-def _load_file(load: Callable, path: str, *args: object):
-    """Call a file loader; a malformed or unreadable file is a data error."""
-    try:
-        return load(path, *args)
-    except (ValueError, KeyError, OSError) as exc:
-        raise DataError(f"cannot load {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +185,12 @@ def _load_models(cfg: ExperimentConfig) -> tuple[Vocabulary, list[PolicyModel]]:
     vocab_path, model_paths = _model_paths(cfg)
     if not os.path.exists(vocab_path):
         raise DataError(f"missing vocabulary file: {vocab_path} (run the train command first)")
-    vocab = _load_file(load_vocab, vocab_path)
+    vocab = _read_text(vocab_path, parse_vocab)
     models = []
     for path in model_paths:
         if not os.path.exists(path):
             raise DataError(f"missing checkpoint: {path} (run the train command first)")
-        models.append(_load_file(load_model, path, vocab))
+        models.append(_read_text(path, lambda text: parse_model(text, vocab)))
     return vocab, models
 
 
@@ -328,12 +335,9 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
         src_path = cfg.get_str(f"data.{split}_src")
         ref_path = cfg.get_str(f"data.{split}_ref")
         m2_path = cfg.get_str(f"data.{split}_m2")
-        _write_lines(src_path, [detokenize(e.source) for e in examples])
-        _write_lines(ref_path, [detokenize(e.reference) for e in examples])
-        annotations = [GoldAnnotation(e.source, (e.gold_edits,)) for e in examples]
-        os.makedirs(os.path.dirname(m2_path) or ".", exist_ok=True)
-        with open(m2_path, "w", encoding="utf-8") as fh:
-            fh.write(format_m2(annotations))
+        _write_text(src_path, _lines_text([e.source for e in examples]))
+        _write_text(ref_path, _lines_text([e.reference for e in examples]))
+        _write_text(m2_path, format_m2(GoldAnnotation(e.source, (e.gold_edits,)) for e in examples))
         summary[f"n_{split}"] = len(examples)
         summary[f"{split}_src"] = src_path
     summary["vocab_size"] = len(grammar.vocabulary())
@@ -413,10 +417,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     dev_src, dev_golds = _load_split(cfg, "dev")
     models, nlls = _train_models(cfg, vocab, pairs)
 
-    os.makedirs(os.path.dirname(vocab_path) or ".", exist_ok=True)
-    save_vocab(vocab, vocab_path)
+    _write_text(vocab_path, format_vocab(vocab))
     for model, path in zip(models, model_paths):
-        save_model(model, path)
+        _write_text(path, format_model(model))
     summary: dict[str, object] = {"vocab_size": len(vocab), "n_pairs": len(pairs)}
     for i, (model, nll) in enumerate(zip(models, nlls)):
         outputs = [greedy_decode(model, x) for x in dev_src]
@@ -467,8 +470,7 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
     out_path = cfg.get_str("ddt.out") or os.path.join(
         cfg.get_str("model.dir"), f"model_{backbone_idx}_ddt.txt"
     )
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    save_model(backbone, out_path)
+    _write_text(out_path, format_model(backbone))
     outputs = [greedy_decode(backbone, x) for x in dev_src]
     stats, _ = score_corpus(dev_src, outputs, dev_golds)
     div = mean_pairwise_diversity([outputs] + [list(p) for p in peer_outputs])
@@ -540,22 +542,17 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
     scores: dict[tuple, ScoreStats] = {}
     for report in reports:
         outputs_per_model = [list(o) for o in report.outputs]
+        prefix = os.path.join(out_dir, f"stage{report.stage}")
         for m, outputs in enumerate(outputs_per_model):
-            _write_lines(
-                os.path.join(out_dir, f"stage{report.stage}.sys{m}.hyp"),
-                [detokenize(o) for o in outputs],
-            )
+            _write_text(f"{prefix}.sys{m}.hyp", _lines_text(outputs))
         spaces, weights, _ = _tune(
             settings, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage,
             known_spaces, scores,
         )
         combined = decode_corpus(spaces, weights, lm, settings["beam"])
         stats, per_sentence = score_corpus(dev_src, combined, dev_golds)
-        _write_lines(
-            os.path.join(out_dir, f"stage{report.stage}.combined.hyp"),
-            [detokenize(o) for o in combined],
-        )
-        save_weights(schema, weights, os.path.join(out_dir, f"stage{report.stage}.weights"))
+        _write_text(f"{prefix}.combined.hyp", _lines_text(combined))
+        _write_text(f"{prefix}.weights", format_weights(schema, weights))
         stage_f05.append(stats.f_beta(0.5))
         per_sentence_by_stage.append(per_sentence)
         summary[f"stage{report.stage}_diversity"] = report.diversity
@@ -581,13 +578,13 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
     schema = FeatureSchema(len(hyp_lines))
     weights_path = cfg.get_str("combine.weights")
     if os.path.exists(weights_path):
-        weights = _load_file(load_weights, weights_path, schema)
+        weights = _read_text(weights_path, lambda text: parse_weights(text, schema))
     else:
         weights = schema.default_weights()
     beam = _positive_int(cfg, "combine.beam")
     combined = decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
     out_path = cfg.get_str("combine.out")
-    _write_lines(out_path, [detokenize(o) for o in combined])
+    _write_text(out_path, _lines_text(combined))
     _emit_summary(
         cfg,
         "combine",
@@ -607,8 +604,7 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
         _tune_settings(cfg), hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3)
     )
     out_path = cfg.get_str("tune.out")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    save_weights(FeatureSchema(len(hyp_lines)), weights, out_path)
+    _write_text(out_path, format_weights(FeatureSchema(len(hyp_lines)), weights))
     _emit_summary(
         cfg, "tune",
         {

@@ -36,6 +36,9 @@ the padded sentences.  A context's continuations keep the order in which
 they first occur in the corpus: the normalizer ``_z`` sums their backoff
 probabilities in that order, so the order fixes the bits of every
 probability the search and the tuner see.
+
+The tuned weights are a plain text file, made and read by the pure
+functions ``format_weights`` and ``parse_weights``; the CLI opens the file.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .alignment import Alignment, align_all
-from .textcore import TokenSeq
+from .textcore import TokenSeq, split_lines
 
 LM_BOS, LM_EOS, LM_UNK = "<s>", "</s>", "<unk>"
 BACKOFF = 0.4
@@ -168,28 +171,23 @@ class FeatureSchema:
         return w
 
 
-def save_weights(schema: FeatureSchema, weights: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, value in zip(schema.names, weights):
-            fh.write(f"{name}\t{repr(float(value))}\n")
+def format_weights(schema: FeatureSchema, weights: np.ndarray) -> str:
+    """The weights file: one ``name<TAB>repr(value)`` line per feature."""
+    return "".join(f"{name}\t{repr(float(value))}\n" for name, value in zip(schema.names, weights))
 
 
-def load_weights(path: str, schema: FeatureSchema) -> np.ndarray:
-    values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            name, _, raw = line.rstrip("\n").partition("\t")
-            values[name] = float(raw)
-    if set(values) != set(schema.names):
-        raise ValueError(
-            f"{path}: weight names {sorted(values)} do not match schema {list(schema.names)}"
-        )
+def parse_weights(text: str, schema: FeatureSchema) -> np.ndarray:
+    """The weights of ``format_weights``'s text, in ``schema`` order: every
+    name of the schema exactly once, each with a finite value."""
+    entries = [line.partition("\t") for line in split_lines(text) if line.strip()]
+    names = [name for name, _, _ in entries]
+    if sorted(names) != sorted(schema.names):
+        raise ValueError(f"weight names {names} are not {list(schema.names)}, each once")
+    values = {name: float(raw) for name, _, raw in entries}
     weights = np.array([values[name] for name in schema.names])
     if not np.isfinite(weights).all():
         bad = [name for name, w in zip(schema.names, weights) if not np.isfinite(w)]
-        raise ValueError(f"{path}: non-finite weights {bad}")
+        raise ValueError(f"non-finite weights {bad}")
     return weights
 
 

@@ -23,6 +23,10 @@ depends on the number and layout of the terms, take each model's own steps:
 the steps its batch alone would have.  So every model gets, bit for bit, the
 numbers of its batch alone.  Greedy decoding and sampling reuse the
 kernel's helpers on the 1-D rows of one model.
+
+Checkpoints and the vocabulary file are plain text, made and read by pure
+functions of strings: ``format_model``/``parse_model`` and
+``format_vocab``/``parse_vocab``.  Opening the files is the CLI's job.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .textcore import TokenSeq
+from .textcore import TokenSeq, split_lines
 
 BOS, EOS, UNK = "<bos>", "<eos>", "<unk>"
 RESERVED = (BOS, EOS, UNK)
@@ -78,15 +82,14 @@ class Vocabulary:
         return [self.id_of(t) for t in seq]
 
 
-def save_vocab(vocab: Vocabulary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(vocab.tokens) + "\n")
+def format_vocab(vocab: Vocabulary) -> str:
+    """The vocabulary file: one token per line, in id order."""
+    return "\n".join(vocab.tokens) + "\n"
 
 
-def load_vocab(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        tokens = tuple(line.rstrip("\n") for line in fh if line.strip())
-    return Vocabulary(tokens)
+def parse_vocab(text: str) -> Vocabulary:
+    """The vocabulary of ``format_vocab``'s text; blank lines are skipped."""
+    return Vocabulary(tuple(line for line in split_lines(text) if line.strip()))
 
 
 class PolicyModel:
@@ -584,34 +587,38 @@ def mle_step(
 
 CHECKPOINT_MAGIC = "corrfuse-policy"
 CHECKPOINT_VERSION = 1
+_HEADER_FIELDS = ("vocab", "embed", "hidden", "max_len", "seed")
 
 
-def save_model(model: PolicyModel, path: str) -> None:
+def format_model(model: PolicyModel) -> str:
+    """The checkpoint: a header line with the architecture, then one
+    parameter per line as its ``repr``, which reads back bit for bit."""
     header = (
         f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} "
         f"vocab={len(model.vocab)} embed={model.embed_width} "
         f"hidden={model.hidden_width} max_len={model.max_len} seed={model.init_seed}"
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + "\n".join(map(repr, model.params.tolist())) + "\n")
+    return header + "\n" + "\n".join(map(repr, model.params.tolist())) + "\n"
 
 
-def load_model(path: str, vocab: Vocabulary) -> PolicyModel:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        values = [float(line) for line in fh if line.strip()]
-    if len(header) < 2 or header[0] != CHECKPOINT_MAGIC or header[1] != f"v{CHECKPOINT_VERSION}":
-        raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} policy checkpoint")
-    meta = dict(kv.split("=") for kv in header[2:])
-    if int(meta["vocab"]) != len(vocab):
-        raise ValueError(
-            f"{path}: checkpoint vocab size {meta['vocab']} != vocabulary size {len(vocab)}"
-        )
+def parse_model(text: str, vocab: Vocabulary) -> PolicyModel:
+    """The model of ``format_model``'s text over ``vocab``.  The header must
+    give each of its fields exactly once, and the vocabulary size must match."""
+    lines = split_lines(text)
+    header = lines[0].split() if lines else []
+    if header[:2] != [CHECKPOINT_MAGIC, f"v{CHECKPOINT_VERSION}"]:
+        raise ValueError(f"not a version-{CHECKPOINT_VERSION} policy checkpoint")
+    fields = [kv.partition("=") for kv in header[2:]]
+    if sorted(key for key, _, _ in fields) != sorted(_HEADER_FIELDS):
+        raise ValueError(f"checkpoint header must give each of {list(_HEADER_FIELDS)} once")
+    meta = {key: int(value) for key, _, value in fields}
+    if meta["vocab"] != len(vocab):
+        raise ValueError(f"checkpoint vocab size {meta['vocab']} != vocabulary size {len(vocab)}")
     return PolicyModel(
         vocab,
-        embed_width=int(meta["embed"]),
-        hidden_width=int(meta["hidden"]),
-        max_len=int(meta["max_len"]),
-        init_seed=int(meta["seed"]),
-        params=np.array(values),
+        embed_width=meta["embed"],
+        hidden_width=meta["hidden"],
+        max_len=meta["max_len"],
+        init_seed=meta["seed"],
+        params=np.array([float(line) for line in lines[1:] if line.strip()]),
     )

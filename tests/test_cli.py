@@ -17,7 +17,7 @@ import pytest
 from corrfuse import cli, combiner, tuner
 from corrfuse.ddt import DdtConfig, train_stage
 from corrfuse.evaluation import parse_m2, score_corpus
-from corrfuse.policy import greedy_decode, load_model, load_vocab
+from corrfuse.policy import greedy_decode, parse_model, parse_vocab
 from corrfuse.textcore import tokenize
 
 TINY = [
@@ -232,6 +232,17 @@ def _keep_header_fields(path: Path, n: int) -> None:
     path.write_text(" ".join(header.split()[:n]) + "\n" + body, encoding="utf-8")
 
 
+def _insert_header_field(path: Path, field: str) -> None:
+    """Put ``field`` right after the checkpoint's magic and version."""
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    magic, version, rest = header.split(" ", 2)
+    path.write_text(f"{magic} {version} {field} {rest}\n{body}", encoding="utf-8")
+
+
+def _append_line(path: Path, line: str) -> None:
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "command, damage",
     [
@@ -314,6 +325,11 @@ def _keep_header_fields(path: Path, n: int) -> None:
             ["train"],
             lambda run_dir: [(run_dir / f"data/dev.{ext}").write_text("") for ext in ("src", "ref", "m2")],
         ),
+        (
+            ["combine", "--set", f"combine.hyps={HYPS}"],
+            lambda run_dir: _append_line(run_dir / "out/combine.weights", "match_0\t9.0"),
+        ),
+        (["ddt"], lambda run_dir: _insert_header_field(run_dir / "models/model_1.txt", "vocab=99")),
     ],
 )
 def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):
@@ -353,6 +369,23 @@ def test_bad_grammar_file_is_a_data_error_naming_it(tmp_path, capsys, content):
 def test_directory_in_place_of_an_input_file_is_a_data_error(workdir, capsys, command):
     assert run(workdir, command) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        (["gen"], "data.dir=run/data/dev.src/sub"),
+        (["combine", "--set", f"combine.hyps={HYPS}"], "combine.out=run/out"),
+        (["tune", "--set", f"tune.hyps={HYPS}"], "tune.out=run/out/combined.hyp/tuned.weights"),
+        (["ddt"], "ddt.out=run/models"),
+    ],
+    ids=["gen-under-a-file", "combine-to-a-directory", "tune-under-a-file", "ddt-to-a-directory"],
+)
+def test_unwritable_output_is_a_data_error_naming_it(workdir, capsys, command, override):
+    assert run(workdir, command, "--set", override) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot write ") and override.split("=", 1)[1] in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -440,11 +473,15 @@ def test_train_takes_one_lockstep_step_per_minibatch(workdir, monkeypatch, capsy
     assert steps == [3] * 2 * math.ceil(int(summary["n_pairs"]) / 4)  # a batch per model
 
 
+def read_model(path: Path, vocab):
+    return cli._read_text(str(path), lambda text: parse_model(text, vocab))
+
+
 def test_ddt_checkpoint_is_one_train_stage(pipeline):
     root, _, _ = pipeline
     models_dir = root / "run/models"
-    vocab = load_vocab(str(models_dir / "vocab.txt"))
-    models = [load_model(str(models_dir / f"model_{i}.txt"), vocab) for i in range(3)]
+    vocab = cli._read_text(str(models_dir / "vocab.txt"), parse_vocab)
+    models = [read_model(models_dir / f"model_{i}.txt", vocab) for i in range(3)]
     src, ref = (
         [tokenize(line) for line in (root / f"run/data/dev.{ext}").read_text().splitlines()]
         for ext in ("src", "ref")
@@ -453,7 +490,7 @@ def test_ddt_checkpoint_is_one_train_stage(pipeline):
     seed = 5 * 1000 + 2  # ddt.seed derived from --seed 5
     cfg = DdtConfig(learning_rate=0.002, seed=seed)  # the ddt.* defaults
     train_stage(models[0], list(zip(src, ref)), peers, cfg, np.random.default_rng((seed, 0)))
-    ddt = load_model(str(models_dir / "model_0_ddt.txt"), vocab)
+    ddt = read_model(models_dir / "model_0_ddt.txt", vocab)
     assert np.array_equal(ddt.params, models[0].params)
 
 
@@ -587,7 +624,9 @@ def test_tune_and_combine_do_not_depend_on_the_hash_seed(workdir, tmp_path):
         results.append(((out / "combine.weights").read_bytes(), (out / "combined.hyp").read_bytes()))
     assert results[0] == results[1]
     schema = cli.FeatureSchema(3)
-    tuned = cli.load_weights(str(copy / "run/out/combine.weights"), schema)
+    tuned = cli._read_text(
+        str(copy / "run/out/combine.weights"), lambda text: combiner.parse_weights(text, schema)
+    )
     assert not np.array_equal(tuned, schema.default_weights())
 
 

@@ -11,8 +11,8 @@ from corrfuse.combiner import (
     build_space,
     build_spaces,
     extensions,
-    load_weights,
-    save_weights,
+    format_weights,
+    parse_weights,
     train_lm,
 )
 from corrfuse.textcore import tokenize
@@ -251,15 +251,14 @@ class TestBeamSearch:
 
 
 class TestWeightsIO:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         schema = FeatureSchema(3)
         weights = np.array([1.5, -0.25, 0.0, 2.0, 0.125])
-        path = str(tmp_path / "w.tsv")
-        save_weights(schema, weights, path)
-        assert np.array_equal(load_weights(path, schema), weights)
+        text = format_weights(schema, weights)
+        for copy in (text, text.replace("\n", "\r\n")):  # the CR LF copy parses the same
+            assert np.array_equal(parse_weights(copy, schema), weights)
+            assert parse_weights(copy, schema).tobytes() == weights.tobytes()
 
-    def test_rejects_name_mismatch(self, tmp_path):
-        path = str(tmp_path / "w.tsv")
-        save_weights(FeatureSchema(2), np.zeros(4), path)
+    def test_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
-            load_weights(path, FeatureSchema(3))
+            parse_weights(format_weights(FeatureSchema(2), np.zeros(4)), FeatureSchema(3))

@@ -9,15 +9,15 @@ from corrfuse.policy import (
     PROB_FLOOR,
     PolicyModel,
     Vocabulary,
+    format_model,
+    format_vocab,
     grad_logprob,
     greedy_decode,
-    load_model,
-    load_vocab,
     logprob,
     mle_step,
+    parse_model,
+    parse_vocab,
     sample,
-    save_model,
-    save_vocab,
 )
 
 
@@ -64,11 +64,12 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary.build(["<eos>"])
 
-    def test_file_round_trip(self, tmp_path):
+    def test_file_round_trip(self):
         v = Vocabulary.build(["alpha", "beta"])
-        path = str(tmp_path / "vocab.txt")
-        save_vocab(v, path)
-        assert load_vocab(path) == v
+        text = format_vocab(v)
+        assert text == "<bos>\n<eos>\n<unk>\nalpha\nbeta\n"
+        for copy in (text, text.replace("\n", "\r\n")):  # the CR LF copy parses the same
+            assert parse_vocab(copy) == v
 
 
 class TestLogprob:
@@ -274,28 +275,26 @@ class TestMleStep:
 
 
 class TestSerialization:
-    def test_checkpoint_round_trip_bit_identical(self, tmp_path):
+    def test_checkpoint_round_trip_bit_identical(self):
         model = tiny_model(seed=21)
-        path = str(tmp_path / "model.txt")
-        save_model(model, path)
-        loaded = load_model(path, model.vocab)
-        assert np.array_equal(loaded.params, model.params)
-        assert (loaded.embed_width, loaded.hidden_width, loaded.max_len) == (
-            model.embed_width,
-            model.hidden_width,
-            model.max_len,
-        )
+        text = format_model(model)
+        for copy in (text, text.replace("\n", "\r\n")):  # the CR LF copy parses the same
+            loaded = parse_model(copy, model.vocab)
+            assert np.array_equal(loaded.params, model.params)
+            assert loaded.params.tobytes() == model.params.tobytes()
+            assert (loaded.embed_width, loaded.hidden_width, loaded.max_len, loaded.init_seed) == (
+                model.embed_width,
+                model.hidden_width,
+                model.max_len,
+                model.init_seed,
+            )
+            assert loaded.vocab == model.vocab
 
-    def test_rejects_wrong_vocab(self, tmp_path):
+    def test_rejects_wrong_vocab(self):
         model = tiny_model()
-        path = str(tmp_path / "model.txt")
-        save_model(model, path)
         with pytest.raises(ValueError):
-            load_model(path, Vocabulary.build(["only"]))
+            parse_model(format_model(model), Vocabulary.build(["only"]))
 
-    def test_rejects_garbage_header(self, tmp_path):
-        path = str(tmp_path / "bad.txt")
-        with open(path, "w") as fh:
-            fh.write("something else\n1.0\n")
+    def test_rejects_garbage_header(self):
         with pytest.raises(ValueError):
-            load_model(path, Vocabulary.build(["a"]))
+            parse_model("something else\n1.0\n", Vocabulary.build(["a"]))

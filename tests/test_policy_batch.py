@@ -37,14 +37,14 @@ from corrfuse.policy import (
     PolicyModel,
     Vocabulary,
     _ids,
+    format_model,
     grad_logprob,
     grad_logprob_batch,
     greedy_decode,
-    load_model,
     logprob,
     logprob_batch,
     mle_step,
-    save_model,
+    parse_model,
     stack_params,
 )
 from corrfuse.rewards import reward
@@ -397,11 +397,12 @@ def test_checkpoint_bytes_are_one_repr_per_line(tmp_path):
     model = PolicyModel(Vocabulary.build(["a", "b"]), 3, 4, 5, init_seed=17)
     model.params[:3] = [0.1, -0.0, 1e-300]  # short, signed-zero and tiny reprs
     path = tmp_path / "model.txt"
-    save_model(model, str(path))
+    cli._write_text(str(path), format_model(model))
     lines = ["corrfuse-policy v1 vocab=5 embed=3 hidden=4 max_len=5 seed=17"]
     lines += [repr(float(v)) for v in model.params]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
-    assert np.array_equal(load_model(str(path), model.vocab).params, model.params)
+    loaded = cli._read_text(str(path), lambda text: parse_model(text, model.vocab))
+    assert np.array_equal(loaded.params, model.params)
 
 
 # ---------------------------------------------------------------------------
@@ -790,9 +791,8 @@ def test_lockstep_training_matches_separate_training(tmp_path, capsys, n_models,
         want, want_nll = ref_train_one(cfg, vocab, pairs, i)
         assert nlls[i] == want_nll
         assert summary[f"model_{i}_nll"] == cli._fmt(want_nll)
-        save_model(want, str(tmp_path / "want.txt"))
         written = tmp_path / "run" / "models" / f"model_{i}.txt"
-        assert written.read_bytes() == (tmp_path / "want.txt").read_bytes()
+        assert written.read_bytes() == format_model(want).encode("utf-8")
         assert same_bits(models[i].params, want.params)
 
 
