@@ -3,12 +3,15 @@ diversity.  Every command is deterministic given its config, writes its
 artifacts as plain text, prints a key=value summary, and appends the same
 summary (with the config hash) to <data.dir>/report.txt.
 
-Exit codes: 0 success; 2 usage error (bad flags, unknown keys, out-of-range
-values); 3 data error (missing, misaligned or malformed input files, an
-output path that cannot be written, an empty dev or test split, empty
-hypothesis files, hypothesis lines too long to align, reserved tokens in the
-training text); 4 numeric failure (non-finite parameters).  The library's
-errors for bad values and malformed files are mapped to these here.
+Exit codes: 0 success; 2 usage error (bad flags, unknown keys, a value
+outside its key's legal values in ``config.KNOWN_KEYS``, which the config
+checks as it loads, before any file is read or written; an unset file key,
+or a setting that does not fit another key or the checkpoints); 3 data error
+(missing, misaligned or malformed input files, an output path that cannot be
+written, an empty dev or test split, empty hypothesis files, hypothesis lines
+too long to align, reserved tokens in the training text); 4 numeric failure
+(non-finite parameters).  The library's errors for malformed files are
+mapped to these here.
 
 ``_read_text`` reads and parses every input and ``_write_text`` writes
 every artifact and the report: they are the only file access, apart from
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 from typing import Callable, NoReturn, Sequence, TypeVar
@@ -163,13 +165,6 @@ def _split_paths(raw: str) -> list[str]:
     return [p.strip() for p in raw.split(",") if p.strip()]
 
 
-def _positive_int(cfg: ExperimentConfig, key: str) -> int:
-    value = cfg.get_int(key)
-    if value < 1:
-        raise UsageError(f"{key} must be >= 1, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # shared loading
 # ---------------------------------------------------------------------------
@@ -177,11 +172,11 @@ def _positive_int(cfg: ExperimentConfig, key: str) -> int:
 def _model_paths(cfg: ExperimentConfig) -> tuple[str, list[str]]:
     model_dir = cfg.get_str("model.dir")
     vocab_path = os.path.join(model_dir, "vocab.txt")
-    n = _positive_int(cfg, "train.models")
+    n = cfg.get_int("train.models")
     return vocab_path, [os.path.join(model_dir, f"model_{i}.txt") for i in range(n)]
 
 
-def _load_models(cfg: ExperimentConfig) -> tuple[Vocabulary, list[PolicyModel]]:
+def _load_models(cfg: ExperimentConfig) -> list[PolicyModel]:
     vocab_path, model_paths = _model_paths(cfg)
     if not os.path.exists(vocab_path):
         raise DataError(f"missing vocabulary file: {vocab_path} (run the train command first)")
@@ -191,7 +186,7 @@ def _load_models(cfg: ExperimentConfig) -> tuple[Vocabulary, list[PolicyModel]]:
         if not os.path.exists(path):
             raise DataError(f"missing checkpoint: {path} (run the train command first)")
         models.append(_read_text(path, lambda text: parse_model(text, vocab)))
-    return vocab, models
+    return models
 
 
 def _load_split(
@@ -236,41 +231,31 @@ def _load_lm(cfg: ExperimentConfig) -> NGramLM:
     corpus = _read_token_lines(corpus_path)
     if not corpus:
         raise DataError(f"empty language model corpus: {corpus_path}")
-    return train_lm(corpus, _positive_int(cfg, "lm.order"))
+    return train_lm(corpus, cfg.get_int("lm.order"))
 
 
 def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
-    try:
-        kind = RewardKind(cfg.get_str("ddt.reward"))
-    except ValueError as exc:
-        raise UsageError(f"ddt.reward must be one of edit|bleu|tokendiff: {exc}") from exc
-    try:
-        return DdtConfig(
-            alpha=cfg.get_float("ddt.alpha"),
-            k_samples=cfg.get_int("ddt.k_samples"),
-            reward_kind=kind,
-            learning_rate=cfg.get_float("ddt.lr"),
-            epochs=cfg.get_int("ddt.epochs"),
-            seed=cfg.derived_seed("ddt.seed", 2),
-            normalize_reward=cfg.get_bool("ddt.normalize"),
-        )
-    except ValueError as exc:
-        raise UsageError(f"invalid ddt setting: {exc}") from exc
+    return DdtConfig(
+        alpha=cfg.get_float("ddt.alpha"),
+        k_samples=cfg.get_int("ddt.k_samples"),
+        reward_kind=RewardKind(cfg.get_str("ddt.reward")),
+        learning_rate=cfg.get_float("ddt.lr"),
+        epochs=cfg.get_int("ddt.epochs"),
+        seed=cfg.derived_seed("ddt.seed", 2),
+        normalize_reward=cfg.get_bool("ddt.normalize"),
+    )
 
 
 def _tune_settings(cfg: ExperimentConfig) -> dict[str, int]:
-    """The checked beam, k-best size and MERT schedule, as ``tune_loop``
-    keyword arguments."""
-    settings = {
-        "beam": _positive_int(cfg, "combine.beam"),
-        "k": _positive_int(cfg, "combine.k"),
-        "rounds": _positive_int(cfg, "tune.rounds"),
-        "mert_iters": _positive_int(cfg, "tune.iters"),
+    """The beam, k-best size and MERT schedule, as ``tune_loop`` keyword
+    arguments."""
+    return {
+        "beam": cfg.get_int("combine.beam"),
+        "k": cfg.get_int("combine.k"),
+        "rounds": cfg.get_int("tune.rounds"),
+        "mert_iters": cfg.get_int("tune.iters"),
         "n_random": cfg.get_int("tune.random_dirs"),
     }
-    if settings["n_random"] < 0:
-        raise UsageError(f"tune.random_dirs must be >= 0, got {settings['n_random']}")
-    return settings
 
 
 def _tune(
@@ -309,19 +294,16 @@ def _tune(
 def cmd_gen(cfg: ExperimentConfig) -> int:
     grammar_path = cfg.get_str("gen.grammar")
     grammar = _read_text(grammar_path, parse_grammar) if grammar_path else DEFAULT_GRAMMAR
-    try:
-        rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
-    except ValueError as exc:
-        raise UsageError(f"gen.rule_prob: {exc}") from exc
+    rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
     seed = cfg.get_int("seed")
-    oversample = _positive_int(cfg, "gen.oversample")
+    oversample = cfg.get_int("gen.oversample")
     # all splits draw reference sentences from one grammar stream, so dev and
     # test are freshly corrupted versions of sentences the models trained on;
     # the train split is oversampled with independent corruption passes
     grammar_seed = seed * 8
     summary: dict[str, object] = {}
     for split_idx, split in enumerate(("train", "dev", "test")):
-        n = _positive_int(cfg, f"gen.{split}")
+        n = cfg.get_int(f"gen.{split}")
         passes = oversample if split == "train" else 1
         examples = []
         for corruption_pass in range(passes):
@@ -358,12 +340,12 @@ def _train_models(
     pass (``mle_step``), with the numbers of separate steps.
     """
     seed = cfg.get_int("seed")
-    n_models = _positive_int(cfg, "train.models")
+    n_models = cfg.get_int("train.models")
     models = [
         PolicyModel(
             vocab,
-            embed_width=_positive_int(cfg, "policy.embed"),
-            hidden_width=_positive_int(cfg, "policy.hidden"),
+            embed_width=cfg.get_int("policy.embed"),
+            hidden_width=cfg.get_int("policy.hidden"),
             max_len=cfg.get_int("policy.max_len"),
             init_seed=seed * 1000 + 100 + i,
         )
@@ -371,8 +353,8 @@ def _train_models(
     ]
     stack = stack_params(models)
     rngs = [np.random.default_rng((seed, 200 + i)) for i in range(n_models)]
-    batch_size = _positive_int(cfg, "train.batch")
-    epochs = _positive_int(cfg, "train.epochs")
+    batch_size = cfg.get_int("train.batch")
+    epochs = cfg.get_int("train.epochs")
     lr = cfg.get_float("train.lr")
     encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
     last_nll: list[float] = []
@@ -402,10 +384,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     _require_aligned(train_src=train_src, train_ref=train_ref)
     if not train_src:
         raise DataError(f"empty training data: {cfg.get_str('data.train_src')}")
-    max_len = _positive_int(cfg, "policy.max_len")
-    lr = cfg.get_float("train.lr")
-    if not (math.isfinite(lr) and lr > 0):
-        raise UsageError(f"train.lr must be finite and > 0, got {lr}")
+    max_len = cfg.get_int("policy.max_len")
     pairs = [(x, y) for x, y in zip(train_src, train_ref) if len(y) <= max_len]
     if not pairs:
         raise DataError("no training pair fits within policy.max_len")
@@ -431,13 +410,13 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ddt(cfg: ExperimentConfig) -> int:
-    vocab, models = _load_models(cfg)
+    backbone_idx, n_models = cfg.get_int("ddt.backbone"), cfg.get_int("train.models")
+    if backbone_idx >= n_models:
+        raise UsageError(f"ddt.backbone must be in [0,{n_models - 1}], got {backbone_idx}")
+    models = _load_models(cfg)
     dev_src, dev_golds = _load_split(cfg, "dev")
     dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
     _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
-    backbone_idx = cfg.get_int("ddt.backbone")
-    if not 0 <= backbone_idx < len(models):
-        raise UsageError(f"ddt.backbone must be in [0,{len(models) - 1}], got {backbone_idx}")
     ddt_cfg = _ddt_config(cfg)
     peer_files = _split_paths(cfg.get_str("ddt.peers"))
     if peer_files:
@@ -493,17 +472,14 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
 
 
 def cmd_stages(cfg: ExperimentConfig) -> int:
-    vocab, models = _load_models(cfg)
+    n_models = cfg.get_int("train.models")
+    if n_models < 2:
+        raise UsageError(f"stages needs train.models >= 2, got {n_models}")
+    models = _load_models(cfg)
     dev_src, dev_golds = _load_split(cfg, "dev")
     dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
     _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
     lm = _load_lm(cfg)
-    stages = cfg.get_int("ddt.stages")
-    ddt_cfg = _ddt_config(cfg)
-    if stages < 0:
-        raise UsageError(f"ddt.stages must be >= 0, got {stages}")
-    if len(models) < 2:
-        raise UsageError(f"stages needs train.models >= 2, got {len(models)}")
     decode_limit = max(m.max_len for m in models)
     if decode_limit > MAX_TOKENS:
         raise UsageError(
@@ -516,15 +492,13 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
             f"dev references longer than the shortest model decode limit ({shortest_limit});"
             " regenerate or raise policy.max_len"
         )
-    # a bad setting must fail before the DDT stages train, not after
     settings = _tune_settings(cfg)
     tune_base = cfg.derived_seed("tune.seed", 3)
-    resamples = _positive_int(cfg, "eval.resamples")
-    eval_seed = cfg.derived_seed("eval.seed", 4)
+    stages = cfg.get_int("ddt.stages")
     _, reports = round_robin(
         models,
         list(zip(dev_src, dev_ref)),
-        ddt_cfg,
+        _ddt_config(cfg),
         stages,
         lambda model, stage: _check_finite(model, f"diversity-driven training stage {stage}"),
     )
@@ -567,7 +541,9 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
     summary["best_combined_f05"] = stage_f05[best_stage]
     if best_stage != 0:
         outcomes = compare_outputs(per_sentence_by_stage[best_stage], per_sentence_by_stage[0])
-        summary["p_best_vs_stage0"] = sign_test_bootstrap(outcomes, resamples, eval_seed)
+        summary["p_best_vs_stage0"] = sign_test_bootstrap(
+            outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
+        )
     _emit_summary(cfg, "stages", summary)
     return 0
 
@@ -581,7 +557,7 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
         weights = _read_text(weights_path, lambda text: parse_weights(text, schema))
     else:
         weights = schema.default_weights()
-    beam = _positive_int(cfg, "combine.beam")
+    beam = cfg.get_int("combine.beam")
     combined = decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
     out_path = cfg.get_str("combine.out")
     _write_text(out_path, _lines_text(combined))
@@ -623,8 +599,6 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         raise UsageError("eval.hyp must name the hypothesis file to score")
     hyps = _read_token_lines(hyp_path)
     split = cfg.get_str("eval.split")
-    if split not in ("dev", "test"):
-        raise UsageError(f"eval.split must be dev or test, got {split!r}")
     src, golds = _load_split(cfg, split)
     _require_aligned(src=src, hyps=hyps)
     stats, per_sentence = score_corpus(src, hyps, golds)
@@ -646,7 +620,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         outcomes = compare_outputs(per_sentence, base_per_sentence)
         summary["baseline"] = baseline_path
         summary["p_value"] = sign_test_bootstrap(
-            outcomes, _positive_int(cfg, "eval.resamples"), cfg.derived_seed("eval.seed", 4)
+            outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
         )
     _emit_summary(cfg, "eval", summary)
     return 0

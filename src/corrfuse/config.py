@@ -1,78 +1,98 @@
-"""Experiment configuration: a flat dotted-key table with typed defaults.
+"""Experiment configuration: a flat dotted-key table that gives each key its
+type, its default and its legal values.
 
 Sources, in increasing precedence: built-in defaults, config file lines
 ("key = value", # comments allowed), then CLI flag overrides; the
-environment is not read.  Unset path keys are derived from data.dir after
-merging, so a config file is optional.
+environment is not read.  Every value read from a file or a flag is checked
+against its key's legal values as it is loaded, so a bad value fails every
+command before it reads or writes any data.  Unset path keys are derived
+from data.dir after merging, so a config file is optional.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import UsageError
 
-# key -> (type tag, default)
-KNOWN_KEYS: dict[str, tuple[str, object]] = {
-    "seed": ("int", 7),
-    "data.dir": ("str", "runs/toy"),
-    "data.train_src": ("str", ""),
-    "data.train_ref": ("str", ""),
-    "data.train_m2": ("str", ""),
-    "data.dev_src": ("str", ""),
-    "data.dev_ref": ("str", ""),
-    "data.dev_m2": ("str", ""),
-    "data.test_src": ("str", ""),
-    "data.test_ref": ("str", ""),
-    "data.test_m2": ("str", ""),
-    "gen.train": ("int", 150),
-    "gen.dev": ("int", 120),
-    "gen.test": ("int", 120),
-    "gen.oversample": ("int", 4),
-    "gen.rule_prob": ("float", 0.35),
-    "gen.grammar": ("str", ""),
-    "policy.embed": ("int", 32),
-    "policy.hidden": ("int", 64),
-    "policy.max_len": ("int", 16),
-    "model.dir": ("str", ""),
-    "train.models": ("int", 3),
-    "train.epochs": ("int", 30),
-    "train.batch": ("int", 4),
-    "train.lr": ("float", 0.015),
-    "ddt.alpha": ("float", 0.5),
-    "ddt.k_samples": ("int", 4),
-    "ddt.reward": ("str", "edit"),
-    "ddt.lr": ("float", 0.002),
-    "ddt.epochs": ("int", 1),
-    "ddt.seed": ("int", -1),
-    "ddt.backbone": ("int", 0),
-    "ddt.stages": ("int", 3),
-    "ddt.peers": ("str", ""),
-    "ddt.out": ("str", ""),
-    "ddt.normalize": ("bool", False),
-    "lm.order": ("int", 3),
-    "lm.corpus": ("str", ""),
-    "combine.beam": ("int", 64),
-    "combine.k": ("int", 50),
-    "combine.weights": ("str", ""),
-    "combine.hyps": ("str", ""),
-    "combine.out": ("str", ""),
-    "tune.rounds": ("int", 2),
-    "tune.iters": ("int", 4),
-    "tune.random_dirs": ("int", 8),
-    "tune.seed": ("int", -1),
-    "tune.hyps": ("str", ""),
-    "tune.out": ("str", ""),
-    "eval.hyp": ("str", ""),
-    "eval.baseline": ("str", ""),
-    "eval.split": ("str", "dev"),
-    "eval.resamples": ("int", 100),
-    "eval.seed": ("int", -1),
-    "div.a": ("str", ""),
-    "div.b": ("str", ""),
+# what a legal value must be, and the test of it
+Check = tuple[str, Callable[[Any], bool]]
+
+
+def _at_least(n: int) -> Check:
+    return f"be >= {n}", lambda value: value >= n
+
+
+def _one_of(*choices: str) -> Check:
+    return f"be one of {'|'.join(choices)}", lambda value: value in choices
+
+
+_FRACTION: Check = ("be in [0,1]", lambda value: 0.0 <= value <= 1.0)
+_POSITIVE: Check = ("be finite and > 0", lambda value: math.isfinite(value) and value > 0)
+
+# key -> (type tag, default, check of its legal values or None for any value
+# of the type); a negative component seed means "derive it from seed"
+KNOWN_KEYS: dict[str, tuple[str, object, Check | None]] = {
+    "seed": ("int", 7, _at_least(0)),
+    "data.dir": ("str", "runs/toy", None),
+    "data.train_src": ("str", "", None),
+    "data.train_ref": ("str", "", None),
+    "data.train_m2": ("str", "", None),
+    "data.dev_src": ("str", "", None),
+    "data.dev_ref": ("str", "", None),
+    "data.dev_m2": ("str", "", None),
+    "data.test_src": ("str", "", None),
+    "data.test_ref": ("str", "", None),
+    "data.test_m2": ("str", "", None),
+    "gen.train": ("int", 150, _at_least(1)),
+    "gen.dev": ("int", 120, _at_least(1)),
+    "gen.test": ("int", 120, _at_least(1)),
+    "gen.oversample": ("int", 4, _at_least(1)),
+    "gen.rule_prob": ("float", 0.35, _FRACTION),
+    "gen.grammar": ("str", "", None),
+    "policy.embed": ("int", 32, _at_least(1)),
+    "policy.hidden": ("int", 64, _at_least(1)),
+    "policy.max_len": ("int", 16, _at_least(1)),
+    "model.dir": ("str", "", None),
+    "train.models": ("int", 3, _at_least(1)),
+    "train.epochs": ("int", 30, _at_least(1)),
+    "train.batch": ("int", 4, _at_least(1)),
+    "train.lr": ("float", 0.015, _POSITIVE),
+    "ddt.alpha": ("float", 0.5, _FRACTION),
+    "ddt.k_samples": ("int", 4, _at_least(2)),
+    "ddt.reward": ("str", "edit", _one_of("edit", "bleu", "tokendiff")),
+    "ddt.lr": ("float", 0.002, _POSITIVE),
+    "ddt.epochs": ("int", 1, _at_least(1)),
+    "ddt.seed": ("int", -1, None),
+    "ddt.backbone": ("int", 0, _at_least(0)),
+    "ddt.stages": ("int", 3, _at_least(0)),
+    "ddt.peers": ("str", "", None),
+    "ddt.out": ("str", "", None),
+    "ddt.normalize": ("bool", False, None),
+    "lm.order": ("int", 3, _at_least(1)),
+    "lm.corpus": ("str", "", None),
+    "combine.beam": ("int", 64, _at_least(1)),
+    "combine.k": ("int", 50, _at_least(1)),
+    "combine.weights": ("str", "", None),
+    "combine.hyps": ("str", "", None),
+    "combine.out": ("str", "", None),
+    "tune.rounds": ("int", 2, _at_least(1)),
+    "tune.iters": ("int", 4, _at_least(1)),
+    "tune.random_dirs": ("int", 8, _at_least(0)),
+    "tune.seed": ("int", -1, None),
+    "tune.hyps": ("str", "", None),
+    "tune.out": ("str", "", None),
+    "eval.hyp": ("str", "", None),
+    "eval.baseline": ("str", "", None),
+    "eval.split": ("str", "dev", _one_of("dev", "test")),
+    "eval.resamples": ("int", 100, _at_least(1)),
+    "eval.seed": ("int", -1, None),
+    "div.a": ("str", "", None),
+    "div.b": ("str", "", None),
 }
 
 # path keys derived from data.dir when left empty
@@ -93,26 +113,30 @@ _DERIVED_PATHS = {
 }
 
 
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
+
+
 def _coerce(key: str, raw: object) -> object:
-    tag, _ = KNOWN_KEYS[key]
-    if not isinstance(raw, str):
-        return raw
-    raw = raw.strip()
-    try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw
-    except ValueError as exc:
-        raise UsageError(f"config key {key}: {exc}") from exc
+    """``raw`` as a value of ``key``: parsed when it is text, then checked."""
+    tag, _, check = KNOWN_KEYS[key]
+    value = raw
+    if isinstance(raw, str):
+        try:
+            value = _PARSERS[tag](raw.strip())
+        except ValueError as exc:
+            raise UsageError(f"config key {key}: {exc}") from exc
+    if check is not None and not check[1](value):
+        raise UsageError(f"{key} must {check[0]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -125,7 +149,7 @@ class ExperimentConfig:
         config_path: str | None = None,
         overrides: Mapping[str, object] | None = None,
     ) -> "ExperimentConfig":
-        values = {key: default for key, (_, default) in KNOWN_KEYS.items()}
+        values = {key: default for key, (_, default, _) in KNOWN_KEYS.items()}
         if config_path:
             if not os.path.exists(config_path):
                 raise UsageError(f"config file not found: {config_path}")
@@ -153,8 +177,6 @@ class ExperimentConfig:
             if key not in KNOWN_KEYS:
                 raise UsageError(f"unknown config key {key!r}")
             values[key] = _coerce(key, value)
-        if values["seed"] < 0:  # type: ignore[operator]
-            raise UsageError(f"seed must be >= 0, got {values['seed']}")
         base = str(values["data.dir"])
         for key, rel in _DERIVED_PATHS.items():
             if not values[key]:

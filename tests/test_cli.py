@@ -147,11 +147,33 @@ def workdir(pipeline, tmp_path):
         (["train"], "train.epochs=0"),
         (["train"], "train.epochs=-1"),
         (["gen"], "seed=-1"),
+        (["ddt"], "ddt.reward=nope"),
+        (["eval", "--set", "eval.hyp=run/out/combined.hyp"], "eval.split=train"),
+        (["gen"], "gen.rule_prob=nan"),
+        (["stages"], "ddt.alpha=nan"),
+        (["eval", "--set", "eval.hyp=run/out/combined.hyp"], "combine.beam=0"),
     ],
 )
 def test_bad_values_are_usage_errors(workdir, capsys, command, override):
     assert run(workdir, command, "--set", override) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        (["gen"], ["gen.train=4", "gen.test=0"], "gen.test must be >= 1, got 0"),
+        (["train"], ["train.batch=0", "data.dev_m2=nope.m2"], "train.batch must be >= 1, got 0"),
+        (["eval", "--set", "eval.hyp=run/out/combined.hyp"], ["eval.resamples=0"],
+         "eval.resamples must be >= 1, got 0"),
+    ],
+    ids=["gen-before-writing-a-split", "train-before-a-missing-file", "eval-without-a-baseline"],
+)
+def test_bad_value_fails_before_any_file_is_read_or_written(workdir, capsys, command, overrides, message):
+    before = tree_bytes(workdir)
+    assert run(workdir, command, *[arg for o in overrides for arg in ("--set", o)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert tree_bytes(workdir) == before
 
 
 def test_diversity_is_a_fraction(workdir, capsys):

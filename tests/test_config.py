@@ -1,0 +1,60 @@
+"""The config table: each key's type, default and legal values, checked as
+the config loads."""
+
+import pytest
+
+from corrfuse.config import KNOWN_KEYS, ExperimentConfig
+from corrfuse.errors import UsageError
+from corrfuse.rewards import RewardKind
+
+TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN_KEYS))
+def test_every_default_passes_its_own_check(key):
+    tag, default, check = KNOWN_KEYS[key]
+    assert type(default) is TYPES[tag]
+    if check is not None:
+        assert check[1](default)
+    assert ExperimentConfig.load(None, {key: str(default)}).values == ExperimentConfig.load().values
+
+
+def test_every_reward_kind_is_a_legal_reward():
+    for kind in RewardKind:
+        cfg = ExperimentConfig.load(None, {"ddt.reward": kind.value})
+        assert RewardKind(cfg.get_str("ddt.reward")) is kind
+
+
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("ddt.k_samples", " 1 ", "ddt.k_samples must be >= 2, got 1"),
+        ("ddt.alpha", "nan", "ddt.alpha must be in [0,1], got nan"),
+        ("gen.rule_prob", "1.5", "gen.rule_prob must be in [0,1], got 1.5"),
+        ("train.lr", "inf", "train.lr must be finite and > 0, got inf"),
+        ("ddt.lr", "0", "ddt.lr must be finite and > 0, got 0.0"),
+        ("ddt.reward", "nope", "ddt.reward must be one of edit|bleu|tokendiff, got 'nope'"),
+        ("eval.split", "train", "eval.split must be one of dev|test, got 'train'"),
+        ("tune.random_dirs", "-5", "tune.random_dirs must be >= 0, got -5"),
+    ],
+)
+def test_value_outside_its_keys_legal_values_is_a_usage_error(key, raw, message):
+    with pytest.raises(UsageError) as exc:
+        ExperimentConfig.load(None, {key: raw})
+    assert str(exc.value) == message
+
+
+def test_config_file_values_are_checked_too(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("ddt.stages = -1\n", encoding="utf-8")
+    with pytest.raises(UsageError, match=r"^ddt\.stages must be >= 0, got -1$"):
+        ExperimentConfig.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "key, raw", [("ddt.seed", "-2"), ("ddt.stages", "0"), ("tune.random_dirs", "0"),
+                 ("ddt.alpha", "1"), ("gen.rule_prob", "0"), ("ddt.backbone", "0")],
+)
+def test_values_at_the_edge_of_their_range_load(key, raw):
+    assert ExperimentConfig.load(None, {key: raw}).values[key] == float(raw)

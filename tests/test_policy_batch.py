@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from corrfuse import cli, policy
-from corrfuse.cli import _check_finite, _positive_int
+from corrfuse.cli import _check_finite
 from corrfuse.config import ExperimentConfig
 from corrfuse.ddt import DdtConfig, ddt_step, rl_gradient
 from corrfuse.policy import (
@@ -610,13 +610,13 @@ def ref_train_one(
     seed = cfg.get_int("seed")
     model = PolicyModel(
         vocab,
-        embed_width=_positive_int(cfg, "policy.embed"),
-        hidden_width=_positive_int(cfg, "policy.hidden"),
+        embed_width=cfg.get_int("policy.embed"),
+        hidden_width=cfg.get_int("policy.hidden"),
         max_len=cfg.get_int("policy.max_len"),
         init_seed=seed * 1000 + 100 + index,
     )
     rng = np.random.default_rng((seed, 200 + index))
-    batch_size = _positive_int(cfg, "train.batch")
+    batch_size = cfg.get_int("train.batch")
     lr = cfg.get_float("train.lr")
     last_nll = float("nan")
     encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
