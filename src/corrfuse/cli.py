@@ -14,8 +14,9 @@ too long to align, reserved tokens in the training text); 4 numeric failure
 mapped to these here.
 
 ``_read_text`` reads and parses every input and ``_write_text`` writes
-every artifact and the report: they are the only file access, apart from
-``config`` reading ``--config``, whose failures are usage errors.  The
+every artifact and the report (``train``'s through ``_write_all``, which
+renames them into place together): they are the only file access, apart
+from ``config`` reading ``--config``, whose failures are usage errors.  The
 formats are pure text functions in the library, such as ``parse_m2`` and
 ``format_m2``.  Every split is read by ``_load_split`` (its sources and M2
 gold edits) and every hypothesis list of ``combine`` and ``tune`` by
@@ -40,6 +41,7 @@ pin every object alive at that moment for the rest of the process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -74,10 +76,12 @@ from .evaluation import (
 from .policy import (
     PolicyModel,
     Vocabulary,
+    epoch_batches,
     format_model,
     format_vocab,
     greedy_decode,
     mle_step,
+    pad_batches,
     parse_model,
     parse_vocab,
     stack_params,
@@ -127,6 +131,29 @@ def _write_text(path: str, text: str, mode: str = "w") -> None:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_all(files: dict[str, str]) -> None:
+    """Write every file of ``files`` (path -> text) or none.  Each text goes
+    to a temporary name beside its path, and all are renamed into place only
+    after every write has succeeded; a path that is a directory fails before
+    anything is written, and no temporary file is left behind."""
+    for path in files:
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: Is a directory")
+    temps = {path: path + ".tmp" for path in files}
+    try:
+        for path, text in files.items():
+            _write_text(temps[path], text)
+        for path, temp in temps.items():
+            try:
+                os.replace(temp, path)
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        for temp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _lines_text(token_lines: Sequence[TokenSeq]) -> str:
@@ -337,7 +364,11 @@ def _train_models(
     order of the pairs in each epoch, as if trained alone.  The models'
     parameters are the rows of one array, and each minibatch step advances
     every model on its own minibatch in one stacked forward and backward
-    pass (``mle_step``), with the numbers of separate steps.
+    pass (``mle_step``), with the numbers of separate steps.  The pairs are
+    padded once; each epoch's minibatches are cut from them in one pass
+    (``epoch_batches``).  This function owns the run's gradient buffer, one
+    (models, parameters) array that every step overwrites, so that no step
+    allocates an array of that size (see the ``policy`` module docstring).
     """
     seed = cfg.get_int("seed")
     n_models = cfg.get_int("train.models")
@@ -352,19 +383,19 @@ def _train_models(
         for i in range(n_models)
     ]
     stack = stack_params(models)
+    grads = np.empty_like(stack)
     rngs = [np.random.default_rng((seed, 200 + i)) for i in range(n_models)]
     batch_size = cfg.get_int("train.batch")
     epochs = cfg.get_int("train.epochs")
     lr = cfg.get_float("train.lr")
-    encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
+    padded = pad_batches(models[0], [[x for x, _ in pairs]], [[y for _, y in pairs]], True)
     last_nll: list[float] = []
     for _ in range(epochs):
-        orders = [rng.permutation(len(pairs)) for rng in rngs]
+        orders = np.stack([rng.permutation(len(pairs)) for rng in rngs])
         nll_sums = [0.0] * n_models
         n_batches = 0
-        for start in range(0, len(pairs), batch_size):
-            batches = [[encoded[i] for i in order[start : start + batch_size]] for order in orders]
-            nlls = mle_step(models[0], stack, batches, lr)
+        for batches in epoch_batches(padded, orders, batch_size):
+            nlls = mle_step(models[0], stack, batches, lr, grads)
             nll_sums = [total + nll for total, nll in zip(nll_sums, nlls)]
             n_batches += 1
         last_nll = [total / n_batches for total in nll_sums]
@@ -378,7 +409,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     ``policy.max_len``, train the models in lockstep (``_train_models``),
     then write the vocabulary and every checkpoint, and score each model's
     greedy dev output.  Nothing is written until every model has trained
-    and is finite, so a failed run leaves ``model.dir`` as it was."""
+    and is finite, and then the vocabulary and the checkpoints are written
+    all or none (``_write_all``), so a failed run leaves ``model.dir`` as it
+    was."""
     train_src = _read_token_lines(cfg.get_str("data.train_src"))
     train_ref = _read_token_lines(cfg.get_str("data.train_ref"))
     _require_aligned(train_src=train_src, train_ref=train_ref)
@@ -396,9 +429,9 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     dev_src, dev_golds = _load_split(cfg, "dev")
     models, nlls = _train_models(cfg, vocab, pairs)
 
-    _write_text(vocab_path, format_vocab(vocab))
-    for model, path in zip(models, model_paths):
-        _write_text(path, format_model(model))
+    files = {vocab_path: format_vocab(vocab)}
+    files.update((path, format_model(model)) for model, path in zip(models, model_paths))
+    _write_all(files)
     summary: dict[str, object] = {"vocab_size": len(vocab), "n_pairs": len(pairs)}
     for i, (model, nll) in enumerate(zip(models, nlls)):
         outputs = [greedy_decode(model, x) for x in dev_src]

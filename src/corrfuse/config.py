@@ -2,11 +2,11 @@
 type, its default and its legal values.
 
 Sources, in increasing precedence: built-in defaults, config file lines
-("key = value", # comments allowed), then CLI flag overrides; the
-environment is not read.  Every value read from a file or a flag is checked
-against its key's legal values as it is loaded, so a bad value fails every
-command before it reads or writes any data.  Unset path keys are derived
-from data.dir after merging, so a config file is optional.
+("key = value", # comments allowed, each key at most once), then CLI flag
+overrides; the environment is not read.  Every value read from a file or a
+flag is checked against its key's legal values as it is loaded, so a bad
+value fails every command before it reads or writes any data.  Unset path
+keys are derived from data.dir after merging, so a config file is optional.
 """
 
 from __future__ import annotations
@@ -160,6 +160,7 @@ class ExperimentConfig:
                 raise UsageError(f"{config_path}: not UTF-8 text: {exc}") from exc
             except OSError as exc:  # a directory, unreadable, ...
                 raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
+            first_line: dict[str, int] = {}
             for lineno, line in enumerate(lines, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -170,6 +171,12 @@ class ExperimentConfig:
                 key = key.strip()
                 if key not in KNOWN_KEYS:
                     raise UsageError(f"{config_path}:{lineno}: unknown config key {key!r}")
+                if key in first_line:
+                    raise UsageError(
+                        f"{config_path}:{lineno}: config key {key!r} is set twice"
+                        f" (first on line {first_line[key]})"
+                    )
+                first_line[key] = lineno
                 values[key] = _coerce(key, raw)
         for key, value in (overrides or {}).items():
             if value is None:

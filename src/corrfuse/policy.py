@@ -14,15 +14,25 @@ model is a stack of one: ``logprob_batch`` and ``grad_logprob_batch`` pass
 ``model.params[None]`` and return row 0, and ``mle_step`` steps one model
 on the view ``model.params[None]``, which updates it in place.  All models'
 rows are padded to common widths, sources on the left and targets on the
-right; the teacher-forced recurrences run once per time step for the whole
-stack, and each per-step product is one broadcast matmul, (M, B, H) @
-(M, H, H), that runs one GEMM per model with the shapes of that model's
-batch alone.  Padded steps only add exact zeros.  Sums over steps and the
-weight-gradient products after the backward recurrence, whose rounding
-depends on the number and layout of the terms, take each model's own steps:
-the steps its batch alone would have.  So every model gets, bit for bit, the
-numbers of its batch alone.  Greedy decoding and sampling reuse the
-kernel's helpers on the 1-D rows of one model.
+right (``PaddedBatches``; a training loop pads a whole epoch's minibatches
+in one pass with ``epoch_batches``); the teacher-forced recurrences run
+once per time step for the whole stack, and each per-step product is one
+broadcast matmul, (M, B, H) @ (M, H, H), that runs one GEMM per model with
+the shapes of that model's batch alone.  Padded steps only add exact zeros.
+Sums over steps and the weight-gradient products after the backward
+recurrence, whose rounding depends on the number and layout of the terms,
+take each model's own steps: the steps its batch alone would have, and
+write straight into that model's blocks of the (M, P) gradients.  So every
+model gets, bit for bit, the numbers of its batch alone.  Greedy decoding
+and sampling reuse the kernel's helpers on the 1-D rows of one model.
+
+The caller owns the (M, P) gradient buffer of a lockstep training run: it
+allocates one for the run and hands it to every ``mle_step``.  With the
+default sizes, three models' gradients are about 390 KB of float64, above
+glibc's 128 KiB mmap threshold.  An array of that size made anew at each
+step is mapped and faulted in at each step, or served from the heap,
+depending on the malloc state that imports left behind, so the run's page
+faults, and its time, would depend on import history.
 
 Checkpoints and the vocabulary file are plain text, made and read by pure
 functions of strings: ``format_model``/``parse_model`` and
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,7 +271,8 @@ def logprob_batch(
     include_eos: bool | Sequence[bool] = True,
 ) -> np.ndarray:
     """``logprob`` of each (source, target) row, from one batched forward."""
-    lps, _ = _forward_batch(model, [xs], [ys], [include_eos], model.params[None])
+    batches = pad_batches(model, [xs], [ys], [include_eos])
+    lps, _ = _forward_batch(model, batches, model.params[None])
     return lps[0]
 
 
@@ -284,50 +295,36 @@ def _pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]
     return ids, (steps >= width - np.array(lengths) if left else steps < np.array(lengths))
 
 
-@dataclass
-class _Tape:
-    """Forward values the backward pass reuses, time-major: Tx source and Ty
-    target steps of M models' B rows each.  Model m's own steps, the ones
-    its batch alone would have, are the source steps from ``x_starts[m]`` on
-    and the first ``t_ends[m]`` target steps."""
+@dataclass(frozen=True)
+class PaddedBatches:
+    """M batches of B (source, target) rows each, as time-major token ids
+    padded with BOS to common widths: sources on the left, targets (with
+    their end symbols) on the right.  Model m's own steps, the ones its
+    batch alone would have, are the source steps from ``x_starts[m]`` on
+    and the first ``t_ends[m]`` target steps.  Its length is M."""
 
-    w: dict[str, np.ndarray]  # weight views of the stack
     x_ids: np.ndarray  # (Tx, M, B)
     x_mask: np.ndarray  # (Tx, M, B), 1.0 on real steps
-    x_emb: np.ndarray  # (Tx, M, B, E)
-    x_count: np.ndarray  # (M, B, 1) source length, at least 1
-    enc: np.ndarray  # (Tx + 1, M, B, H) encoder states, enc[0] = 0
-    prev_ids: np.ndarray  # (Ty, M, B) decoder input ids
-    inp: np.ndarray  # (Ty, M, B, E) decoder inputs
-    dec: np.ndarray  # (Ty + 1, M, B, H) decoder states, dec[0] = enc[-1]
-    targets: np.ndarray  # (Ty, M, B)
-    t_mask: np.ndarray  # (Ty, M, B)
-    t_valid: tuple[np.ndarray, ...]  # (step, model, row) of each real target
-    probs: np.ndarray  # (Ty, M, B, V)
+    prev_ids: np.ndarray  # (Ty, M, B) decoder input ids: BOS, then the targets
+    t_ids: np.ndarray  # (Ty, M, B) targets
+    t_mask: np.ndarray  # (Ty, M, B), True on real steps
     x_starts: list[int]
     t_ends: list[int]
 
-
-def _own_rows(a: np.ndarray, m: int, steps: slice) -> np.ndarray:
-    """Model m's own ``steps`` of a time-major array as (steps * B, n) rows
-    in contiguous memory, the layout its batch alone has: BLAS takes
-    another path for a strided vector, which adds in another order."""
-    return np.ascontiguousarray(a[steps, m].reshape(-1, a.shape[-1]))
+    def __len__(self) -> int:
+        return len(self.x_starts)
 
 
-def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray):
-    """Row log-likelihoods (M, B) and the tape of a stack of M models.
-
-    ``stack`` (M, P) holds one model of ``model``'s architecture and
-    vocabulary per row (see ``stack_params``; ``model.params[None]`` for
-    ``model`` alone); ``xs[m]``, ``ys[m]`` and ``include_eos[m]`` (one flag
-    or one per row; or one flag for all models) are model m's batch, and
-    every batch has B rows.
-    """
-    if not len(xs) == len(ys) == len(stack) or any(len(m_ys) != len(ys[0]) for m_ys in ys):
-        raise ValueError(f"a stack of {len(stack)} models needs one batch each, all of one size")
+def pad_batches(model: PolicyModel, xs, ys, include_eos) -> PaddedBatches:
+    """The ``PaddedBatches`` of M batches for ``model``: ``xs[m]``, ``ys[m]``
+    and ``include_eos[m]`` (one flag or one per row; or one flag for all
+    models) are model m's batch, and every batch has B rows.  Rows are
+    (source, target) pairs of tokens or of token ids, as from
+    ``Vocabulary.encode``; no target may be longer than ``model.max_len``."""
+    if len(xs) != len(ys) or any(len(m_ys) != len(ys[0]) for m_ys in ys):
+        raise ValueError("a stack of models needs one batch each, all of one size")
     if isinstance(include_eos, bool):
-        include_eos = [include_eos] * len(stack)
+        include_eos = [include_eos] * len(ys)
     vocab = model.vocab
     sources, targets = [], []
     for m_xs, m_ys, m_eos in zip(xs, ys, include_eos, strict=True):
@@ -350,21 +347,89 @@ def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray):
     x_ids, x_mask, t_ids, t_mask = (
         a.reshape(len(a), n_models, rows) for a in (x_ids, x_mask, t_ids, t_mask)
     )
+    prev_ids = np.full_like(t_ids, BOS_ID)
+    prev_ids[1:] = t_ids[:-1]
     per_model = [slice(m * rows, (m + 1) * rows) for m in range(n_models)]
     x_starts = [len(x_ids) - max(map(len, sources[s]), default=0) for s in per_model]
     t_ends = [max(map(len, targets[s]), default=0) for s in per_model]
+    return PaddedBatches(x_ids, x_mask, prev_ids, t_ids, t_mask, x_starts, t_ends)
+
+
+def epoch_batches(
+    pairs: PaddedBatches, orders: np.ndarray, batch_size: int
+) -> Iterator[PaddedBatches]:
+    """The minibatches of one lockstep epoch, padded in one pass.
+
+    ``pairs`` holds every training pair as the one batch of one model (see
+    ``pad_batches``), and row m of ``orders`` (M, N) is model m's order of
+    them: step s gives model m the pairs ``orders[m, s * batch_size : (s +
+    1) * batch_size]``, the last step fewer when ``batch_size`` does not
+    divide N.  Each step's arrays are views of the epoch's, cut to the
+    widths of that step's own rows, so they hold the values that
+    ``pad_batches`` gives those rows."""
+    x_ids, x_mask, prev_ids, t_ids, t_mask = (
+        a[:, 0, orders]
+        for a in (pairs.x_ids, pairs.x_mask, pairs.prev_ids, pairs.t_ids, pairs.t_mask)
+    )
+    starts = np.arange(0, orders.shape[1], batch_size)
+    # each model's longest source and target at each step, (steps, M)
+    x_longest = np.maximum.reduceat(np.count_nonzero(x_mask, axis=0), starts, axis=1).T
+    t_longest = np.maximum.reduceat(np.count_nonzero(t_mask, axis=0), starts, axis=1).T
+    for start, x_lens, t_lens in zip(starts.tolist(), x_longest.tolist(), t_longest.tolist()):
+        rows = slice(start, start + batch_size)
+        x_steps, t_steps = max(x_lens), max(t_lens)
+        src = slice(len(x_ids) - x_steps, None)
+        yield PaddedBatches(
+            x_ids[src, :, rows], x_mask[src, :, rows], prev_ids[:t_steps, :, rows],
+            t_ids[:t_steps, :, rows], t_mask[:t_steps, :, rows],
+            [x_steps - n for n in x_lens], t_lens,
+        )
+
+
+@dataclass
+class _Tape:
+    """Forward values the backward pass reuses, time-major, of M models'
+    batches (Tx source and Ty target steps of B rows each)."""
+
+    w: dict[str, np.ndarray]  # weight views of the stack
+    batches: PaddedBatches
+    x_emb: np.ndarray  # (Tx, M, B, E)
+    x_count: np.ndarray  # (M, B, 1) source length, at least 1
+    enc: np.ndarray  # (Tx + 1, M, B, H) encoder states, enc[0] = 0
+    inp: np.ndarray  # (Ty, M, B, E) decoder inputs
+    dec: np.ndarray  # (Ty + 1, M, B, H) decoder states, dec[0] = enc[-1]
+    t_valid: tuple[np.ndarray, ...]  # (step, model, row) of each real target
+    probs: np.ndarray  # (Ty, M, B, V)
+
+
+def _own_rows(a: np.ndarray, m: int, steps: slice) -> np.ndarray:
+    """Model m's own ``steps`` of a time-major array as (steps * B, n) rows
+    in contiguous memory, the layout its batch alone has: BLAS takes
+    another path for a strided vector, which adds in another order."""
+    return np.ascontiguousarray(a[steps, m].reshape(-1, a.shape[-1]))
+
+
+def _forward_batch(model: PolicyModel, batches: PaddedBatches, stack: np.ndarray):
+    """Row log-likelihoods (M, B) and the tape of a stack of M models.
+
+    ``stack`` (M, P) holds one model of ``model``'s architecture and
+    vocabulary per row (see ``stack_params``; ``model.params[None]`` for
+    ``model`` alone), and ``batches[m]`` is model m's batch.
+    """
+    if len(batches) != len(stack):
+        raise ValueError(f"a stack of {len(stack)} models needs one batch each, all of one size")
+    x_ids, x_mask, t_ids, t_mask = batches.x_ids, batches.x_mask, batches.t_ids, batches.t_mask
+    n_models, rows = x_ids.shape[1:]
     w = _make_views(stack, model._layout)
     models = np.arange(n_models)[:, None]
     x_emb = w["emb"][models, x_ids]
     enc = _encoder(w, x_emb, x_mask)
-    context, x_count = _context(x_emb, x_mask, x_starts)
+    context, x_count = _context(x_emb, x_mask, batches.x_starts)
 
     # teacher forcing: the recurrence never reads the logits, so they and the
     # softmax are computed for all steps at once after the loop; steps past a
     # row's end are masked out of its likelihood
-    prev_ids = np.full_like(t_ids, BOS_ID)
-    prev_ids[1:] = t_ids[:-1]
-    prev_emb = w["emb"][models, prev_ids]
+    prev_emb = w["emb"][models, batches.prev_ids]
     inp, dec_pre = _decoder_input(w, prev_emb, context)
     dec = np.empty((len(t_ids) + 1, *t_ids.shape[1:], model.hidden_width))
     dec[0] = enc[-1]
@@ -381,27 +446,29 @@ def _forward_batch(model: PolicyModel, xs, ys, include_eos, stack: np.ndarray):
     row = t_valid[1] * rows + t_valid[2]
     lps = np.bincount(row, np.log(np.maximum(p_target, PROB_FLOOR)), minlength=n_models * rows)
     lps = lps.astype(np.float64, copy=False)
-    tape = _Tape(
-        w, x_ids, x_mask, x_emb, x_count, enc, prev_ids, inp, dec, t_ids, t_mask, t_valid,
-        probs, x_starts, t_ends,
-    )
+    tape = _Tape(w, batches, x_emb, x_count, enc, inp, dec, t_valid, probs)
     return lps.reshape(n_models, rows), tape
 
 
 def _grad_batch(
-    model: PolicyModel, xs, ys, include_eos, weights, stack: np.ndarray
+    model: PolicyModel,
+    batches: PaddedBatches,
+    weights,
+    stack: np.ndarray,
+    grads: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row log-likelihoods (M, B) and, per model, the weighted sum of their
     exact gradients (M, P), with the arguments of ``_forward_batch``;
-    ``weights`` is None or one per row of each model (M, B).  Each model's
-    numbers are bit-identical to those of its batch alone."""
-    lps, tape = _forward_batch(model, xs, ys, include_eos, stack)
-    w, n_models = tape.w, len(tape.t_ends)
+    ``weights`` is None or one per row of each model (M, B).  The gradients
+    are written into ``grads`` (M, P), a new array when it is None.  Each
+    model's numbers are bit-identical to those of its batch alone."""
+    lps, tape = _forward_batch(model, batches, stack)
+    w, n_models = tape.w, len(batches)
     vocab_size, embed, hidden = len(model.vocab), model.embed_width, model.hidden_width
 
     d_logits = -tape.probs
-    d_logits[(*tape.t_valid, tape.targets[tape.t_valid])] += 1.0
-    d_logits *= tape.t_mask[..., None]
+    d_logits[(*tape.t_valid, batches.t_ids[tape.t_valid])] += 1.0
+    d_logits *= batches.t_mask[..., None]
     if weights is not None:
         d_logits *= np.asarray(weights, dtype=np.float64)[..., None]
 
@@ -418,14 +485,14 @@ def _grad_batch(
         d_s *= dec_tanh[t - 1]
         d_z_dec[t - 1] += d_s
     d_inp = d_z_dec @ w["dec_in"]
-    d_context = np.stack([d_inp[:end, m].sum(axis=0) for m, end in enumerate(tape.t_ends)])
+    d_context = np.stack([d_inp[:end, m].sum(axis=0) for m, end in enumerate(batches.t_ends)])
 
     # encoder: the decoder start state is the final encoder state; padded
     # steps come first and are masked, so their d_z is zero
     enc_out = tape.enc[1:]
     enc_tanh = enc_out * enc_out
     np.subtract(1.0, enc_tanh, out=enc_tanh)
-    enc_tanh *= tape.x_mask[..., None]
+    enc_tanh *= batches.x_mask[..., None]
     d_z_enc = np.empty_like(enc_out)
     d_h = d_z_dec[0] @ rec if len(d_z_dec) else np.zeros((*lps.shape, hidden))
     rec = w["enc_rec"]
@@ -433,39 +500,37 @@ def _grad_batch(
         np.multiply(d_h, enc_tanh[t], out=d_z_enc[t])
         d_h = d_z_enc[t] @ rec
     d_x_emb = d_z_enc @ w["enc_in"]
-    d_x_emb += (d_context / tape.x_count) * tape.x_mask[..., None]
+    d_x_emb += (d_context / tape.x_count) * batches.x_mask[..., None]
 
+    if grads is None:
+        grads = np.empty(stack.shape)
+    g = _make_views(grads, model._layout)
     # every model's embedding gradient in one count: per entry, the decoder
     # terms and then the source terms, each in step order, as two in-place
     # adds would take them; padded steps add zeros
-    rows_of = np.concatenate([tape.prev_ids, tape.x_ids])
+    rows_of = np.concatenate([batches.prev_ids, batches.x_ids])
     rows_of += vocab_size * np.arange(n_models)[:, None]
-    g_emb = np.bincount(
+    g["emb"][...] = np.bincount(
         (rows_of[..., None] * embed + np.arange(embed)).ravel(),
         np.concatenate([d_inp, d_x_emb]).ravel(),
         minlength=n_models * vocab_size * embed,
-    ).reshape(n_models, -1)
+    ).reshape(n_models, vocab_size, embed)
 
     # the weight gradients are products and sums over each model's own steps:
     # a product's rounding depends on its inner dimension, a sum's order on
-    # its shape
-    grads = np.empty((n_models, len(model.params)))
-    for m, (start, end) in enumerate(zip(tape.x_starts, tape.t_ends)):
+    # its shape; each goes straight into its block of the model's row
+    for m, (start, end) in enumerate(zip(batches.x_starts, batches.t_ends)):
         src, tgt = slice(start, None), slice(end)
         e_z = _own_rows(d_z_enc, m, src)
         d_z = _own_rows(d_z_dec, m, tgt)
-        blocks = {
-            "emb": g_emb[m],
-            "enc_in": e_z.T @ _own_rows(tape.x_emb, m, src),
-            "enc_rec": e_z.T @ _own_rows(tape.enc[:-1], m, src),
-            "enc_b": e_z.sum(axis=0),
-            "dec_in": d_z.T @ _own_rows(tape.inp, m, tgt),
-            "dec_rec": d_z.T @ _own_rows(tape.dec[:-1], m, tgt),
-            "dec_b": d_z.sum(axis=0),
-            "out_w": _own_rows(d_logits, m, tgt).T @ _own_rows(dec_out, m, tgt),
-            "out_b": d_logits[tgt, m].sum(axis=(0, 1)),
-        }
-        np.concatenate([blocks[name].ravel() for name, _, _ in model._layout], out=grads[m])
+        np.matmul(e_z.T, _own_rows(tape.x_emb, m, src), out=g["enc_in"][m])
+        np.matmul(e_z.T, _own_rows(tape.enc[:-1], m, src), out=g["enc_rec"][m])
+        e_z.sum(axis=0, out=g["enc_b"][m, 0])
+        np.matmul(d_z.T, _own_rows(tape.inp, m, tgt), out=g["dec_in"][m])
+        np.matmul(d_z.T, _own_rows(tape.dec[:-1], m, tgt), out=g["dec_rec"][m])
+        d_z.sum(axis=0, out=g["dec_b"][m, 0])
+        np.matmul(_own_rows(d_logits, m, tgt).T, _own_rows(dec_out, m, tgt), out=g["out_w"][m])
+        d_logits[tgt, m].sum(axis=(0, 1), out=g["out_b"][m, 0])
     return lps, grads
 
 
@@ -483,7 +548,10 @@ def grad_logprob_batch(
     ``Vocabulary.encode``; ``include_eos`` is one flag or one per row.
     """
     lps, grads = _grad_batch(
-        model, [xs], [ys], [include_eos], None if weights is None else [weights], model.params[None]
+        model,
+        pad_batches(model, [xs], [ys], [include_eos]),
+        None if weights is None else [weights],
+        model.params[None],
     )
     return lps[0], grads[0]
 
@@ -565,24 +633,34 @@ def greedy_decode(model: PolicyModel, x: TokenSeq) -> TokenSeq:
 def mle_step(
     model: PolicyModel,
     stack: np.ndarray,
-    batches: Sequence[Sequence[tuple[TokenSeq, TokenSeq]]],
+    batches: PaddedBatches | Sequence[Sequence[tuple[TokenSeq, TokenSeq]]],
     learning_rate: float,
+    grads: np.ndarray | None = None,
 ) -> list[float]:
     """One gradient-ascent step on the summed reference log-likelihood for
     each of a stack of M models (see ``stack_params``) of ``model``'s
     architecture and vocabulary, in one forward and backward pass: row m of
-    ``stack`` steps on ``batches[m]``, and all batches have one size.  Pairs
-    may hold tokens or token ids (see ``grad_logprob_batch``).  Returns each
-    model's pre-step mean negative log-likelihood, bit-identical to that of
-    a step of its row alone."""
-    if not all(batches):
-        raise ValueError("empty batch")
-    xs = [[x for x, _ in batch] for batch in batches]
-    ys = [[y for _, y in batch] for batch in batches]
-    lps, grads = _grad_batch(model, xs, ys, True, None, stack)
-    grads *= learning_rate  # in place: a second (M, P) array costs page faults
+    ``stack`` steps on ``batches[m]``, and all batches have one size.  The
+    batches are ``PaddedBatches`` with end symbols, or pairs, which may hold
+    tokens or token ids (see ``grad_logprob_batch``).  Returns each model's
+    pre-step mean negative log-likelihood, bit-identical to that of a step
+    of its row alone.
+
+    ``grads`` is the caller's (M, P) gradient buffer, which the step
+    overwrites; None makes a new one.  A training loop allocates one for the
+    whole run and passes it to every step: a stack's gradients are larger
+    than glibc's mmap threshold, and a new array at each step would make the
+    run's page faults depend on import history (see the module docstring)."""
+    if not isinstance(batches, PaddedBatches):
+        if not all(batches):
+            raise ValueError("empty batch")
+        xs = [[x for x, _ in batch] for batch in batches]
+        ys = [[y for _, y in batch] for batch in batches]
+        batches = pad_batches(model, xs, ys, True)
+    lps, grads = _grad_batch(model, batches, None, stack, grads)
+    grads *= learning_rate
     stack += grads
-    return [-sum(row) / len(batch) for row, batch in zip(lps.tolist(), batches)]
+    return [-sum(row) / len(row) for row in lps.tolist()]
 
 
 CHECKPOINT_MAGIC = "corrfuse-policy"

@@ -199,8 +199,9 @@ def test_config_file_values_apply_and_comments_are_ignored(workdir, capsys):
         "# a comment\ndiv.a run/out/stage2.sys0.hyp\n",
         None,
         "# caf\u00e9\n".encode("latin-1"),
+        f"{DIV_A}\n{DIV_B}\n{DIV_A}\n",
     ],
-    ids=["unknown-key", "no-equals", "missing-file", "not-utf8"],
+    ids=["unknown-key", "no-equals", "missing-file", "not-utf8", "key-set-twice"],
 )
 def test_bad_config_file_is_usage_error(workdir, capsys, text):
     if isinstance(text, bytes):
@@ -460,6 +461,20 @@ def test_failed_training_leaves_the_model_directory_as_it_was(workdir, override,
     models = workdir / "run/models"
     before = tree_bytes(models)
     assert run(workdir, ["train"], "--set", "policy.max_len=6", "--set", override) == code
+    assert tree_bytes(models) == before
+
+
+def test_train_writes_the_vocabulary_and_every_checkpoint_or_none(workdir, capsys):
+    """model_1.txt is a directory: train must fail before it writes any
+    file, so the old vocabulary and checkpoints stay, with no temporary
+    file beside them."""
+    models = workdir / "run/models"
+    (models / "model_1.txt").unlink()
+    (models / "model_1.txt").mkdir()
+    names, before = sorted(p.name for p in models.iterdir()), tree_bytes(models)
+    assert run(workdir, ["train"], "--set", "train.epochs=3") == 3
+    assert capsys.readouterr().err == "data error: cannot write run/models/model_1.txt: Is a directory\n"
+    assert sorted(p.name for p in models.iterdir()) == names
     assert tree_bytes(models) == before
 
 

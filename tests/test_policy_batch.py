@@ -19,6 +19,7 @@ lockstep training must write the checkpoints and NLLs of separate training.
 import contextlib
 import io
 import math
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,6 +45,7 @@ from corrfuse.policy import (
     logprob,
     logprob_batch,
     mle_step,
+    pad_batches,
     parse_model,
     stack_params,
 )
@@ -669,7 +671,8 @@ class TestStackedKernel:
                 eos = bool(trial % 2)  # one flag for every row of every model
             if trial % 4 == 1:
                 weights = None
-            lps, grads = policy._grad_batch(models[0], xs, ys, eos, weights, stack)
+            padded = pad_batches(models[0], xs, ys, eos)
+            lps, grads = policy._grad_batch(models[0], padded, weights, stack)
             for m, model in enumerate(models):
                 want_lps, want_grad = ref_grad_logprob_batch(
                     model, xs[m], ys[m], eos if isinstance(eos, bool) else eos[m],
@@ -691,7 +694,8 @@ class TestStackedKernel:
             models, stack = random_stack(rng, int(rng.integers(2, 5)), max_len=16, embed=1)
             batches = [random_batch(rng, models[0], 1, longest_source=16) for _ in models]
             xs, ys, eos, weights = map(list, zip(*batches))
-            lps, grads = policy._grad_batch(models[0], xs, ys, eos, weights, stack)
+            padded = pad_batches(models[0], xs, ys, eos)
+            lps, grads = policy._grad_batch(models[0], padded, weights, stack)
             for m, model in enumerate(models):
                 want_lps, want_grad = ref_grad_logprob_batch(model, xs[m], ys[m], eos[m], weights[m])
                 assert same_bits(lps[m], want_lps.astype(np.float64))
@@ -713,12 +717,67 @@ class TestStackedKernel:
             assert got == ref_mle_step(twin, batch, 0.05)
             assert same_bits(model.params, twin.params)
 
+    def test_two_steps_through_one_gradient_buffer_match_the_reference(self):
+        """The buffer holds the first step's gradients when the second step
+        overwrites it: every block of every row must be written afresh."""
+        rng = np.random.default_rng(74)
+        for _ in range(40):
+            n_models, rows = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            models, stack = random_stack(rng, n_models, max_len=int(rng.integers(1, 7)))
+            twins = [model.copy() for model in models]
+            grads = np.full_like(stack, np.nan)
+            for _ in range(2):
+                batches = [list(zip(*random_batch(rng, models[0], rows)[:2])) for _ in models]
+                nlls = mle_step(models[0], stack, batches, 0.05, grads)
+                for m, (model, twin) in enumerate(zip(models, twins)):
+                    assert nlls[m] == ref_mle_step(twin, batches[m], 0.05)
+                    assert same_bits(model.params, twin.params)
+
+    def test_a_warmed_lockstep_step_allocates_no_stack_sized_array(self):
+        """A large vocabulary and one-token rows make one (M, P) float64
+        array larger than all the temporaries of a step together, so a step
+        that allocated its own gradients would peak above it."""
+        vocab = Vocabulary.build(f"t{i}" for i in range(2000))
+        models = [PolicyModel(vocab, 2, 16, 4, init_seed=i) for i in range(3)]
+        stack = stack_params(models)
+        grads = np.empty_like(stack)
+        batches = [[(("t1",), ("t2",))], [(("t3",), ())], [((), ("t4",))]]
+        mle_step(models[0], stack, batches, 0.01, grads)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                mle_step(models[0], stack, batches, 0.01, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < stack.nbytes
+
+    def test_each_epoch_step_holds_the_padding_of_its_rows(self):
+        rng = np.random.default_rng(75)
+        for _ in range(40):
+            models, _ = random_stack(rng, int(rng.integers(1, 5)), max_len=int(rng.integers(1, 7)))
+            n_pairs, batch_size = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            xs, ys, _, _ = random_batch(rng, models[0], n_pairs)
+            padded = pad_batches(models[0], [xs], [ys], True)
+            orders = np.stack([rng.permutation(n_pairs) for _ in models])
+            steps = list(policy.epoch_batches(padded, orders, batch_size))
+            assert len(steps) == math.ceil(n_pairs / batch_size)
+            for start, got in zip(range(0, n_pairs, batch_size), steps):
+                rows = orders[:, start : start + batch_size]
+                want = pad_batches(models[0], [[xs[i] for i in r] for r in rows],
+                                   [[ys[i] for i in r] for r in rows], True)
+                for name in ("x_ids", "x_mask", "prev_ids", "t_ids", "t_mask"):
+                    assert same_bits(getattr(got, name), getattr(want, name)), name
+                assert got.x_starts == want.x_starts and got.t_ends == want.t_ends
+
     def test_a_stack_needs_one_batch_per_model_of_one_size(self):
         models, stack = random_stack(np.random.default_rng(3), 2, max_len=4)
+        one_batch = pad_batches(models[0], [[("t0",)]], [[("t0",)]], True)
         with pytest.raises(ValueError, match="needs one batch each"):
-            policy._grad_batch(models[0], [[("t0",)]], [[("t0",)]], True, None, stack)
+            policy._grad_batch(models[0], one_batch, None, stack)
         with pytest.raises(ValueError, match="needs one batch each"):
-            policy._grad_batch(models[0], [[("t0",)], []], [[("t0",)], []], True, None, stack)
+            pad_batches(models[0], [[("t0",)], []], [[("t0",)], []], True)
 
     def test_stack_params_makes_each_model_a_view_of_its_row(self):
         models, stack = random_stack(np.random.default_rng(4), 3, max_len=4)
@@ -761,7 +820,8 @@ def test_stacked_kernel_on_the_benchmark_train_inputs(tmp_path):
             batches = [[encoded[i] for i in order[start : start + 4]] for order in orders]
             xs = [[x for x, _ in batch] for batch in batches]
             ys = [[y for _, y in batch] for batch in batches]
-            lps, grads = policy._grad_batch(models[0], xs, ys, True, None, stack)
+            padded = pad_batches(models[0], xs, ys, True)
+            lps, grads = policy._grad_batch(models[0], padded, None, stack)
             for m, model in enumerate(models):
                 want_lps, want_grad = ref_grad_logprob_batch(model, xs[m], ys[m])
                 assert same_bits(lps[m], want_lps) and same_bits(grads[m], want_grad)
