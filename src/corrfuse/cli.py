@@ -388,7 +388,7 @@ def _train_models(
     batch_size = cfg.get_int("train.batch")
     epochs = cfg.get_int("train.epochs")
     lr = cfg.get_float("train.lr")
-    padded = pad_batches(models[0], [[x for x, _ in pairs]], [[y for _, y in pairs]], True)
+    padded = pad_batches(models[0], [x for x, _ in pairs], [y for _, y in pairs], True)
     last_nll: list[float] = []
     for _ in range(epochs):
         orders = np.stack([rng.permutation(len(pairs)) for rng in rngs])

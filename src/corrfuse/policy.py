@@ -12,10 +12,11 @@ parameters are the rows of one (M, P) array (``stack_params``), and every
 time-major array has a model axis after the step axis, (T, M, B, ...).  One
 model is a stack of one: ``logprob_batch`` and ``grad_logprob_batch`` pass
 ``model.params[None]`` and return row 0, and ``mle_step`` steps one model
-on the view ``model.params[None]``, which updates it in place.  All models'
-rows are padded to common widths, sources on the left and targets on the
-right (``PaddedBatches``; a training loop pads a whole epoch's minibatches
-in one pass with ``epoch_batches``); the teacher-forced recurrences run
+on the view ``model.params[None]``, which updates it in place.  Rows are
+(source, target) pairs of tokens.  ``pad_batches`` pads one batch, sources
+on the left and targets on the right (``PaddedBatches``); a training loop
+pads all its pairs once and ``epoch_batches`` cuts each epoch's stacks of
+M minibatches from them in one pass.  The teacher-forced recurrences run
 once per time step for the whole stack, and each per-step product is one
 broadcast matmul, (M, B, H) @ (M, H, H), that runs one GEMM per model with
 the shapes of that model's batch alone.  Padded steps only add exact zeros.
@@ -24,7 +25,8 @@ recurrence, whose rounding depends on the number and layout of the terms,
 take each model's own steps: the steps its batch alone would have, and
 write straight into that model's blocks of the (M, P) gradients.  So every
 model gets, bit for bit, the numbers of its batch alone.  Greedy decoding
-and sampling reuse the kernel's helpers on the 1-D rows of one model.
+and sampling are one loop (``_decode``) over the kernel's helpers on the
+1-D rows of one model, with an argmax or an inverse-CDF pick per token.
 
 The caller owns the (M, P) gradient buffer of a lockstep training run: it
 allocates one for the run and hands it to every ``mle_step``.  With the
@@ -271,14 +273,9 @@ def logprob_batch(
     include_eos: bool | Sequence[bool] = True,
 ) -> np.ndarray:
     """``logprob`` of each (source, target) row, from one batched forward."""
-    batches = pad_batches(model, [xs], [ys], [include_eos])
+    batches = pad_batches(model, xs, ys, include_eos)
     lps, _ = _forward_batch(model, batches, model.params[None])
     return lps[0]
-
-
-def _ids(vocab: Vocabulary, seq: Sequence) -> Sequence[int]:
-    """Token ids of ``seq``; a sequence that already holds ids passes through."""
-    return vocab.encode(seq) if len(seq) and isinstance(seq[0], str) else seq
 
 
 def _pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +298,8 @@ class PaddedBatches:
     padded with BOS to common widths: sources on the left, targets (with
     their end symbols) on the right.  Model m's own steps, the ones its
     batch alone would have, are the source steps from ``x_starts[m]`` on
-    and the first ``t_ends[m]`` target steps.  Its length is M."""
+    and the first ``t_ends[m]`` target steps.  Its length is M: 1 from
+    ``pad_batches``, the models of a stack from ``epoch_batches``."""
 
     x_ids: np.ndarray  # (Tx, M, B)
     x_mask: np.ndarray  # (Tx, M, B), 1.0 on real steps
@@ -316,43 +314,32 @@ class PaddedBatches:
 
 
 def pad_batches(model: PolicyModel, xs, ys, include_eos) -> PaddedBatches:
-    """The ``PaddedBatches`` of M batches for ``model``: ``xs[m]``, ``ys[m]``
-    and ``include_eos[m]`` (one flag or one per row; or one flag for all
-    models) are model m's batch, and every batch has B rows.  Rows are
-    (source, target) pairs of tokens or of token ids, as from
-    ``Vocabulary.encode``; no target may be longer than ``model.max_len``."""
-    if len(xs) != len(ys) or any(len(m_ys) != len(ys[0]) for m_ys in ys):
-        raise ValueError("a stack of models needs one batch each, all of one size")
+    """The ``PaddedBatches`` of one batch (M = 1) for ``model``: rows are
+    (source, target) pairs of tokens, and ``include_eos`` is one flag or
+    one per row.  No target may be longer than ``model.max_len``.  A stack
+    of M batches is cut from one padded batch by ``epoch_batches``."""
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} sources for {len(ys)} targets")
     if isinstance(include_eos, bool):
         include_eos = [include_eos] * len(ys)
-    vocab = model.vocab
-    sources, targets = [], []
-    for m_xs, m_ys, m_eos in zip(xs, ys, include_eos, strict=True):
-        if len(m_xs) != len(m_ys):
-            raise ValueError(f"{len(m_xs)} sources for {len(m_ys)} targets")
-        if isinstance(m_eos, bool):
-            m_eos = [m_eos] * len(m_ys)
-        for y, ended in zip(m_ys, m_eos, strict=True):
-            if len(y) > model.max_len:
-                raise ValueError(f"target of length {len(y)} exceeds decode limit {model.max_len}")
-            y_ids = list(_ids(vocab, y))
-            targets.append(y_ids + [EOS_ID] if ended else y_ids)
-        sources += [_ids(vocab, x) for x in m_xs]
-    n_models, rows = len(ys), len(ys[0])
+    encode = model.vocab.encode
+    targets = []
+    for y, ended in zip(ys, include_eos, strict=True):
+        if len(y) > model.max_len:
+            raise ValueError(f"target of length {len(y)} exceeds decode limit {model.max_len}")
+        y_ids = encode(y)
+        targets.append(y_ids + [EOS_ID] if ended else y_ids)
     # sources are left-padded: a padded step has zero input and keeps the
     # zero initial state, so the encoder loop needs no mask
-    x_ids, x_mask = _pad(sources, left=True)
+    x_ids, x_mask = _pad([encode(x) for x in xs], left=True)
     t_ids, t_mask = _pad(targets, left=False)
     x_mask = x_mask.astype(np.float64)  # as floats, it scales four arrays without a cast
     x_ids, x_mask, t_ids, t_mask = (
-        a.reshape(len(a), n_models, rows) for a in (x_ids, x_mask, t_ids, t_mask)
+        a.reshape(len(a), 1, len(ys)) for a in (x_ids, x_mask, t_ids, t_mask)
     )
     prev_ids = np.full_like(t_ids, BOS_ID)
     prev_ids[1:] = t_ids[:-1]
-    per_model = [slice(m * rows, (m + 1) * rows) for m in range(n_models)]
-    x_starts = [len(x_ids) - max(map(len, sources[s]), default=0) for s in per_model]
-    t_ends = [max(map(len, targets[s]), default=0) for s in per_model]
-    return PaddedBatches(x_ids, x_mask, prev_ids, t_ids, t_mask, x_starts, t_ends)
+    return PaddedBatches(x_ids, x_mask, prev_ids, t_ids, t_mask, [0], [len(t_ids)])
 
 
 def epoch_batches(
@@ -360,13 +347,13 @@ def epoch_batches(
 ) -> Iterator[PaddedBatches]:
     """The minibatches of one lockstep epoch, padded in one pass.
 
-    ``pairs`` holds every training pair as the one batch of one model (see
-    ``pad_batches``), and row m of ``orders`` (M, N) is model m's order of
-    them: step s gives model m the pairs ``orders[m, s * batch_size : (s +
-    1) * batch_size]``, the last step fewer when ``batch_size`` does not
-    divide N.  Each step's arrays are views of the epoch's, cut to the
-    widths of that step's own rows, so they hold the values that
-    ``pad_batches`` gives those rows."""
+    ``pairs`` holds every training pair as one batch (``pad_batches``),
+    and row m of ``orders`` (M, N) is model m's order of them: step s gives
+    model m the pairs ``orders[m, s * batch_size : (s + 1) * batch_size]``,
+    the last step fewer when ``batch_size`` does not divide N.  Each step's
+    arrays are views of the epoch's, cut to the widths of that step's rows:
+    on model m's own steps they hold what ``pad_batches`` gives m's rows
+    alone, and every other entry is padding (BOS, mask 0)."""
     x_ids, x_mask, prev_ids, t_ids, t_mask = (
         a[:, 0, orders]
         for a in (pairs.x_ids, pairs.x_mask, pairs.prev_ids, pairs.t_ids, pairs.t_mask)
@@ -455,12 +442,12 @@ def _grad_batch(
     batches: PaddedBatches,
     weights,
     stack: np.ndarray,
-    grads: np.ndarray | None = None,
+    grads: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row log-likelihoods (M, B) and, per model, the weighted sum of their
     exact gradients (M, P), with the arguments of ``_forward_batch``;
     ``weights`` is None or one per row of each model (M, B).  The gradients
-    are written into ``grads`` (M, P), a new array when it is None.  Each
+    are written into ``grads`` (M, P), which the call overwrites.  Each
     model's numbers are bit-identical to those of its batch alone."""
     lps, tape = _forward_batch(model, batches, stack)
     w, n_models = tape.w, len(batches)
@@ -502,8 +489,6 @@ def _grad_batch(
     d_x_emb = d_z_enc @ w["enc_in"]
     d_x_emb += (d_context / tape.x_count) * batches.x_mask[..., None]
 
-    if grads is None:
-        grads = np.empty(stack.shape)
     g = _make_views(grads, model._layout)
     # every model's embedding gradient in one count: per entry, the decoder
     # terms and then the source terms, each in step order, as two in-place
@@ -544,14 +529,15 @@ def grad_logprob_batch(
     """Each row's log-likelihood, and the weighted sum of their exact
     gradients as a flat vector over params (unit weights by default).
 
-    Rows are (source, target) pairs of tokens or of token ids, as from
-    ``Vocabulary.encode``; ``include_eos`` is one flag or one per row.
+    Rows are (source, target) pairs of tokens; ``include_eos`` is one flag
+    or one per row.
     """
     lps, grads = _grad_batch(
         model,
-        pad_batches(model, [xs], [ys], [include_eos]),
+        pad_batches(model, xs, ys, include_eos),
         None if weights is None else [weights],
         model.params[None],
+        np.empty((1, len(model.params))),
     )
     return lps[0], grads[0]
 
@@ -589,74 +575,68 @@ def sample_many(
     The source encoding and the first decoder step from BOS are shared by
     all draws and computed once; the generator is consumed in the same
     order as k successive ``sample`` calls, so the draws are identical.
+    With ``max_len`` 0 every draw is empty and the generator is not read.
     """
-    if model.max_len < 1:
-        return [()] * k
-    w = model._views
-    s_start, context = _encode_source(w, model.vocab.encode(x))
-    s_first, probs = _decoder_step(w, s_start, BOS_ID, context)
-    cdf_first = np.cumsum(probs)
-    draws: list[TokenSeq] = []
-    for _ in range(k):
-        s, cdf = s_first, cdf_first
-        out: list[str] = []
-        while True:
-            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-            idx = min(idx, len(cdf) - 1)
-            if idx == EOS_ID:
-                break
-            out.append(model.vocab.tokens[idx])
-            if len(out) == model.max_len:
-                break
-            s, probs = _decoder_step(w, s, idx, context)
-            cdf = np.cumsum(probs)
-        draws.append(tuple(out))
-    return draws
+
+    def pick(probs: np.ndarray) -> int:
+        idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+        return min(idx, len(probs) - 1)
+
+    first = _first_step(model, x)
+    return [_decode(model, first, pick) for _ in range(k)]
 
 
 def greedy_decode(model: PolicyModel, x: TokenSeq) -> TokenSeq:
     """Argmax decode up to the model's ``max_len``; ties go to the lowest
     vocabulary index."""
+    return _decode(model, _first_step(model, x), lambda probs: int(np.argmax(probs)))
+
+
+def _first_step(model: PolicyModel, x: TokenSeq):
+    """The decoder state after BOS, its next-token distribution and the
+    context of source ``x``: where every decode of ``x`` starts."""
     w = model._views
     s, context = _encode_source(w, model.vocab.encode(x))
-    prev = BOS_ID
+    return (*_decoder_step(w, s, BOS_ID, context), context)
+
+
+def _decode(model: PolicyModel, state, pick) -> TokenSeq:
+    """Tokens chosen one at a time by ``pick`` from each next-token
+    distribution, from ``state`` (``_first_step``) until EOS or the model's
+    ``max_len``; the decoder steps only when another token is to be picked."""
+    w = model._views
+    s, probs, context = state
     out: list[str] = []
-    for _ in range(model.max_len):
-        s, probs = _decoder_step(w, s, prev, context)
-        prev = int(np.argmax(probs))
-        if prev == EOS_ID:
+    for step in range(model.max_len):
+        if step:
+            s, probs = _decoder_step(w, s, idx, context)
+        idx = pick(probs)
+        if idx == EOS_ID:
             break
-        out.append(model.vocab.tokens[prev])
+        out.append(model.vocab.tokens[idx])
     return tuple(out)
 
 
 def mle_step(
     model: PolicyModel,
     stack: np.ndarray,
-    batches: PaddedBatches | Sequence[Sequence[tuple[TokenSeq, TokenSeq]]],
+    batches: PaddedBatches,
     learning_rate: float,
-    grads: np.ndarray | None = None,
+    grads: np.ndarray,
 ) -> list[float]:
     """One gradient-ascent step on the summed reference log-likelihood for
     each of a stack of M models (see ``stack_params``) of ``model``'s
     architecture and vocabulary, in one forward and backward pass: row m of
-    ``stack`` steps on ``batches[m]``, and all batches have one size.  The
-    batches are ``PaddedBatches`` with end symbols, or pairs, which may hold
-    tokens or token ids (see ``grad_logprob_batch``).  Returns each model's
-    pre-step mean negative log-likelihood, bit-identical to that of a step
-    of its row alone.
+    ``stack`` steps on ``batches[m]``, and all batches have one size and
+    end symbols (``epoch_batches``; ``pad_batches`` for one model).  Returns
+    each model's pre-step mean negative log-likelihood, bit-identical to
+    that of a step of its row alone.
 
     ``grads`` is the caller's (M, P) gradient buffer, which the step
-    overwrites; None makes a new one.  A training loop allocates one for the
-    whole run and passes it to every step: a stack's gradients are larger
-    than glibc's mmap threshold, and a new array at each step would make the
-    run's page faults depend on import history (see the module docstring)."""
-    if not isinstance(batches, PaddedBatches):
-        if not all(batches):
-            raise ValueError("empty batch")
-        xs = [[x for x, _ in batch] for batch in batches]
-        ys = [[y for _, y in batch] for batch in batches]
-        batches = pad_batches(model, xs, ys, True)
+    overwrites.  A training loop allocates one for the whole run and passes
+    it to every step: a stack's gradients are larger than glibc's mmap
+    threshold, and a new array at each step would make the run's page
+    faults depend on import history (see the module docstring)."""
     lps, grads = _grad_batch(model, batches, None, stack, grads)
     grads *= learning_rate
     stack += grads

@@ -51,26 +51,22 @@ class KBestPool:
     Alongside each sentence's dict the pool keeps the candidates' features
     as the rows of one matrix and their statistics as a list, both in
     insertion order; ``add`` extends them, so model scores for a whole
-    sentence are one matrix-vector product.
+    sentence are one matrix-vector product.  A pool starts as ``empty``.
     """
 
-    sentences: list[dict[TokenSeq, Candidate]] = field(default_factory=list)
+    sentences: list[dict[TokenSeq, Candidate]]
     # per sentence: feature rows (capacity grows by doubling; the first
     # len(sentences[i]) rows are live) and statistics, in insertion order
-    _feats: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    _stats: list[list[ScoreStats]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        given, self.sentences = self.sentences, [{} for _ in self.sentences]
-        self._feats = [np.empty((0, 0)) for _ in given]
-        self._stats = [[] for _ in given]
-        for i, slot in enumerate(given):
-            for cand in slot.values():
-                self.add(i, cand)
+    _feats: list[np.ndarray] = field(repr=False, compare=False)
+    _stats: list[list[ScoreStats]] = field(repr=False, compare=False)
 
     @classmethod
     def empty(cls, n_sentences: int) -> "KBestPool":
-        return cls([{} for _ in range(n_sentences)])
+        return cls(
+            [{} for _ in range(n_sentences)],
+            [np.empty((0, 0)) for _ in range(n_sentences)],
+            [[] for _ in range(n_sentences)],
+        )
 
     def add(self, sentence: int, cand: Candidate) -> bool:
         """Insert unless a candidate with the same tokens exists; returns

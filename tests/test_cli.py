@@ -581,6 +581,23 @@ def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
     assert set(scored) == candidates
 
 
+def test_stages_tie_goes_to_the_earliest_stage(workdir, monkeypatch, capsys):
+    """With ``ddt.stages=2`` (as in TINY) model 2 is never trained; a
+    combination that always outputs model 2's hypothesis scores the same at
+    every stage, and the tie goes to stage 0, which is not tested against
+    itself."""
+    monkeypatch.setattr(cli, "decode_corpus", lambda spaces, *args: [space.hyps[2] for space in spaces])
+    assert run(workdir, ["stages"], "--set", "ddt.stages=2") == 0
+    summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    out = workdir / "run/out"
+    for stage in range(3):
+        combined = (out / f"stage{stage}.combined.hyp").read_bytes()
+        assert combined == (out / "stage0.sys2.hyp").read_bytes()
+        assert summary[f"stage{stage}_combined_f05"] == summary["stage0_component2_f05"]
+    assert summary["best_stage"] == "0"
+    assert "p_best_vs_stage0" not in summary
+
+
 def test_stages_artifacts_do_not_depend_on_the_search_memo(pipeline, tmp_path, monkeypatch, capsys):
     root, _, _ = pipeline
     search = tuner.beam_search

@@ -22,6 +22,7 @@ from corrfuse.policy import (
     grad_logprob,
     greedy_decode,
     mle_step,
+    pad_batches,
     sample,
 )
 from corrfuse.rewards import RewardKind
@@ -143,7 +144,9 @@ class TestDdtStep:
         x, y = ("b",), ("c", "a")
         cfg = DdtConfig(alpha=0.0, learning_rate=0.03)
         loss_ddt, mean_r = ddt_step(model_a, x, y, [("a",)], cfg, np.random.default_rng(0))
-        loss_mle = mle_step(model_b, model_b.params[None], [[(x, y)]], 0.03)[0]
+        grads = np.empty((1, len(model_b.params)))
+        padded = pad_batches(model_b, [x], [y], True)
+        loss_mle = mle_step(model_b, model_b.params[None], padded, 0.03, grads)[0]
         assert np.array_equal(model_a.params, model_b.params)
         assert loss_ddt == pytest.approx(loss_mle)
         assert mean_r == 0.0

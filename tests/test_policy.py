@@ -15,6 +15,7 @@ from corrfuse.policy import (
     greedy_decode,
     logprob,
     mle_step,
+    pad_batches,
     parse_model,
     parse_vocab,
     sample,
@@ -247,30 +248,32 @@ class TestGreedyDecode:
         assert greedy_decode(model, ("b",)) == best[0] == ("a", "a", "a")
 
 
+def mle_step_alone(model, batch, learning_rate):
+    """``mle_step`` of ``model`` alone on the (source, target) pairs of ``batch``."""
+    padded = pad_batches(model, [x for x, _ in batch], [y for _, y in batch], True)
+    grads = np.empty((1, len(model.params)))
+    return mle_step(model, model.params[None], padded, learning_rate, grads)[0]
+
+
 class TestMleStep:
     def test_nll_decreases_over_repeated_steps(self):
         model = tiny_model(seed=13)
         batch = [(("a", "b"), ("a", "c"))]
-        losses = [mle_step(model, model.params[None], [batch], 0.02)[0] for _ in range(100)]
+        losses = [mle_step_alone(model, batch, 0.02) for _ in range(100)]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
     def test_zero_learning_rate_keeps_params(self):
         model = tiny_model(seed=1)
         before = model.params.copy()
-        mle_step(model, model.params[None], [[(("a",), ("b",))]], 0.0)
+        mle_step_alone(model, [(("a",), ("b",))], 0.0)
         assert np.array_equal(model.params, before)
-
-    def test_rejects_empty_batch(self):
-        model = tiny_model()
-        with pytest.raises(ValueError):
-            mle_step(model, model.params[None], [[]], 0.1)
 
     def test_returns_pre_step_mean_nll(self):
         model = tiny_model(seed=4)
         batch = [(("a",), ("b",)), (("b",), ("c",))]
         expected = -sum(logprob(model, x, y) for x, y in batch) / 2
-        got = mle_step(model, model.params[None], [batch], 0.05)[0]
+        got = mle_step_alone(model, batch, 0.05)
         assert got == pytest.approx(expected)
 
 

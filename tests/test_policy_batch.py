@@ -37,7 +37,7 @@ from corrfuse.policy import (
     PROB_FLOOR,
     PolicyModel,
     Vocabulary,
-    _ids,
+    epoch_batches,
     format_model,
     grad_logprob,
     grad_logprob_batch,
@@ -168,6 +168,7 @@ class TestBatchEquivalence:
                 want += wt * grad_logprob(model, x, y, e)[1]
                 assert lps[i] == pytest.approx(logprob(model, x, y, e), rel=REL, abs=REL)
             assert close(grad, want)
+            assert np.array_equal(logprob_batch(model, xs, ys, eos), lps)
 
     def test_unit_weights_by_default(self):
         rng = np.random.default_rng(5)
@@ -176,18 +177,6 @@ class TestBatchEquivalence:
         _, plain = grad_logprob_batch(model, xs, ys)
         _, ones = grad_logprob_batch(model, xs, ys, True, np.ones(len(xs)))
         assert np.array_equal(plain, ones)
-
-    def test_ids_and_tokens_agree(self):
-        rng = np.random.default_rng(8)
-        model = random_model(rng)
-        xs, ys, eos, weights = random_batch(rng, model)
-        lps, grad = grad_logprob_batch(model, xs, ys, eos, weights)
-        encode = model.vocab.encode
-        lps_ids, grad_ids = grad_logprob_batch(
-            model, [encode(x) for x in xs], [encode(y) for y in ys], eos, weights
-        )
-        assert np.array_equal(lps, lps_ids) and np.array_equal(grad, grad_ids)
-        assert np.array_equal(logprob_batch(model, xs, ys, eos), lps)
 
     def test_all_rows_empty(self):
         model = random_model(np.random.default_rng(2))
@@ -201,20 +190,6 @@ class TestBatchEquivalence:
             grad_logprob_batch(model, [(), ("t0",)], [(), ("t0",) * 3])
         with pytest.raises(ValueError, match="target of length 3 exceeds decode limit 2"):
             logprob(model, ("t0",), ("t0",) * 3)
-
-
-class TestMleStep:
-    def test_token_ids_give_the_same_step(self):
-        rng = np.random.default_rng(6)
-        a = random_model(rng)
-        b = a.copy()
-        xs, ys, _, _ = random_batch(rng, a)
-        nll_tokens = mle_step(a, a.params[None], [list(zip(xs, ys))], 0.1)[0]
-        encode = a.vocab.encode
-        ids = [(encode(x), encode(y)) for x, y in zip(xs, ys)]
-        nll_ids = mle_step(b, b.params[None], [ids], 0.1)[0]
-        assert nll_tokens == nll_ids
-        assert np.array_equal(a.params, b.params)
 
 
 def reference_rl_gradient(model, x, peers, cfg, rng):
@@ -384,6 +359,20 @@ class TestSampleMany:
             assert policy.sample(model, xs[0], got_rng) == reference_sample(model, xs[0], want_rng)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    def test_a_zero_decode_limit_decodes_nothing_without_a_draw(self):
+        rng = np.random.default_rng(6)
+        model = random_model(rng)
+        model.params *= 40.0  # peaked enough to emit tokens at a positive limit
+        model.max_len = 0
+        got_rng = np.random.default_rng(3)
+        before = got_rng.bit_generator.state
+        for x in [(), ("t0",), ("oov", "t0")]:
+            assert greedy_decode(model, x) == ()
+            assert policy.sample(model, x, got_rng) == ()
+            for k in (1, 4):
+                assert policy.sample_many(model, x, got_rng, k) == [()] * k
+        assert got_rng.bit_generator.state == before
+
 
 class TestDdtStep:
     def test_alpha_one_nll_is_mean_reference_nll(self):
@@ -476,6 +465,11 @@ class RefTape:
     t_mask: np.ndarray  # (Ty, B)
     t_valid: tuple[np.ndarray, np.ndarray]  # (step, row) of each real target
     probs: np.ndarray  # (Ty, B, V)
+
+
+def _ids(vocab: Vocabulary, seq: Sequence) -> Sequence[int]:
+    """Token ids of ``seq``; a sequence that already holds ids passes through."""
+    return vocab.encode(seq) if len(seq) and isinstance(seq[0], str) else seq
 
 
 def ref_forward_batch(model: PolicyModel, xs, ys, include_eos) -> tuple[np.ndarray, RefTape]:
@@ -658,6 +652,18 @@ def widest(rows) -> int:
     return max(map(len, rows), default=0)
 
 
+def stack_of(model: PolicyModel, xs, ys, eos) -> policy.PaddedBatches:
+    """Model m's batch ``xs[m]``, ``ys[m]`` (B rows each; ``eos`` one flag,
+    or one list of flags per model) as one stack, made as
+    ``cli._train_models`` makes its steps: every row padded once, then one
+    epoch step that gives model m its own B rows."""
+    n_models, rows = len(ys), len(ys[0])
+    if not isinstance(eos, bool):
+        eos = [e for m_eos in eos for e in m_eos]
+    padded = pad_batches(model, [x for m_xs in xs for x in m_xs], [y for m_ys in ys for y in m_ys], eos)
+    return next(epoch_batches(padded, np.arange(n_models * rows).reshape(n_models, rows), rows))
+
+
 class TestStackedKernel:
     def test_each_model_gets_its_batch_alone_bit_for_bit(self):
         rng = np.random.default_rng(71)
@@ -671,8 +677,8 @@ class TestStackedKernel:
                 eos = bool(trial % 2)  # one flag for every row of every model
             if trial % 4 == 1:
                 weights = None
-            padded = pad_batches(models[0], xs, ys, eos)
-            lps, grads = policy._grad_batch(models[0], padded, weights, stack)
+            padded = stack_of(models[0], xs, ys, eos)
+            lps, grads = policy._grad_batch(models[0], padded, weights, stack, np.empty_like(stack))
             for m, model in enumerate(models):
                 want_lps, want_grad = ref_grad_logprob_batch(
                     model, xs[m], ys[m], eos if isinstance(eos, bool) else eos[m],
@@ -694,8 +700,8 @@ class TestStackedKernel:
             models, stack = random_stack(rng, int(rng.integers(2, 5)), max_len=16, embed=1)
             batches = [random_batch(rng, models[0], 1, longest_source=16) for _ in models]
             xs, ys, eos, weights = map(list, zip(*batches))
-            padded = pad_batches(models[0], xs, ys, eos)
-            lps, grads = policy._grad_batch(models[0], padded, weights, stack)
+            padded = stack_of(models[0], xs, ys, eos)
+            lps, grads = policy._grad_batch(models[0], padded, weights, stack, np.empty_like(stack))
             for m, model in enumerate(models):
                 want_lps, want_grad = ref_grad_logprob_batch(model, xs[m], ys[m], eos[m], weights[m])
                 assert same_bits(lps[m], want_lps.astype(np.float64))
@@ -712,9 +718,9 @@ class TestStackedKernel:
             want_lps = ref_forward_batch(model, xs, ys, eos)[0].astype(np.float64)
             assert same_bits(logprob_batch(model, xs, ys, eos), want_lps)
             twin = model.copy()
-            batch = list(zip(xs, ys))
-            got = mle_step(model, model.params[None], [batch], 0.05)[0]
-            assert got == ref_mle_step(twin, batch, 0.05)
+            padded = pad_batches(model, xs, ys, True)
+            got = mle_step(model, model.params[None], padded, 0.05, np.empty((1, len(model.params))))[0]
+            assert got == ref_mle_step(twin, list(zip(xs, ys)), 0.05)
             assert same_bits(model.params, twin.params)
 
     def test_two_steps_through_one_gradient_buffer_match_the_reference(self):
@@ -727,10 +733,10 @@ class TestStackedKernel:
             twins = [model.copy() for model in models]
             grads = np.full_like(stack, np.nan)
             for _ in range(2):
-                batches = [list(zip(*random_batch(rng, models[0], rows)[:2])) for _ in models]
-                nlls = mle_step(models[0], stack, batches, 0.05, grads)
+                xs, ys = map(list, zip(*(random_batch(rng, models[0], rows)[:2] for _ in models)))
+                nlls = mle_step(models[0], stack, stack_of(models[0], xs, ys, True), 0.05, grads)
                 for m, (model, twin) in enumerate(zip(models, twins)):
-                    assert nlls[m] == ref_mle_step(twin, batches[m], 0.05)
+                    assert nlls[m] == ref_mle_step(twin, list(zip(xs[m], ys[m])), 0.05)
                     assert same_bits(model.params, twin.params)
 
     def test_a_warmed_lockstep_step_allocates_no_stack_sized_array(self):
@@ -741,7 +747,7 @@ class TestStackedKernel:
         models = [PolicyModel(vocab, 2, 16, 4, init_seed=i) for i in range(3)]
         stack = stack_params(models)
         grads = np.empty_like(stack)
-        batches = [[(("t1",), ("t2",))], [(("t3",), ())], [((), ("t4",))]]
+        batches = stack_of(models[0], [[("t1",)], [("t3",)], [()]], [[("t2",)], [()], [("t4",)]], True)
         mle_step(models[0], stack, batches, 0.01, grads)
         tracemalloc.start()
         try:
@@ -754,30 +760,43 @@ class TestStackedKernel:
         assert peak - before < stack.nbytes
 
     def test_each_epoch_step_holds_the_padding_of_its_rows(self):
+        """On model m's own steps a step holds ``pad_batches`` of m's rows
+        alone; every other source and target entry is padding, and the
+        decoder inputs are BOS and then the targets."""
         rng = np.random.default_rng(75)
         for _ in range(40):
             models, _ = random_stack(rng, int(rng.integers(1, 5)), max_len=int(rng.integers(1, 7)))
             n_pairs, batch_size = int(rng.integers(1, 12)), int(rng.integers(1, 6))
             xs, ys, _, _ = random_batch(rng, models[0], n_pairs)
-            padded = pad_batches(models[0], [xs], [ys], True)
+            padded = pad_batches(models[0], xs, ys, True)
             orders = np.stack([rng.permutation(n_pairs) for _ in models])
-            steps = list(policy.epoch_batches(padded, orders, batch_size))
+            steps = list(epoch_batches(padded, orders, batch_size))
             assert len(steps) == math.ceil(n_pairs / batch_size)
             for start, got in zip(range(0, n_pairs, batch_size), steps):
                 rows = orders[:, start : start + batch_size]
-                want = pad_batches(models[0], [[xs[i] for i in r] for r in rows],
-                                   [[ys[i] for i in r] for r in rows], True)
-                for name in ("x_ids", "x_mask", "prev_ids", "t_ids", "t_mask"):
-                    assert same_bits(getattr(got, name), getattr(want, name)), name
-                assert got.x_starts == want.x_starts and got.t_ends == want.t_ends
+                wants = [pad_batches(models[0], [xs[i] for i in r], [ys[i] for i in r], True) for r in rows]
+                assert len(got) == len(models) and got.x_ids.shape[1:] == rows.shape
+                assert len(got.x_ids) == max(len(want.x_ids) for want in wants)
+                assert len(got.t_ids) == max(len(want.t_ids) for want in wants)
+                assert (got.prev_ids[:1] == BOS_ID).all()
+                assert same_bits(got.prev_ids[1:], got.t_ids[:-1])
+                for m, want in enumerate(wants):
+                    src, tgt = slice(got.x_starts[m], None), slice(got.t_ends[m])
+                    assert len(got.x_ids) - got.x_starts[m] == len(want.x_ids)
+                    assert got.t_ends[m] == len(want.t_ids)
+                    for name, own in (("x_ids", src), ("x_mask", src), ("prev_ids", tgt),
+                                      ("t_ids", tgt), ("t_mask", tgt)):
+                        assert same_bits(getattr(got, name)[own, m], getattr(want, name)[:, 0]), name
+                    for name, pad in (("x_ids", BOS_ID), ("x_mask", 0.0)):
+                        assert (getattr(got, name)[: got.x_starts[m], m] == pad).all(), name
+                    for name, pad in (("t_ids", BOS_ID), ("t_mask", False)):
+                        assert (getattr(got, name)[got.t_ends[m] :, m] == pad).all(), name
 
     def test_a_stack_needs_one_batch_per_model_of_one_size(self):
         models, stack = random_stack(np.random.default_rng(3), 2, max_len=4)
-        one_batch = pad_batches(models[0], [[("t0",)]], [[("t0",)]], True)
+        one_batch = pad_batches(models[0], [("t0",)], [("t0",)], True)
         with pytest.raises(ValueError, match="needs one batch each"):
-            policy._grad_batch(models[0], one_batch, None, stack)
-        with pytest.raises(ValueError, match="needs one batch each"):
-            pad_batches(models[0], [[("t0",)], []], [[("t0",)], []], True)
+            policy._grad_batch(models[0], one_batch, None, stack, np.empty_like(stack))
 
     def test_stack_params_makes_each_model_a_view_of_its_row(self):
         models, stack = random_stack(np.random.default_rng(4), 3, max_len=4)
@@ -814,16 +833,14 @@ def test_stacked_kernel_on_the_benchmark_train_inputs(tmp_path):
     models = [PolicyModel(vocab, 32, 64, 16, init_seed=1000 * 1000 + 100 + i) for i in range(3)]
     stack = stack_params(models)
     rngs = [np.random.default_rng((1000, 200 + i)) for i in range(3)]
+    padded = pad_batches(models[0], src, ref, True)
     for _ in range(2):
-        orders = [rng.permutation(len(pairs)) for rng in rngs]
-        for start in range(0, len(pairs), 4):
-            batches = [[encoded[i] for i in order[start : start + 4]] for order in orders]
-            xs = [[x for x, _ in batch] for batch in batches]
-            ys = [[y for _, y in batch] for batch in batches]
-            padded = pad_batches(models[0], xs, ys, True)
-            lps, grads = policy._grad_batch(models[0], padded, None, stack)
+        orders = np.stack([rng.permutation(len(pairs)) for rng in rngs])
+        for start, batches in zip(range(0, len(pairs), 4), epoch_batches(padded, orders, 4)):
+            lps, grads = policy._grad_batch(models[0], batches, None, stack, np.empty_like(stack))
             for m, model in enumerate(models):
-                want_lps, want_grad = ref_grad_logprob_batch(model, xs[m], ys[m])
+                batch = [encoded[i] for i in orders[m, start : start + 4]]
+                want_lps, want_grad = ref_grad_logprob_batch(model, *map(list, zip(*batch)))
                 assert same_bits(lps[m], want_lps) and same_bits(grads[m], want_grad)
 
 

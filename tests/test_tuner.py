@@ -229,14 +229,6 @@ class TestPoolMatrix:
             for j, slot in enumerate(pool.sentences):
                 assert pool.features(j).tolist() == [list(c.feats) for c in slot.values()]
 
-    def test_pool_built_from_dicts_has_matrices(self):
-        built = random_pool(np.random.default_rng(4))
-        copied = KBestPool([dict(slot) for slot in built.sentences])
-        for i in range(len(built.sentences)):
-            assert np.array_equal(copied.features(i), built.features(i))
-        w = np.array([0.3, -1.0, 2.0])
-        assert copied.corpus_f(w) == built.corpus_f(w)
-
     def test_corpus_f_tie_goes_to_earliest_inserted(self):
         good, bad = ScoreStats(2, 0, 0), ScoreStats(0, 2, 2)
         for first, second in ((good, bad), (bad, good)):
