@@ -1,7 +1,9 @@
 """Command-line orchestration: gen, train, ddt, stages, combine, tune, eval,
-diversity.  Every command is deterministic given its config, writes its
-artifacts as plain text, prints a key=value summary, and appends the same
-summary (with the config hash) to <data.dir>/report.txt.
+diversity.  Every command is deterministic given its config and returns
+``(files, summary)``: the text of each artifact it makes, by path, and its
+key=value summary; no command writes or prints.  ``main`` writes the files
+all or none (``_write_all``), then prints the summary and appends it (with
+the config hash) to <data.dir>/report.txt (``_emit_summary``).
 
 Exit codes: 0 success; 2 usage error (bad flags, unknown keys, a value
 outside its key's legal values in ``config.KNOWN_KEYS``, which the config
@@ -13,16 +15,15 @@ too long to align, reserved tokens in the training text); 4 numeric failure
 (non-finite parameters).  The library's errors for malformed files are
 mapped to these here.
 
-``_read_text`` reads and parses every input and ``_write_text`` writes
-every artifact and the report (``train``'s through ``_write_all``, which
-renames them into place together): they are the only file access, apart
-from ``config`` reading ``--config``, whose failures are usage errors.  The
-formats are pure text functions in the library, such as ``parse_m2`` and
-``format_m2``.  Every split is read by ``_load_split`` (its sources and M2
-gold edits) and every hypothesis list of ``combine`` and ``tune`` by
-``_read_hyps``.  Only ``ddt`` and ``stages`` read ``data.dev_ref``, the
-references that DDT trains on.  Combination runs in one process, so
-``--jobs`` accepts only 1.
+``_read_text`` reads and parses every input, ``_write_all`` writes every
+artifact and ``_emit_summary`` appends the report: they are the only file
+access, apart from ``config`` reading ``--config``, whose failures are usage
+errors.  The formats are pure text functions in the library, such as
+``parse_m2`` and ``format_m2``.  Every split is read by ``_load_split`` (its
+sources and M2 gold edits) and every hypothesis list of ``combine`` and
+``tune`` by ``_read_hyps``.  Only ``ddt`` and ``stages`` read
+``data.dev_ref``, the references that DDT trains on.  Combination runs in
+one process, so ``--jobs`` accepts only 1.
 
 ``entry`` is the process entry, behind both the ``corrfuse`` script and
 ``python -m corrfuse.cli``.  It calls ``gc.freeze()`` once, after every
@@ -92,6 +93,8 @@ from .toydata import DEFAULT_GRAMMAR, CorruptionRule, RULE_KINDS, generate_corpu
 from .tuner import KBestPool, decode_corpus, tune_loop
 
 T = TypeVar("T")
+# what a command returns: the text of each file it makes, by path, and its summary
+Result = tuple[dict[str, str], dict[str, object]]
 
 
 # ---------------------------------------------------------------------------
@@ -121,37 +124,28 @@ def _read_token_lines(path: str) -> list[TokenSeq]:
     return _read_text(path, lambda text: [tokenize(line) for line in split_lines(text)])
 
 
-def _write_text(path: str, text: str, mode: str = "w") -> None:
-    """Write (``mode`` "w") or append ("a") UTF-8 text, creating the parent
-    directory; a path that cannot be written is a data error.  This is the
-    only writer of data files."""
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
-
-
 def _write_all(files: dict[str, str]) -> None:
-    """Write every file of ``files`` (path -> text) or none.  Each text goes
-    to a temporary name beside its path, and all are renamed into place only
-    after every write has succeeded; a path that is a directory fails before
-    anything is written, and no temporary file is left behind."""
+    """Write every file of ``files`` (path -> text) or none, creating parent
+    directories.  Each text goes to a temporary name beside its path, and
+    all are renamed into place only after every write has succeeded; a path
+    that is a directory fails before anything is written, a failure is a
+    data error naming the path, and no temporary file is left behind."""
     for path in files:
         if os.path.isdir(path):
             raise DataError(f"cannot write {path}: Is a directory")
-    temps = {path: path + ".tmp" for path in files}
+    created: list[str] = []
     try:
         for path, text in files.items():
-            _write_text(temps[path], text)
-        for path, temp in temps.items():
-            try:
-                os.replace(temp, path)
-            except OSError as exc:
-                raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                created.append(fh.name)
+                fh.write(text)
+        for path in files:
+            os.replace(path + ".tmp", path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
     finally:
-        for temp in temps.values():
+        for temp in created:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
 
@@ -184,8 +178,14 @@ def _emit_summary(cfg: ExperimentConfig, command: str, summary: dict[str, object
     lines += [f"{key}={_fmt(value)}" for key, value in summary.items()]
     for line in lines:
         print(line)
-    report = os.path.join(cfg.get_str("data.dir"), "report.txt")
-    _write_text(report, "\n".join(lines) + "\n--\n", mode="a")
+    data_dir = cfg.get_str("data.dir")
+    report = os.path.join(data_dir, "report.txt")
+    try:
+        os.makedirs(data_dir or ".", exist_ok=True)
+        with open(report, "a", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n--\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {report}: {exc.strerror}") from exc
 
 
 def _split_paths(raw: str) -> list[str]:
@@ -318,7 +318,7 @@ def _tune(
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(cfg: ExperimentConfig) -> int:
+def cmd_gen(cfg: ExperimentConfig) -> Result:
     grammar_path = cfg.get_str("gen.grammar")
     grammar = _read_text(grammar_path, parse_grammar) if grammar_path else DEFAULT_GRAMMAR
     rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
@@ -328,6 +328,7 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
     # test are freshly corrupted versions of sentences the models trained on;
     # the train split is oversampled with independent corruption passes
     grammar_seed = seed * 8
+    files: dict[str, str] = {}
     summary: dict[str, object] = {}
     for split_idx, split in enumerate(("train", "dev", "test")):
         n = cfg.get_int(f"gen.{split}")
@@ -344,14 +345,13 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
         src_path = cfg.get_str(f"data.{split}_src")
         ref_path = cfg.get_str(f"data.{split}_ref")
         m2_path = cfg.get_str(f"data.{split}_m2")
-        _write_text(src_path, _lines_text([e.source for e in examples]))
-        _write_text(ref_path, _lines_text([e.reference for e in examples]))
-        _write_text(m2_path, format_m2(GoldAnnotation(e.source, (e.gold_edits,)) for e in examples))
+        files[src_path] = _lines_text([e.source for e in examples])
+        files[ref_path] = _lines_text([e.reference for e in examples])
+        files[m2_path] = format_m2(GoldAnnotation(e.source, (e.gold_edits,)) for e in examples)
         summary[f"n_{split}"] = len(examples)
         summary[f"{split}_src"] = src_path
     summary["vocab_size"] = len(grammar.vocabulary())
-    _emit_summary(cfg, "gen", summary)
-    return 0
+    return files, summary
 
 
 def _train_models(
@@ -404,14 +404,11 @@ def _train_models(
     return models, last_nll
 
 
-def cmd_train(cfg: ExperimentConfig) -> int:
+def cmd_train(cfg: ExperimentConfig) -> Result:
     """Build the vocabulary from the training pairs that fit
     ``policy.max_len``, train the models in lockstep (``_train_models``),
-    then write the vocabulary and every checkpoint, and score each model's
-    greedy dev output.  Nothing is written until every model has trained
-    and is finite, and then the vocabulary and the checkpoints are written
-    all or none (``_write_all``), so a failed run leaves ``model.dir`` as it
-    was."""
+    and score each model's greedy dev output.  The files are the vocabulary
+    and every checkpoint."""
     train_src = _read_token_lines(cfg.get_str("data.train_src"))
     train_ref = _read_token_lines(cfg.get_str("data.train_ref"))
     _require_aligned(train_src=train_src, train_ref=train_ref)
@@ -431,18 +428,16 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
     files = {vocab_path: format_vocab(vocab)}
     files.update((path, format_model(model)) for model, path in zip(models, model_paths))
-    _write_all(files)
     summary: dict[str, object] = {"vocab_size": len(vocab), "n_pairs": len(pairs)}
     for i, (model, nll) in enumerate(zip(models, nlls)):
         outputs = [greedy_decode(model, x) for x in dev_src]
         stats, _ = score_corpus(dev_src, outputs, dev_golds)
         summary[f"model_{i}_nll"] = nll
         summary[f"model_{i}_dev_f05"] = stats.f_beta(0.5)
-    _emit_summary(cfg, "train", summary)
-    return 0
+    return files, summary
 
 
-def cmd_ddt(cfg: ExperimentConfig) -> int:
+def cmd_ddt(cfg: ExperimentConfig) -> Result:
     backbone_idx, n_models = cfg.get_int("ddt.backbone"), cfg.get_int("train.models")
     if backbone_idx >= n_models:
         raise UsageError(f"ddt.backbone must be in [0,{n_models - 1}], got {backbone_idx}")
@@ -482,29 +477,23 @@ def cmd_ddt(cfg: ExperimentConfig) -> int:
     out_path = cfg.get_str("ddt.out") or os.path.join(
         cfg.get_str("model.dir"), f"model_{backbone_idx}_ddt.txt"
     )
-    _write_text(out_path, format_model(backbone))
     outputs = [greedy_decode(backbone, x) for x in dev_src]
     stats, _ = score_corpus(dev_src, outputs, dev_golds)
     div = mean_pairwise_diversity([outputs] + [list(p) for p in peer_outputs])
-    _emit_summary(
-        cfg,
-        "ddt",
-        {
-            "backbone": backbone_idx,
-            "reward": cfg.get_str("ddt.reward"),
-            "alpha": ddt_cfg.alpha,
-            "steps": ddt_cfg.epochs * len(kept),
-            "mle_loss": mle_loss,
-            "mean_reward": mean_reward,
-            "dev_f05": stats.f_beta(0.5),
-            "diversity": div,
-            "checkpoint": out_path,
-        },
-    )
-    return 0
+    return {out_path: format_model(backbone)}, {
+        "backbone": backbone_idx,
+        "reward": cfg.get_str("ddt.reward"),
+        "alpha": ddt_cfg.alpha,
+        "steps": ddt_cfg.epochs * len(kept),
+        "mle_loss": mle_loss,
+        "mean_reward": mean_reward,
+        "dev_f05": stats.f_beta(0.5),
+        "diversity": div,
+        "checkpoint": out_path,
+    }
 
 
-def cmd_stages(cfg: ExperimentConfig) -> int:
+def cmd_stages(cfg: ExperimentConfig) -> Result:
     n_models = cfg.get_int("train.models")
     if n_models < 2:
         raise UsageError(f"stages needs train.models >= 2, got {n_models}")
@@ -538,6 +527,7 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
 
     out_dir = os.path.join(cfg.get_str("data.dir"), "out")
     schema = FeatureSchema(len(models))
+    files: dict[str, str] = {}
     summary: dict[str, object] = {"stages": stages, "models": len(models)}
     stage_f05: list[float] = []
     per_sentence_by_stage: list[list[ScoreStats]] = []
@@ -551,15 +541,15 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
         outputs_per_model = [list(o) for o in report.outputs]
         prefix = os.path.join(out_dir, f"stage{report.stage}")
         for m, outputs in enumerate(outputs_per_model):
-            _write_text(f"{prefix}.sys{m}.hyp", _lines_text(outputs))
+            files[f"{prefix}.sys{m}.hyp"] = _lines_text(outputs)
         spaces, weights, _ = _tune(
             settings, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage,
             known_spaces, scores,
         )
         combined = decode_corpus(spaces, weights, lm, settings["beam"])
         stats, per_sentence = score_corpus(dev_src, combined, dev_golds)
-        _write_text(f"{prefix}.combined.hyp", _lines_text(combined))
-        _write_text(f"{prefix}.weights", format_weights(schema, weights))
+        files[f"{prefix}.combined.hyp"] = _lines_text(combined)
+        files[f"{prefix}.weights"] = format_weights(schema, weights)
         stage_f05.append(stats.f_beta(0.5))
         per_sentence_by_stage.append(per_sentence)
         summary[f"stage{report.stage}_diversity"] = report.diversity
@@ -577,11 +567,10 @@ def cmd_stages(cfg: ExperimentConfig) -> int:
         summary["p_best_vs_stage0"] = sign_test_bootstrap(
             outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
         )
-    _emit_summary(cfg, "stages", summary)
-    return 0
+    return files, summary
 
 
-def cmd_combine(cfg: ExperimentConfig) -> int:
+def cmd_combine(cfg: ExperimentConfig) -> Result:
     hyp_lines = _read_hyps("combine.hyps", cfg.get_str("combine.hyps"))
     lm = _load_lm(cfg)
     schema = FeatureSchema(len(hyp_lines))
@@ -593,16 +582,12 @@ def cmd_combine(cfg: ExperimentConfig) -> int:
     beam = cfg.get_int("combine.beam")
     combined = decode_corpus(build_spaces(hyp_lines), weights, lm, beam)
     out_path = cfg.get_str("combine.out")
-    _write_text(out_path, _lines_text(combined))
-    _emit_summary(
-        cfg,
-        "combine",
-        {"systems": len(hyp_lines), "sentences": len(hyp_lines[0]), "out": out_path},
-    )
-    return 0
+    return {out_path: _lines_text(combined)}, {
+        "systems": len(hyp_lines), "sentences": len(hyp_lines[0]), "out": out_path,
+    }
 
 
-def cmd_tune(cfg: ExperimentConfig) -> int:
+def cmd_tune(cfg: ExperimentConfig) -> Result:
     hyp_lines = _read_hyps("tune.hyps", cfg.get_str("tune.hyps") or cfg.get_str("combine.hyps"))
     dev_src, dev_golds = _load_split(cfg, "dev")
     _require_aligned(
@@ -613,20 +598,15 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
         _tune_settings(cfg), hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3)
     )
     out_path = cfg.get_str("tune.out")
-    _write_text(out_path, format_weights(FeatureSchema(len(hyp_lines)), weights))
-    _emit_summary(
-        cfg, "tune",
-        {
-            "systems": len(hyp_lines),
-            "pool_size": pool.size(),
-            "pool_f05": pool.corpus_f(weights),
-            "weights": out_path,
-        },
-    )
-    return 0
+    return {out_path: format_weights(FeatureSchema(len(hyp_lines)), weights)}, {
+        "systems": len(hyp_lines),
+        "pool_size": pool.size(),
+        "pool_f05": pool.corpus_f(weights),
+        "weights": out_path,
+    }
 
 
-def cmd_eval(cfg: ExperimentConfig) -> int:
+def cmd_eval(cfg: ExperimentConfig) -> Result:
     hyp_path = cfg.get_str("eval.hyp")
     if not hyp_path:
         raise UsageError("eval.hyp must name the hypothesis file to score")
@@ -655,11 +635,10 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         summary["p_value"] = sign_test_bootstrap(
             outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
         )
-    _emit_summary(cfg, "eval", summary)
-    return 0
+    return {}, summary
 
 
-def cmd_diversity(cfg: ExperimentConfig) -> int:
+def cmd_diversity(cfg: ExperimentConfig) -> Result:
     path_a, path_b = cfg.get_str("div.a"), cfg.get_str("div.b")
     if not path_a or not path_b:
         raise UsageError("div.a and div.b must name the two hypothesis files to compare")
@@ -668,14 +647,10 @@ def cmd_diversity(cfg: ExperimentConfig) -> int:
     _require_aligned(a=lines_a, b=lines_b)
     if not lines_a:
         raise DataError(f"empty hypothesis file: {path_a}")
-    _emit_summary(
-        cfg, "diversity",
-        {"a": path_a, "b": path_b, "diversity": diversity(lines_a, lines_b)},
-    )
-    return 0
+    return {}, {"a": path_a, "b": path_b, "diversity": diversity(lines_a, lines_b)}
 
 
-COMMANDS: dict[str, Callable[[ExperimentConfig], int]] = {
+COMMANDS: dict[str, Callable[[ExperimentConfig], Result]] = {
     "gen": cmd_gen,
     "train": cmd_train,
     "ddt": cmd_ddt,
@@ -724,7 +699,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             key, _, value = item.partition("=")
             overrides[key.strip()] = value
         cfg = ExperimentConfig.load(args.config, overrides=overrides)
-        return COMMANDS[args.command](cfg)
+        files, summary = COMMANDS[args.command](cfg)
+        _write_all(files)
+        _emit_summary(cfg, args.command, summary)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -401,14 +401,18 @@ def test_directory_in_place_of_an_input_file_is_a_data_error(workdir, capsys, co
         (["combine", "--set", f"combine.hyps={HYPS}"], "combine.out=run/out"),
         (["tune", "--set", f"tune.hyps={HYPS}"], "tune.out=run/out/combined.hyp/tuned.weights"),
         (["ddt"], "ddt.out=run/models"),
+        (["train", "--set", "train.epochs=1"], "model.dir=run/data/dev.src/models"),
     ],
-    ids=["gen-under-a-file", "combine-to-a-directory", "tune-under-a-file", "ddt-to-a-directory"],
+    ids=[
+        "gen-under-a-file", "combine-to-a-directory", "tune-under-a-file", "ddt-to-a-directory",
+        "train-under-a-file",
+    ],
 )
 def test_unwritable_output_is_a_data_error_naming_it(workdir, capsys, command, override):
     assert run(workdir, command, "--set", override) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: cannot write ") and override.split("=", 1)[1] in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and ".tmp" not in err
 
 
 @pytest.mark.parametrize(
@@ -476,6 +480,27 @@ def test_train_writes_the_vocabulary_and_every_checkpoint_or_none(workdir, capsy
     assert capsys.readouterr().err == "data error: cannot write run/models/model_1.txt: Is a directory\n"
     assert sorted(p.name for p in models.iterdir()) == names
     assert tree_bytes(models) == before
+
+
+@pytest.mark.parametrize(
+    "command, extra, last_output",
+    [
+        (["gen"], [], "run/data/test.m2"),
+        (["stages"], ["--set", "ddt.stages=3"], "run/out/stage3.weights"),
+    ],
+    ids=["gen", "stages"],
+)
+def test_every_output_is_written_or_none(workdir, capsys, command, extra, last_output):
+    """The command's last output is a directory: it must fail before it
+    writes any file.  Another seed makes every output differ, so a partial
+    write would show in the bytes."""
+    (workdir / last_output).unlink(missing_ok=True)
+    (workdir / last_output).mkdir()
+    before = tree_bytes(workdir / "run")
+    assert run(workdir, command, "--seed", "8", *extra) == 3
+    assert capsys.readouterr().err == f"data error: cannot write {last_output}: Is a directory\n"
+    assert tree_bytes(workdir / "run") == before
+    assert not list((workdir / "run").rglob("*.tmp"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -388,7 +388,7 @@ def test_checkpoint_bytes_are_one_repr_per_line(tmp_path):
     model = PolicyModel(Vocabulary.build(["a", "b"]), 3, 4, 5, init_seed=17)
     model.params[:3] = [0.1, -0.0, 1e-300]  # short, signed-zero and tiny reprs
     path = tmp_path / "model.txt"
-    cli._write_text(str(path), format_model(model))
+    cli._write_all({str(path): format_model(model)})
     lines = ["corrfuse-policy v1 vocab=5 embed=3 hidden=4 max_len=5 seed=17"]
     lines += [repr(float(v)) for v in model.params]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
