@@ -6,27 +6,29 @@ embeddings context vector added to each decoder input, flat float64
 parameter vector) so that every gradient can be validated against central
 finite differences and every sampling distribution enumerated exactly.
 
-Likelihoods and gradients are computed by one kernel for a stack of M
-models of one architecture, each on its own batch of B rows: their
-parameters are the rows of one (M, P) array (``stack_params``), and every
-time-major array has a model axis after the step axis, (T, M, B, ...).  One
-model is a stack of one: ``logprob_batch`` and ``grad_logprob_batch`` pass
-``model.params[None]`` and return row 0, and ``mle_step`` steps one model
-on the view ``model.params[None]``, which updates it in place.  Rows are
-(source, target) pairs of tokens.  ``pad_batches`` pads one batch, sources
-on the left and targets on the right (``PaddedBatches``); a training loop
-pads all its pairs once and ``epoch_batches`` cuts each epoch's stacks of
-M minibatches from them in one pass.  The teacher-forced recurrences run
-once per time step for the whole stack, and each per-step product is one
-broadcast matmul, (M, B, H) @ (M, H, H), that runs one GEMM per model with
-the shapes of that model's batch alone.  Padded steps only add exact zeros.
-Sums over steps and the weight-gradient products after the backward
-recurrence, whose rounding depends on the number and layout of the terms,
-take each model's own steps: the steps its batch alone would have, and
-write straight into that model's blocks of the (M, P) gradients.  So every
-model gets, bit for bit, the numbers of its batch alone.  Greedy decoding
-and sampling are one loop (``_decode``) over the kernel's helpers on the
-1-D rows of one model, with an argmax or an inverse-CDF pick per token.
+Likelihoods and gradients come from one kernel, ``_grad_batch``, which runs
+the teacher-forced forward and backward passes of a stack of M models of
+one architecture, each on its own batch of B rows: their parameters are the
+rows of one (M, P) array (``stack_params``), and every time-major array has
+a model axis after the step axis, (T, M, B, ...).  One model is a stack of
+one: ``grad_logprob_batch`` passes ``model.params[None]`` and returns row
+0, ``logprob`` is the likelihood that ``grad_logprob`` returns, and
+``mle_step`` steps one model on the view ``model.params[None]``, which
+updates it in place.  Rows are (source, target) pairs of tokens.
+``pad_batches`` pads one batch, sources on the left and targets on the
+right (``PaddedBatches``); a training loop pads all its pairs once and
+``epoch_batches`` cuts each epoch's stacks of M minibatches from them in
+one pass.  The recurrences run once per time step for the whole stack, and
+each per-step product is one broadcast matmul, (M, B, H) @ (M, H, H), that
+runs one GEMM per model with the shapes of that model's batch alone.
+Padded steps only add exact zeros.  Sums over steps and the weight-gradient
+products after the backward recurrence, whose rounding depends on the
+number and layout of the terms, take each model's own steps: the steps its
+batch alone would have, and write straight into that model's blocks of the
+(M, P) gradients.  So every model gets, bit for bit, the numbers of its
+batch alone.  Greedy decoding and sampling are one loop (``_decode``) over
+the kernel's helpers on the 1-D rows of one model, with an argmax or an
+inverse-CDF pick per token.
 
 The caller owns the (M, P) gradient buffer of a lockstep training run: it
 allocates one for the run and hands it to every ``mle_step``.  With the
@@ -105,8 +107,7 @@ def parse_vocab(text: str) -> Vocabulary:
 
 
 class PolicyModel:
-    """Parameters plus architecture metadata; reads are thread-safe, updates
-    require exclusive access."""
+    """Parameters plus architecture metadata."""
 
     def __init__(
         self,
@@ -263,19 +264,7 @@ def logprob(model: PolicyModel, x: TokenSeq, y: TokenSeq, include_eos: bool = Tr
     ``include_eos=False`` scores a sequence that was cut off at the decode
     length limit, where no stop symbol was drawn.
     """
-    return float(logprob_batch(model, [x], [y], [include_eos])[0])
-
-
-def logprob_batch(
-    model: PolicyModel,
-    xs: Sequence[Sequence],
-    ys: Sequence[Sequence],
-    include_eos: bool | Sequence[bool] = True,
-) -> np.ndarray:
-    """``logprob`` of each (source, target) row, from one batched forward."""
-    batches = pad_batches(model, xs, ys, include_eos)
-    lps, _ = _forward_batch(model, batches, model.params[None])
-    return lps[0]
+    return grad_logprob(model, x, y, include_eos)[0]
 
 
 def _pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -373,68 +362,11 @@ def epoch_batches(
         )
 
 
-@dataclass
-class _Tape:
-    """Forward values the backward pass reuses, time-major, of M models'
-    batches (Tx source and Ty target steps of B rows each)."""
-
-    w: dict[str, np.ndarray]  # weight views of the stack
-    batches: PaddedBatches
-    x_emb: np.ndarray  # (Tx, M, B, E)
-    x_count: np.ndarray  # (M, B, 1) source length, at least 1
-    enc: np.ndarray  # (Tx + 1, M, B, H) encoder states, enc[0] = 0
-    inp: np.ndarray  # (Ty, M, B, E) decoder inputs
-    dec: np.ndarray  # (Ty + 1, M, B, H) decoder states, dec[0] = enc[-1]
-    t_valid: tuple[np.ndarray, ...]  # (step, model, row) of each real target
-    probs: np.ndarray  # (Ty, M, B, V)
-
-
 def _own_rows(a: np.ndarray, m: int, steps: slice) -> np.ndarray:
     """Model m's own ``steps`` of a time-major array as (steps * B, n) rows
     in contiguous memory, the layout its batch alone has: BLAS takes
     another path for a strided vector, which adds in another order."""
     return np.ascontiguousarray(a[steps, m].reshape(-1, a.shape[-1]))
-
-
-def _forward_batch(model: PolicyModel, batches: PaddedBatches, stack: np.ndarray):
-    """Row log-likelihoods (M, B) and the tape of a stack of M models.
-
-    ``stack`` (M, P) holds one model of ``model``'s architecture and
-    vocabulary per row (see ``stack_params``; ``model.params[None]`` for
-    ``model`` alone), and ``batches[m]`` is model m's batch.
-    """
-    if len(batches) != len(stack):
-        raise ValueError(f"a stack of {len(stack)} models needs one batch each, all of one size")
-    x_ids, x_mask, t_ids, t_mask = batches.x_ids, batches.x_mask, batches.t_ids, batches.t_mask
-    n_models, rows = x_ids.shape[1:]
-    w = _make_views(stack, model._layout)
-    models = np.arange(n_models)[:, None]
-    x_emb = w["emb"][models, x_ids]
-    enc = _encoder(w, x_emb, x_mask)
-    context, x_count = _context(x_emb, x_mask, batches.x_starts)
-
-    # teacher forcing: the recurrence never reads the logits, so they and the
-    # softmax are computed for all steps at once after the loop; steps past a
-    # row's end are masked out of its likelihood
-    prev_emb = w["emb"][models, batches.prev_ids]
-    inp, dec_pre = _decoder_input(w, prev_emb, context)
-    dec = np.empty((len(t_ids) + 1, *t_ids.shape[1:], model.hidden_width))
-    dec[0] = enc[-1]
-    rec = w["dec_rec_t"]
-    for t in range(len(t_ids)):
-        z = dec[t] @ rec
-        z += dec_pre[t]
-        np.tanh(z, out=dec[t + 1])
-    probs = _output_probs(w, dec[1:])
-    t_valid = np.nonzero(t_mask)
-    p_target = probs[(*t_valid, t_ids[t_valid])]
-    # per row, the terms are summed in step order; without any terms,
-    # np.bincount would count in integers
-    row = t_valid[1] * rows + t_valid[2]
-    lps = np.bincount(row, np.log(np.maximum(p_target, PROB_FLOOR)), minlength=n_models * rows)
-    lps = lps.astype(np.float64, copy=False)
-    tape = _Tape(w, batches, x_emb, x_count, enc, inp, dec, t_valid, probs)
-    return lps.reshape(n_models, rows), tape
 
 
 def _grad_batch(
@@ -445,23 +377,56 @@ def _grad_batch(
     grads: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row log-likelihoods (M, B) and, per model, the weighted sum of their
-    exact gradients (M, P), with the arguments of ``_forward_batch``;
-    ``weights`` is None or one per row of each model (M, B).  The gradients
-    are written into ``grads`` (M, P), which the call overwrites.  Each
-    model's numbers are bit-identical to those of its batch alone."""
-    lps, tape = _forward_batch(model, batches, stack)
-    w, n_models = tape.w, len(batches)
-    vocab_size, embed, hidden = len(model.vocab), model.embed_width, model.hidden_width
+    exact gradients (M, P) of a stack of M models.
 
-    d_logits = -tape.probs
-    d_logits[(*tape.t_valid, batches.t_ids[tape.t_valid])] += 1.0
-    d_logits *= batches.t_mask[..., None]
+    ``stack`` (M, P) holds one model of ``model``'s architecture and
+    vocabulary per row (see ``stack_params``; ``model.params[None]`` for
+    ``model`` alone), and ``batches[m]`` is model m's batch.  ``weights``
+    is None or one per row of each model (M, B).  The gradients are written
+    into ``grads`` (M, P), which the call overwrites.  Each model's numbers
+    are bit-identical to those of its batch alone.
+    """
+    if len(batches) != len(stack):
+        raise ValueError(f"a stack of {len(stack)} models needs one batch each, all of one size")
+    x_ids, x_mask, t_ids, t_mask = batches.x_ids, batches.x_mask, batches.t_ids, batches.t_mask
+    n_models, rows = x_ids.shape[1:]
+    vocab_size, embed, hidden = len(model.vocab), model.embed_width, model.hidden_width
+    w = _make_views(stack, model._layout)
+    models = np.arange(n_models)[:, None]
+    x_emb = w["emb"][models, x_ids]  # (Tx, M, B, E)
+    enc = _encoder(w, x_emb, x_mask)  # (Tx + 1, M, B, H), enc[0] = 0
+    context, x_count = _context(x_emb, x_mask, batches.x_starts)
+
+    # teacher forcing: the recurrence never reads the logits, so they and the
+    # softmax are computed for all steps at once after the loop; steps past a
+    # row's end are masked out of its likelihood
+    prev_emb = w["emb"][models, batches.prev_ids]
+    inp, dec_pre = _decoder_input(w, prev_emb, context)
+    dec = np.empty((len(t_ids) + 1, *t_ids.shape[1:], hidden))
+    dec[0] = enc[-1]
+    rec = w["dec_rec_t"]
+    for t in range(len(t_ids)):
+        z = dec[t] @ rec
+        z += dec_pre[t]
+        np.tanh(z, out=dec[t + 1])
+    probs = _output_probs(w, dec[1:])  # (Ty, M, B, V)
+    t_valid = np.nonzero(t_mask)  # (step, model, row) of each real target
+    target = (*t_valid, t_ids[t_valid])
+    # per row, the terms are summed in step order; without any terms,
+    # np.bincount would count in integers
+    row = t_valid[1] * rows + t_valid[2]
+    lps = np.bincount(row, np.log(np.maximum(probs[target], PROB_FLOOR)), minlength=n_models * rows)
+    lps = lps.astype(np.float64, copy=False).reshape(n_models, rows)
+
+    d_logits = -probs
+    d_logits[target] += 1.0
+    d_logits *= t_mask[..., None]
     if weights is not None:
         d_logits *= np.asarray(weights, dtype=np.float64)[..., None]
 
     # decoder: only the d_s recurrence is sequential; steps past a row's end
     # have zero d_logits, so their d_s stays exactly zero
-    dec_out = tape.dec[1:]
+    dec_out = dec[1:]
     dec_tanh = dec_out * dec_out
     np.subtract(1.0, dec_tanh, out=dec_tanh)
     d_z_dec = d_logits @ w["out_w"]  # d_s from the logits, then d_z in place
@@ -476,10 +441,10 @@ def _grad_batch(
 
     # encoder: the decoder start state is the final encoder state; padded
     # steps come first and are masked, so their d_z is zero
-    enc_out = tape.enc[1:]
+    enc_out = enc[1:]
     enc_tanh = enc_out * enc_out
     np.subtract(1.0, enc_tanh, out=enc_tanh)
-    enc_tanh *= batches.x_mask[..., None]
+    enc_tanh *= x_mask[..., None]
     d_z_enc = np.empty_like(enc_out)
     d_h = d_z_dec[0] @ rec if len(d_z_dec) else np.zeros((*lps.shape, hidden))
     rec = w["enc_rec"]
@@ -487,13 +452,13 @@ def _grad_batch(
         np.multiply(d_h, enc_tanh[t], out=d_z_enc[t])
         d_h = d_z_enc[t] @ rec
     d_x_emb = d_z_enc @ w["enc_in"]
-    d_x_emb += (d_context / tape.x_count) * batches.x_mask[..., None]
+    d_x_emb += (d_context / x_count) * x_mask[..., None]
 
     g = _make_views(grads, model._layout)
     # every model's embedding gradient in one count: per entry, the decoder
     # terms and then the source terms, each in step order, as two in-place
     # adds would take them; padded steps add zeros
-    rows_of = np.concatenate([batches.prev_ids, batches.x_ids])
+    rows_of = np.concatenate([batches.prev_ids, x_ids])
     rows_of += vocab_size * np.arange(n_models)[:, None]
     g["emb"][...] = np.bincount(
         (rows_of[..., None] * embed + np.arange(embed)).ravel(),
@@ -508,11 +473,11 @@ def _grad_batch(
         src, tgt = slice(start, None), slice(end)
         e_z = _own_rows(d_z_enc, m, src)
         d_z = _own_rows(d_z_dec, m, tgt)
-        np.matmul(e_z.T, _own_rows(tape.x_emb, m, src), out=g["enc_in"][m])
-        np.matmul(e_z.T, _own_rows(tape.enc[:-1], m, src), out=g["enc_rec"][m])
+        np.matmul(e_z.T, _own_rows(x_emb, m, src), out=g["enc_in"][m])
+        np.matmul(e_z.T, _own_rows(enc[:-1], m, src), out=g["enc_rec"][m])
         e_z.sum(axis=0, out=g["enc_b"][m, 0])
-        np.matmul(d_z.T, _own_rows(tape.inp, m, tgt), out=g["dec_in"][m])
-        np.matmul(d_z.T, _own_rows(tape.dec[:-1], m, tgt), out=g["dec_rec"][m])
+        np.matmul(d_z.T, _own_rows(inp, m, tgt), out=g["dec_in"][m])
+        np.matmul(d_z.T, _own_rows(dec[:-1], m, tgt), out=g["dec_rec"][m])
         d_z.sum(axis=0, out=g["dec_b"][m, 0])
         np.matmul(_own_rows(d_logits, m, tgt).T, _own_rows(dec_out, m, tgt), out=g["out_w"][m])
         d_logits[tgt, m].sum(axis=(0, 1), out=g["out_b"][m, 0])
@@ -633,10 +598,8 @@ def mle_step(
     that of a step of its row alone.
 
     ``grads`` is the caller's (M, P) gradient buffer, which the step
-    overwrites.  A training loop allocates one for the whole run and passes
-    it to every step: a stack's gradients are larger than glibc's mmap
-    threshold, and a new array at each step would make the run's page
-    faults depend on import history (see the module docstring)."""
+    overwrites: a training loop allocates one for the whole run and passes
+    it to every step, for the reason the module docstring gives."""
     lps, grads = _grad_batch(model, batches, None, stack, grads)
     grads *= learning_rate
     stack += grads
@@ -661,7 +624,8 @@ def format_model(model: PolicyModel) -> str:
 
 def parse_model(text: str, vocab: Vocabulary) -> PolicyModel:
     """The model of ``format_model``'s text over ``vocab``.  The header must
-    give each of its fields exactly once, and the vocabulary size must match."""
+    give each of its fields exactly once, the vocabulary size must match,
+    and every parameter must be finite."""
     lines = split_lines(text)
     header = lines[0].split() if lines else []
     if header[:2] != [CHECKPOINT_MAGIC, f"v{CHECKPOINT_VERSION}"]:
@@ -672,11 +636,14 @@ def parse_model(text: str, vocab: Vocabulary) -> PolicyModel:
     meta = {key: int(value) for key, _, value in fields}
     if meta["vocab"] != len(vocab):
         raise ValueError(f"checkpoint vocab size {meta['vocab']} != vocabulary size {len(vocab)}")
+    params = np.array([float(line) for line in lines[1:] if line.strip()])
+    if not np.isfinite(params).all():
+        raise ValueError("non-finite parameters in checkpoint")
     return PolicyModel(
         vocab,
         embed_width=meta["embed"],
         hidden_width=meta["hidden"],
         max_len=meta["max_len"],
         init_seed=meta["seed"],
-        params=np.array([float(line) for line in lines[1:] if line.strip()]),
+        params=params,
     )

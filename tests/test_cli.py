@@ -449,8 +449,37 @@ def test_stages_checks_dev_references_against_every_decode_limit(workdir, capsys
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_is_numeric_failure(workdir, capsys):
-    assert run(workdir, ["train"], "--set", "train.lr=1e300") == 4
-    assert "numeric failure" in capsys.readouterr().err
+    models, report = workdir / "run/models", workdir / "run/report.txt"
+    before = tree_bytes(models), report.read_bytes()
+    for command, override, message in [
+        ("train", "train.lr=1e300", "numeric failure: non-finite parameters after individual training"),
+        ("ddt", "ddt.lr=1e300", "numeric failure: non-finite parameters after diversity-driven training\n"),
+    ]:
+        assert run(workdir, [command], "--set", override) == 4
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "command=" not in captured.out
+        assert (tree_bytes(models), report.read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "command, checkpoint",
+    [(["ddt"], "model_1.txt"), (["ddt"], "model_0.txt"), (["stages"], "model_1.txt")],
+    ids=["ddt-peer", "ddt-backbone", "stages"],
+)
+def test_non_finite_checkpoint_is_a_data_error_naming_it(workdir, capsys, command, checkpoint):
+    """A NaN parameter is bad input, not a failure of training: the
+    command must stop before it trains or writes anything."""
+    path = workdir / "run/models" / checkpoint
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = "nan"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = tree_bytes(workdir / "run")
+    assert run(workdir, command) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: run/models/{checkpoint}: non-finite parameters in checkpoint\n"
+    assert "command=" not in captured.out
+    assert tree_bytes(workdir / "run") == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -301,3 +301,11 @@ class TestSerialization:
     def test_rejects_garbage_header(self):
         with pytest.raises(ValueError):
             parse_model("something else\n1.0\n", Vocabulary.build(["a"]))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_parameters(self, bad):
+        model = tiny_model()
+        lines = format_model(model).splitlines()
+        lines[2] = bad
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            parse_model("\n".join(lines) + "\n", model.vocab)

@@ -43,7 +43,6 @@ from corrfuse.policy import (
     grad_logprob_batch,
     greedy_decode,
     logprob,
-    logprob_batch,
     mle_step,
     pad_batches,
     parse_model,
@@ -168,7 +167,6 @@ class TestBatchEquivalence:
                 want += wt * grad_logprob(model, x, y, e)[1]
                 assert lps[i] == pytest.approx(logprob(model, x, y, e), rel=REL, abs=REL)
             assert close(grad, want)
-            assert np.array_equal(logprob_batch(model, xs, ys, eos), lps)
 
     def test_unit_weights_by_default(self):
         rng = np.random.default_rng(5)
@@ -715,8 +713,6 @@ class TestStackedKernel:
             lps, grad = grad_logprob_batch(model, xs, ys, eos, weights)
             want_lps, want_grad = ref_grad_logprob_batch(model, xs, ys, eos, weights)
             assert same_bits(lps, want_lps.astype(np.float64)) and same_bits(grad, want_grad)
-            want_lps = ref_forward_batch(model, xs, ys, eos)[0].astype(np.float64)
-            assert same_bits(logprob_batch(model, xs, ys, eos), want_lps)
             twin = model.copy()
             padded = pad_batches(model, xs, ys, True)
             got = mle_step(model, model.params[None], padded, 0.05, np.empty((1, len(model.params))))[0]

@@ -1,0 +1,71 @@
+"""``first_problem`` of ``tools/same_outputs.py``: the rule by which two
+trees' runs of a case count as the same outputs, on hand-made results."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+
+def load_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)  # puts src/ and bench/ on the path
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+TOOL = load_tool()
+CASE = TOOL.Case("case", None, [])
+STEPS = [("gen", 0, "command=gen\n", ""), ("train", 0, "command=train\n", "")]
+FILES = {"run/a.txt": "11", "run/b.txt": "22"}
+
+
+def with_step(index: int, **changes) -> list[tuple[str, int, str, str]]:
+    """STEPS with fields of step ``index`` replaced."""
+    steps = list(STEPS)
+    command, code, out, err = steps[index]
+    fields = {"code": code, "out": out, "err": err, **changes}
+    steps[index] = (command, fields["code"], fields["out"], fields["err"])
+    return steps
+
+
+@pytest.mark.parametrize("tree", ["base", "head"])
+def test_a_failed_step_in_either_tree_fails(tree):
+    failed = with_step(1, code=3, err="data error: x\n")
+    base, head = (failed, STEPS) if tree == "base" else (STEPS, failed)
+    problem = TOOL.first_problem(CASE, (base, FILES), (head, FILES))
+    assert problem.startswith(f"FAILED: case step 1 (train): exit 3 in {tree}")
+
+
+def test_the_same_failure_in_both_trees_still_fails():
+    failed = with_step(0, code=4)
+    problem = TOOL.first_problem(CASE, (failed, FILES), (failed, FILES))
+    assert problem.startswith("FAILED: case step 0 (gen): exit 4 in base")
+
+
+@pytest.mark.parametrize("field, what", [("out", "stdout"), ("err", "stderr")])
+def test_different_stdout_or_stderr_is_different(field, what):
+    head = with_step(1, **{field: "something else\n"})
+    problem = TOOL.first_problem(CASE, (STEPS, FILES), (head, FILES))
+    assert problem.startswith(f"DIFFERENT: case step 1 (train): {what} differs")
+
+
+@pytest.mark.parametrize(
+    "head_files",
+    [{"run/a.txt": "11", "run/b.txt": "99"}, {"run/a.txt": "11"}, {**FILES, "run/c.txt": "33"}],
+    ids=["differs", "only-in-base", "only-in-head"],
+)
+def test_a_differing_or_unmatched_file_is_different(head_files):
+    problem = TOOL.first_problem(CASE, (STEPS, FILES), (STEPS, head_files))
+    assert problem.startswith("DIFFERENT: case: run/")
+
+
+def test_equal_results_have_no_problem():
+    assert TOOL.first_problem(CASE, (STEPS, FILES), (list(STEPS), dict(FILES))) is None
