@@ -13,7 +13,9 @@ or a setting that does not fit another key or the checkpoints); 3 data error
 written, an empty dev or test split, empty hypothesis files, hypothesis lines
 too long to align, reserved tokens in the training text); 4 numeric failure
 (non-finite parameters).  The library's errors for malformed files are
-mapped to these here.
+mapped to these here.  Commands run with numpy's floating-point warnings
+off: a diverging run reports itself once, as its numeric failure, not also
+as overflow warnings along the way.
 
 ``_read_text`` reads and parses every input, ``_write_all`` writes every
 artifact and ``_emit_summary`` appends the report: they are the only file
@@ -76,6 +78,7 @@ from .evaluation import (
 )
 from .policy import (
     PolicyModel,
+    StepWorkspace,
     Vocabulary,
     epoch_batches,
     format_model,
@@ -366,9 +369,10 @@ def _train_models(
     every model on its own minibatch in one stacked forward and backward
     pass (``mle_step``), with the numbers of separate steps.  The pairs are
     padded once; each epoch's minibatches are cut from them in one pass
-    (``epoch_batches``).  This function owns the run's gradient buffer, one
-    (models, parameters) array that every step overwrites, so that no step
-    allocates an array of that size (see the ``policy`` module docstring).
+    (``epoch_batches``).  The run makes one step workspace, sized from the
+    padded pairs' widths, ``train.batch`` and ``train.models``, and every
+    step writes its gradients and temporaries into it, so that no step
+    allocates its arrays (see the ``policy`` module docstring).
     """
     seed = cfg.get_int("seed")
     n_models = cfg.get_int("train.models")
@@ -382,20 +386,19 @@ def _train_models(
         )
         for i in range(n_models)
     ]
-    stack = stack_params(models)
-    grads = np.empty_like(stack)
     rngs = [np.random.default_rng((seed, 200 + i)) for i in range(n_models)]
     batch_size = cfg.get_int("train.batch")
     epochs = cfg.get_int("train.epochs")
     lr = cfg.get_float("train.lr")
     padded = pad_batches(models[0], [x for x, _ in pairs], [y for _, y in pairs], True)
+    ws = StepWorkspace(models[0], stack_params(models), padded, batch_size)
     last_nll: list[float] = []
     for _ in range(epochs):
         orders = np.stack([rng.permutation(len(pairs)) for rng in rngs])
         nll_sums = [0.0] * n_models
         n_batches = 0
         for batches in epoch_batches(padded, orders, batch_size):
-            nlls = mle_step(models[0], stack, batches, lr, grads)
+            nlls = mle_step(ws, batches, lr)
             nll_sums = [total + nll for total, nll in zip(nll_sums, nlls)]
             n_batches += 1
         last_nll = [total / n_batches for total in nll_sums]
@@ -699,7 +702,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             key, _, value = item.partition("=")
             overrides[key.strip()] = value
         cfg = ExperimentConfig.load(args.config, overrides=overrides)
-        files, summary = COMMANDS[args.command](cfg)
+        with np.errstate(all="ignore"):
+            files, summary = COMMANDS[args.command](cfg)
         _write_all(files)
         _emit_summary(cfg, args.command, summary)
         return 0

@@ -10,33 +10,39 @@ Likelihoods and gradients come from one kernel, ``_grad_batch``, which runs
 the teacher-forced forward and backward passes of a stack of M models of
 one architecture, each on its own batch of B rows: their parameters are the
 rows of one (M, P) array (``stack_params``), and every time-major array has
-a model axis after the step axis, (T, M, B, ...).  One model is a stack of
-one: ``grad_logprob_batch`` passes ``model.params[None]`` and returns row
-0, ``logprob`` is the likelihood that ``grad_logprob`` returns, and
-``mle_step`` steps one model on the view ``model.params[None]``, which
-updates it in place.  Rows are (source, target) pairs of tokens.
-``pad_batches`` pads one batch, sources on the left and targets on the
-right (``PaddedBatches``); a training loop pads all its pairs once and
-``epoch_batches`` cuts each epoch's stacks of M minibatches from them in
-one pass.  The recurrences run once per time step for the whole stack, and
-each per-step product is one broadcast matmul, (M, B, H) @ (M, H, H), that
-runs one GEMM per model with the shapes of that model's batch alone.
-Padded steps only add exact zeros.  Sums over steps and the weight-gradient
-products after the backward recurrence, whose rounding depends on the
-number and layout of the terms, take each model's own steps: the steps its
-batch alone would have, and write straight into that model's blocks of the
+a model axis after the step axis, (T, M, B, ...).  The kernel writes every
+array into the ``StepWorkspace`` of its stack.  One model is a stack of
+one: ``grad_logprob_batch`` makes a workspace for ``model.params[None]``
+and returns row 0, ``logprob`` is the likelihood that ``grad_logprob``
+returns, and ``mle_step`` steps the stack of its workspace in place.  Rows
+are (source, target) pairs of tokens.  ``pad_batches`` pads one batch,
+sources on the left and targets on the right (``PaddedBatches``); a
+training loop pads all its pairs once and ``epoch_batches`` cuts each
+epoch's stacks of M minibatches from them in one pass.  The recurrences run
+once per time step for the whole stack, and each per-step product is one
+broadcast matmul, (M, B, H) @ (M, H, H), that runs one GEMM per model with
+the shapes of that model's batch alone.  Padded steps only add exact zeros.
+Sums over steps and the weight-gradient products after the backward
+recurrence, whose rounding depends on the number and layout of the terms,
+take each model's own steps: the steps its batch alone would have, as one
+C-contiguous block, and write straight into that model's blocks of the
 (M, P) gradients.  So every model gets, bit for bit, the numbers of its
 batch alone.  Greedy decoding and sampling are one loop (``_decode``) over
 the kernel's helpers on the 1-D rows of one model, with an argmax or an
 inverse-CDF pick per token.
 
-The caller owns the (M, P) gradient buffer of a lockstep training run: it
-allocates one for the run and hands it to every ``mle_step``.  With the
-default sizes, three models' gradients are about 390 KB of float64, above
-glibc's 128 KiB mmap threshold.  An array of that size made anew at each
-step is mapped and faulted in at each step, or served from the heap,
-depending on the malloc state that imports left behind, so the run's page
-faults, and its time, would depend on import history.
+A training run makes one workspace and hands it to every ``mle_step``: the
+gradients and every temporary of a step live in buffers made once, at the
+sizes of the run's widest step.  At the default config a step's
+temporaries (the probabilities, the logits' gradients, the (T, M, B, H)
+states) are about 100 KB each, and three models' gradients about 390 KB.
+glibc serves an allocation of 128 KiB or more with mmap, and trims the top
+of the heap when more than 128 KiB is free there.  So arrays made anew at
+each step were mapped or trimmed away at its end and faulted back in at the
+next, as often as the malloc state that imports left behind allowed: a
+default-config ``train`` child took 67k-126k minor page faults and
+0.15-0.40 s of system time.  With the workspace it takes 7.3k-8.5k and
+0.03-0.05 s; importing the CLI alone takes 5.2k.
 
 Checkpoints and the vocabulary file are plain text, made and read by pure
 functions of strings: ``format_model``/``parse_model`` and
@@ -194,32 +200,40 @@ def stack_params(models: Sequence[PolicyModel]) -> np.ndarray:
     return stack
 
 
-def _encoder(w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray) -> np.ndarray:
+def _encoder(
+    w: dict[str, np.ndarray], x_emb: np.ndarray, x_mask: np.ndarray, enc: np.ndarray | None = None
+) -> np.ndarray:
     """Encoder states (Tx + 1, ..., H) from a zero start, of time-major
     sources: (Tx, M, B, E) for a stack of batches, (Tx, E) for one source;
-    ``x_mask`` is 1.0 on real steps and 0.0 on padding."""
-    pre = x_emb @ w["enc_in_t"]
+    ``x_mask`` is 1.0 on real steps and 0.0 on padding.  The states go into
+    ``enc`` when it is given."""
+    if enc is None:
+        enc = np.empty((len(x_emb) + 1, *x_emb.shape[1:-1], w["enc_b"].shape[-1]))
+    enc[0] = 0.0
+    pre = np.matmul(x_emb, w["enc_in_t"], out=enc[1:])  # each state starts as its input share
     pre += w["enc_b"]
     pre *= x_mask[..., None]
-    enc = np.zeros((len(x_emb) + 1, *pre.shape[1:]))
     rec = w["enc_rec_t"]
     for t in range(len(x_emb)):
         z = enc[t] @ rec
-        z += pre[t]
+        z += enc[t + 1]
         np.tanh(z, out=enc[t + 1])
     return enc
 
 
 def _context(
-    x_emb: np.ndarray, x_mask: np.ndarray, starts: list[int]
+    x_emb: np.ndarray, x_mask: np.ndarray, starts: list[int], masked: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean embedding of the real source steps and the source lengths (at
-    least 1), of a stack's time-major sources (Tx, M, B, E).  Model m adds up
-    its own steps only, from ``starts[m]`` on: the order of a sum depends on
-    the shape of what it adds up."""
+    least 1), of a stack's time-major sources (Tx, M, B, E), with the masked
+    embeddings written into ``masked``.  Model m adds up its own steps only,
+    from ``starts[m]`` on: the order of a sum depends on the shape of what it
+    adds up."""
     x_count = np.maximum(x_mask.sum(axis=0), 1)[..., None]
-    masked = x_emb * x_mask[..., None]
-    total = np.stack([masked[start:, m].sum(axis=0) for m, start in enumerate(starts)])
+    np.multiply(x_emb, x_mask[..., None], out=masked)
+    total = np.empty(x_emb.shape[1:])
+    for m, start in enumerate(starts):
+        masked[start:, m].sum(axis=0, out=total[m])
     return total / x_count, x_count
 
 
@@ -231,18 +245,20 @@ def _encode_source(w: dict[str, np.ndarray], x_ids: Sequence[int]) -> tuple[np.n
     return _encoder(w, x_emb, np.ones(len(x_ids)))[-1], context
 
 
-def _decoder_input(w: dict[str, np.ndarray], prev_emb: np.ndarray, context: np.ndarray):
+def _decoder_input(
+    w: dict[str, np.ndarray], prev_emb: np.ndarray, context: np.ndarray, inp=None, pre=None
+):
     """Decoder inputs from the previous tokens' embeddings, and their share
-    of the decoder pre-activation."""
-    inp = prev_emb + context
-    pre = inp @ w["dec_in_t"]
+    of the decoder pre-activation; into ``inp`` and ``pre`` when given."""
+    inp = np.add(prev_emb, context, out=inp)
+    pre = np.matmul(inp, w["dec_in_t"], out=pre)
     pre += w["dec_b"]
     return inp, pre
 
 
-def _output_probs(w: dict[str, np.ndarray], states: np.ndarray) -> np.ndarray:
-    """Next-token distribution over the vocabulary from decoder states."""
-    logits = states @ w["out_w_t"]
+def _output_probs(w: dict[str, np.ndarray], logits: np.ndarray) -> np.ndarray:
+    """Next-token distribution over the vocabulary, in place of ``logits``:
+    the decoder states times ``w["out_w_t"]``."""
     logits += w["out_b"]
     logits[..., BOS_ID] = -np.inf  # BOS is never emitted
     logits -= logits.max(axis=-1, keepdims=True)
@@ -255,7 +271,7 @@ def _decoder_step(w: dict[str, np.ndarray], s: np.ndarray, prev_id: int, context
     """Next state and next-token distribution of one row, as 1-D vectors."""
     _, pre = _decoder_input(w, w["emb"][prev_id], context)
     s = np.tanh(pre + s @ w["dec_rec_t"])
-    return s, _output_probs(w, s)
+    return s, _output_probs(w, s @ w["out_w_t"])
 
 
 def logprob(model: PolicyModel, x: TokenSeq, y: TokenSeq, include_eos: bool = True) -> float:
@@ -362,54 +378,135 @@ def epoch_batches(
         )
 
 
-def _own_rows(a: np.ndarray, m: int, steps: slice) -> np.ndarray:
-    """Model m's own ``steps`` of a time-major array as (steps * B, n) rows
-    in contiguous memory, the layout its batch alone has: BLAS takes
-    another path for a strided vector, which adds in another order."""
-    return np.ascontiguousarray(a[steps, m].reshape(-1, a.shape[-1]))
+class StepWorkspace:
+    """The arrays that the lockstep steps of one stack of models write into,
+    made once for a run: the weight blocks of the stack (M, P) and of its
+    gradients (``grads``), and a flat buffer for each temporary of
+    ``_grad_batch``, as long as the widest step needs.
+
+    ``padded`` holds the pairs that the steps are cut from (``pad_batches``)
+    and ``rows`` is the most rows a step gives each model.  A step sees each
+    buffer as a prefix reshaped to its sizes (``arrays``).  The passes run
+    on time-major (steps, M, B, n) arrays.  The weight-gradient products
+    read each model's own steps as one block of model-major memory, (M,
+    steps, B, n): the embeddings and the decoder inputs are written so, and
+    the other operands are copied so after the passes.  For one model the
+    two layouts are the same, and nothing is copied.  The module docstring
+    says why the buffers outlive the step.
+    """
+
+    # each buffer's steps (per source step, per target step, more) and width
+    _SIZES = {
+        "emb_in": (1, 1, 0, "e"), "emb_index": (1, 1, 0, "e"), "d_emb": (1, 1, 0, "e"),
+        "enc": (1, 0, 1, "h"), "masked": (1, 0, 0, "e"), "enc_tanh": (1, 0, 0, "h"),
+        "d_z_enc": (1, 0, 0, "h"), "inp": (0, 1, 0, "e"), "dec": (0, 1, 1, "h"),
+        "probs": (0, 1, 0, "v"), "dec_tanh": (0, 1, 0, "h"), "d_z_dec": (0, 1, 0, "h"),
+    }
+    _MODEL_MAJOR = ("emb_in", "inp")
+    _COPIED = ("enc", "dec", "probs", "d_z_enc", "d_z_dec")  # into <name>_by_model
+
+    def __init__(
+        self, model: PolicyModel, stack: np.ndarray, padded: PaddedBatches, rows: int
+    ) -> None:
+        self.vocab_size, self.embed = len(model.vocab), model.embed_width
+        self.hidden = model.hidden_width
+        self.stack, self.grads = stack, np.empty_like(stack)
+        self.w, self.g = _make_views(stack, model._layout), _make_views(self.grads, model._layout)
+        # the stack's embedding tables, contiguous, for one np.take of every lookup
+        self.emb = np.empty((len(stack) * self.vocab_size, self.embed))
+        self.emb_tables = self.emb.reshape(len(stack), self.vocab_size, self.embed)
+        size = len(stack) * min(rows, padded.t_ids.shape[-1])
+        sizes = self._sizes(len(padded.x_ids), len(padded.t_ids))
+        self._flat = {
+            name: np.empty(steps * size * width, np.intp if name == "emb_index" else np.float64)
+            for name, (steps, width) in sizes.items()
+        }
+        self._arrays: dict[tuple[int, int, int], tuple[dict[str, np.ndarray], list]] = {}
+
+    def _sizes(self, tx: int, ty: int) -> dict[str, tuple[int, int]]:
+        """Steps and width of each buffer, for sources of ``tx`` steps and
+        targets of ``ty`` steps."""
+        widths = {"e": self.embed, "h": self.hidden, "v": self.vocab_size}
+        sizes = {
+            name: (per_x * tx + per_y * ty + more, widths[width])
+            for name, (per_x, per_y, more, width) in self._SIZES.items()
+        }
+        if len(self.stack) > 1:
+            sizes.update((name + "_by_model", sizes[name]) for name in self._COPIED)
+        return sizes
+
+    def arrays(self, tx: int, ty: int, rows: int) -> tuple[dict[str, np.ndarray], list]:
+        """The arrays of a step with sources of ``tx`` steps, targets of
+        ``ty`` steps and ``rows`` rows per model, made at the first step of
+        those sizes, and the (model-major destination, source) pairs that
+        the step copies.  Each buffer is a reshaped prefix: a time-major
+        array, or the time-major view of a model-major one, whose (M, steps
+        * rows, n) rows are ``<name>_rows``."""
+        key = (tx, ty, rows)
+        if key not in self._arrays:
+            n_models, arrays = len(self.stack), {}
+            for name, (steps, width) in self._sizes(tx, ty).items():
+                flat = self._flat[name][: steps * n_models * rows * width]
+                by_model = name in self._MODEL_MAJOR or name.endswith("_by_model")
+                if by_model and n_models > 1:
+                    arrays[name] = flat.reshape(n_models, steps, rows, width).swapaxes(0, 1)
+                else:  # for one model, time-major is model-major
+                    arrays[name] = flat.reshape(steps, n_models, rows, width)
+                if by_model or (n_models == 1 and name in self._COPIED):
+                    rows_of = flat.reshape(n_models, steps * rows, width)
+                    arrays[name.removesuffix("_by_model") + "_rows"] = rows_of
+            copied = self._COPIED if n_models > 1 else ()
+            copies = [(arrays.pop(name + "_by_model"), arrays[name]) for name in copied]
+            self._arrays[key] = arrays, copies
+        return self._arrays[key]
 
 
 def _grad_batch(
-    model: PolicyModel,
-    batches: PaddedBatches,
-    weights,
-    stack: np.ndarray,
-    grads: np.ndarray,
+    ws: StepWorkspace, batches: PaddedBatches, weights
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row log-likelihoods (M, B) and, per model, the weighted sum of their
-    exact gradients (M, P) of a stack of M models.
+    exact gradients (M, P) of the stack of M models of ``ws``.
 
-    ``stack`` (M, P) holds one model of ``model``'s architecture and
-    vocabulary per row (see ``stack_params``; ``model.params[None]`` for
-    ``model`` alone), and ``batches[m]`` is model m's batch.  ``weights``
-    is None or one per row of each model (M, B).  The gradients are written
-    into ``grads`` (M, P), which the call overwrites.  Each model's numbers
-    are bit-identical to those of its batch alone.
+    ``batches[m]`` is model m's batch, and ``weights`` is None or one per
+    row of each model (M, B).  The gradients are written into ``ws.grads``,
+    which the call overwrites and returns.  Each model's numbers are
+    bit-identical to those of its batch alone.
     """
-    if len(batches) != len(stack):
-        raise ValueError(f"a stack of {len(stack)} models needs one batch each, all of one size")
     x_ids, x_mask, t_ids, t_mask = batches.x_ids, batches.x_mask, batches.t_ids, batches.t_mask
     n_models, rows = x_ids.shape[1:]
-    vocab_size, embed, hidden = len(model.vocab), model.embed_width, model.hidden_width
-    w = _make_views(stack, model._layout)
-    models = np.arange(n_models)[:, None]
-    x_emb = w["emb"][models, x_ids]  # (Tx, M, B, E)
-    enc = _encoder(w, x_emb, x_mask)  # (Tx + 1, M, B, H), enc[0] = 0
-    context, x_count = _context(x_emb, x_mask, batches.x_starts)
+    if n_models != len(ws.stack):
+        raise ValueError(f"a stack of {len(ws.stack)} models needs one batch each, all of one size")
+    tx, ty = len(x_ids), len(t_ids)
+    vocab_size, embed, hidden = ws.vocab_size, ws.embed, ws.hidden
+    w, g = ws.w, ws.g
+    arrays, copies = ws.arrays(tx, ty, rows)
+
+    # every embedding lookup in one take, as rows of the stack's tables: the
+    # decoder inputs (BOS, then the targets), then the sources; the ids are
+    # in range, and with mode="clip" np.take writes straight into ``out``
+    ids = np.concatenate([batches.prev_ids, x_ids])
+    ids += vocab_size * np.arange(n_models)[:, None]
+    np.copyto(ws.emb_tables, w["emb"])
+    emb_in = arrays["emb_in"]
+    np.take(ws.emb, ids.swapaxes(0, 1), axis=0, out=emb_in.swapaxes(0, 1), mode="clip")
+    x_emb = emb_in[ty:]  # (Tx, M, B, E)
+    enc = _encoder(w, x_emb, x_mask, arrays["enc"])  # (Tx + 1, M, B, H), enc[0] = 0
+    masked = arrays["masked"]
+    context, x_count = _context(x_emb, x_mask, batches.x_starts, masked)
 
     # teacher forcing: the recurrence never reads the logits, so they and the
     # softmax are computed for all steps at once after the loop; steps past a
     # row's end are masked out of its likelihood
-    prev_emb = w["emb"][models, batches.prev_ids]
-    inp, dec_pre = _decoder_input(w, prev_emb, context)
-    dec = np.empty((len(t_ids) + 1, *t_ids.shape[1:], hidden))
+    dec = arrays["dec"]
+    # each state starts as its input share
+    inp, _ = _decoder_input(w, emb_in[:ty], context, arrays["inp"], dec[1:])
     dec[0] = enc[-1]
     rec = w["dec_rec_t"]
-    for t in range(len(t_ids)):
+    for t in range(ty):
         z = dec[t] @ rec
-        z += dec_pre[t]
+        z += dec[t + 1]
         np.tanh(z, out=dec[t + 1])
-    probs = _output_probs(w, dec[1:])  # (Ty, M, B, V)
+    probs = _output_probs(w, np.matmul(dec[1:], w["out_w_t"], out=arrays["probs"]))  # (Ty, M, B, V)
     t_valid = np.nonzero(t_mask)  # (step, model, row) of each real target
     target = (*t_valid, t_ids[t_valid])
     # per row, the terms are summed in step order; without any terms,
@@ -418,7 +515,7 @@ def _grad_batch(
     lps = np.bincount(row, np.log(np.maximum(probs[target], PROB_FLOOR)), minlength=n_models * rows)
     lps = lps.astype(np.float64, copy=False).reshape(n_models, rows)
 
-    d_logits = -probs
+    d_logits = np.negative(probs, out=probs)
     d_logits[target] += 1.0
     d_logits *= t_mask[..., None]
     if weights is not None:
@@ -427,61 +524,70 @@ def _grad_batch(
     # decoder: only the d_s recurrence is sequential; steps past a row's end
     # have zero d_logits, so their d_s stays exactly zero
     dec_out = dec[1:]
-    dec_tanh = dec_out * dec_out
+    dec_tanh = np.multiply(dec_out, dec_out, out=arrays["dec_tanh"])
     np.subtract(1.0, dec_tanh, out=dec_tanh)
-    d_z_dec = d_logits @ w["out_w"]  # d_s from the logits, then d_z in place
+    # d_s from the logits, then d_z in place
+    d_z_dec = np.matmul(d_logits, w["out_w"], out=arrays["d_z_dec"])
     d_z_dec *= dec_tanh
     rec = w["dec_rec"]
-    for t in range(len(d_z_dec) - 1, 0, -1):
+    for t in range(ty - 1, 0, -1):
         d_s = d_z_dec[t] @ rec
         d_s *= dec_tanh[t - 1]
         d_z_dec[t - 1] += d_s
-    d_inp = d_z_dec @ w["dec_in"]
-    d_context = np.stack([d_inp[:end, m].sum(axis=0) for m, end in enumerate(batches.t_ends)])
+    d_emb = arrays["d_emb"]  # as emb_in: decoder inputs, then sources
+    d_inp = np.matmul(d_z_dec, w["dec_in"], out=d_emb[:ty])
+    d_context = np.empty(context.shape)
+    for m, end in enumerate(batches.t_ends):
+        d_inp[:end, m].sum(axis=0, out=d_context[m])
 
     # encoder: the decoder start state is the final encoder state; padded
     # steps come first and are masked, so their d_z is zero
     enc_out = enc[1:]
-    enc_tanh = enc_out * enc_out
+    enc_tanh = np.multiply(enc_out, enc_out, out=arrays["enc_tanh"])
     np.subtract(1.0, enc_tanh, out=enc_tanh)
     enc_tanh *= x_mask[..., None]
-    d_z_enc = np.empty_like(enc_out)
-    d_h = d_z_dec[0] @ rec if len(d_z_dec) else np.zeros((*lps.shape, hidden))
+    d_z_enc = arrays["d_z_enc"]
+    d_h = d_z_dec[0] @ rec if ty else np.zeros((*lps.shape, hidden))
     rec = w["enc_rec"]
-    for t in range(len(enc_out) - 1, -1, -1):
+    for t in range(tx - 1, -1, -1):
         np.multiply(d_h, enc_tanh[t], out=d_z_enc[t])
         d_h = d_z_enc[t] @ rec
-    d_x_emb = d_z_enc @ w["enc_in"]
-    d_x_emb += (d_context / x_count) * x_mask[..., None]
+    d_x_emb = np.matmul(d_z_enc, w["enc_in"], out=d_emb[ty:])
+    share = masked  # the context's share of each source embedding's gradient
+    share[...] = d_context / x_count
+    share *= x_mask[..., None]
+    d_x_emb += share
 
-    g = _make_views(grads, model._layout)
     # every model's embedding gradient in one count: per entry, the decoder
     # terms and then the source terms, each in step order, as two in-place
     # adds would take them; padded steps add zeros
-    rows_of = np.concatenate([batches.prev_ids, x_ids])
-    rows_of += vocab_size * np.arange(n_models)[:, None]
+    emb_index = np.multiply(ids[..., None], embed, out=arrays["emb_index"])
+    emb_index += np.arange(embed)
     g["emb"][...] = np.bincount(
-        (rows_of[..., None] * embed + np.arange(embed)).ravel(),
-        np.concatenate([d_inp, d_x_emb]).ravel(),
-        minlength=n_models * vocab_size * embed,
+        emb_index.ravel(), d_emb.ravel(), minlength=n_models * vocab_size * embed
     ).reshape(n_models, vocab_size, embed)
 
-    # the weight gradients are products and sums over each model's own steps:
-    # a product's rounding depends on its inner dimension, a sum's order on
-    # its shape; each goes straight into its block of the model's row
+    # the weight gradients are products and sums over each model's own steps,
+    # the rows its batch alone would have, in C-contiguous memory: a
+    # product's rounding depends on its inner dimension and BLAS takes
+    # another path for a strided vector, and a sum's order depends on its
+    # shape.  Each goes straight into its block of the model's row.
+    for destination, source in copies:
+        np.copyto(destination, source)
+    x_emb_rows = arrays["emb_in_rows"][:, ty * rows :]
+    enc_rows, dec_rows, d_logit_rows = arrays["enc_rows"], arrays["dec_rows"], arrays["probs_rows"]
     for m, (start, end) in enumerate(zip(batches.x_starts, batches.t_ends)):
-        src, tgt = slice(start, None), slice(end)
-        e_z = _own_rows(d_z_enc, m, src)
-        d_z = _own_rows(d_z_dec, m, tgt)
-        np.matmul(e_z.T, _own_rows(x_emb, m, src), out=g["enc_in"][m])
-        np.matmul(e_z.T, _own_rows(enc[:-1], m, src), out=g["enc_rec"][m])
+        src, tgt = slice(start * rows, None), slice(end * rows)
+        e_z, d_z = arrays["d_z_enc_rows"][m, src], arrays["d_z_dec_rows"][m, tgt]
+        np.matmul(e_z.T, x_emb_rows[m, src], out=g["enc_in"][m])
+        np.matmul(e_z.T, enc_rows[m, start * rows : tx * rows], out=g["enc_rec"][m])
         e_z.sum(axis=0, out=g["enc_b"][m, 0])
-        np.matmul(d_z.T, _own_rows(inp, m, tgt), out=g["dec_in"][m])
-        np.matmul(d_z.T, _own_rows(dec[:-1], m, tgt), out=g["dec_rec"][m])
+        np.matmul(d_z.T, arrays["inp_rows"][m, tgt], out=g["dec_in"][m])
+        np.matmul(d_z.T, dec_rows[m, tgt], out=g["dec_rec"][m])
         d_z.sum(axis=0, out=g["dec_b"][m, 0])
-        np.matmul(_own_rows(d_logits, m, tgt).T, _own_rows(dec_out, m, tgt), out=g["out_w"][m])
-        d_logits[tgt, m].sum(axis=(0, 1), out=g["out_b"][m, 0])
-    return lps, grads
+        np.matmul(d_logit_rows[m, tgt].T, dec_rows[m, rows : (end + 1) * rows], out=g["out_w"][m])
+        d_logits[:end, m].sum(axis=(0, 1), out=g["out_b"][m, 0])
+    return lps, ws.grads
 
 
 def grad_logprob_batch(
@@ -497,13 +603,9 @@ def grad_logprob_batch(
     Rows are (source, target) pairs of tokens; ``include_eos`` is one flag
     or one per row.
     """
-    lps, grads = _grad_batch(
-        model,
-        pad_batches(model, xs, ys, include_eos),
-        None if weights is None else [weights],
-        model.params[None],
-        np.empty((1, len(model.params))),
-    )
+    padded = pad_batches(model, xs, ys, include_eos)
+    ws = StepWorkspace(model, model.params[None], padded, len(ys))
+    lps, grads = _grad_batch(ws, padded, None if weights is None else [weights])
     return lps[0], grads[0]
 
 
@@ -582,27 +684,20 @@ def _decode(model: PolicyModel, state, pick) -> TokenSeq:
     return tuple(out)
 
 
-def mle_step(
-    model: PolicyModel,
-    stack: np.ndarray,
-    batches: PaddedBatches,
-    learning_rate: float,
-    grads: np.ndarray,
-) -> list[float]:
+def mle_step(ws: StepWorkspace, batches: PaddedBatches, learning_rate: float) -> list[float]:
     """One gradient-ascent step on the summed reference log-likelihood for
-    each of a stack of M models (see ``stack_params``) of ``model``'s
-    architecture and vocabulary, in one forward and backward pass: row m of
-    ``stack`` steps on ``batches[m]``, and all batches have one size and
-    end symbols (``epoch_batches``; ``pad_batches`` for one model).  Returns
-    each model's pre-step mean negative log-likelihood, bit-identical to
-    that of a step of its row alone.
+    each model of the stack of ``ws`` (see ``stack_params``), in one forward
+    and backward pass: row m of ``ws.stack`` steps on ``batches[m]``, and
+    all batches have one size and end symbols (``epoch_batches``;
+    ``pad_batches`` for one model).  Returns each model's pre-step mean
+    negative log-likelihood, bit-identical to that of a step of its row
+    alone.
 
-    ``grads`` is the caller's (M, P) gradient buffer, which the step
-    overwrites: a training loop allocates one for the whole run and passes
-    it to every step, for the reason the module docstring gives."""
-    lps, grads = _grad_batch(model, batches, None, stack, grads)
+    A training loop makes one workspace for the whole run and passes it to
+    every step, for the reason the module docstring gives."""
+    lps, grads = _grad_batch(ws, batches, None)
     grads *= learning_rate
-    stack += grads
+    ws.stack += grads
     return [-sum(row) / len(row) for row in lps.tolist()]
 
 

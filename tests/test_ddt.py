@@ -18,6 +18,7 @@ from corrfuse.evaluation import diversity
 from corrfuse.policy import (
     EOS_ID,
     PolicyModel,
+    StepWorkspace,
     Vocabulary,
     grad_logprob,
     greedy_decode,
@@ -144,9 +145,8 @@ class TestDdtStep:
         x, y = ("b",), ("c", "a")
         cfg = DdtConfig(alpha=0.0, learning_rate=0.03)
         loss_ddt, mean_r = ddt_step(model_a, x, y, [("a",)], cfg, np.random.default_rng(0))
-        grads = np.empty((1, len(model_b.params)))
         padded = pad_batches(model_b, [x], [y], True)
-        loss_mle = mle_step(model_b, model_b.params[None], padded, 0.03, grads)[0]
+        loss_mle = mle_step(StepWorkspace(model_b, model_b.params[None], padded, 1), padded, 0.03)[0]
         assert np.array_equal(model_a.params, model_b.params)
         assert loss_ddt == pytest.approx(loss_mle)
         assert mean_r == 0.0

@@ -8,6 +8,7 @@ from corrfuse.policy import (
     EOS_ID,
     PROB_FLOOR,
     PolicyModel,
+    StepWorkspace,
     Vocabulary,
     format_model,
     format_vocab,
@@ -251,8 +252,8 @@ class TestGreedyDecode:
 def mle_step_alone(model, batch, learning_rate):
     """``mle_step`` of ``model`` alone on the (source, target) pairs of ``batch``."""
     padded = pad_batches(model, [x for x, _ in batch], [y for _, y in batch], True)
-    grads = np.empty((1, len(model.params)))
-    return mle_step(model, model.params[None], padded, learning_rate, grads)[0]
+    ws = StepWorkspace(model, model.params[None], padded, len(batch))
+    return mle_step(ws, padded, learning_rate)[0]
 
 
 class TestMleStep:

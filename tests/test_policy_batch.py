@@ -36,6 +36,7 @@ from corrfuse.policy import (
     EOS_ID,
     PROB_FLOOR,
     PolicyModel,
+    StepWorkspace,
     Vocabulary,
     epoch_batches,
     format_model,
@@ -662,6 +663,13 @@ def stack_of(model: PolicyModel, xs, ys, eos) -> policy.PaddedBatches:
     return next(epoch_batches(padded, np.arange(n_models * rows).reshape(n_models, rows), rows))
 
 
+def grad_stack(model: PolicyModel, stack: np.ndarray, batches: policy.PaddedBatches, weights=None):
+    """``_grad_batch`` of ``stack`` on ``batches`` through a workspace made
+    for that step alone."""
+    ws = StepWorkspace(model, stack, batches, batches.t_ids.shape[-1])
+    return policy._grad_batch(ws, batches, weights)
+
+
 class TestStackedKernel:
     def test_each_model_gets_its_batch_alone_bit_for_bit(self):
         rng = np.random.default_rng(71)
@@ -676,7 +684,7 @@ class TestStackedKernel:
             if trial % 4 == 1:
                 weights = None
             padded = stack_of(models[0], xs, ys, eos)
-            lps, grads = policy._grad_batch(models[0], padded, weights, stack, np.empty_like(stack))
+            lps, grads = grad_stack(models[0], stack, padded, weights)
             for m, model in enumerate(models):
                 want_lps, want_grad = ref_grad_logprob_batch(
                     model, xs[m], ys[m], eos if isinstance(eos, bool) else eos[m],
@@ -699,7 +707,7 @@ class TestStackedKernel:
             batches = [random_batch(rng, models[0], 1, longest_source=16) for _ in models]
             xs, ys, eos, weights = map(list, zip(*batches))
             padded = stack_of(models[0], xs, ys, eos)
-            lps, grads = policy._grad_batch(models[0], padded, weights, stack, np.empty_like(stack))
+            lps, grads = grad_stack(models[0], stack, padded, weights)
             for m, model in enumerate(models):
                 want_lps, want_grad = ref_grad_logprob_batch(model, xs[m], ys[m], eos[m], weights[m])
                 assert same_bits(lps[m], want_lps.astype(np.float64))
@@ -715,45 +723,101 @@ class TestStackedKernel:
             assert same_bits(lps, want_lps.astype(np.float64)) and same_bits(grad, want_grad)
             twin = model.copy()
             padded = pad_batches(model, xs, ys, True)
-            got = mle_step(model, model.params[None], padded, 0.05, np.empty((1, len(model.params))))[0]
+            ws = StepWorkspace(model, model.params[None], padded, len(xs))
+            got = mle_step(ws, padded, 0.05)[0]
             assert got == ref_mle_step(twin, list(zip(xs, ys)), 0.05)
             assert same_bits(model.params, twin.params)
 
     def test_two_steps_through_one_gradient_buffer_match_the_reference(self):
-        """The buffer holds the first step's gradients when the second step
-        overwrites it: every block of every row must be written afresh."""
+        """One workspace, its buffers first filled with NaN (-1 for the index
+        buffer), takes a wide step, a narrow one, a wide one and then a
+        last, smaller minibatch, as a training run does.  Each step must
+        write afresh every entry it reads, so that nothing of a wider step
+        leaks into a narrower one."""
         rng = np.random.default_rng(74)
+        narrower = 0
         for _ in range(40):
-            n_models, rows = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            n_models, rows = int(rng.integers(1, 5)), int(rng.integers(2, 6))
             models, stack = random_stack(rng, n_models, max_len=int(rng.integers(1, 7)))
             twins = [model.copy() for model in models]
-            grads = np.full_like(stack, np.nan)
-            for _ in range(2):
-                xs, ys = map(list, zip(*(random_batch(rng, models[0], rows)[:2] for _ in models)))
-                nlls = mle_step(models[0], stack, stack_of(models[0], xs, ys, True), 0.05, grads)
+            alphabet = [t for t in models[0].vocab.tokens[1:] if t != "<eos>"] + ["oov"]
+            n_wide, n_last = 2 * rows, int(rng.integers(1, rows))
+            wide = list(zip(*random_batch(rng, models[0], n_wide)[:2]))
+            narrow = [
+                tuple(tuple(rng.choice(alphabet, size=int(rng.integers(0, 2)))) for _ in "xy")
+                for _ in range(rows)
+            ]
+            last = list(zip(*random_batch(rng, models[0], n_last)[:2]))
+            pairs = wide + narrow + last
+            orders = []
+            for _ in models:
+                w = rng.permutation(n_wide)
+                n, tail = n_wide + rng.permutation(rows), n_wide + rows + rng.permutation(n_last)
+                orders.append(np.concatenate([w[:rows], n, w[rows:], tail]))
+            padded = pad_batches(models[0], [x for x, _ in pairs], [y for _, y in pairs], True)
+            ws = StepWorkspace(models[0], stack, padded, rows)
+            for flat in ws._flat.values():
+                flat.fill(-1 if flat.dtype.kind == "i" else np.nan)
+            ws.grads.fill(np.nan)
+            ws.emb.fill(np.nan)
+            steps = list(epoch_batches(padded, np.stack(orders), rows))
+            assert [batches.t_ids.shape[-1] for batches in steps] == [rows, rows, rows, n_last]
+            (x_wide, t_wide), (x_narrow, t_narrow) = (map(len, (b.x_ids, b.t_ids)) for b in steps[:2])
+            narrower += x_narrow < x_wide and t_narrow < t_wide
+            for start, batches in zip(range(0, len(pairs), rows), steps):
+                weights = rng.normal(size=batches.t_ids.shape[1:])
+                lps, grads = policy._grad_batch(ws, batches, weights)
+                batch = [[pairs[i] for i in order[start : start + rows]] for order in orders]
+                for m, model in enumerate(models):
+                    xs, ys = map(list, zip(*batch[m]))
+                    want_lps, want_grad = ref_grad_logprob_batch(model, xs, ys, True, weights[m])
+                    assert same_bits(lps[m], want_lps.astype(np.float64))
+                    assert same_bits(grads[m], want_grad)
+                nlls = mle_step(ws, batches, 0.05)
                 for m, (model, twin) in enumerate(zip(models, twins)):
-                    assert nlls[m] == ref_mle_step(twin, list(zip(xs[m], ys[m])), 0.05)
+                    assert nlls[m] == ref_mle_step(twin, batch[m], 0.05)
                     assert same_bits(model.params, twin.params)
+        assert narrower >= 30  # the narrow step is narrower in sources and targets
 
     def test_a_warmed_lockstep_step_allocates_no_stack_sized_array(self):
-        """A large vocabulary and one-token rows make one (M, P) float64
-        array larger than all the temporaries of a step together, so a step
-        that allocated its own gradients would peak above it."""
-        vocab = Vocabulary.build(f"t{i}" for i in range(2000))
-        models = [PolicyModel(vocab, 2, 16, 4, init_seed=i) for i in range(3)]
-        stack = stack_params(models)
-        grads = np.empty_like(stack)
-        batches = stack_of(models[0], [[("t1",)], [("t3",)], [()]], [[("t2",)], [()], [("t4",)]], True)
-        mle_step(models[0], stack, batches, 0.01, grads)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(5):
-                mle_step(models[0], stack, batches, 0.01, grads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before < stack.nbytes
+        """A warmed step allocates less than the largest array it would make
+        without its workspace.  With a large vocabulary and one-token rows,
+        that is the (M, P) gradients, larger than all the temporaries of a
+        step together.  At the default architecture (embeddings 32, hidden
+        64, three models, batches of 4, 16-token targets) it is one (Ty, M,
+        B, V) array, as the probabilities and the logits' gradients are.
+        numpy's ufuncs allocate a fixed buffer of up to 8192 elements
+        (64 KiB) per broadcast operand, whatever the arrays' sizes, so the
+        vocabulary (103 tokens) makes that array well larger than one."""
+        rng = np.random.default_rng(76)
+        large = Vocabulary.build(f"t{i}" for i in range(2000))
+        small = Vocabulary.build(f"t{i}" for i in range(100))
+
+        def rows_of(length):
+            return [[tuple(rng.choice(small.tokens[3:], size=length)) for _ in range(4)] for _ in range(3)]
+
+        cases = [
+            ("gradients", [PolicyModel(large, 2, 16, 4, init_seed=i) for i in range(3)],
+             [[("t1",)], [("t3",)], [()]], [[("t2",)], [()], [("t4",)]]),
+            ("probabilities", [PolicyModel(small, 32, 64, 16, init_seed=i) for i in range(3)],
+             rows_of(16), rows_of(16)),
+        ]
+        for largest, models, xs, ys in cases:
+            stack = stack_params(models)
+            batches = stack_of(models[0], xs, ys, True)
+            ws = StepWorkspace(models[0], stack, batches, len(ys[0]))
+            probs_nbytes = batches.t_ids.size * len(models[0].vocab) * 8  # one (Ty, M, B, V) array
+            bound = stack.nbytes if largest == "gradients" else probs_nbytes
+            mle_step(ws, batches, 0.01)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(5):
+                    mle_step(ws, batches, 0.01)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before < bound, largest
 
     def test_each_epoch_step_holds_the_padding_of_its_rows(self):
         """On model m's own steps a step holds ``pad_batches`` of m's rows
@@ -792,7 +856,7 @@ class TestStackedKernel:
         models, stack = random_stack(np.random.default_rng(3), 2, max_len=4)
         one_batch = pad_batches(models[0], [("t0",)], [("t0",)], True)
         with pytest.raises(ValueError, match="needs one batch each"):
-            policy._grad_batch(models[0], one_batch, None, stack, np.empty_like(stack))
+            policy._grad_batch(StepWorkspace(models[0], stack, one_batch, 1), one_batch, None)
 
     def test_stack_params_makes_each_model_a_view_of_its_row(self):
         models, stack = random_stack(np.random.default_rng(4), 3, max_len=4)
@@ -833,7 +897,7 @@ def test_stacked_kernel_on_the_benchmark_train_inputs(tmp_path):
     for _ in range(2):
         orders = np.stack([rng.permutation(len(pairs)) for rng in rngs])
         for start, batches in zip(range(0, len(pairs), 4), epoch_batches(padded, orders, 4)):
-            lps, grads = policy._grad_batch(models[0], batches, None, stack, np.empty_like(stack))
+            lps, grads = grad_stack(models[0], stack, batches)
             for m, model in enumerate(models):
                 batch = [encoded[i] for i in orders[m, start : start + 4]]
                 want_lps, want_grad = ref_grad_logprob_batch(model, *map(list, zip(*batch)))
