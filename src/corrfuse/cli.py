@@ -1,9 +1,10 @@
 """Command-line orchestration: gen, train, ddt, stages, combine, tune, eval,
 diversity.  Every command is deterministic given its config and returns
 ``(files, summary)``: the text of each artifact it makes, by path, and its
-key=value summary; no command writes or prints.  ``main`` writes the files
-all or none (``_write_all``), then prints the summary and appends it (with
-the config hash) to <data.dir>/report.txt (``_emit_summary``).
+key=value summary; no command writes or prints.  ``main`` adds
+<data.dir>/report.txt to the files, its text so far followed by the summary
+block (the command, the config hash and the summary, ended by ``--``), writes
+them all or none (``_write_all``), and prints the block only after that.
 
 Exit codes: 0 success; 2 usage error (bad flags, unknown keys, a value
 outside its key's legal values in ``config.KNOWN_KEYS``, which the config
@@ -17,10 +18,10 @@ mapped to these here.  Commands run with numpy's floating-point warnings
 off: a diverging run reports itself once, as its numeric failure, not also
 as overflow warnings along the way.
 
-``_read_text`` reads and parses every input, ``_write_all`` writes every
-artifact and ``_emit_summary`` appends the report: they are the only file
-access, apart from ``config`` reading ``--config``, whose failures are usage
-errors.  The formats are pure text functions in the library, such as
+``_read_text`` reads and parses every input, the ``--config`` file (whose
+failures are usage errors) and the report included, and ``_write_all``
+writes every artifact, the report included: they are the only file access.
+The formats are pure text functions in the library, such as
 ``parse_m2`` and ``format_m2``.  Every split is read by ``_load_split`` (its
 sources and M2 gold edits) and every hypothesis list of ``combine`` and
 ``tune`` by ``_read_hyps``.  Only ``ddt`` and ``stages`` read
@@ -104,23 +105,23 @@ Result = tuple[dict[str, str], dict[str, object]]
 # small I/O helpers
 # ---------------------------------------------------------------------------
 
-def _read_text(path: str, parse: Callable[[str], T]) -> T:
+def _read_text(path: str, parse: Callable[[str], T], error: type[Exception] = DataError) -> T:
     """Read a UTF-8 text input and parse it; a missing, undecodable or
-    malformed file is a data error, as is one that cannot be read.  This is
-    the only reader of data files."""
+    malformed file is an ``error``, as is one that cannot be read.  This is
+    the only reader of files."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
-        raise DataError(f"missing input file: {path}") from None
+        raise error(f"missing input file: {path}") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+        raise error(f"cannot read {path}: {exc.strerror}") from exc
     try:
         return parse(text)
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
 
 
 def _read_token_lines(path: str) -> list[TokenSeq]:
@@ -174,21 +175,6 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
-
-
-def _emit_summary(cfg: ExperimentConfig, command: str, summary: dict[str, object]) -> None:
-    lines = [f"command={command}", f"config_sha256={cfg.sha256()}"]
-    lines += [f"{key}={_fmt(value)}" for key, value in summary.items()]
-    for line in lines:
-        print(line)
-    data_dir = cfg.get_str("data.dir")
-    report = os.path.join(data_dir, "report.txt")
-    try:
-        os.makedirs(data_dir or ".", exist_ok=True)
-        with open(report, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n--\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {report}: {exc.strerror}") from exc
 
 
 def _split_paths(raw: str) -> list[str]:
@@ -276,20 +262,8 @@ def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
     )
 
 
-def _tune_settings(cfg: ExperimentConfig) -> dict[str, int]:
-    """The beam, k-best size and MERT schedule, as ``tune_loop`` keyword
-    arguments."""
-    return {
-        "beam": cfg.get_int("combine.beam"),
-        "k": cfg.get_int("combine.k"),
-        "rounds": cfg.get_int("tune.rounds"),
-        "mert_iters": cfg.get_int("tune.iters"),
-        "n_random": cfg.get_int("tune.random_dirs"),
-    }
-
-
 def _tune(
-    settings: dict[str, int],
+    cfg: ExperimentConfig,
     outputs_per_model: Sequence[Sequence[TokenSeq]],
     sources: Sequence[TokenSeq],
     golds: Sequence[GoldAnnotation],
@@ -299,10 +273,12 @@ def _tune(
     scores: dict[tuple, ScoreStats] | None = None,
 ) -> tuple[list[SearchSpace], np.ndarray, KBestPool]:
     """Build the systems' search spaces and tune the combination weights on
-    ``sources``/``golds`` with ``_tune_settings``.  Returns the spaces, the
-    tuned weights and the k-best pool.  ``known_spaces`` and ``scores`` are
-    ``build_spaces``'s and ``tune_loop``'s memos, for a caller that tunes
-    several times on the same sentences."""
+    ``sources``/``golds`` with the config's beam (``combine.beam``), k-best
+    size (``combine.k``) and MERT schedule (``tune.rounds``, ``tune.iters``,
+    ``tune.random_dirs``).  Returns the spaces, the tuned weights and the
+    k-best pool.  ``known_spaces`` and ``scores`` are ``build_spaces``'s and
+    ``tune_loop``'s memos, for a caller that tunes several times on the same
+    sentences."""
     spaces = build_spaces(outputs_per_model, known_spaces)
     weights, pool = tune_loop(
         sources,
@@ -310,9 +286,13 @@ def _tune(
         spaces,
         lm,
         FeatureSchema(len(outputs_per_model)).default_weights(),
+        beam=cfg.get_int("combine.beam"),
+        k=cfg.get_int("combine.k"),
+        rounds=cfg.get_int("tune.rounds"),
+        mert_iters=cfg.get_int("tune.iters"),
+        n_random=cfg.get_int("tune.random_dirs"),
         rng_seed=rng_seed,
         scores=scores,
-        **settings,
     )
     return spaces, weights, pool
 
@@ -517,7 +497,6 @@ def cmd_stages(cfg: ExperimentConfig) -> Result:
             f"dev references longer than the shortest model decode limit ({shortest_limit});"
             " regenerate or raise policy.max_len"
         )
-    settings = _tune_settings(cfg)
     tune_base = cfg.derived_seed("tune.seed", 3)
     stages = cfg.get_int("ddt.stages")
     _, reports = round_robin(
@@ -546,10 +525,10 @@ def cmd_stages(cfg: ExperimentConfig) -> Result:
         for m, outputs in enumerate(outputs_per_model):
             files[f"{prefix}.sys{m}.hyp"] = _lines_text(outputs)
         spaces, weights, _ = _tune(
-            settings, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage,
+            cfg, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage,
             known_spaces, scores,
         )
-        combined = decode_corpus(spaces, weights, lm, settings["beam"])
+        combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
         stats, per_sentence = score_corpus(dev_src, combined, dev_golds)
         files[f"{prefix}.combined.hyp"] = _lines_text(combined)
         files[f"{prefix}.weights"] = format_weights(schema, weights)
@@ -598,7 +577,7 @@ def cmd_tune(cfg: ExperimentConfig) -> Result:
     )
     lm = _load_lm(cfg)
     _, weights, pool = _tune(
-        _tune_settings(cfg), hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3)
+        cfg, hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3)
     )
     out_path = cfg.get_str("tune.out")
     return {out_path: format_weights(FeatureSchema(len(hyp_lines)), weights)}, {
@@ -701,11 +680,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise UsageError(f"--set {item!r} is not valid UTF-8") from None
             key, _, value = item.partition("=")
             overrides[key.strip()] = value
-        cfg = ExperimentConfig.load(args.config, overrides=overrides)
+        text = _read_text(args.config, str, UsageError) if args.config else None
+        cfg = ExperimentConfig.load(text, overrides, args.config or "config")
         with np.errstate(all="ignore"):
             files, summary = COMMANDS[args.command](cfg)
-        _write_all(files)
-        _emit_summary(cfg, args.command, summary)
+        block = f"command={args.command}\nconfig_sha256={cfg.sha256()}\n"
+        block += "".join(f"{key}={_fmt(value)}\n" for key, value in summary.items())
+        report = os.path.join(cfg.get_str("data.dir"), "report.txt")
+        if any(os.path.normpath(path) == os.path.normpath(report) for path in files):
+            raise UsageError(f"{args.command} cannot write its output to the report {report}")
+        old_report = _read_text(report, str) if os.path.exists(report) else ""
+        _write_all({**files, report: old_report + block + "--\n"})
+        print(block, end="")
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Experiment configuration: a flat dotted-key table that gives each key its
-type, its default and its legal values.
+type, its default and its legal values.  This module parses config text and
+opens no file: the CLI reads ``--config`` and passes its text to ``load``.
 
 Sources, in increasing precedence: built-in defaults, config file lines
 ("key = value", # comments allowed, each key at most once), then CLI flag
@@ -146,38 +147,31 @@ class ExperimentConfig:
     @classmethod
     def load(
         cls,
-        config_path: str | None = None,
+        text: str | None = None,
         overrides: Mapping[str, object] | None = None,
+        name: str = "config",
     ) -> "ExperimentConfig":
+        """The config from a config file's ``text`` (None for no file), then
+        ``overrides``; ``name`` is the file's name in error messages."""
         values = {key: default for key, (_, default, _) in KNOWN_KEYS.items()}
-        if config_path:
-            if not os.path.exists(config_path):
-                raise UsageError(f"config file not found: {config_path}")
-            try:
-                with open(config_path, encoding="utf-8") as fh:
-                    lines = fh.read().split("\n")
-            except UnicodeDecodeError as exc:
-                raise UsageError(f"{config_path}: not UTF-8 text: {exc}") from exc
-            except OSError as exc:  # a directory, unreadable, ...
-                raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
-            first_line: dict[str, int] = {}
-            for lineno, line in enumerate(lines, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{config_path}:{lineno}: expected 'key = value'")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in KNOWN_KEYS:
-                    raise UsageError(f"{config_path}:{lineno}: unknown config key {key!r}")
-                if key in first_line:
-                    raise UsageError(
-                        f"{config_path}:{lineno}: config key {key!r} is set twice"
-                        f" (first on line {first_line[key]})"
-                    )
-                first_line[key] = lineno
-                values[key] = _coerce(key, raw)
+        first_line: dict[str, int] = {}
+        for lineno, line in enumerate((text or "").split("\n"), start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"{name}:{lineno}: expected 'key = value'")
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            if key not in KNOWN_KEYS:
+                raise UsageError(f"{name}:{lineno}: unknown config key {key!r}")
+            if key in first_line:
+                raise UsageError(
+                    f"{name}:{lineno}: config key {key!r} is set twice"
+                    f" (first on line {first_line[key]})"
+                )
+            first_line[key] = lineno
+            values[key] = _coerce(key, raw)
         for key, value in (overrides or {}).items():
             if value is None:
                 continue

@@ -542,6 +542,62 @@ def test_diverging_stage_training_is_numeric_failure(workdir, capsys):
     assert report.read_bytes() == before
 
 
+def test_report_is_each_successful_commands_summary_block_in_order(workdir, capsys):
+    """The report holds exactly what each successful command printed, each
+    block ended by ``--``; a failed command adds nothing to it."""
+    report = workdir / "run/report.txt"
+    report.unlink()
+    blocks = []
+    for command in (["eval", "--set", "eval.hyp=run/out/combined.hyp"],
+                    ["diversity", "--set", DIV_A, "--set", DIV_B]):
+        assert run(workdir, command) == 0
+        blocks.append(capsys.readouterr().out)
+    assert blocks[0].startswith("command=eval\nconfig_sha256=")
+    assert blocks[1].startswith("command=diversity\nconfig_sha256=")
+    assert report.read_text(encoding="utf-8") == f"{blocks[0]}--\n{blocks[1]}--\n"
+    assert run(workdir, ["eval", "--set", "eval.hyp=run/out/missing.hyp"]) == 3
+    assert report.read_text(encoding="utf-8") == f"{blocks[0]}--\n{blocks[1]}--\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["gen"], ["train", "--set", "train.epochs=1"]], ids=["gen", "train"]
+)
+def test_report_that_is_a_directory_fails_before_any_write_or_print(workdir, capsys, command):
+    """The report is one of the command's files: when it cannot be read,
+    nothing is written and no summary is printed.  Another seed makes every
+    output differ, so a partial write would show in the bytes."""
+    (workdir / "run/report.txt").unlink()
+    (workdir / "run/report.txt").mkdir()
+    before = tree_bytes(workdir / "run")
+    assert run(workdir, command, "--seed", "8") == 3
+    captured = capsys.readouterr()
+    assert captured.err == "data error: cannot read run/report.txt: Is a directory\n"
+    assert captured.out == ""
+    assert tree_bytes(workdir / "run") == before
+    assert (workdir / "run/report.txt").is_dir()
+
+
+def test_report_that_is_not_utf8_is_a_data_error_naming_it(workdir, capsys):
+    _prepend_latin1_word(workdir / "run/report.txt")
+    before = tree_bytes(workdir / "run")
+    assert run(workdir, ["gen"], "--seed", "8") == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: run/report.txt: not UTF-8 text")
+    assert captured.out == ""
+    assert tree_bytes(workdir / "run") == before
+
+
+def test_output_in_place_of_the_report_is_a_usage_error(workdir, capsys):
+    report = workdir / "run/report.txt"
+    before = tree_bytes(workdir / "run")
+    command = ["combine", "--set", f"combine.hyps={HYPS}", "--set", "combine.out=./run/report.txt"]
+    assert run(workdir, command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: combine cannot write its output to the report run/report.txt\n"
+    assert captured.out == ""
+    assert tree_bytes(workdir / "run") == before and report.is_file()
+
+
 def test_ddt_skips_references_over_the_length_limit(workdir, capsys):
     ref = workdir / "run/data/dev.ref"
     lines = ref.read_text(encoding="utf-8").splitlines()

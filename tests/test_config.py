@@ -49,22 +49,23 @@ def test_config_file_values_are_checked_too(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("ddt.stages = -1\n", encoding="utf-8")
     with pytest.raises(UsageError, match=r"^ddt\.stages must be >= 0, got -1$"):
-        ExperimentConfig.load(str(path))
+        ExperimentConfig.load(path.read_text(encoding="utf-8"), name=str(path))
 
 
 def test_config_file_that_sets_a_key_twice_is_a_usage_error(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("train.lr = 0.5\n# the same key again\ntrain.lr = 0.5\n", encoding="utf-8")
     with pytest.raises(UsageError) as exc:
-        ExperimentConfig.load(str(path))
+        ExperimentConfig.load(path.read_text(encoding="utf-8"), name=str(path))
     assert str(exc.value) == f"{path}:3: config key 'train.lr' is set twice (first on line 1)"
 
 
 def test_set_flag_overrides_a_config_file_value(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("train.lr = 0.5\n", encoding="utf-8")
-    assert ExperimentConfig.load(str(path)).get_float("train.lr") == 0.5
-    assert ExperimentConfig.load(str(path), {"train.lr": "0.1"}).get_float("train.lr") == 0.1
+    text = path.read_text(encoding="utf-8")
+    assert ExperimentConfig.load(text).get_float("train.lr") == 0.5
+    assert ExperimentConfig.load(text, {"train.lr": "0.1"}).get_float("train.lr") == 0.1
 
 
 @pytest.mark.parametrize(
