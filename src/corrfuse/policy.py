@@ -731,7 +731,7 @@ def parse_model(text: str, vocab: Vocabulary) -> PolicyModel:
     meta = {key: int(value) for key, _, value in fields}
     if meta["vocab"] != len(vocab):
         raise ValueError(f"checkpoint vocab size {meta['vocab']} != vocabulary size {len(vocab)}")
-    params = np.array([float(line) for line in lines[1:] if line.strip()])
+    params = np.array([line for line in lines[1:] if line.strip()], dtype=float)
     if not np.isfinite(params).all():
         raise ValueError("non-finite parameters in checkpoint")
     return PolicyModel(

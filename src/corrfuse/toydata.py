@@ -2,12 +2,22 @@
 from a small template grammar, then inject common grammatical errors with
 per-rule probabilities.  Gold edits are the exact inverse corrections,
 recorded as the canonical minimal edit script from erroneous to correct.
+
+Reference sentence i depends only on (grammar, grammar seed, i), so it is
+drawn once per process and shared by every corpus that asks for it again:
+``gen``'s corruption passes and splits, and fusegen's source and system
+passes, all read one grammar stream.  The corruption stream is per pass and
+never shared.  The reference cache is bounded because the benchmark's own
+process runs fusegen, and its memory peak is passed on to the
+``peak_rss_mb`` of the CLI children it starts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -162,37 +172,46 @@ class CorpusExample:
     eligible: tuple[str, ...]
 
 
+@functools.lru_cache(maxsize=8)
+def _rule_targets(grammar: Grammar) -> Mapping[str, Mapping[str, tuple[str, ...]]]:
+    """Per rule kind but ``token_duplicate``, which acts on every token: the
+    words of ``grammar`` the rule acts on, each with the words it may become
+    (none for a dropped determiner).  Read-only, as every caller shares it."""
+    prepositions = grammar.prepositions if len(grammar.prepositions) > 1 else ()
+    targets: dict[str, dict[str, tuple[str, ...]]] = {
+        "drop_determiner": {d: () for d in grammar.determiners},
+        "preposition_swap": {p: tuple(q for q in prepositions if q != p) for p in prepositions},
+        "verb_agreement_swap": {},
+        "noun_number_swap": {},
+    }
+    for kind, pairs in (
+        ("verb_agreement_swap", grammar.verbs_intrans + grammar.verbs_trans),
+        ("noun_number_swap", grammar.nouns),
+    ):
+        for a, b in pairs:  # a word in two pairs takes its form in the later one
+            targets[kind][a], targets[kind][b] = (b,), (a,)
+    return MappingProxyType({kind: MappingProxyType(t) for kind, t in targets.items()})
+
+
 def _corrupt(
     tokens: list[str],
     rule: CorruptionRule,
     rng: np.random.Generator,
-    grammar: Grammar,
+    targets: Mapping[str, Mapping[str, tuple[str, ...]]],
 ) -> tuple[list[str], bool, bool]:
-    """Apply one rule; returns (tokens, eligible, applied).
+    """Apply one rule, with ``targets`` from ``_rule_targets``; returns
+    (tokens, eligible, applied).
 
     The probability draw is consumed before checking eligibility so that
     the random stream does not depend on the sentence content.
     """
     fire = bool(rng.random() < rule.prob)
     kind = rule.kind
-    swap: dict[str, str] = {}
-    if kind == "verb_agreement_swap":
-        for a, b in grammar.verbs_intrans + grammar.verbs_trans:
-            swap[a], swap[b] = b, a
-    elif kind == "noun_number_swap":
-        for a, b in grammar.nouns:
-            swap[a], swap[b] = b, a
-
-    if kind == "drop_determiner":
-        sites = [i for i, t in enumerate(tokens) if t in grammar.determiners]
-    elif kind == "preposition_swap":
-        sites = [i for i, t in enumerate(tokens) if t in grammar.prepositions] if len(
-            grammar.prepositions
-        ) > 1 else []
-    elif kind == "token_duplicate":
+    if kind == "token_duplicate":
         sites = list(range(len(tokens)))
     else:
-        sites = [i for i, t in enumerate(tokens) if t in swap]
+        words = targets[kind]
+        sites = [i for i, t in enumerate(tokens) if t in words]
 
     if not sites:
         return tokens, False, False
@@ -202,13 +221,25 @@ def _corrupt(
     if kind == "drop_determiner":
         tokens = tokens[:site] + tokens[site + 1 :]
     elif kind == "preposition_swap":
-        others = [p for p in grammar.prepositions if p != tokens[site]]
+        others = words[tokens[site]]
         tokens[site] = others[int(rng.integers(len(others)))]
     elif kind == "token_duplicate":
         tokens = tokens[: site + 1] + [tokens[site]] + tokens[site + 1 :]
     else:
-        tokens[site] = swap[tokens[site]]
+        tokens[site] = words[tokens[site]][0]
     return tokens, True, True
+
+
+# References kept per process; default ``gen`` reuses 150 (see the module
+# docstring for why it is bounded).
+_REFERENCE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
+def _reference(grammar: Grammar, grammar_seed: int, index: int) -> TokenSeq:
+    """Reference sentence ``index`` of ``grammar_seed``'s stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=grammar_seed, spawn_key=(index,)))
+    return sample_sentence(rng, grammar)
 
 
 def generate_corpus(
@@ -221,20 +252,26 @@ def generate_corpus(
     """Deterministic corpus of (erroneous, correct, gold edits) examples.
 
     Sentence i derives its generators from (seed, i) so generation order
-    (or parallel generation) cannot change the output.
+    (or parallel generation) cannot change the output.  Its reference, from
+    (``grammar``, ``grammar_seed``, i), is drawn once per process and shared
+    with every other call that asks for it; its corruption stream, from
+    (``rng_seed``, i), is drawn afresh for each call, and not at all when
+    ``rules`` is empty.
     """
     if n_sentences < 1:
         raise ValueError("need at least one sentence")
+    targets = _rule_targets(grammar)
     examples = []
     for i in range(n_sentences):
-        g_rng = np.random.default_rng(np.random.SeedSequence(entropy=grammar_seed, spawn_key=(i,)))
-        c_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
-        reference = sample_sentence(g_rng, grammar)
+        reference = _reference(grammar, grammar_seed, i)
         tokens = list(reference)
         applied: list[str] = []
         eligible: list[str] = []
+        c_rng = None  # an empty rule set reads no corruption stream
+        if rules:
+            c_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
         for rule in rules:
-            tokens, was_eligible, was_applied = _corrupt(tokens, rule, c_rng, grammar)
+            tokens, was_eligible, was_applied = _corrupt(tokens, rule, c_rng, targets)
             if was_eligible:
                 eligible.append(rule.kind)
             if was_applied:

@@ -1,17 +1,29 @@
-"""Shared independent oracles for the policy-gradient test suites.
+"""Shared independent oracles for the test suites.
 
 These deliberately reuse as little of the library as possible: expectations
-come from exhaustive enumeration of the sampling distribution, and "exact"
-gradients come from central finite differences of enumerated expectations.
+come from exhaustive enumeration of the sampling distribution, "exact"
+gradients come from central finite differences of enumerated expectations,
+and the toy corpus comes from a plain per-sentence generator that draws
+every reference and corruption stream afresh.
 """
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from corrfuse.policy import EOS_ID, logprob
 from corrfuse.rewards import reward
+from corrfuse.textcore import edit_script
+from corrfuse.toydata import (
+    DEFAULT_GRAMMAR,
+    DEFAULT_RULES,
+    CorpusExample,
+    CorruptionRule,
+    Grammar,
+    sample_sentence,
+)
 
 
 def emittable_tokens(model):
@@ -47,3 +59,93 @@ def fd_gradient_of_expected_reward(model, x, peers, kind, h=1e-5):
         model.params[i] += h
         grad[i] = (up - down) / (2 * h)
     return grad
+
+
+def _oracle_corrupt(
+    tokens: list[str],
+    rule: CorruptionRule,
+    rng: np.random.Generator,
+    grammar: Grammar,
+) -> tuple[list[str], bool, bool]:
+    """Apply one rule; returns (tokens, eligible, applied).
+
+    The probability draw is consumed before checking eligibility so that
+    the random stream does not depend on the sentence content.
+    """
+    fire = bool(rng.random() < rule.prob)
+    kind = rule.kind
+    swap: dict[str, str] = {}
+    if kind == "verb_agreement_swap":
+        for a, b in grammar.verbs_intrans + grammar.verbs_trans:
+            swap[a], swap[b] = b, a
+    elif kind == "noun_number_swap":
+        for a, b in grammar.nouns:
+            swap[a], swap[b] = b, a
+
+    if kind == "drop_determiner":
+        sites = [i for i, t in enumerate(tokens) if t in grammar.determiners]
+    elif kind == "preposition_swap":
+        sites = [i for i, t in enumerate(tokens) if t in grammar.prepositions] if len(
+            grammar.prepositions
+        ) > 1 else []
+    elif kind == "token_duplicate":
+        sites = list(range(len(tokens)))
+    else:
+        sites = [i for i, t in enumerate(tokens) if t in swap]
+
+    if not sites:
+        return tokens, False, False
+    if not fire:
+        return tokens, True, False
+    site = int(sites[rng.integers(len(sites))])
+    if kind == "drop_determiner":
+        tokens = tokens[:site] + tokens[site + 1 :]
+    elif kind == "preposition_swap":
+        others = [p for p in grammar.prepositions if p != tokens[site]]
+        tokens[site] = others[int(rng.integers(len(others)))]
+    elif kind == "token_duplicate":
+        tokens = tokens[: site + 1] + [tokens[site]] + tokens[site + 1 :]
+    else:
+        tokens[site] = swap[tokens[site]]
+    return tokens, True, True
+
+
+def oracle_generate_corpus(
+    grammar_seed: int,
+    n_sentences: int,
+    rules: Sequence[CorruptionRule] = DEFAULT_RULES,
+    rng_seed: int = 1,
+    grammar: Grammar = DEFAULT_GRAMMAR,
+) -> list[CorpusExample]:
+    """Deterministic corpus of (erroneous, correct, gold edits) examples.
+
+    Sentence i derives its generators from (seed, i) so generation order
+    (or parallel generation) cannot change the output.
+    """
+    if n_sentences < 1:
+        raise ValueError("need at least one sentence")
+    examples = []
+    for i in range(n_sentences):
+        g_rng = np.random.default_rng(np.random.SeedSequence(entropy=grammar_seed, spawn_key=(i,)))
+        c_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
+        reference = sample_sentence(g_rng, grammar)
+        tokens = list(reference)
+        applied: list[str] = []
+        eligible: list[str] = []
+        for rule in rules:
+            tokens, was_eligible, was_applied = _oracle_corrupt(tokens, rule, c_rng, grammar)
+            if was_eligible:
+                eligible.append(rule.kind)
+            if was_applied:
+                applied.append(rule.kind)
+        source = tuple(tokens)
+        examples.append(
+            CorpusExample(
+                source=source,
+                reference=reference,
+                gold_edits=edit_script(source, reference),
+                applied=tuple(applied),
+                eligible=tuple(eligible),
+            )
+        )
+    return examples

@@ -230,9 +230,10 @@ def _truncate(path: Path) -> None:
     path.write_text("".join(lines[: len(lines) // 2]), encoding="utf-8")
 
 
-def _replace_first_line(path: Path, text: str) -> None:
+def _replace_line(path: Path, index: int, text: str) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join([text] + lines[1:]) + "\n", encoding="utf-8")
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _prepend_bom(path: Path) -> None:
@@ -312,9 +313,9 @@ def _append_line(path: Path, line: str) -> None:
         (["eval", "--set", "eval.hyp=run/out/combined.hyp"], lambda run_dir: _prepend_bom(run_dir / "data/dev.src")),
         (
             ["tune", "--set", f"tune.hyps={HYPS}"],
-            lambda run_dir: _replace_first_line(run_dir / "data/dev.src", "no such source line"),
+            lambda run_dir: _replace_line(run_dir / "data/dev.src", 0, "no such source line"),
         ),
-        (["train"], lambda run_dir: _replace_first_line(run_dir / "data/dev.src", "no such source line")),
+        (["train"], lambda run_dir: _replace_line(run_dir / "data/dev.src", 0, "no such source line")),
         (
             ["eval", "--set", "eval.hyp=run/out/combined.hyp"],
             lambda run_dir: _prepend_latin1_word(run_dir / "out/combined.hyp"),
@@ -353,6 +354,7 @@ def _append_line(path: Path, line: str) -> None:
             lambda run_dir: _append_line(run_dir / "out/combine.weights", "match_0\t9.0"),
         ),
         (["ddt"], lambda run_dir: _insert_header_field(run_dir / "models/model_1.txt", "vocab=99")),
+        (["stages"], lambda run_dir: _replace_line(run_dir / "models/model_1.txt", 2, "abc")),
     ],
 )
 def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):

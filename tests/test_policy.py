@@ -303,6 +303,28 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_model("something else\n1.0\n", Vocabulary.build(["a"]))
 
+    @pytest.mark.parametrize(
+        "line", ["1_0", " 1.5 ", "nan", "1e400", "abc", "\uff11\uff12.5", "\x851.5", "0x10"]
+    )
+    def test_parameter_line_reads_as_float_reads_it(self, line):
+        model = tiny_model()
+        lines = format_model(model).splitlines()
+        lines[2] = line
+        text = "\n".join(lines) + "\n"
+        try:
+            value = float(line)
+        except ValueError:
+            with pytest.raises(ValueError, match="could not convert string to float"):
+                parse_model(text, model.vocab)
+            return
+        if not math.isfinite(value):
+            with pytest.raises(ValueError, match="non-finite parameters"):
+                parse_model(text, model.vocab)
+            return
+        expected = model.params.copy()
+        expected[1] = value
+        assert parse_model(text, model.vocab).params.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_parameters(self, bad):
         model = tiny_model()

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_generate_corpus
+
+from corrfuse import toydata
 from corrfuse.evaluation import GoldAnnotation, parse_m2, format_m2, score_sentence
 from corrfuse.textcore import Edit, apply_edits, tokenize
 from corrfuse.toydata import (
     DEFAULT_GRAMMAR,
+    DEFAULT_RULES,
+    RULE_KINDS,
     CorruptionRule,
     CorpusExample,
     Grammar,
@@ -138,6 +143,49 @@ class TestGenerateCorpus:
         annotations = [GoldAnnotation(ex.source, (ex.gold_edits,)) for ex in examples]
         parsed = parse_m2(format_m2(annotations))
         assert parsed == annotations
+
+
+ONE_PREPOSITION = parse_grammar(
+    "det the\ndet a\nnoun cat cats\nnoun dog dogs\nverbi runs run\nverbt sees see\nadj big\nprep in\n"
+)
+ORACLE_RULE_SETS = {
+    "default": DEFAULT_RULES,
+    "all_zero": tuple(CorruptionRule(kind, 0.0) for kind in RULE_KINDS),
+    "one_kind": (CorruptionRule("preposition_swap", 0.9),),
+    "none": (),
+}
+EVICTING_SENTENCES = 1500  # more references than the generator keeps
+
+
+class TestGenerateCorpusOracle:
+    """``generate_corpus`` equals the per-sentence oracle, which draws every
+    reference and corruption stream afresh, example for example."""
+
+    @pytest.mark.parametrize("rules", ORACLE_RULE_SETS.values(), ids=ORACLE_RULE_SETS)
+    def test_grammars_at_equal_grammar_seeds(self, rules):
+        # the same seed and index under another grammar is another reference
+        for grammar in (DEFAULT_GRAMMAR, ONE_PREPOSITION, DEFAULT_GRAMMAR):
+            for grammar_seed, rng_seed in ((21, 3), (22, 3), (21, 4)):
+                expected = oracle_generate_corpus(grammar_seed, 60, rules, rng_seed, grammar)
+                assert generate_corpus(grammar_seed, 60, rules, rng_seed, grammar) == expected
+
+    @pytest.mark.parametrize("rules", ORACLE_RULE_SETS.values(), ids=ORACLE_RULE_SETS)
+    def test_warm_after_other_rules_and_seeds(self, rules):
+        for grammar in (DEFAULT_GRAMMAR, ONE_PREPOSITION):
+            generate_corpus(31, 80, ORACLE_RULE_SETS["one_kind"], 7, grammar)
+            generate_corpus(32, 40, DEFAULT_RULES, 8, grammar)
+        for grammar in (DEFAULT_GRAMMAR, ONE_PREPOSITION):
+            assert generate_corpus(31, 50, rules, 9, grammar) == oracle_generate_corpus(31, 50, rules, 9, grammar)
+
+    def test_more_references_than_the_cache_holds(self):
+        expected = oracle_generate_corpus(41, EVICTING_SENTENCES, DEFAULT_RULES, 5)
+        assert generate_corpus(41, EVICTING_SENTENCES, DEFAULT_RULES, 5) == expected
+        assert generate_corpus(41, EVICTING_SENTENCES, DEFAULT_RULES, 5) == expected
+        assert generate_corpus(41, 40, DEFAULT_RULES, 5) == expected[:40]
+
+
+def test_eviction_case_exceeds_the_reference_cache():
+    assert EVICTING_SENTENCES > toydata._REFERENCE_CACHE_SIZE
 
 
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c", "\x1c"])
