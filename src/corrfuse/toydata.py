@@ -3,18 +3,30 @@ from a small template grammar, then inject common grammatical errors with
 per-rule probabilities.  Gold edits are the exact inverse corrections,
 recorded as the canonical minimal edit script from erroneous to correct.
 
-Reference sentence i depends only on (grammar, grammar seed, i), so it is
-drawn once per process and shared by every corpus that asks for it again:
-``gen``'s corruption passes and splits, and fusegen's source and system
-passes, all read one grammar stream.  The corruption stream is per pass and
-never shared.  The reference cache is bounded because the benchmark's own
-process runs fusegen, and its memory peak is passed on to the
-``peak_rss_mb`` of the CLI children it starts.
+Every sentence has two random streams, each a PCG64 seeded by a NumPy
+``SeedSequence`` child: spawn key i of the grammar seed for reference i, and
+spawn key i of the corruption seed for its errors.
+``tests/oracles.py:oracle_generate_corpus`` builds those generators one by
+one and is the reference.  ``generate_corpus`` instead derives every
+sentence's starting state in one vectorized pass and reseeds one generator
+with it.  This relies on NumPy's stream-compatibility policy (NEP 19),
+which keeps ``SeedSequence`` (a fixed hash, O'Neill's ``seed_seq`` design for
+PCG) and PCG64's seeding stable across releases; the tests compare the
+derived states with the installed NumPy's own.
+
+Reference i depends only on (grammar, grammar seed, i), so the references
+of the last stream drawn are kept and shared by the next corpus that asks
+for them: ``gen``'s corruption passes and splits, and fusegen's source and
+system passes, each read one grammar stream back to back.  The corruption
+stream is per pass and never shared.  The reference cache is bounded
+because the benchmark's own process runs fusegen, and its memory peak is
+passed on to the ``peak_rss_mb`` of the CLI children it starts.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -230,16 +242,87 @@ def _corrupt(
     return tokens, True, True
 
 
-# References kept per process; default ``gen`` reuses 150 (see the module
-# docstring for why it is bounded).
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MAX_SENTENCES = 2**32  # each sentence's spawn key is one 32-bit word
+
+
+def _spawn_words(entropy: int, keys: np.ndarray) -> np.ndarray:
+    """Row j is ``SeedSequence(entropy, spawn_key=(keys[j],)).generate_state(
+    4, np.uint64)``, the words PCG64 seeds from, for 32-bit ``keys``: 32
+    bytes per key, all computed in one vectorized pass.
+
+    The parent pool is NumPy's own, so a bad ``entropy`` raises as
+    ``SeedSequence`` does.  The spawn key is the last word of the entropy
+    NumPy assembles, so the child pool is the parent's with the key word
+    mixed into each of its 4 words in turn.  By then the hash constant has
+    served the pool's 4 words, their 12 cross-mixes and 4 mixes for each
+    entropy word past the pool's 4.
+    """
+    pool = np.random.SeedSequence(entropy).pool
+    entropy_words = max(1, -(-operator.index(entropy).bit_length() // 32))
+    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, entropy_words - 4), 2**32) & _MASK32
+    keys = np.asarray(keys, dtype=np.uint32)
+    pool = np.tile(pool, (len(keys), 1))
+    for dst in range(4):
+        value = keys ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value *= np.uint32(hash_a)
+        value ^= value >> 16
+        mixed = np.uint32(_MIX_MULT_L) * pool[:, dst] - np.uint32(_MIX_MULT_R) * value
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    # generate_state: 8 words cycling over the pool, read as little-endian pairs
+    state = np.empty((len(keys), 8), dtype="<u4")
+    hash_b = _INIT_B
+    for j in range(8):
+        value = pool[:, j % 4] ^ np.uint32(hash_b)
+        hash_b = hash_b * _MULT_B & _MASK32
+        value *= np.uint32(hash_b)
+        state[:, j] = value ^ (value >> 16)
+    return state.view("<u8")
+
+
+def _reseed(bit_generator: np.random.PCG64, words: np.ndarray) -> None:
+    """Put ``bit_generator`` in the state a PCG64 seeded with ``words`` (a
+    row of ``_spawn_words``) starts from: PCG's srandom, as NumPy's
+    ``pcg64_set_seed`` runs it, with the first two words as the initial
+    state and the last two as the stream."""
+    state_hi, state_lo, seq_hi, seq_lo = words.tolist()
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+# (grammar, grammar seed, its references 0..k-1) of the last reference stream
+# drawn, k at most _REFERENCE_CACHE_SIZE (see the module docstring for why it
+# is bounded); default ``gen`` reuses 150
 _REFERENCE_CACHE_SIZE = 1024
+_last_references: tuple[object, object, list[TokenSeq]] = (None, None, [])
 
 
-@functools.lru_cache(maxsize=_REFERENCE_CACHE_SIZE)
-def _reference(grammar: Grammar, grammar_seed: int, index: int) -> TokenSeq:
-    """Reference sentence ``index`` of ``grammar_seed``'s stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=grammar_seed, spawn_key=(index,)))
-    return sample_sentence(rng, grammar)
+def _references(grammar: Grammar, grammar_seed: int, n: int, gen: np.random.Generator) -> list[TokenSeq]:
+    """References 0..n-1 of ``grammar_seed``'s stream; those not cached are
+    drawn with ``gen``."""
+    global _last_references
+    cached_grammar, cached_seed, cached = _last_references
+    # a comparison, not a hash: the same grammar object matches by identity
+    references = cached[:n] if (cached_grammar, cached_seed) == (grammar, grammar_seed) else []
+    if len(references) < n:
+        for words in _spawn_words(grammar_seed, np.arange(len(references), n, dtype=np.uint32)):
+            _reseed(gen.bit_generator, words)
+            references.append(sample_sentence(gen, grammar))
+    _last_references = (grammar, grammar_seed, references[:_REFERENCE_CACHE_SIZE])
+    return references
 
 
 def generate_corpus(
@@ -251,27 +334,36 @@ def generate_corpus(
 ) -> list[CorpusExample]:
     """Deterministic corpus of (erroneous, correct, gold edits) examples.
 
-    Sentence i derives its generators from (seed, i) so generation order
-    (or parallel generation) cannot change the output.  Its reference, from
-    (``grammar``, ``grammar_seed``, i), is drawn once per process and shared
-    with every other call that asks for it; its corruption stream, from
-    (``rng_seed``, i), is drawn afresh for each call, and not at all when
-    ``rules`` is empty.
+    Sentence i draws its reference from PCG64 seeded by
+    ``np.random.SeedSequence(grammar_seed, spawn_key=(i,))`` and its
+    corruptions from ``SeedSequence(rng_seed, spawn_key=(i,))``, so
+    generation order (or parallel generation) cannot change the output;
+    ``tests/oracles.py:oracle_generate_corpus`` builds those generators and
+    is the reference.  Here one generator is set, before each sentence's
+    draws, to the state its stream starts from, derived for all sentences
+    at once (see the module docstring).  References come from the last
+    stream's cache where they can; the corruption stream is drawn afresh
+    for each call, and not at all when ``rules`` is empty.  At most 2**32
+    sentences: a spawn key is one 32-bit word here.
     """
     if n_sentences < 1:
         raise ValueError("need at least one sentence")
+    if n_sentences > _MAX_SENTENCES:
+        raise ValueError(f"at most {_MAX_SENTENCES} sentences, got {n_sentences}")
     targets = _rule_targets(grammar)
+    gen = np.random.Generator(np.random.PCG64(0))  # reseeded before every sentence
+    references = _references(grammar, grammar_seed, n_sentences, gen)
+    if rules:  # an empty rule set reads no corruption stream
+        corruption_words = _spawn_words(rng_seed, np.arange(n_sentences, dtype=np.uint32))
     examples = []
-    for i in range(n_sentences):
-        reference = _reference(grammar, grammar_seed, i)
+    for i, reference in enumerate(references):
         tokens = list(reference)
         applied: list[str] = []
         eligible: list[str] = []
-        c_rng = None  # an empty rule set reads no corruption stream
         if rules:
-            c_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
+            _reseed(gen.bit_generator, corruption_words[i])
         for rule in rules:
-            tokens, was_eligible, was_applied = _corrupt(tokens, rule, c_rng, targets)
+            tokens, was_eligible, was_applied = _corrupt(tokens, rule, gen, targets)
             if was_eligible:
                 eligible.append(rule.kind)
             if was_applied:

@@ -188,6 +188,91 @@ def test_eviction_case_exceeds_the_reference_cache():
     assert EVICTING_SENTENCES > toydata._REFERENCE_CACHE_SIZE
 
 
+def test_a_call_past_the_cache_size_keeps_at_most_the_cache_size():
+    generate_corpus(42, EVICTING_SENTENCES, (), 0)
+    assert len(toydata._last_references[2]) == toydata._REFERENCE_CACHE_SIZE
+    generate_corpus(43, 10, DEFAULT_RULES, 5)
+    assert len(toydata._last_references[2]) == 10
+
+
+SPAWN_ENTROPIES = (0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**160 + 3)
+SPAWN_KEYS = (0, 1, 1023, 2**31, 2**32 - 1)
+
+
+class TestSpawnedStreams:
+    """The batch derivation against NumPy's own ``SeedSequence`` children."""
+
+    @pytest.mark.parametrize("entropy", SPAWN_ENTROPIES)
+    def test_states_equal_numpys(self, entropy):
+        words = toydata._spawn_words(entropy, np.array(SPAWN_KEYS, dtype=np.uint32))
+        assert words.shape == (len(SPAWN_KEYS), 4) and words.nbytes == 32 * len(SPAWN_KEYS)
+        bit_generator = np.random.PCG64(0)
+        for key, row in zip(SPAWN_KEYS, words):
+            toydata._reseed(bit_generator, row)
+            expected = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(key,)))
+            assert bit_generator.state == expected.state, (entropy, key)
+
+    def test_a_reseeded_generator_draws_as_a_fresh_one(self):
+        def draws(rng):
+            return [(rng.random(), int(rng.integers(k))) for k in (2, 5, 4, 1000, 2**40)]
+
+        shared = np.random.Generator(np.random.PCG64(0))
+        for entropy in SPAWN_ENTROPIES:
+            words = toydata._spawn_words(entropy, np.array(SPAWN_KEYS, dtype=np.uint32))
+            for key, row in zip(SPAWN_KEYS, words):
+                shared.integers(5)  # leaves half of a 64-bit draw buffered
+                toydata._reseed(shared.bit_generator, row)
+                fresh = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(key,)))
+                assert draws(shared) == draws(fresh), (entropy, key)
+
+    def test_negative_entropy_raises_as_numpy_does(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(-1, spawn_key=(0,))
+        with pytest.raises(ValueError) as derived_error:
+            toydata._spawn_words(-1, np.arange(3, dtype=np.uint32))
+        assert str(derived_error.value) == str(numpy_error.value)
+        for grammar_seed, rng_seed in ((-1, 1), (-2**40, 1), (44, -1)):
+            with pytest.raises(ValueError, match=str(numpy_error.value)):
+                generate_corpus(grammar_seed, 3, DEFAULT_RULES, rng_seed)
+
+
+@pytest.fixture
+def seed_sequences_built(monkeypatch):
+    """Counts the ``SeedSequence`` objects built through ``np.random``."""
+    built = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    return built
+
+
+def test_a_call_builds_no_seed_sequence_per_sentence(seed_sequences_built):
+    examples = generate_corpus(45, 300, DEFAULT_RULES, 6)  # no reference cached
+    assert len(seed_sequences_built) <= 2  # one per stream, not 600
+    assert examples == oracle_generate_corpus(45, 300, DEFAULT_RULES, 6)
+
+
+def test_a_call_hashes_its_grammar_once(monkeypatch):
+    grammar = parse_grammar("det the\nnoun cat cats\nverbi runs run\nverbt sees see\nprep in\nprep on\n")
+    hashes = []
+    monkeypatch.setattr(Grammar, "__hash__", lambda g: hashes.append(g) or hash(g.nouns))
+    for rng_seed in (7, 8):
+        generate_corpus(46, 300, DEFAULT_RULES, rng_seed, grammar)
+        assert len(hashes) <= 1
+        hashes.clear()
+
+
+def test_more_sentences_than_spawn_keys_raise_before_any_draw(seed_sequences_built):
+    cached = toydata._last_references
+    with pytest.raises(ValueError, match="at most 4294967296 sentences"):
+        generate_corpus(47, 2**32 + 1)
+    assert seed_sequences_built == [] and toydata._last_references is cached
+
+
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c", "\x1c"])
 def test_grammar_separator_inside_a_line_reads_as_a_space(separator):
     text = "det the\nnoun cat{} cats\nverbi runs run\nverbt sees see\nprep in\n"
