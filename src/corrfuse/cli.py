@@ -28,15 +28,27 @@ sources and M2 gold edits) and every hypothesis list of ``combine`` and
 ``data.dev_ref``, the references that DDT trains on.  Combination runs in
 one process, so ``--jobs`` accepts only 1.
 
+Importing ``cli`` loads every corrfuse module but two: ``policy`` is
+imported inside the functions of ``train``, ``ddt`` and ``stages`` that use
+it, and ``toydata`` inside ``gen``.  So the children of ``tune``,
+``combine``, ``eval`` and ``diversity``, most of the fuse path's start-up,
+compile neither.  The rest stay top-level imports: the benchmark's tracer
+imports ``cli`` and then reads every module it hooks from ``sys.modules``,
+and its tests read ``cli.beam_search``.  The benchmark imports ``policy`` and
+``toydata`` itself before it installs the tracer.
+
 ``entry`` is the process entry, behind both the ``corrfuse`` script and
-``python -m corrfuse.cli``.  It calls ``gc.freeze()`` once, after every
-import, and then exits with ``main()``'s return code.  The freeze moves the
-about 22,000 container objects that the numpy and corrfuse imports made into
-the permanent generation, which no collection examines again: neither the
-full collections during a run nor those at interpreter exit, and the OS takes
-their memory back when the process ends.  That cuts the exit of a CLI child
-from about 35 ms to about 7 ms.  No output can depend on it: the collector
-only frees unreachable cycles, and no command reads when or whether it ran.
+``python -m corrfuse.cli``.  It calls ``gc.freeze()`` once, after the
+top-level imports, and then exits with ``main()``'s return code.  The freeze
+moves the about 22,000 container objects that the numpy and corrfuse imports
+made into the permanent generation, which no collection examines again:
+neither the full collections during a run nor those at interpreter exit, and
+the OS takes their memory back when the process ends.  That cuts the exit of
+a CLI child from about 35 ms to about 7 ms.  A command's own import of
+``policy`` or ``toydata`` comes after the freeze and adds about 250 or 290
+tracked objects, too few to lose that saving.  No output can depend on it:
+the collector only frees unreachable cycles, and no command reads when or
+whether it ran.
 ``main(argv)`` leaves the collector alone, because tests and in-process
 runners call it many times in one long-lived process, where a freeze would
 pin every object alive at that moment for the rest of the process.
@@ -49,7 +61,7 @@ import contextlib
 import gc
 import os
 import sys
-from typing import Callable, NoReturn, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -77,24 +89,12 @@ from .evaluation import (
     score_corpus,
     sign_test_bootstrap,
 )
-from .policy import (
-    PolicyModel,
-    StepWorkspace,
-    Vocabulary,
-    epoch_batches,
-    format_model,
-    format_vocab,
-    greedy_decode,
-    mle_step,
-    pad_batches,
-    parse_model,
-    parse_vocab,
-    stack_params,
-)
 from .rewards import RewardKind
 from .textcore import TokenSeq, detokenize, split_lines, tokenize
-from .toydata import DEFAULT_GRAMMAR, CorruptionRule, RULE_KINDS, generate_corpus, parse_grammar
 from .tuner import KBestPool, decode_corpus, tune_loop
+
+if TYPE_CHECKING:
+    from .policy import PolicyModel, Vocabulary
 
 T = TypeVar("T")
 # what a command returns: the text of each file it makes, by path, and its summary
@@ -193,6 +193,8 @@ def _model_paths(cfg: ExperimentConfig) -> tuple[str, list[str]]:
 
 
 def _load_models(cfg: ExperimentConfig) -> list[PolicyModel]:
+    from .policy import parse_model, parse_vocab
+
     vocab_path, model_paths = _model_paths(cfg)
     if not os.path.exists(vocab_path):
         raise DataError(f"missing vocabulary file: {vocab_path} (run the train command first)")
@@ -302,6 +304,8 @@ def _tune(
 # ---------------------------------------------------------------------------
 
 def cmd_gen(cfg: ExperimentConfig) -> Result:
+    from .toydata import DEFAULT_GRAMMAR, RULE_KINDS, CorruptionRule, generate_corpus, parse_grammar
+
     grammar_path = cfg.get_str("gen.grammar")
     grammar = _read_text(grammar_path, parse_grammar) if grammar_path else DEFAULT_GRAMMAR
     rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
@@ -354,6 +358,8 @@ def _train_models(
     step writes its gradients and temporaries into it, so that no step
     allocates its arrays (see the ``policy`` module docstring).
     """
+    from .policy import PolicyModel, StepWorkspace, epoch_batches, mle_step, pad_batches, stack_params
+
     seed = cfg.get_int("seed")
     n_models = cfg.get_int("train.models")
     models = [
@@ -392,6 +398,8 @@ def cmd_train(cfg: ExperimentConfig) -> Result:
     ``policy.max_len``, train the models in lockstep (``_train_models``),
     and score each model's greedy dev output.  The files are the vocabulary
     and every checkpoint."""
+    from .policy import Vocabulary, format_model, format_vocab, greedy_decode
+
     train_src = _read_token_lines(cfg.get_str("data.train_src"))
     train_ref = _read_token_lines(cfg.get_str("data.train_ref"))
     _require_aligned(train_src=train_src, train_ref=train_ref)
@@ -421,6 +429,8 @@ def cmd_train(cfg: ExperimentConfig) -> Result:
 
 
 def cmd_ddt(cfg: ExperimentConfig) -> Result:
+    from .policy import format_model, greedy_decode
+
     backbone_idx, n_models = cfg.get_int("ddt.backbone"), cfg.get_int("train.models")
     if backbone_idx >= n_models:
         raise UsageError(f"ddt.backbone must be in [0,{n_models - 1}], got {backbone_idx}")

@@ -9,21 +9,28 @@ trains on one sentence: its reference gradient and its sampled reward
 gradient move the parameters before the next sentence is seen.
 ``round_robin`` runs it once per stage with the other models' greedy outputs
 as peers; the ``ddt`` command runs it once for a single backbone.
+
+``policy`` is imported inside the functions that call it, not at the top:
+``cli`` imports this module at start-up, and the commands that train no
+policy (the fuse path's ``tune``, ``combine`` and ``eval``) then do not load
+it.  The functions look its kernels up as ``policy.<name>`` on each call,
+so that a wrapper set on the module is the one they call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import policy
 from .evaluation import diversity
-from .policy import PolicyModel
 from .rewards import RewardKind, reward
 from .textcore import TokenSeq
+
+if TYPE_CHECKING:
+    from .policy import PolicyModel
 
 
 @dataclass
@@ -61,6 +68,8 @@ def rl_gradient(
     a leave-one-out baseline and therefore exactly unbiased for the gradient
     of E[R], not (1-1/k) of it.  Returns the gradient and the mean reward.
     """
+    from . import policy
+
     k = cfg.k_samples
     samples = policy.sample_many(model, x, rng, k)
     rewards = [reward(cfg.reward_kind, peer_outputs, y, cfg.normalize_reward) for y in samples]
@@ -92,6 +101,8 @@ def ddt_step(
     alpha == 0, in which case no sampling happens and the update equals
     mle_step exactly).
     """
+    from . import policy
+
     lp, grad = policy.grad_logprob(model, x, y_ref)
     grad *= 1.0 - cfg.alpha  # mle_step's kernel, so alpha == 0 reproduces it bitwise
     mean_reward = 0.0
@@ -164,6 +175,8 @@ def round_robin(
     Input models are not mutated; stage 0 in the report is the untrained
     baseline.  Returns the updated models and per-stage reports.
     """
+    from . import policy
+
     if len(models) < 2:
         raise ValueError("round-robin training needs at least 2 models")
     if stages < 0:

@@ -6,10 +6,19 @@ a checkpoint's parameters with ``PolicyModel.param_count``,
 ``bench/fusegen.py`` reads ``toydata.DEFAULT_RULES``, and the benchmark's
 own tests call ``textcore.apply_edits`` and patch ``cli.beam_search``.  A
 change to ``src/`` that renames or deletes one of them fails here.
+
+The tracer imports ``corrfuse.cli`` and reads every ``TARGETS`` module from
+``sys.modules``.  ``cli`` loads ``policy`` and ``toydata`` only inside the
+commands that use them; the benchmark imports both itself (``checks`` and
+``fusegen``) before it installs the tracer, which a fresh interpreter checks
+here.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,8 +27,11 @@ from corrfuse import cli, combiner, textcore, toydata
 from corrfuse.policy import PolicyModel, Vocabulary
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def tracer_targets() -> dict[str, tuple[str, str]]:
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -47,3 +59,21 @@ def test_the_names_the_benchmark_imports_resolve():
     assert textcore.apply_edits(("a", "b"), []) == ("a", "b")
     assert toydata.DEFAULT_RULES and all(0.0 < rule.prob <= 1.0 for rule in toydata.DEFAULT_RULES)
     assert cli.beam_search is combiner.beam_search
+
+
+def test_the_tracer_wraps_every_target_once_the_benchmark_is_imported():
+    code = """
+import sys
+import workloads, tracer
+with tracer.installed(tracer.Tracer()):
+    for module_name, attr in tracer.TARGETS.values():
+        owner = sys.modules[module_name]
+        for name in attr.split("."):
+            owner = getattr(owner, name)
+        if not hasattr(owner, "__wrapped__"):
+            print(module_name, attr)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert proc.stdout == ""

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrfuse import cli, combiner, tuner
+from corrfuse import cli, combiner, policy, tuner
 from corrfuse.ddt import DdtConfig, train_stage
 from corrfuse.evaluation import parse_m2, score_corpus
 from corrfuse.policy import greedy_decode, parse_model, parse_vocab
@@ -614,8 +614,8 @@ def test_ddt_skips_references_over_the_length_limit(workdir, capsys):
 
 def test_train_takes_one_lockstep_step_per_minibatch(workdir, monkeypatch, capsys):
     steps = []
-    mle_step = cli.mle_step
-    monkeypatch.setattr(cli, "mle_step", lambda *args: steps.append(len(args[1])) or mle_step(*args))
+    mle_step = policy.mle_step
+    monkeypatch.setattr(policy, "mle_step", lambda *args: steps.append(len(args[1])) or mle_step(*args))
     assert run(workdir, ["train"], "--set", "train.epochs=2", "--set", "train.batch=4") == 0
     summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert steps == [3] * 2 * math.ceil(int(summary["n_pairs"]) / 4)  # a batch per model
@@ -888,6 +888,34 @@ def test_package_import_loads_no_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+POLICY, TOYDATA = "corrfuse.policy", "corrfuse.toydata"
+LOADED_BY_COMMAND = [
+    (["tune", "--set", f"tune.hyps={HYPS}"], []),
+    (["combine", "--set", f"combine.hyps={HYPS}"], []),
+    (["eval", "--set", "eval.hyp=run/out/combined.hyp"], []),
+    (["diversity", "--set", DIV_A, "--set", DIV_B], []),
+    (["gen"], [TOYDATA]),
+    (["train", "--set", "train.epochs=1"], [POLICY]),
+    (["ddt"], [POLICY]),
+    (["stages"], [POLICY]),
+]
+
+
+@pytest.mark.parametrize("command, loaded", LOADED_BY_COMMAND,
+                         ids=[command[0] for command, _ in LOADED_BY_COMMAND])
+def test_each_command_loads_policy_and_toydata_only_if_it_uses_them(workdir, command, loaded):
+    # cli imports these two inside the commands that use them, so that the
+    # fuse commands' children do not compile them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from corrfuse import cli; code = cli.main(sys.argv[1:]); "
+            f"print([m for m in {[POLICY, TOYDATA]!r} if m in sys.modules]); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *command[:1], *TINY, *command[1:]],
+                          cwd=workdir, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 
 def test_main_leaves_the_collector_alone(workdir, capsys):

@@ -2,7 +2,10 @@
 
 ``ref_dp_matrix`` and ``ref_edit_script`` are verbatim copies (apart from
 their names) of the edit-distance table that indexed ``dist[i][j]`` and took
-one ``min()`` per cell, and of the backtrace over it.  ``ref_lcs_matching``
+one ``min()`` per cell, and of the backtrace over it.  The bit-vector
+columns of ``textcore._columns`` now stand where that table stood, after
+``_dp_matrix``, which filled it row by row from the row above with ``zip``;
+every cell and every script must still be the table's.  ``ref_lcs_matching``
 and ``ref_align_oriented`` are verbatim copies of the LCS table that took
 ``max()`` per cell and of the stage loop that built every compatibility
 matrix from ``bool(ka & kb)``.  ``RefNGramLM`` keeps the old per-position
@@ -35,7 +38,8 @@ from corrfuse.alignment import (
     align_pair,
 )
 from corrfuse.combiner import LM_BOS, LM_EOS, LM_UNK, NGramLM
-from corrfuse.textcore import Edit, EditScript, TokenSeq, edit_distance, edit_script
+from corrfuse.evaluation import GoldAnnotation, score_sentence
+from corrfuse.textcore import Edit, EditScript, TokenSeq, _columns, edit_distance, edit_script
 from corrfuse.toydata import RULE_KINDS, CorruptionRule, generate_corpus
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -281,6 +285,79 @@ def test_edit_scripts_match_reference_on_random_pairs(seed):
     for a, b in random_pairs(seed, 100):
         assert edit_script(a, b) == ref_edit_script(a, b)
         assert edit_distance(a, b) == ref_dp_matrix(a, b)[len(a)][len(b)]
+
+
+def small_alphabet_pairs(seed: int, count: int, longest: int) -> list[tuple[TokenSeq, TokenSeq]]:
+    """Pairs over 1-4 token types, so that the table ties almost everywhere."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        types = "abcd"[: int(rng.integers(1, 5))]
+        a, b = (tuple(types[k] for k in rng.integers(len(types), size=int(rng.integers(0, longest + 1))))
+                for _ in range(2))
+        pairs.append((a, b))
+    return pairs
+
+
+def long_pairs(seed: int, count: int) -> list[tuple[TokenSeq, TokenSeq]]:
+    """Pairs of 60-200 tokens, so that a column spans several machine words;
+    half of them near copies of one another (cut at ``MAX_TOKENS``)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        a = _sentence(rng, int(rng.integers(60, 201)))
+        b = _mutated(rng, a) if rng.random() < 0.5 else _sentence(rng, int(rng.integers(60, 201)))
+        pairs.append((a, b))
+    return pairs
+
+
+def columns_table(a: TokenSeq, b: TokenSeq) -> list[list[int]]:
+    """The table rebuilt from the kernel's columns, ``dist[i][j]``."""
+    columns = _columns(a, b)
+    assert len(columns) == len(b) + 1
+    dist = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for j, (vp, vn, _) in enumerate(columns):
+        for i in range(len(a) + 1):
+            low = (1 << i) - 1
+            dist[i][j] = j + (vp & low).bit_count() - (vn & low).bit_count()
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_edit_scripts_match_reference_on_small_alphabets(seed):
+    for a, b in small_alphabet_pairs(200 + seed, 250, 12):
+        assert edit_script(a, b) == ref_edit_script(a, b), (a, b)
+        assert edit_distance(a, b) == ref_dp_matrix(a, b)[-1][-1]
+
+
+def test_edit_scripts_match_reference_on_long_pairs():
+    for a, b in long_pairs(300, 16):
+        assert edit_script(a, b) == ref_edit_script(a, b)
+        assert edit_distance(a, b) == ref_dp_matrix(a, b)[-1][-1]
+
+
+@pytest.mark.parametrize("pairs", [small_alphabet_pairs(400, 150, 12), long_pairs(401, 3)],
+                         ids=["small-alphabets", "long"])
+def test_every_cell_rebuilt_from_the_columns_is_the_tables(pairs):
+    for a, b in pairs:
+        want = ref_dp_matrix(a, b)
+        assert columns_table(a, b) == want
+        for j, (_, _, d0) in enumerate(_columns(a, b)[1:], 1):
+            for i in range(1, len(a) + 1):
+                assert bool(d0 >> (i - 1) & 1) == (want[i][j] == want[i - 1][j - 1])
+
+
+def test_score_sentence_matches_a_scorer_on_the_reference_scripts(monkeypatch):
+    rng = np.random.default_rng(500)
+    triples = []
+    for source, hyp in small_alphabet_pairs(501, 200, 10) + random_pairs(502, 60):
+        targets = [_mutated(rng, source) for _ in range(int(rng.integers(1, 3)))]
+        gold = GoldAnnotation(source, tuple(ref_edit_script(source, t) for t in targets))
+        triples.append((source, hyp, gold))
+    got = [score_sentence(*triple) for triple in triples]
+    monkeypatch.setattr(evaluation, "edit_script", ref_edit_script)
+    assert got == [score_sentence(*triple) for triple in triples]
+    assert any(stats.tp for stats in got) and any(stats.fp for stats in got)
 
 
 def test_edit_scripts_match_reference_on_fuse_tune_pairs(fuse_tune_pairs):
