@@ -28,6 +28,13 @@ sources and M2 gold edits) and every hypothesis list of ``combine`` and
 ``data.dev_ref``, the references that DDT trains on.  Combination runs in
 one process, so ``--jobs`` accepts only 1.
 
+``run_stages`` is the in-process entry for study scripts: it yields one
+``StageResult`` per DDT stage, and ``cmd_stages`` only scores them (one
+memoized ``_scorer`` per split), picks the best and formats.  ``tune.seed``
+is derived in ``_tune`` alone and ``eval.seed`` in ``_p_value`` alone.  The
+decode limit ``policy.max_len`` is checked where it enters: at config load
+and at checkpoint parse (``policy.parse_model``).
+
 Importing ``cli`` loads every corrfuse module but two: ``policy`` is
 imported inside the functions of ``train``, ``ddt`` and ``stages`` that use
 it, and ``toydata`` inside ``gen``.  So the children of ``tune``,
@@ -58,10 +65,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, NoReturn, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
@@ -77,7 +86,7 @@ from .combiner import (
     train_lm,
 )
 from .config import ExperimentConfig
-from .ddt import DdtConfig, mean_pairwise_diversity, round_robin, train_stage
+from .ddt import DdtConfig, StageReport, mean_pairwise_diversity, round_robin, train_stage
 from .errors import DataError, NumericError, UsageError
 from .evaluation import (
     GoldAnnotation,
@@ -270,17 +279,17 @@ def _tune(
     sources: Sequence[TokenSeq],
     golds: Sequence[GoldAnnotation],
     lm: NGramLM,
-    rng_seed: int,
+    stage: int = 0,
     known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] | None = None,
     scores: dict[tuple, ScoreStats] | None = None,
 ) -> tuple[list[SearchSpace], np.ndarray, KBestPool]:
     """Build the systems' search spaces and tune the combination weights on
     ``sources``/``golds`` with the config's beam (``combine.beam``), k-best
     size (``combine.k``) and MERT schedule (``tune.rounds``, ``tune.iters``,
-    ``tune.random_dirs``).  Returns the spaces, the tuned weights and the
-    k-best pool.  ``known_spaces`` and ``scores`` are ``build_spaces``'s and
-    ``tune_loop``'s memos, for a caller that tunes several times on the same
-    sentences."""
+    ``tune.random_dirs``), seeded ``tune.seed`` + ``stage``.  Returns the
+    spaces, the tuned weights and the k-best pool.  ``known_spaces`` and
+    ``scores`` are ``build_spaces``'s and ``tune_loop``'s memos, for a caller
+    that tunes several times on the same sentences."""
     spaces = build_spaces(outputs_per_model, known_spaces)
     weights, pool = tune_loop(
         sources,
@@ -293,10 +302,61 @@ def _tune(
         rounds=cfg.get_int("tune.rounds"),
         mert_iters=cfg.get_int("tune.iters"),
         n_random=cfg.get_int("tune.random_dirs"),
-        rng_seed=rng_seed,
+        rng_seed=cfg.derived_seed("tune.seed", 3) + stage,
         scores=scores,
     )
     return spaces, weights, pool
+
+
+@dataclass(frozen=True)
+class StageResult:
+    """One round-robin stage: its DDT report (the outputs per model, their
+    diversity, ``mle_loss`` and ``mean_reward``), the weights tuned on its
+    outputs, the tuner's k-best pool and the tuned combination's outputs."""
+
+    report: StageReport
+    weights: np.ndarray
+    pool: KBestPool
+    combined: tuple[TokenSeq, ...]
+
+
+def run_stages(
+    cfg: ExperimentConfig,
+    models: Sequence[PolicyModel],
+    sources: Sequence[TokenSeq],
+    golds: Sequence[GoldAnnotation],
+    refs: Sequence[TokenSeq],
+    lm: NGramLM,
+) -> Iterator[StageResult]:
+    """Run ``ddt.stages`` round-robin DDT stages on (``sources``, ``refs``),
+    then tune and decode each stage's combination on ``sources``/``golds``.
+    The search spaces (each with its memo of k-best searches) and candidate
+    scores are memos shared by the stages, as a model's outputs recur."""
+    _, reports = round_robin(
+        models, list(zip(sources, refs)), _ddt_config(cfg), cfg.get_int("ddt.stages"),
+        lambda model, stage: _check_finite(model, f"diversity-driven training stage {stage}"),
+    )
+    known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
+    scores: dict[tuple, ScoreStats] = {}
+    for report in reports:
+        spaces, weights, pool = _tune(
+            cfg, report.outputs, sources, golds, lm, report.stage, known_spaces, scores
+        )
+        combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
+        yield StageResult(report, weights, pool, tuple(combined))
+
+
+def _scorer(
+    sources: Sequence[TokenSeq], golds: Sequence[GoldAnnotation]
+) -> Callable[[tuple[TokenSeq, ...]], tuple[ScoreStats, list[ScoreStats]]]:
+    """``score_corpus`` on one split, memoized by the output tuple."""
+    return functools.cache(lambda outputs: score_corpus(sources, outputs, golds))
+
+
+def _p_value(cfg: ExperimentConfig, per_a: list[ScoreStats], per_b: list[ScoreStats]) -> float:
+    """The bootstrapped sign test of A against B, seeded ``eval.seed``."""
+    seed = cfg.derived_seed("eval.seed", 4)
+    return sign_test_bootstrap(compare_outputs(per_a, per_b), cfg.get_int("eval.resamples"), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -495,70 +555,35 @@ def cmd_stages(cfg: ExperimentConfig) -> Result:
     dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
     _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
     lm = _load_lm(cfg)
-    decode_limit = max(m.max_len for m in models)
-    if decode_limit > MAX_TOKENS:
-        raise UsageError(
-            f"stages aligns model outputs, so policy.max_len must be <= {MAX_TOKENS},"
-            f" got {decode_limit}"
-        )
     shortest_limit = min(m.max_len for m in models)
     if any(len(y) > shortest_limit for y in dev_ref):
         raise DataError(
             f"dev references longer than the shortest model decode limit ({shortest_limit});"
             " regenerate or raise policy.max_len"
         )
-    tune_base = cfg.derived_seed("tune.seed", 3)
-    stages = cfg.get_int("ddt.stages")
-    _, reports = round_robin(
-        models,
-        list(zip(dev_src, dev_ref)),
-        _ddt_config(cfg),
-        stages,
-        lambda model, stage: _check_finite(model, f"diversity-driven training stage {stage}"),
-    )
-
+    score = _scorer(dev_src, dev_golds)
     out_dir = os.path.join(cfg.get_str("data.dir"), "out")
     schema = FeatureSchema(len(models))
     files: dict[str, str] = {}
-    summary: dict[str, object] = {"stages": stages, "models": len(models)}
-    stage_f05: list[float] = []
-    per_sentence_by_stage: list[list[ScoreStats]] = []
-    # a model's outputs stay the same across the stages that do not train it,
-    # so its scores, most search spaces (one per hypothesis tuple, each with
-    # its memo of k-best searches) and most candidate scores recur
-    component_f05: dict[tuple[TokenSeq, ...], float] = {}
-    known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
-    scores: dict[tuple, ScoreStats] = {}
-    for report in reports:
-        outputs_per_model = [list(o) for o in report.outputs]
-        prefix = os.path.join(out_dir, f"stage{report.stage}")
+    summary: dict[str, object] = {"stages": cfg.get_int("ddt.stages"), "models": len(models)}
+    combined: list[tuple[TokenSeq, ...]] = []
+    for result in run_stages(cfg, models, dev_src, dev_golds, dev_ref, lm):
+        stage, outputs_per_model = result.report.stage, result.report.outputs
+        prefix = os.path.join(out_dir, f"stage{stage}")
         for m, outputs in enumerate(outputs_per_model):
             files[f"{prefix}.sys{m}.hyp"] = _lines_text(outputs)
-        spaces, weights, _ = _tune(
-            cfg, outputs_per_model, dev_src, dev_golds, lm, tune_base + report.stage,
-            known_spaces, scores,
-        )
-        combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
-        stats, per_sentence = score_corpus(dev_src, combined, dev_golds)
-        files[f"{prefix}.combined.hyp"] = _lines_text(combined)
-        files[f"{prefix}.weights"] = format_weights(schema, weights)
-        stage_f05.append(stats.f_beta(0.5))
-        per_sentence_by_stage.append(per_sentence)
-        summary[f"stage{report.stage}_diversity"] = report.diversity
-        summary[f"stage{report.stage}_combined_f05"] = stats.f_beta(0.5)
-        for m, outputs in enumerate(report.outputs):
-            if outputs not in component_f05:
-                comp_stats, _ = score_corpus(dev_src, outputs, dev_golds)
-                component_f05[outputs] = comp_stats.f_beta(0.5)
-            summary[f"stage{report.stage}_component{m}_f05"] = component_f05[outputs]
-    best_stage = max(range(len(stage_f05)), key=lambda i: (stage_f05[i], -i))
-    summary["best_stage"] = best_stage
-    summary["best_combined_f05"] = stage_f05[best_stage]
-    if best_stage != 0:
-        outcomes = compare_outputs(per_sentence_by_stage[best_stage], per_sentence_by_stage[0])
-        summary["p_best_vs_stage0"] = sign_test_bootstrap(
-            outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
-        )
+        files[f"{prefix}.combined.hyp"] = _lines_text(result.combined)
+        files[f"{prefix}.weights"] = format_weights(schema, result.weights)
+        combined.append(result.combined)
+        summary[f"stage{stage}_diversity"] = result.report.diversity
+        summary[f"stage{stage}_combined_f05"] = score(result.combined)[0].f_beta(0.5)
+        for m, outputs in enumerate(outputs_per_model):
+            summary[f"stage{stage}_component{m}_f05"] = score(outputs)[0].f_beta(0.5)
+    best = max(range(len(combined)), key=lambda i: (score(combined[i])[0].f_beta(0.5), -i))
+    summary["best_stage"] = best
+    summary["best_combined_f05"] = score(combined[best])[0].f_beta(0.5)
+    if best != 0:
+        summary["p_best_vs_stage0"] = _p_value(cfg, score(combined[best])[1], score(combined[0])[1])
     return files, summary
 
 
@@ -586,9 +611,7 @@ def cmd_tune(cfg: ExperimentConfig) -> Result:
         dev_src=dev_src, **{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)}
     )
     lm = _load_lm(cfg)
-    _, weights, pool = _tune(
-        cfg, hyp_lines, dev_src, dev_golds, lm, cfg.derived_seed("tune.seed", 3)
-    )
+    _, weights, pool = _tune(cfg, hyp_lines, dev_src, dev_golds, lm)
     out_path = cfg.get_str("tune.out")
     return {out_path: format_weights(FeatureSchema(len(hyp_lines)), weights)}, {
         "systems": len(hyp_lines),
@@ -621,12 +644,8 @@ def cmd_eval(cfg: ExperimentConfig) -> Result:
     if baseline_path:
         baseline = _read_token_lines(baseline_path)
         _require_aligned(src=src, baseline=baseline)
-        _, base_per_sentence = score_corpus(src, baseline, golds)
-        outcomes = compare_outputs(per_sentence, base_per_sentence)
         summary["baseline"] = baseline_path
-        summary["p_value"] = sign_test_bootstrap(
-            outcomes, cfg.get_int("eval.resamples"), cfg.derived_seed("eval.seed", 4)
-        )
+        summary["p_value"] = _p_value(cfg, per_sentence, score_corpus(src, baseline, golds)[1])
     return {}, summary
 
 

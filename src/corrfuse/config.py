@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from .alignment import MAX_TOKENS
 from .errors import UsageError
 
 # what a legal value must be, and the test of it
@@ -34,6 +35,7 @@ def _one_of(*choices: str) -> Check:
 
 _FRACTION: Check = ("be in [0,1]", lambda value: 0.0 <= value <= 1.0)
 _POSITIVE: Check = ("be finite and > 0", lambda value: math.isfinite(value) and value > 0)
+_DECODE_LIMIT: Check = (f"be in [1,{MAX_TOKENS}]", lambda value: 1 <= value <= MAX_TOKENS)
 
 # key -> (type tag, default, check of its legal values or None for any value
 # of the type); a negative component seed means "derive it from seed"
@@ -57,7 +59,7 @@ KNOWN_KEYS: dict[str, tuple[str, object, Check | None]] = {
     "gen.grammar": ("str", "", None),
     "policy.embed": ("int", 32, _at_least(1)),
     "policy.hidden": ("int", 64, _at_least(1)),
-    "policy.max_len": ("int", 16, _at_least(1)),
+    "policy.max_len": ("int", 16, _DECODE_LIMIT),
     "model.dir": ("str", "", None),
     "train.models": ("int", 3, _at_least(1)),
     "train.epochs": ("int", 30, _at_least(1)),

@@ -57,6 +57,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .alignment import MAX_TOKENS
 from .textcore import TokenSeq, split_lines
 
 BOS, EOS, UNK = "<bos>", "<eos>", "<unk>"
@@ -719,8 +720,8 @@ def format_model(model: PolicyModel) -> str:
 
 def parse_model(text: str, vocab: Vocabulary) -> PolicyModel:
     """The model of ``format_model``'s text over ``vocab``.  The header must
-    give each of its fields exactly once, the vocabulary size must match,
-    and every parameter must be finite."""
+    give each of its fields once, the vocabulary's size and a ``max_len`` of
+    at most ``alignment.MAX_TOKENS``, and every parameter must be finite."""
     lines = split_lines(text)
     header = lines[0].split() if lines else []
     if header[:2] != [CHECKPOINT_MAGIC, f"v{CHECKPOINT_VERSION}"]:
@@ -731,6 +732,8 @@ def parse_model(text: str, vocab: Vocabulary) -> PolicyModel:
     meta = {key: int(value) for key, _, value in fields}
     if meta["vocab"] != len(vocab):
         raise ValueError(f"checkpoint vocab size {meta['vocab']} != vocabulary size {len(vocab)}")
+    if meta["max_len"] > MAX_TOKENS:
+        raise ValueError(f"checkpoint max_len {meta['max_len']} > alignment limit {MAX_TOKENS}")
     params = np.array([line for line in lines[1:] if line.strip()], dtype=float)
     if not np.isfinite(params).all():
         raise ValueError("non-finite parameters in checkpoint")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from corrfuse import cli, combiner, policy, tuner
+from corrfuse.config import ExperimentConfig
 from corrfuse.ddt import DdtConfig, train_stage
 from corrfuse.evaluation import parse_m2, score_corpus
 from corrfuse.policy import greedy_decode, parse_model, parse_vocab
@@ -263,6 +264,13 @@ def _insert_header_field(path: Path, field: str) -> None:
     path.write_text(f"{magic} {version} {field} {rest}\n{body}", encoding="utf-8")
 
 
+def _set_max_len(path: Path, value: int) -> None:
+    """Give the checkpoint's header the decode limit ``value``."""
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    fields = [f"max_len={value}" if f.startswith("max_len=") else f for f in header.split()]
+    path.write_text(" ".join(fields) + "\n" + body, encoding="utf-8")
+
+
 def _append_line(path: Path, line: str) -> None:
     path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
 
@@ -355,6 +363,8 @@ def _append_line(path: Path, line: str) -> None:
         ),
         (["ddt"], lambda run_dir: _insert_header_field(run_dir / "models/model_1.txt", "vocab=99")),
         (["stages"], lambda run_dir: _replace_line(run_dir / "models/model_1.txt", 2, "abc")),
+        (["ddt"], lambda run_dir: _set_max_len(run_dir / "models/model_1.txt", 129)),
+        (["stages"], lambda run_dir: _set_max_len(run_dir / "models/model_1.txt", 129)),
     ],
 )
 def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):
@@ -431,9 +441,9 @@ def test_overlong_hypothesis_line_is_data_error(workdir, capsys, command):
 
 
 def test_decode_limit_above_aligner_limit_is_usage_error(workdir, capsys):
-    assert run(workdir, ["train"], "--set", "policy.max_len=200") == 0
+    assert run(workdir, ["train"], "--set", "policy.max_len=200") == 2
     assert run(workdir, ["stages"], "--set", "policy.max_len=200") == 2
-    assert "policy.max_len must be <= 128" in capsys.readouterr().err
+    assert "policy.max_len must be in [1,128]" in capsys.readouterr().err
 
 
 def test_stages_checks_dev_references_against_every_decode_limit(workdir, capsys):
@@ -727,6 +737,85 @@ def test_stages_artifacts_do_not_depend_on_the_search_memo(pipeline, tmp_path, m
         assert run(copy, ["stages"], *REUSE) == 0
         results.append((capsys.readouterr().out, tree_bytes(copy)))
     assert results[0] == results[1]
+
+
+def stage_file(cwd: Path, stage: int, name: str) -> str:
+    """The text of ``run/out/stage<stage>.<name>`` under ``cwd``."""
+    return (cwd / f"run/out/stage{stage}.{name}").read_text(encoding="utf-8")
+
+
+def test_stage_files_are_what_tune_and_combine_make_of_the_stage_outputs(tmp_path):
+    """One combination path across commands: ``tune`` on a stage's component
+    outputs, seeded as ``stages`` seeds that stage, writes the stage's
+    weights, and ``combine`` with them writes its combined outputs."""
+    sizes = ("--set", "gen.train=8", "--set", "gen.dev=8")
+    assert [run(tmp_path, [command], *sizes, *REUSE) for command in ("gen", "train", "stages")] == [0] * 3
+    schema = combiner.FeatureSchema(3)
+    for stage in range(5):
+        weights = stage_file(tmp_path, stage, "weights")
+        # tuned weights, not the defaults, or the comparisons below show nothing
+        assert combiner.parse_weights(weights, schema).tolist() != schema.default_weights().tolist()
+        hyps = ",".join(f"run/out/stage{stage}.sys{m}.hyp" for m in range(3))
+        assert run(tmp_path, ["tune"], *REUSE, "--set", f"tune.hyps={hyps}",
+                   "--set", f"tune.seed={5003 + stage}", "--set", "tune.out=run/check.weights") == 0
+        assert (tmp_path / "run/check.weights").read_text(encoding="utf-8") == weights
+        assert run(tmp_path, ["combine"], "--set", f"combine.hyps={hyps}",
+                   "--set", "combine.weights=run/check.weights", "--set", "combine.out=run/check.hyp") == 0
+        combined = (tmp_path / "run/check.hyp").read_text(encoding="utf-8")
+        assert combined == stage_file(tmp_path, stage, "combined.hyp")
+
+
+def tiny_config() -> ExperimentConfig:
+    """The config that ``run`` gives ``cli.main``, for in-process calls."""
+    args = cli.build_parser().parse_args(["stages", *TINY])
+    return ExperimentConfig.load(None, {"seed": args.seed, **dict(kv.split("=", 1) for kv in args.set)})
+
+
+def test_run_stages_yields_what_the_stage_files_hold(pipeline, monkeypatch):
+    """``run_stages`` in process: each record formats to its stage's files
+    and carries its DDT losses and the pool that ``tune_loop`` returned."""
+    root, _, _ = pipeline
+    monkeypatch.chdir(root)
+    pools, tune = [], cli.tune_loop
+
+    def recorded_tune(*args, **kwargs):
+        weights, pool = tune(*args, **kwargs)
+        pools.append(pool)
+        return weights, pool
+
+    monkeypatch.setattr(cli, "tune_loop", recorded_tune)
+    cfg = tiny_config()
+    sources, golds = cli._load_split(cfg, "dev")
+    refs = cli._read_token_lines(cfg.get_str("data.dev_ref"))
+    records = list(cli.run_stages(cfg, cli._load_models(cfg), sources, golds, refs, cli._load_lm(cfg)))
+
+    assert [record.report.stage for record in records] == [0, 1, 2]
+    assert len(pools) == len(records)
+    schema = combiner.FeatureSchema(3)
+    for record, pool in zip(records, pools):
+        stage = record.report.stage
+        assert record.pool is pool
+        assert cli._lines_text(record.combined) == stage_file(root, stage, "combined.hyp")
+        assert combiner.format_weights(schema, record.weights) == stage_file(root, stage, "weights")
+        for m, outputs in enumerate(record.report.outputs):
+            assert cli._lines_text(outputs) == stage_file(root, stage, f"sys{m}.hyp")
+        losses = (record.report.mle_loss, record.report.mean_reward)
+        assert all(map(math.isnan, losses)) if stage == 0 else all(map(math.isfinite, losses))
+
+
+def test_stages_scores_each_distinct_output_once(workdir, monkeypatch):
+    """Component and combined outputs share one memo of corpus scores: a
+    model's outputs recur over the stages that do not train it."""
+    scored, score = [], cli.score_corpus
+    monkeypatch.setattr(cli, "score_corpus", lambda s, hyps, g: scored.append(tuple(hyps)) or score(s, hyps, g))
+    assert run(workdir, ["stages"], *REUSE) == 0
+    outputs = [
+        tuple(map(tokenize, stage_file(workdir, stage, f"{name}.hyp").splitlines()))
+        for stage in range(5)
+        for name in ("combined", "sys0", "sys1", "sys2")
+    ]
+    assert len(scored) == len(set(scored)) == len(set(outputs)) < len(outputs)
+    assert set(scored) == set(outputs)
 
 
 def test_repeated_token_outputs_combine_quickly(tmp_path):
