@@ -52,7 +52,7 @@ made into the permanent generation, which no collection examines again:
 neither the full collections during a run nor those at interpreter exit, and
 the OS takes their memory back when the process ends.  That cuts the exit of
 a CLI child from about 35 ms to about 7 ms.  A command's own import of
-``policy`` or ``toydata`` comes after the freeze and adds about 250 or 290
+``policy`` or ``toydata`` comes after the freeze and adds about 260 or 270
 tracked objects, too few to lose that saving.  No output can depend on it:
 the collector only frees unreachable cycles, and no command reads when or
 whether it ran.
@@ -371,24 +371,22 @@ def cmd_gen(cfg: ExperimentConfig) -> Result:
     rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
     seed = cfg.get_int("seed")
     oversample = cfg.get_int("gen.oversample")
-    # all splits draw reference sentences from one grammar stream, so dev and
-    # test are freshly corrupted versions of sentences the models trained on;
-    # the train split is oversampled with independent corruption passes
+    # every split draws its references from the start of one grammar stream,
+    # so dev and test are freshly corrupted versions of sentences the models
+    # trained on; each split has its own corruption stream, and train
+    # corrupts its references ``gen.oversample`` times from it
     grammar_seed = seed * 8
     files: dict[str, str] = {}
     summary: dict[str, object] = {}
     for split_idx, split in enumerate(("train", "dev", "test")):
-        n = cfg.get_int(f"gen.{split}")
-        passes = oversample if split == "train" else 1
-        examples = []
-        for corruption_pass in range(passes):
-            examples += generate_corpus(
-                grammar_seed=grammar_seed,
-                n_sentences=n,
-                rules=rules,
-                rng_seed=seed * 100 + split_idx * 50 + corruption_pass,
-                grammar=grammar,
-            )
+        examples = generate_corpus(
+            grammar_seed=grammar_seed,
+            n_sentences=cfg.get_int(f"gen.{split}"),
+            rules=rules,
+            rng_seed=seed * 100 + split_idx * 50,
+            grammar=grammar,
+            passes=oversample if split == "train" else 1,
+        )
         src_path = cfg.get_str(f"data.{split}_src")
         ref_path = cfg.get_str(f"data.{split}_ref")
         m2_path = cfg.get_str(f"data.{split}_m2")

@@ -226,10 +226,6 @@ class SearchSpace:
         object.__setattr__(self, "packed", tuple(packed))
         object.__setattr__(self, "kbest", {})
 
-    @property
-    def n_systems(self) -> int:
-        return len(self.hyps)
-
     def schema(self) -> FeatureSchema:
         return FeatureSchema(len(self.hyps))
 

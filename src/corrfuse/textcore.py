@@ -73,12 +73,6 @@ class Edit:
             return "delete"
         return "substitute"
 
-    @property
-    def ops(self) -> int:
-        """Single-token operation count: a k-token replacement of an
-        l-token span counts max(k, l)."""
-        return max(self.end - self.start, len(self.replacement))
-
 
 EditScript = tuple[Edit, ...]
 

@@ -3,30 +3,20 @@ from a small template grammar, then inject common grammatical errors with
 per-rule probabilities.  Gold edits are the exact inverse corrections,
 recorded as the canonical minimal edit script from erroneous to correct.
 
-Every sentence has two random streams, each a PCG64 seeded by a NumPy
-``SeedSequence`` child: spawn key i of the grammar seed for reference i, and
-spawn key i of the corruption seed for its errors.
-``tests/oracles.py:oracle_generate_corpus`` builds those generators one by
-one and is the reference.  ``generate_corpus`` instead derives every
-sentence's starting state in one vectorized pass and reseeds one generator
-with it.  This relies on NumPy's stream-compatibility policy (NEP 19),
-which keeps ``SeedSequence`` (a fixed hash, O'Neill's ``seed_seq`` design for
-PCG) and PCG64's seeding stable across releases; the tests compare the
-derived states with the installed NumPy's own.
-
-Reference i depends only on (grammar, grammar seed, i), so the references
-of the last stream drawn are kept and shared by the next corpus that asks
-for them: ``gen``'s corruption passes and splits, and fusegen's source and
-system passes, each read one grammar stream back to back.  The corruption
-stream is per pass and never shared.  The reference cache is bounded
-because the benchmark's own process runs fusegen, and its memory peak is
-passed on to the ``peak_rss_mb`` of the CLI children it starts.
+A corpus reads two plain generators, each drawn in order: references from
+``np.random.default_rng(grammar_seed)`` and corruptions from
+``np.random.default_rng(rng_seed)``.  Sentence i draws from each where
+sentence i - 1 stopped, so the first n examples do not depend on how many
+are asked for.  Further corruption passes over the same references (``gen``
+oversamples its train split this way) go on drawing from the one
+corruption stream.  An example's gold edits are computed when read.
+``tests/oracles.py:oracle_generate_corpus`` draws the same streams its own
+way and is the reference.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -179,9 +169,15 @@ def sample_sentence(rng: np.random.Generator, grammar: Grammar) -> TokenSeq:
 class CorpusExample:
     source: TokenSeq  # erroneous
     reference: TokenSeq  # correct
-    gold_edits: EditScript
     applied: tuple[str, ...]
     eligible: tuple[str, ...]
+
+    @property
+    def gold_edits(self) -> EditScript:
+        """The edits that turn ``source`` into ``reference``, computed when
+        read: a system pass of the benchmark's input writer never reads
+        them."""
+        return edit_script(self.source, self.reference)
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,140 +238,42 @@ def _corrupt(
     return tokens, True, True
 
 
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's multiplier (numpy/random/src/pcg64/pcg64.h)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_MAX_SENTENCES = 2**32  # each sentence's spawn key is one 32-bit word
-
-
-def _spawn_words(entropy: int, keys: np.ndarray) -> np.ndarray:
-    """Row j is ``SeedSequence(entropy, spawn_key=(keys[j],)).generate_state(
-    4, np.uint64)``, the words PCG64 seeds from, for 32-bit ``keys``: 32
-    bytes per key, all computed in one vectorized pass.
-
-    The parent pool is NumPy's own, so a bad ``entropy`` raises as
-    ``SeedSequence`` does.  The spawn key is the last word of the entropy
-    NumPy assembles, so the child pool is the parent's with the key word
-    mixed into each of its 4 words in turn.  By then the hash constant has
-    served the pool's 4 words, their 12 cross-mixes and 4 mixes for each
-    entropy word past the pool's 4.
-    """
-    pool = np.random.SeedSequence(entropy).pool
-    entropy_words = max(1, -(-operator.index(entropy).bit_length() // 32))
-    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, entropy_words - 4), 2**32) & _MASK32
-    keys = np.asarray(keys, dtype=np.uint32)
-    pool = np.tile(pool, (len(keys), 1))
-    for dst in range(4):
-        value = keys ^ np.uint32(hash_a)
-        hash_a = hash_a * _MULT_A & _MASK32
-        value *= np.uint32(hash_a)
-        value ^= value >> 16
-        mixed = np.uint32(_MIX_MULT_L) * pool[:, dst] - np.uint32(_MIX_MULT_R) * value
-        pool[:, dst] = mixed ^ (mixed >> 16)
-    # generate_state: 8 words cycling over the pool, read as little-endian pairs
-    state = np.empty((len(keys), 8), dtype="<u4")
-    hash_b = _INIT_B
-    for j in range(8):
-        value = pool[:, j % 4] ^ np.uint32(hash_b)
-        hash_b = hash_b * _MULT_B & _MASK32
-        value *= np.uint32(hash_b)
-        state[:, j] = value ^ (value >> 16)
-    return state.view("<u8")
-
-
-def _reseed(bit_generator: np.random.PCG64, words: np.ndarray) -> None:
-    """Put ``bit_generator`` in the state a PCG64 seeded with ``words`` (a
-    row of ``_spawn_words``) starts from: PCG's srandom, as NumPy's
-    ``pcg64_set_seed`` runs it, with the first two words as the initial
-    state and the last two as the stream."""
-    state_hi, state_lo, seq_hi, seq_lo = words.tolist()
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-# (grammar, grammar seed, its references 0..k-1) of the last reference stream
-# drawn, k at most _REFERENCE_CACHE_SIZE (see the module docstring for why it
-# is bounded); default ``gen`` reuses 150
-_REFERENCE_CACHE_SIZE = 1024
-_last_references: tuple[object, object, list[TokenSeq]] = (None, None, [])
-
-
-def _references(grammar: Grammar, grammar_seed: int, n: int, gen: np.random.Generator) -> list[TokenSeq]:
-    """References 0..n-1 of ``grammar_seed``'s stream; those not cached are
-    drawn with ``gen``."""
-    global _last_references
-    cached_grammar, cached_seed, cached = _last_references
-    # a comparison, not a hash: the same grammar object matches by identity
-    references = cached[:n] if (cached_grammar, cached_seed) == (grammar, grammar_seed) else []
-    if len(references) < n:
-        for words in _spawn_words(grammar_seed, np.arange(len(references), n, dtype=np.uint32)):
-            _reseed(gen.bit_generator, words)
-            references.append(sample_sentence(gen, grammar))
-    _last_references = (grammar, grammar_seed, references[:_REFERENCE_CACHE_SIZE])
-    return references
-
-
 def generate_corpus(
     grammar_seed: int,
     n_sentences: int,
     rules: Sequence[CorruptionRule] = DEFAULT_RULES,
     rng_seed: int = 1,
     grammar: Grammar = DEFAULT_GRAMMAR,
+    passes: int = 1,
 ) -> list[CorpusExample]:
-    """Deterministic corpus of (erroneous, correct, gold edits) examples.
+    """Deterministic corpus of (erroneous, correct) examples,
+    ``passes * n_sentences`` of them, pass by pass.
 
-    Sentence i draws its reference from PCG64 seeded by
-    ``np.random.SeedSequence(grammar_seed, spawn_key=(i,))`` and its
-    corruptions from ``SeedSequence(rng_seed, spawn_key=(i,))``, so
-    generation order (or parallel generation) cannot change the output;
-    ``tests/oracles.py:oracle_generate_corpus`` builds those generators and
-    is the reference.  Here one generator is set, before each sentence's
-    draws, to the state its stream starts from, derived for all sentences
-    at once (see the module docstring).  References come from the last
-    stream's cache where they can; the corruption stream is drawn afresh
-    for each call, and not at all when ``rules`` is empty.  At most 2**32
-    sentences: a spawn key is one 32-bit word here.
+    Draws ``n_sentences`` references in order from
+    ``np.random.default_rng(grammar_seed)`` and corrupts them once per pass,
+    with draws taken in order from one ``np.random.default_rng(rng_seed)``.
+    Every pass has the same references, and each pass goes on where the
+    corruption stream stopped.  So the first n examples of a pass have the
+    references of the corpus of n sentences, and with ``passes=1`` they are
+    that corpus.  A bad seed raises as NumPy does.
     """
     if n_sentences < 1:
         raise ValueError("need at least one sentence")
-    if n_sentences > _MAX_SENTENCES:
-        raise ValueError(f"at most {_MAX_SENTENCES} sentences, got {n_sentences}")
+    grammar_rng = np.random.default_rng(grammar_seed)
+    corruption_rng = np.random.default_rng(rng_seed)
     targets = _rule_targets(grammar)
-    gen = np.random.Generator(np.random.PCG64(0))  # reseeded before every sentence
-    references = _references(grammar, grammar_seed, n_sentences, gen)
-    if rules:  # an empty rule set reads no corruption stream
-        corruption_words = _spawn_words(rng_seed, np.arange(n_sentences, dtype=np.uint32))
+    references = [sample_sentence(grammar_rng, grammar) for _ in range(n_sentences)]
     examples = []
-    for i, reference in enumerate(references):
-        tokens = list(reference)
-        applied: list[str] = []
-        eligible: list[str] = []
-        if rules:
-            _reseed(gen.bit_generator, corruption_words[i])
-        for rule in rules:
-            tokens, was_eligible, was_applied = _corrupt(tokens, rule, gen, targets)
-            if was_eligible:
-                eligible.append(rule.kind)
-            if was_applied:
-                applied.append(rule.kind)
-        source = tuple(tokens)
-        examples.append(
-            CorpusExample(
-                source=source,
-                reference=reference,
-                gold_edits=edit_script(source, reference),
-                applied=tuple(applied),
-                eligible=tuple(eligible),
-            )
-        )
+    for _ in range(passes):
+        for reference in references:
+            tokens = list(reference)
+            applied: list[str] = []
+            eligible: list[str] = []
+            for rule in rules:
+                tokens, was_eligible, was_applied = _corrupt(tokens, rule, corruption_rng, targets)
+                if was_eligible:
+                    eligible.append(rule.kind)
+                if was_applied:
+                    applied.append(rule.kind)
+            examples.append(CorpusExample(tuple(tokens), reference, tuple(applied), tuple(eligible)))
     return examples

@@ -3,8 +3,8 @@
 These deliberately reuse as little of the library as possible: expectations
 come from exhaustive enumeration of the sampling distribution, "exact"
 gradients come from central finite differences of enumerated expectations,
-and the toy corpus comes from a plain per-sentence generator that draws
-every reference and corruption stream afresh.
+and the toy corpus comes from plain generators, with the references redrawn
+from a fresh generator for every pass.
 """
 
 import itertools
@@ -15,7 +15,6 @@ import numpy as np
 
 from corrfuse.policy import EOS_ID, logprob
 from corrfuse.rewards import reward
-from corrfuse.textcore import edit_script
 from corrfuse.toydata import (
     DEFAULT_GRAMMAR,
     DEFAULT_RULES,
@@ -116,36 +115,38 @@ def oracle_generate_corpus(
     rules: Sequence[CorruptionRule] = DEFAULT_RULES,
     rng_seed: int = 1,
     grammar: Grammar = DEFAULT_GRAMMAR,
+    passes: int = 1,
 ) -> list[CorpusExample]:
-    """Deterministic corpus of (erroneous, correct, gold edits) examples.
+    """Deterministic corpus of (erroneous, correct) examples, ``passes``
+    times over the same references.
 
-    Sentence i derives its generators from (seed, i) so generation order
-    (or parallel generation) cannot change the output.
+    Each pass draws its references afresh from a new generator seeded
+    ``grammar_seed``; all passes draw their corruptions, in order, from one
+    generator seeded ``rng_seed``.
     """
     if n_sentences < 1:
         raise ValueError("need at least one sentence")
+    c_rng = np.random.default_rng(rng_seed)
     examples = []
-    for i in range(n_sentences):
-        g_rng = np.random.default_rng(np.random.SeedSequence(entropy=grammar_seed, spawn_key=(i,)))
-        c_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(i,)))
-        reference = sample_sentence(g_rng, grammar)
-        tokens = list(reference)
-        applied: list[str] = []
-        eligible: list[str] = []
-        for rule in rules:
-            tokens, was_eligible, was_applied = _oracle_corrupt(tokens, rule, c_rng, grammar)
-            if was_eligible:
-                eligible.append(rule.kind)
-            if was_applied:
-                applied.append(rule.kind)
-        source = tuple(tokens)
-        examples.append(
-            CorpusExample(
-                source=source,
-                reference=reference,
-                gold_edits=edit_script(source, reference),
-                applied=tuple(applied),
-                eligible=tuple(eligible),
+    for _ in range(passes):
+        g_rng = np.random.default_rng(grammar_seed)
+        for _ in range(n_sentences):
+            reference = sample_sentence(g_rng, grammar)
+            tokens = list(reference)
+            applied: list[str] = []
+            eligible: list[str] = []
+            for rule in rules:
+                tokens, was_eligible, was_applied = _oracle_corrupt(tokens, rule, c_rng, grammar)
+                if was_eligible:
+                    eligible.append(rule.kind)
+                if was_applied:
+                    applied.append(rule.kind)
+            examples.append(
+                CorpusExample(
+                    source=tuple(tokens),
+                    reference=reference,
+                    applied=tuple(applied),
+                    eligible=tuple(eligible),
+                )
             )
-        )
     return examples

@@ -49,7 +49,7 @@ class RefSearchState:
 def ref_initial_state(space: SearchSpace, lm: NGramLM) -> RefSearchState:
     schema = space.schema()
     return RefSearchState(
-        used=(0,) * space.n_systems,
+        used=(0,) * len(space.hyps),
         out=(),
         lm_ctx=lm.start_context(),
         feats=(0.0,) * schema.dim,
@@ -77,7 +77,7 @@ def ref_extensions(
 ) -> list[RefSearchState]:
     if state.done:
         return []
-    n = space.n_systems
+    n = len(space.hyps)
     succs: dict[tuple, RefSearchState] = {}
     exhausted = False
     for s in range(n):
@@ -246,7 +246,7 @@ def unpacked_extensions(
     packed = (used, state.out, state.lm_ctx, state.feats, state.score)
     succs, end = extensions(space, packed, lm, weights)
     result = [
-        (tuple(u >> (s * width) & field for s in range(space.n_systems)), *rest, False)
+        (tuple(u >> (s * width) & field for s in range(len(space.hyps))), *rest, False)
         for u, *rest in succs
     ]
     if end is not None:

@@ -103,6 +103,47 @@ def test_rerun_is_byte_identical(pipeline, tmp_path, capsys):
     assert tree_bytes(tmp_path / "b") == tree_bytes(root)
 
 
+def gen_data(cwd: Path, *settings: str) -> dict[str, str]:
+    """The text of every file ``gen`` writes on the tiny config with
+    ``settings``, run in a fresh ``cwd``."""
+    cwd.mkdir()
+    with contextlib.redirect_stdout(None):
+        assert run(cwd, ["gen"], *(arg for kv in settings for arg in ("--set", kv))) == 0
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted((cwd / "run" / "data").iterdir())}
+
+
+def m2_blocks(text: str) -> list[str]:
+    return text.strip("\n").split("\n\n")
+
+
+@pytest.mark.parametrize("settings", [("gen.train=7",), ("gen.oversample=1",), ("gen.train=1", "gen.oversample=3")])
+def test_gen_dev_and_test_do_not_depend_on_the_train_split(tmp_path, settings):
+    def held_out(files):
+        return {name: text for name, text in files.items() if name.startswith(("dev.", "test."))}
+
+    base, other = gen_data(tmp_path / "base"), gen_data(tmp_path / "other", *settings)
+    assert other["train.ref"] != base["train.ref"]
+    assert len(held_out(other)) == 6 and held_out(other) == held_out(base)
+
+
+def test_gen_a_shorter_dev_split_is_a_prefix_of_a_longer_one(tmp_path):
+    short, long = gen_data(tmp_path / "short", "gen.dev=4"), gen_data(tmp_path / "long", "gen.dev=8")
+    for name in ("dev.src", "dev.ref"):
+        assert len(short[name].splitlines()) == 4
+        assert short[name].splitlines() == long[name].splitlines()[:4]
+    assert len(m2_blocks(long["dev.m2"])) == 8
+    assert m2_blocks(short["dev.m2"]) == m2_blocks(long["dev.m2"])[:4]
+
+
+@pytest.mark.parametrize("oversample", [1, 3])
+def test_gen_oversampling_repeats_the_train_references(tmp_path, oversample):
+    # a split's references are the first ones of the grammar stream, so the
+    # first 3 of the 5 dev references are the train references
+    files = gen_data(tmp_path / "run", "gen.dev=5", f"gen.oversample={oversample}")
+    assert files["train.ref"].splitlines() == files["dev.ref"].splitlines()[:3] * oversample
+    assert len(m2_blocks(files["train.m2"])) == 3 * oversample
+
+
 @pytest.fixture
 def workdir(pipeline, tmp_path):
     """A private copy of the finished pipeline directory."""

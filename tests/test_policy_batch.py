@@ -905,13 +905,13 @@ def test_stacked_kernel_on_the_benchmark_train_inputs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n_models, max_len, kept",
-    [(1, 16, 36), (4, 16, 36), (3, 7, 24)],
+    "n_models, max_len, drops",
+    [(1, 16, False), (4, 16, False), (3, 6, True)],
     ids=["one-model", "four-models", "pairs-over-max-len-dropped"],
 )
-def test_lockstep_training_matches_separate_training(tmp_path, capsys, n_models, max_len, kept):
+def test_lockstep_training_matches_separate_training(tmp_path, capsys, n_models, max_len, drops):
     """36 pairs in minibatches of 7, so the last minibatch is smaller
-    (1 row, or 3 of the 24 pairs that fit ``policy.max_len`` 7)."""
+    (1 row); with ``policy.max_len`` 6, only the pairs that fit train."""
     src, ref = gen_train_data(tmp_path, 5, 9)
     settings = {"train.batch": 7, "train.epochs": 3, "train.models": n_models,
                 "policy.max_len": max_len, "data.dir": str(tmp_path / "run")}
@@ -920,7 +920,7 @@ def test_lockstep_training_matches_separate_training(tmp_path, capsys, n_models,
     summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     cfg = ExperimentConfig.load(None, overrides={"seed": 5, **settings})
     pairs = [(x, y) for x, y in zip(src, ref) if len(y) <= max_len]
-    assert len(pairs) == kept
+    assert 0 < len(pairs) < 36 if drops else len(pairs) == 36
     vocab = Vocabulary.build(tok for x, y in pairs for tok in x + y)
     models, nlls = cli._train_models(cfg, vocab, pairs)
     assert len(models) == n_models

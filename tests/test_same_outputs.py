@@ -1,5 +1,6 @@
 """``first_problem`` of ``tools/same_outputs.py``: the rule by which two
-trees' runs of a case count as the same outputs, on hand-made results."""
+trees' runs of a case count as the same outputs, on hand-made results; and
+``main``, which reports every case that differs."""
 
 import importlib.util
 import sys
@@ -69,3 +70,19 @@ def test_a_differing_or_unmatched_file_is_different(head_files):
 
 def test_equal_results_have_no_problem():
     assert TOOL.first_problem(CASE, (STEPS, FILES), (list(STEPS), dict(FILES))) is None
+
+
+def test_every_differing_case_is_reported(monkeypatch, capsys):
+    differing = ("default", "fuse-seed3000")
+    monkeypatch.setattr(TOOL, "unpack", lambda rev, dest: None)
+
+    def run_case(case, src, cwd):
+        head = src == TOOL.ROOT / "src"
+        return STEPS, {**FILES, "run/a.txt": "33"} if head and case.name in differing else FILES
+
+    monkeypatch.setattr(TOOL, "run_case", run_case)
+    assert TOOL.main(["--base", "HEAD"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].strip() for line in lines if line.startswith("DIFFERENT:")] == list(differing)
+    assert sum(line.startswith("same: ") for line in lines) == 8
+    assert lines[-1] == "not the same outputs as HEAD: 2 of 10 cases"

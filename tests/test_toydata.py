@@ -1,9 +1,11 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from oracles import oracle_generate_corpus
 
-from corrfuse import toydata
 from corrfuse.evaluation import GoldAnnotation, parse_m2, format_m2, score_sentence
 from corrfuse.textcore import Edit, apply_edits, tokenize
 from corrfuse.toydata import (
@@ -138,6 +140,12 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError):
             CorruptionRule("spellcheck", 0.5)
 
+    def test_gold_edits_are_read_from_source_and_reference(self):
+        example = CorpusExample(("cat", "runs", "."), ("the", "cat", "runs", "."), ("drop_determiner",), ())
+        assert example.gold_edits == (Edit(0, 0, ("the",)),)
+        assert "gold_edits" not in {field.name for field in dataclasses.fields(CorpusExample)}
+        assert example == CorpusExample(example.source, example.reference, example.applied, example.eligible)
+
     def test_m2_round_trip_for_generated_gold(self):
         examples = generate_corpus(17, 50, rng_seed=18)
         annotations = [GoldAnnotation(ex.source, (ex.gold_edits,)) for ex in examples]
@@ -154,20 +162,19 @@ ORACLE_RULE_SETS = {
     "one_kind": (CorruptionRule("preposition_swap", 0.9),),
     "none": (),
 }
-EVICTING_SENTENCES = 1500  # more references than the generator keeps
 
 
 class TestGenerateCorpusOracle:
-    """``generate_corpus`` equals the per-sentence oracle, which draws every
-    reference and corruption stream afresh, example for example."""
+    """``generate_corpus`` equals the sequential oracle, which draws the
+    references of every pass from a fresh generator, example for example."""
 
     @pytest.mark.parametrize("rules", ORACLE_RULE_SETS.values(), ids=ORACLE_RULE_SETS)
     def test_grammars_at_equal_grammar_seeds(self, rules):
         # the same seed and index under another grammar is another reference
         for grammar in (DEFAULT_GRAMMAR, ONE_PREPOSITION, DEFAULT_GRAMMAR):
-            for grammar_seed, rng_seed in ((21, 3), (22, 3), (21, 4)):
-                expected = oracle_generate_corpus(grammar_seed, 60, rules, rng_seed, grammar)
-                assert generate_corpus(grammar_seed, 60, rules, rng_seed, grammar) == expected
+            for grammar_seed, rng_seed, passes in itertools.product((21, 22), (3, 4), (1, 3)):
+                expected = oracle_generate_corpus(grammar_seed, 60, rules, rng_seed, grammar, passes)
+                assert generate_corpus(grammar_seed, 60, rules, rng_seed, grammar, passes) == expected
 
     @pytest.mark.parametrize("rules", ORACLE_RULE_SETS.values(), ids=ORACLE_RULE_SETS)
     def test_warm_after_other_rules_and_seeds(self, rules):
@@ -177,83 +184,20 @@ class TestGenerateCorpusOracle:
         for grammar in (DEFAULT_GRAMMAR, ONE_PREPOSITION):
             assert generate_corpus(31, 50, rules, 9, grammar) == oracle_generate_corpus(31, 50, rules, 9, grammar)
 
-    def test_more_references_than_the_cache_holds(self):
-        expected = oracle_generate_corpus(41, EVICTING_SENTENCES, DEFAULT_RULES, 5)
-        assert generate_corpus(41, EVICTING_SENTENCES, DEFAULT_RULES, 5) == expected
-        assert generate_corpus(41, EVICTING_SENTENCES, DEFAULT_RULES, 5) == expected
-        assert generate_corpus(41, 40, DEFAULT_RULES, 5) == expected[:40]
+
+@pytest.mark.parametrize("rules", ORACLE_RULE_SETS.values(), ids=ORACLE_RULE_SETS)
+def test_a_shorter_corpus_is_a_prefix_of_a_longer_one(rules):
+    longer = generate_corpus(41, 300, rules, 5)
+    for n in (1, 40, 299):
+        assert generate_corpus(41, n, rules, 5) == longer[:n]
 
 
-def test_eviction_case_exceeds_the_reference_cache():
-    assert EVICTING_SENTENCES > toydata._REFERENCE_CACHE_SIZE
-
-
-def test_a_call_past_the_cache_size_keeps_at_most_the_cache_size():
-    generate_corpus(42, EVICTING_SENTENCES, (), 0)
-    assert len(toydata._last_references[2]) == toydata._REFERENCE_CACHE_SIZE
-    generate_corpus(43, 10, DEFAULT_RULES, 5)
-    assert len(toydata._last_references[2]) == 10
-
-
-SPAWN_ENTROPIES = (0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**160 + 3)
-SPAWN_KEYS = (0, 1, 1023, 2**31, 2**32 - 1)
-
-
-class TestSpawnedStreams:
-    """The batch derivation against NumPy's own ``SeedSequence`` children."""
-
-    @pytest.mark.parametrize("entropy", SPAWN_ENTROPIES)
-    def test_states_equal_numpys(self, entropy):
-        words = toydata._spawn_words(entropy, np.array(SPAWN_KEYS, dtype=np.uint32))
-        assert words.shape == (len(SPAWN_KEYS), 4) and words.nbytes == 32 * len(SPAWN_KEYS)
-        bit_generator = np.random.PCG64(0)
-        for key, row in zip(SPAWN_KEYS, words):
-            toydata._reseed(bit_generator, row)
-            expected = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(key,)))
-            assert bit_generator.state == expected.state, (entropy, key)
-
-    def test_a_reseeded_generator_draws_as_a_fresh_one(self):
-        def draws(rng):
-            return [(rng.random(), int(rng.integers(k))) for k in (2, 5, 4, 1000, 2**40)]
-
-        shared = np.random.Generator(np.random.PCG64(0))
-        for entropy in SPAWN_ENTROPIES:
-            words = toydata._spawn_words(entropy, np.array(SPAWN_KEYS, dtype=np.uint32))
-            for key, row in zip(SPAWN_KEYS, words):
-                shared.integers(5)  # leaves half of a 64-bit draw buffered
-                toydata._reseed(shared.bit_generator, row)
-                fresh = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(key,)))
-                assert draws(shared) == draws(fresh), (entropy, key)
-
-    def test_negative_entropy_raises_as_numpy_does(self):
-        with pytest.raises(ValueError) as numpy_error:
-            np.random.SeedSequence(-1, spawn_key=(0,))
-        with pytest.raises(ValueError) as derived_error:
-            toydata._spawn_words(-1, np.arange(3, dtype=np.uint32))
-        assert str(derived_error.value) == str(numpy_error.value)
-        for grammar_seed, rng_seed in ((-1, 1), (-2**40, 1), (44, -1)):
-            with pytest.raises(ValueError, match=str(numpy_error.value)):
-                generate_corpus(grammar_seed, 3, DEFAULT_RULES, rng_seed)
-
-
-@pytest.fixture
-def seed_sequences_built(monkeypatch):
-    """Counts the ``SeedSequence`` objects built through ``np.random``."""
-    built = []
-    real = np.random.SeedSequence
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "SeedSequence", counting)
-    return built
-
-
-def test_a_call_builds_no_seed_sequence_per_sentence(seed_sequences_built):
-    examples = generate_corpus(45, 300, DEFAULT_RULES, 6)  # no reference cached
-    assert len(seed_sequences_built) <= 2  # one per stream, not 600
-    assert examples == oracle_generate_corpus(45, 300, DEFAULT_RULES, 6)
+def test_a_negative_seed_raises_as_numpy_does():
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(-1)
+    for grammar_seed, rng_seed in ((-1, 1), (-2**40, 1), (44, -1)):
+        with pytest.raises(ValueError, match=str(numpy_error.value)):
+            generate_corpus(grammar_seed, 3, DEFAULT_RULES, rng_seed)
 
 
 def test_a_call_hashes_its_grammar_once(monkeypatch):
@@ -264,13 +208,6 @@ def test_a_call_hashes_its_grammar_once(monkeypatch):
         generate_corpus(46, 300, DEFAULT_RULES, rng_seed, grammar)
         assert len(hashes) <= 1
         hashes.clear()
-
-
-def test_more_sentences_than_spawn_keys_raise_before_any_draw(seed_sequences_built):
-    cached = toydata._last_references
-    with pytest.raises(ValueError, match="at most 4294967296 sentences"):
-        generate_corpus(47, 2**32 + 1)
-    assert seed_sequences_built == [] and toydata._last_references is cached
 
 
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c", "\x1c"])

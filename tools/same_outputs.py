@@ -18,11 +18,12 @@ thread and ``PYTHONHASHSEED=0`` (``bench/workloads.py`` ``child_env``):
 Each case runs in a fresh directory of each tree.  Every command must exit 0
 in both trees, as the benchmark requires of every step, so that two equal
 failures do not count as a match.  Exit codes, standard output, standard
-error and the sha256 of every file in the case directory must be equal.  The
-first failure or difference is printed and the exit code is 1; the exit code
-is 0 when every command succeeded and every case matched.  The default chain
-takes about 13 s per tree on a 2-vCPU host, and the whole check about a
-minute for both.
+error and the sha256 of every file in the case directory must be equal.
+Every case runs.  A case that failed or differs prints its first failure or
+difference, led by ``FAILED:`` or ``DIFFERENT:``, and the exit code is then
+1; it is 0 when every command succeeded and every case matched.  The default
+chain takes about 13 s per tree on a 2-vCPU host, and the whole check about
+a minute for both.
 """
 
 from __future__ import annotations
@@ -147,16 +148,20 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         base_tree = Path(tmp) / "base"
         unpack(args.base, base_tree)
-        n_files = 0
+        n_files, n_problems = 0, 0
         for case in cases:
             base = run_case(case, base_tree / "src", Path(tmp) / "base-runs" / case.name)
             head = run_case(case, ROOT / "src", Path(tmp) / "head-runs" / case.name)
             problem = first_problem(case, base, head)
             if problem is not None:
-                print(problem)
-                return 1
+                n_problems += 1
+                print(problem, flush=True)
+                continue
             n_files += len(head[1])
             print(f"same: {case.name} ({len(head[0])} commands, {len(head[1])} files)", flush=True)
+    if n_problems:
+        print(f"not the same outputs as {args.base}: {n_problems} of {len(cases)} cases")
+        return 1
     print(f"same outputs as {args.base}: {len(cases)} cases, {n_files} files")
     return 0
 
