@@ -30,9 +30,10 @@ one process, so ``--jobs`` accepts only 1.
 
 ``run_stages`` is the in-process entry for study scripts: it yields one
 ``StageResult`` per DDT stage, and ``cmd_stages`` only scores them (one
-memoized ``_scorer`` per split), picks the best and formats.  ``tune.seed``
-is derived in ``_tune`` alone and ``eval.seed`` in ``_p_value`` alone.  The
-decode limit ``policy.max_len`` is checked where it enters: at config load
+memoized ``_scorer`` per split), picks the best and formats.  Every random
+stream's seed comes from ``config.stream_seed`` by purpose and key: the
+stage's MERT streams in ``_tune``, the significance test's in ``_p_value``.
+The decode limit ``policy.max_len`` is checked where it enters: at config load
 and at checkpoint parse (``policy.parse_model``).
 
 Importing ``cli`` loads every corrfuse module but two: ``policy`` is
@@ -85,7 +86,7 @@ from .combiner import (
     parse_weights,
     train_lm,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, stream_seed
 from .ddt import DdtConfig, StageReport, mean_pairwise_diversity, round_robin, train_stage
 from .errors import DataError, NumericError, UsageError
 from .evaluation import (
@@ -268,7 +269,7 @@ def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
         reward_kind=RewardKind(cfg.get_str("ddt.reward")),
         learning_rate=cfg.get_float("ddt.lr"),
         epochs=cfg.get_int("ddt.epochs"),
-        seed=cfg.derived_seed("ddt.seed", 2),
+        seed=stream_seed(cfg, "ddt"),
         normalize_reward=cfg.get_bool("ddt.normalize"),
     )
 
@@ -286,10 +287,10 @@ def _tune(
     """Build the systems' search spaces and tune the combination weights on
     ``sources``/``golds`` with the config's beam (``combine.beam``), k-best
     size (``combine.k``) and MERT schedule (``tune.rounds``, ``tune.iters``,
-    ``tune.random_dirs``), seeded ``tune.seed`` + ``stage``.  Returns the
-    spaces, the tuned weights and the k-best pool.  ``known_spaces`` and
-    ``scores`` are ``build_spaces``'s and ``tune_loop``'s memos, for a caller
-    that tunes several times on the same sentences."""
+    ``tune.random_dirs``), seeded with the ``tune`` stream of ``stage``.
+    Returns the spaces, the tuned weights and the k-best pool.
+    ``known_spaces`` and ``scores`` are ``build_spaces``'s and ``tune_loop``'s
+    memos, for a caller that tunes several times on the same sentences."""
     spaces = build_spaces(outputs_per_model, known_spaces)
     weights, pool = tune_loop(
         sources,
@@ -302,7 +303,7 @@ def _tune(
         rounds=cfg.get_int("tune.rounds"),
         mert_iters=cfg.get_int("tune.iters"),
         n_random=cfg.get_int("tune.random_dirs"),
-        rng_seed=cfg.derived_seed("tune.seed", 3) + stage,
+        rng_seed=stream_seed(cfg, "tune", stage),
         scores=scores,
     )
     return spaces, weights, pool
@@ -354,8 +355,9 @@ def _scorer(
 
 
 def _p_value(cfg: ExperimentConfig, per_a: list[ScoreStats], per_b: list[ScoreStats]) -> float:
-    """The bootstrapped sign test of A against B, seeded ``eval.seed``."""
-    seed = cfg.derived_seed("eval.seed", 4)
+    """The bootstrapped sign test of A against B, seeded with the
+    ``significance`` stream."""
+    seed = stream_seed(cfg, "significance")
     return sign_test_bootstrap(compare_outputs(per_a, per_b), cfg.get_int("eval.resamples"), seed)
 
 
@@ -369,13 +371,12 @@ def cmd_gen(cfg: ExperimentConfig) -> Result:
     grammar_path = cfg.get_str("gen.grammar")
     grammar = _read_text(grammar_path, parse_grammar) if grammar_path else DEFAULT_GRAMMAR
     rules = tuple(CorruptionRule(kind, cfg.get_float("gen.rule_prob")) for kind in RULE_KINDS)
-    seed = cfg.get_int("seed")
     oversample = cfg.get_int("gen.oversample")
-    # every split draws its references from the start of one grammar stream,
-    # so dev and test are freshly corrupted versions of sentences the models
-    # trained on; each split has its own corruption stream, and train
-    # corrupts its references ``gen.oversample`` times from it
-    grammar_seed = seed * 8
+    # every split draws its references from the start of the one
+    # ``references`` stream, so dev and test are freshly corrupted versions of
+    # sentences the models trained on; each split has its own ``corruption``
+    # stream, and train corrupts its references ``gen.oversample`` times from it
+    grammar_seed = stream_seed(cfg, "references")
     files: dict[str, str] = {}
     summary: dict[str, object] = {}
     for split_idx, split in enumerate(("train", "dev", "test")):
@@ -383,7 +384,7 @@ def cmd_gen(cfg: ExperimentConfig) -> Result:
             grammar_seed=grammar_seed,
             n_sentences=cfg.get_int(f"gen.{split}"),
             rules=rules,
-            rng_seed=seed * 100 + split_idx * 50,
+            rng_seed=stream_seed(cfg, "corruption", split_idx),
             grammar=grammar,
             passes=oversample if split == "train" else 1,
         )
@@ -418,7 +419,6 @@ def _train_models(
     """
     from .policy import PolicyModel, StepWorkspace, epoch_batches, mle_step, pad_batches, stack_params
 
-    seed = cfg.get_int("seed")
     n_models = cfg.get_int("train.models")
     models = [
         PolicyModel(
@@ -426,11 +426,11 @@ def _train_models(
             embed_width=cfg.get_int("policy.embed"),
             hidden_width=cfg.get_int("policy.hidden"),
             max_len=cfg.get_int("policy.max_len"),
-            init_seed=seed * 1000 + 100 + i,
+            init_seed=stream_seed(cfg, "init", i),
         )
         for i in range(n_models)
     ]
-    rngs = [np.random.default_rng((seed, 200 + i)) for i in range(n_models)]
+    rngs = [np.random.default_rng(stream_seed(cfg, "order", i)) for i in range(n_models)]
     batch_size = cfg.get_int("train.batch")
     epochs = cfg.get_int("train.epochs")
     lr = cfg.get_float("train.lr")

@@ -96,10 +96,6 @@ class NGramLM:
             tuple[tuple[str, ...], str], tuple[float, tuple[str, ...]]
         ] = {}
 
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(self._types)
-
     def start_context(self) -> tuple[str, ...]:
         return (LM_BOS,) * (self.order - 1)
 

@@ -8,6 +8,8 @@ overrides; the environment is not read.  Every value read from a file or a
 flag is checked against its key's legal values as it is loaded, so a bad
 value fails every command before it reads or writes any data.  Unset path
 keys are derived from data.dir after merging, so a config file is optional.
+The seed of every random stream is derived here, by ``stream_seed``, from
+one table of purposes.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from .alignment import MAX_TOKENS
 from .errors import UsageError
+from .textcore import split_lines
 
 # what a legal value must be, and the test of it
 Check = tuple[str, Callable[[Any], bool]]
@@ -38,7 +43,8 @@ _POSITIVE: Check = ("be finite and > 0", lambda value: math.isfinite(value) and 
 _DECODE_LIMIT: Check = (f"be in [1,{MAX_TOKENS}]", lambda value: 1 <= value <= MAX_TOKENS)
 
 # key -> (type tag, default, check of its legal values or None for any value
-# of the type); a negative component seed means "derive it from seed"
+# of the type); a negative ddt.seed, tune.seed or eval.seed means that its
+# purpose's streams are derived from seed (``stream_seed``)
 KNOWN_KEYS: dict[str, tuple[str, object, Check | None]] = {
     "seed": ("int", 7, _at_least(0)),
     "data.dir": ("str", "runs/toy", None),
@@ -97,6 +103,30 @@ KNOWN_KEYS: dict[str, tuple[str, object, Check | None]] = {
     "div.a": ("str", "", None),
     "div.b": ("str", "", None),
 }
+
+# random-stream purpose -> (its code in the spawn key, the key that replaces
+# seed as its base when >= 0); a stream's own key follows the code
+SEED_PURPOSES: dict[str, tuple[int, str | None]] = {
+    "references": (0, None),  # every split's references
+    "corruption": (1, None),  # split index
+    "init": (2, None),  # model index
+    "order": (3, None),  # model index
+    "ddt": (4, "ddt.seed"),
+    "tune": (5, "tune.seed"),  # stage
+    "significance": (6, "eval.seed"),
+}
+
+
+def stream_seed(cfg: ExperimentConfig, purpose: str, *key: int) -> int:
+    """The seed of ``purpose``'s stream ``key``: one 64-bit word of
+    ``SeedSequence(base, spawn_key=(code, *key))``, so that streams of
+    different purposes, keys or base seeds draw unrelated numbers.  The base
+    is ``seed`` unless the purpose's own key is >= 0."""
+    code, own_key = SEED_PURPOSES[purpose]
+    own = cfg.get_int(own_key) if own_key is not None else -1
+    base = own if own >= 0 else cfg.get_int("seed")
+    return int(np.random.SeedSequence(base, spawn_key=(code, *key)).generate_state(1, np.uint64)[0])
+
 
 # path keys derived from data.dir when left empty
 _DERIVED_PATHS = {
@@ -157,7 +187,7 @@ class ExperimentConfig:
         ``overrides``; ``name`` is the file's name in error messages."""
         values = {key: default for key, (_, default, _) in KNOWN_KEYS.items()}
         first_line: dict[str, int] = {}
-        for lineno, line in enumerate((text or "").split("\n"), start=1):
+        for lineno, line in enumerate(split_lines(text or ""), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -197,11 +227,6 @@ class ExperimentConfig:
 
     def get_bool(self, key: str) -> bool:
         return bool(self.values[key])
-
-    def derived_seed(self, key: str, offset: int) -> int:
-        """Component seed: explicit when >= 0, else derived from the base seed."""
-        explicit = self.get_int(key)
-        return explicit if explicit >= 0 else self.get_int("seed") * 1000 + offset
 
     def sha256(self) -> str:
         lines = [f"{k}={self.values[k]}" for k in sorted(self.values)]

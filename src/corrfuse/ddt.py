@@ -168,10 +168,12 @@ def round_robin(
 
     At stage s (1-based), model (s-1) mod n is the backbone and is trained by
     ``train_stage`` with generator ``default_rng((cfg.seed, s))``; the other
-    models are frozen and their greedy outputs serve as peers.  Greedy
-    decoding is deterministic, so after a stage only the backbone's outputs
-    are decoded again.  ``after_stage(backbone, s)``, when given, sees each
-    trained backbone before it decodes and may raise to stop the schedule.
+    models are frozen and their greedy outputs serve as peers.  The CLI takes
+    ``cfg.seed`` from ``config.stream_seed``, and its ``ddt`` command keys its
+    one stage 0.  Greedy decoding is deterministic, so after a stage only the
+    backbone's outputs are decoded again.  ``after_stage(backbone, s)``, when
+    given, sees each trained backbone before it decodes and may raise to stop
+    the schedule.
     Input models are not mutated; stage 0 in the report is the untrained
     baseline.  Returns the updated models and per-stage reports.
     """

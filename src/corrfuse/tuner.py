@@ -207,7 +207,7 @@ def mert(
     w0: np.ndarray,
     iters: int = 5,
     n_random: int = 8,
-    rng_seed: int = 0,
+    rng_seed: int | tuple[int, ...] = 0,
     beta: float = 0.5,
 ) -> np.ndarray:
     """Iterated line search over coordinate axes plus random directions,
@@ -255,8 +255,9 @@ def tune_loop(
     rng_seed: int = 0,
     scores: dict[tuple[TokenSeq, GoldAnnotation, TokenSeq], ScoreStats] | None = None,
 ) -> tuple[np.ndarray, KBestPool]:
-    """Decode k-best, merge into the pool, re-optimize; stop early when a
-    round contributes no new candidates.
+    """Decode k-best, merge into the pool, re-optimize with MERT seeded
+    ``(rng_seed, round)``; stop early when a round contributes no new
+    candidates.
 
     ``scores`` maps (source, gold, candidate tokens) to the candidate's
     statistics; it is filled as candidates are scored, so a caller that keeps
@@ -284,7 +285,7 @@ def tune_loop(
                 grew |= pool.add(i, Candidate(tokens, tuple(feats), stats))
         if not grew and round_idx > 0:
             break
-        w = mert(pool, w, iters=mert_iters, n_random=n_random, rng_seed=rng_seed + round_idx)
+        w = mert(pool, w, iters=mert_iters, n_random=n_random, rng_seed=(rng_seed, round_idx))
     return w, pool
 
 

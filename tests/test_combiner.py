@@ -6,6 +6,7 @@ import pytest
 from corrfuse.alignment import MAX_TOKENS, align_all
 from corrfuse.combiner import (
     LM_EOS,
+    LM_UNK,
     FeatureSchema,
     beam_search,
     build_space,
@@ -28,6 +29,11 @@ CORPUS = [
 @pytest.fixture(scope="module")
 def lm():
     return train_lm(CORPUS, order=3)
+
+
+def lm_types(corpus) -> set[str]:
+    """The token types an LM trained on ``corpus`` distributes mass over."""
+    return {w for sent in corpus for w in sent} | {LM_EOS, LM_UNK}
 
 
 def make_space(hyps):
@@ -60,9 +66,10 @@ def exhaustive_best(space, weights, lm):
 
 class TestNGramLM:
     def test_hand_counted_bigram(self):
-        lm2 = train_lm([tokenize("a b")], order=2)
+        corpus = [tokenize("a b")]
+        lm2 = train_lm(corpus, order=2)
         # after "a" the only observed continuation is "b"
-        probs = {w: lm2.prob(w, ("a",)) for w in lm2.vocabulary}
+        probs = {w: lm2.prob(w, ("a",)) for w in lm_types(corpus)}
         assert max(probs, key=probs.get) == "b"
 
     def test_unseen_token_scores_positive(self, lm):
@@ -70,10 +77,11 @@ class TestNGramLM:
 
     def test_distributions_sum_to_one(self, lm):
         rng = np.random.default_rng(0)
-        words = sorted(lm.vocabulary) + ["zzz"]
+        types = lm_types(CORPUS)
+        words = sorted(types) + ["zzz"]
         for _ in range(25):
             ctx = tuple(rng.choice(words, size=rng.integers(0, 3)))
-            total = sum(lm.prob(w, ctx) for w in lm.vocabulary)
+            total = sum(lm.prob(w, ctx) for w in types)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_seen_ngram_beats_backoff(self, lm):

@@ -1,9 +1,10 @@
 """The config table: each key's type, default and legal values, checked as
 the config loads."""
 
+import numpy as np
 import pytest
 
-from corrfuse.config import KNOWN_KEYS, ExperimentConfig
+from corrfuse.config import KNOWN_KEYS, SEED_PURPOSES, ExperimentConfig, stream_seed
 from corrfuse.errors import UsageError
 from corrfuse.rewards import RewardKind
 
@@ -74,3 +75,70 @@ def test_set_flag_overrides_a_config_file_value(tmp_path):
 )
 def test_values_at_the_edge_of_their_range_load(key, raw):
     assert ExperimentConfig.load(None, {key: raw}).values[key] == float(raw)
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_config_text_splits_at_every_line_end(newline):
+    text = newline.join(["seed = 3", "# a comment", "train.models = 2", ""])
+    cfg = ExperimentConfig.load(text)
+    assert (cfg.get_int("seed"), cfg.get_int("train.models")) == (3, 2)
+    with pytest.raises(UsageError, match=r"^config:3: expected 'key = value'$"):
+        ExperimentConfig.load(newline.join(["seed = 3", "", "models"]))
+
+
+# the keys of each purpose's seeds that the commands use: splits 0-2, models
+# 0-3, stages 0-4
+SEED_KEYS = {
+    "references": [()],
+    "corruption": [(k,) for k in range(3)],
+    "init": [(i,) for i in range(4)],
+    "order": [(i,) for i in range(4)],
+    "ddt": [()],
+    "tune": [(stage,) for stage in range(5)],
+    "significance": [()],
+}
+
+
+def seeds_by_stream(cfg: ExperimentConfig) -> dict[tuple, int]:
+    return {
+        (purpose, key): stream_seed(cfg, purpose, *key)
+        for purpose, keys in SEED_KEYS.items()
+        for key in keys
+    }
+
+
+def test_no_two_streams_share_a_generator_state():
+    """Over seeds 0-9 and the keys the commands use, every generator that a
+    command seeds starts from its own state: each int seed, each DDT stage's
+    ``(ddt seed, stage)`` and each MERT round's ``(tune seed, round)``, as
+    ``round_robin`` and ``tune_loop`` key them.  A generator is compared by
+    its SeedSequence's state, as an int and a pair of ints can make the
+    same one."""
+    assert SEED_KEYS.keys() == SEED_PURPOSES.keys()
+    states: dict[tuple[int, ...], tuple] = {}
+    for seed in range(10):
+        seeds = seeds_by_stream(ExperimentConfig.load(None, {"seed": seed}))
+        entropies = {stream: value for stream, value in seeds.items() if stream[0] not in ("ddt", "tune")}
+        entropies.update({("ddt", stage): (seeds[("ddt", ())], stage) for stage in range(5)})
+        entropies.update(
+            {("tune", stage, r): (seeds[("tune", (stage,))], r) for stage in range(5) for r in range(4)}
+        )
+        for stream, entropy in entropies.items():
+            state = tuple(np.random.SeedSequence(entropy).generate_state(4).tolist())
+            assert state not in states, f"seed {seed} {stream} and {states[state]}"
+            states[state] = (seed, stream)
+    assert len(states) == 10 * (1 + 3 + 4 + 4 + 5 + 20 + 1)
+
+
+@pytest.mark.parametrize(
+    "key, purpose", [("ddt.seed", "ddt"), ("tune.seed", "tune"), ("eval.seed", "significance")]
+)
+def test_a_purposes_own_seed_moves_that_purpose_alone(key, purpose):
+    assert SEED_PURPOSES[purpose][1] == key
+    derived = seeds_by_stream(ExperimentConfig.load(None, {"seed": 7}))
+    own = seeds_by_stream(ExperimentConfig.load(None, {"seed": 7, key: 11}))
+    moved = {stream for stream in derived if own[stream] != derived[stream]}
+    assert moved == {stream for stream in derived if stream[0] == purpose}
+    # the own key is the base that seed would be: seed 11's streams
+    at_11 = seeds_by_stream(ExperimentConfig.load(None, {"seed": 11}))
+    assert all(own[stream] == at_11[stream] for stream in moved)

@@ -29,7 +29,7 @@ import pytest
 
 from corrfuse import cli, policy
 from corrfuse.cli import _check_finite
-from corrfuse.config import ExperimentConfig
+from corrfuse.config import ExperimentConfig, stream_seed
 from corrfuse.ddt import DdtConfig, ddt_step, rl_gradient
 from corrfuse.policy import (
     BOS_ID,
@@ -602,15 +602,14 @@ def ref_train_one(
     pairs: list[tuple[TokenSeq, TokenSeq]],
     index: int,
 ) -> tuple[PolicyModel, float]:
-    seed = cfg.get_int("seed")
     model = PolicyModel(
         vocab,
         embed_width=cfg.get_int("policy.embed"),
         hidden_width=cfg.get_int("policy.hidden"),
         max_len=cfg.get_int("policy.max_len"),
-        init_seed=seed * 1000 + 100 + index,
+        init_seed=stream_seed(cfg, "init", index),
     )
-    rng = np.random.default_rng((seed, 200 + index))
+    rng = np.random.default_rng(stream_seed(cfg, "order", index))
     batch_size = cfg.get_int("train.batch")
     lr = cfg.get_float("train.lr")
     last_nll = float("nan")
@@ -890,9 +889,10 @@ def test_stacked_kernel_on_the_benchmark_train_inputs(tmp_path):
     assert len(pairs) == 40 and all(len(y) <= 16 for y in ref)
     vocab = Vocabulary.build(tok for x, y in pairs for tok in x + y)
     encoded = [(vocab.encode(x), vocab.encode(y)) for x, y in pairs]
-    models = [PolicyModel(vocab, 32, 64, 16, init_seed=1000 * 1000 + 100 + i) for i in range(3)]
+    cfg = ExperimentConfig.load(None, {"seed": 1000})
+    models = [PolicyModel(vocab, 32, 64, 16, init_seed=stream_seed(cfg, "init", i)) for i in range(3)]
     stack = stack_params(models)
-    rngs = [np.random.default_rng((1000, 200 + i)) for i in range(3)]
+    rngs = [np.random.default_rng(stream_seed(cfg, "order", i)) for i in range(3)]
     padded = pad_batches(models[0], src, ref, True)
     for _ in range(2):
         orders = np.stack([rng.permutation(len(pairs)) for rng in rngs])

@@ -1,6 +1,7 @@
 """``first_problem`` of ``tools/same_outputs.py``: the rule by which two
 trees' runs of a case count as the same outputs, on hand-made results; and
-``main``, which reports every case that differs."""
+``main``, which reports every case that differs and how many of its files
+differ."""
 
 import importlib.util
 import sys
@@ -86,3 +87,30 @@ def test_every_differing_case_is_reported(monkeypatch, capsys):
     assert [line.split(":")[1].strip() for line in lines if line.startswith("DIFFERENT:")] == list(differing)
     assert sum(line.startswith("same: ") for line in lines) == 8
     assert lines[-1] == "not the same outputs as HEAD: 2 of 10 cases"
+
+
+def test_a_differing_case_lists_how_many_files_differ_and_the_first_ten(monkeypatch, capsys):
+    base_files = {f"run/f{i:02d}": "0" for i in range(14)}
+    head_files = {**base_files, **{f"run/f{i:02d}": "1" for i in range(12)}}
+    monkeypatch.setattr(TOOL, "unpack", lambda rev, dest: None)
+    monkeypatch.setattr(
+        TOOL, "run_case",
+        lambda case, src, cwd: (STEPS, head_files if src == TOOL.ROOT / "src" and case.name == "default"
+                                else base_files),
+    )
+    assert TOOL.main(["--base", "HEAD"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "DIFFERENT: default: run/f00 differs (base 0, head 1)"
+    assert lines[1] == "  12 of 14 files differ: " + " ".join(f"run/f{i:02d}" for i in range(10)) + " ..."
+
+
+@pytest.mark.parametrize(
+    "head_files, listed",
+    [
+        (FILES, "  0 of 2 files differ:"),
+        ({"run/a.txt": "11", "run/c.txt": "33"}, "  2 of 3 files differ: run/b.txt run/c.txt"),
+    ],
+    ids=["none", "unmatched-both-ways"],
+)
+def test_differing_files_line_counts_files_in_either_tree(head_files, listed):
+    assert TOOL.differing_files_line(FILES, head_files) == listed
