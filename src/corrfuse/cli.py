@@ -24,15 +24,19 @@ writes every artifact, the report included: they are the only file access.
 The formats are pure text functions in the library, such as
 ``parse_m2`` and ``format_m2``.  Every split is read by ``_load_split`` (its
 sources and M2 gold edits) and every hypothesis list of ``combine`` and
-``tune`` by ``_read_hyps``.  Only ``ddt`` and ``stages`` read
-``data.dev_ref``, the references that DDT trains on.  Combination runs in
-one process, so ``--jobs`` accepts only 1.
+``tune`` by ``_read_hyps``.  ``ddt`` and ``stages`` read the checkpoints,
+the dev split and ``data.dev_ref``, the references that DDT trains on,
+through ``_load_ddt_inputs``.  Combination runs in one process, so
+``--jobs`` accepts only 1.
 
 ``run_stages`` is the in-process entry for study scripts: it yields one
 ``StageResult`` per DDT stage, and ``cmd_stages`` only scores them (one
-memoized ``_scorer`` per split), picks the best and formats.  Every random
-stream's seed comes from ``config.stream_seed`` by purpose and key: the
-stage's MERT streams in ``_tune``, the significance test's in ``_p_value``.
+memoized ``_scorer`` per split), picks the best and formats.  A DDT stage,
+its random stream and its divergence check included, is one
+``ddt.train_stage`` call, keyed by the stage (0 for ``ddt``).  Every random
+stream's seed comes from ``config.stream_seed`` by purpose and key: DDT's in
+``_ddt_config``, the stage's MERT streams in ``_tune``, the significance
+test's in ``_p_value``.
 The decode limit ``policy.max_len`` is checked where it enters: at config load
 and at checkpoint parse (``policy.parse_model``).
 
@@ -116,11 +120,11 @@ Result = tuple[dict[str, str], dict[str, object]]
 # ---------------------------------------------------------------------------
 
 def _read_text(path: str, parse: Callable[[str], T], error: type[Exception] = DataError) -> T:
-    """Read a UTF-8 text input and parse it; a missing, undecodable or
-    malformed file is an ``error``, as is one that cannot be read.  This is
-    the only reader of files."""
+    """Read a UTF-8 text input, less a leading byte-order mark, and parse it;
+    a missing, undecodable or malformed file is an ``error``, as is one that
+    cannot be read.  This is the only reader of files."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise error(f"missing input file: {path}") from None
@@ -254,6 +258,17 @@ def _read_hyps(key: str, raw: str) -> list[list[TokenSeq]]:
     return hyp_lines
 
 
+def _load_ddt_inputs(
+    cfg: ExperimentConfig,
+) -> tuple[list[PolicyModel], list[TokenSeq], list[GoldAnnotation], list[TokenSeq]]:
+    """What DDT reads: the checkpoints, the dev split and its references."""
+    models = _load_models(cfg)
+    dev_src, dev_golds = _load_split(cfg, "dev")
+    dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
+    _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
+    return models, dev_src, dev_golds, dev_ref
+
+
 def _load_lm(cfg: ExperimentConfig) -> NGramLM:
     corpus_path = cfg.get_str("lm.corpus") or cfg.get_str("data.train_ref")
     corpus = _read_token_lines(corpus_path)
@@ -331,11 +346,11 @@ def run_stages(
 ) -> Iterator[StageResult]:
     """Run ``ddt.stages`` round-robin DDT stages on (``sources``, ``refs``),
     then tune and decode each stage's combination on ``sources``/``golds``.
-    The search spaces (each with its memo of k-best searches) and candidate
+    A diverged stage raises ``NumericError`` before any stage is tuned.  The
+    search spaces (each with its memo of k-best searches) and candidate
     scores are memos shared by the stages, as a model's outputs recur."""
     _, reports = round_robin(
-        models, list(zip(sources, refs)), _ddt_config(cfg), cfg.get_int("ddt.stages"),
-        lambda model, stage: _check_finite(model, f"diversity-driven training stage {stage}"),
+        models, list(zip(sources, refs)), _ddt_config(cfg), cfg.get_int("ddt.stages")
     )
     known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
     scores: dict[tuple, ScoreStats] = {}
@@ -492,10 +507,7 @@ def cmd_ddt(cfg: ExperimentConfig) -> Result:
     backbone_idx, n_models = cfg.get_int("ddt.backbone"), cfg.get_int("train.models")
     if backbone_idx >= n_models:
         raise UsageError(f"ddt.backbone must be in [0,{n_models - 1}], got {backbone_idx}")
-    models = _load_models(cfg)
-    dev_src, dev_golds = _load_split(cfg, "dev")
-    dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
-    _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
+    models, dev_src, dev_golds, dev_ref = _load_ddt_inputs(cfg)
     ddt_cfg = _ddt_config(cfg)
     peer_files = _split_paths(cfg.get_str("ddt.peers"))
     if peer_files:
@@ -516,14 +528,9 @@ def cmd_ddt(cfg: ExperimentConfig) -> Result:
     kept = [i for i, y_ref in enumerate(dev_ref) if len(y_ref) <= backbone.max_len]
     if not kept:
         raise DataError("no DDT sentence fits within the decode length limit")
-    mle_loss, mean_reward = train_stage(
-        backbone,
-        [(dev_src[i], dev_ref[i]) for i in kept],
-        [[p[i] for p in peer_outputs] for i in kept],
-        ddt_cfg,
-        np.random.default_rng((ddt_cfg.seed, 0)),
-    )
-    _check_finite(backbone, "diversity-driven training")
+    data = [(dev_src[i], dev_ref[i]) for i in kept]
+    peers = [[p[i] for i in kept] for p in peer_outputs]
+    mle_loss, mean_reward = train_stage(backbone, data, peers, ddt_cfg, 0)
 
     out_path = cfg.get_str("ddt.out") or os.path.join(
         cfg.get_str("model.dir"), f"model_{backbone_idx}_ddt.txt"
@@ -548,10 +555,7 @@ def cmd_stages(cfg: ExperimentConfig) -> Result:
     n_models = cfg.get_int("train.models")
     if n_models < 2:
         raise UsageError(f"stages needs train.models >= 2, got {n_models}")
-    models = _load_models(cfg)
-    dev_src, dev_golds = _load_split(cfg, "dev")
-    dev_ref = _read_token_lines(cfg.get_str("data.dev_ref"))
-    _require_aligned(dev_src=dev_src, dev_ref=dev_ref)
+    models, dev_src, dev_golds, dev_ref = _load_ddt_inputs(cfg)
     lm = _load_lm(cfg)
     shortest_limit = min(m.max_len for m in models)
     if any(len(y) > shortest_limit for y in dev_ref):

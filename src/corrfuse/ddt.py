@@ -3,12 +3,13 @@ log-likelihood with an expected diversity reward, optimized by score-function
 gradients over multinomial samples with a baseline, plus round-robin
 scheduling when several systems are trainable.
 
-``train_stage`` is the one DDT training loop: ``cfg.epochs`` passes of one
-``ddt_step`` per sentence, in data order, against fixed peer outputs.  A step
-trains on one sentence: its reference gradient and its sampled reward
-gradient move the parameters before the next sentence is seen.
-``round_robin`` runs it once per stage with the other models' greedy outputs
-as peers; the ``ddt`` command runs it once for a single backbone.
+``train_stage`` is the one DDT stage: ``cfg.epochs`` passes of one
+``ddt_step`` per sentence, in data order, against the fixed outputs of each
+peer system, on a generator keyed by the stage and checked for divergence at
+its end.  A step trains on one sentence: its reference gradient and its
+sampled reward gradient move the parameters before the next sentence is
+seen.  ``round_robin`` runs it once per stage with the other models' greedy
+outputs as peers; the ``ddt`` command runs it once, key 0, for one backbone.
 
 ``policy`` is imported inside the functions that call it, not at the top:
 ``cli`` imports this module at start-up, and the commands that train no
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .errors import NumericError
 from .evaluation import diversity
 from .rewards import RewardKind, reward
 from .textcore import TokenSeq
@@ -134,25 +136,31 @@ def mean_pairwise_diversity(outputs_per_model: Sequence[Sequence[TokenSeq]]) -> 
 def train_stage(
     model: PolicyModel,
     data: Sequence[tuple[TokenSeq, TokenSeq]],
-    peer_sets: Sequence[Sequence[TokenSeq]],
+    peer_outputs: Sequence[Sequence[TokenSeq]],
     cfg: DdtConfig,
-    rng: np.random.Generator,
+    key: int,
 ) -> tuple[float, float]:
     """Train ``model`` in place for ``cfg.epochs`` passes over ``data``, one
-    ``ddt_step`` per (source, reference) pair, in data order; ``peer_sets[i]``
-    holds the frozen peer outputs for sentence i.  Returns the mean
-    pre-step reference NLL and the mean sample reward over all steps.
+    ``ddt_step`` per (source, reference) pair, in data order, with generator
+    ``default_rng((cfg.seed, key))``; ``peer_outputs`` holds each peer
+    system's frozen outputs, line-aligned with ``data``.  Returns the mean
+    pre-step reference NLL and the mean sample reward over all steps.  A
+    parameter that is not finite at the end raises ``NumericError``.
     """
     if not data:
         raise ValueError("empty training data")
-    if len(peer_sets) != len(data):
+    if any(len(outputs) != len(data) for outputs in peer_outputs):
         raise ValueError("peer outputs must be line-aligned with the data")
+    peer_sets = [[outputs[i] for outputs in peer_outputs] for i in range(len(data))]
+    rng = np.random.default_rng((cfg.seed, key))
     loss_sum = reward_sum = 0.0
     for _ in range(cfg.epochs):
         for (x, y_ref), peers in zip(data, peer_sets):
             loss, r = ddt_step(model, x, y_ref, peers, cfg, rng)
             loss_sum += loss
             reward_sum += r
+    if not np.isfinite(model.params).all():
+        raise NumericError(f"non-finite parameters after diversity-driven training stage {key}")
     steps = cfg.epochs * len(data)
     return loss_sum / steps, reward_sum / steps
 
@@ -162,18 +170,15 @@ def round_robin(
     data: Sequence[tuple[TokenSeq, TokenSeq]],
     cfg: DdtConfig,
     stages: int,
-    after_stage: Callable[[PolicyModel, int], None] | None = None,
 ) -> tuple[list[PolicyModel], list[StageReport]]:
     """Models take turns receiving diversity-driven training.
 
     At stage s (1-based), model (s-1) mod n is the backbone and is trained by
-    ``train_stage`` with generator ``default_rng((cfg.seed, s))``; the other
-    models are frozen and their greedy outputs serve as peers.  The CLI takes
-    ``cfg.seed`` from ``config.stream_seed``, and its ``ddt`` command keys its
-    one stage 0.  Greedy decoding is deterministic, so after a stage only the
-    backbone's outputs are decoded again.  ``after_stage(backbone, s)``, when
-    given, sees each trained backbone before it decodes and may raise to stop
-    the schedule.
+    ``train_stage`` with key s; the other models are frozen and their greedy
+    outputs are its peers.  The CLI takes ``cfg.seed`` from
+    ``config.stream_seed``.  A diverged stage raises before its backbone
+    decodes.  Greedy decoding is deterministic, so after a stage only the
+    backbone's outputs are decoded again.
     Input models are not mutated; stage 0 in the report is the untrained
     baseline.  Returns the updated models and per-stage reports.
     """
@@ -198,15 +203,8 @@ def round_robin(
     ]
     for stage in range(1, stages + 1):
         backbone = (stage - 1) % len(models)
-        peer_sets = [
-            [outputs[m][i] for m in range(len(models)) if m != backbone]
-            for i in range(len(data))
-        ]
-        mle_loss, mean_reward = train_stage(
-            models[backbone], data, peer_sets, cfg, np.random.default_rng((cfg.seed, stage))
-        )
-        if after_stage is not None:
-            after_stage(models[backbone], stage)
+        peers = [o for m, o in enumerate(outputs) if m != backbone]
+        mle_loss, mean_reward = train_stage(models[backbone], data, peers, cfg, stage)
         outputs[backbone] = decode(models[backbone])
         reports.append(
             StageReport(

@@ -16,9 +16,7 @@ way and is the reference.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -180,11 +178,10 @@ class CorpusExample:
         return edit_script(self.source, self.reference)
 
 
-@functools.lru_cache(maxsize=8)
 def _rule_targets(grammar: Grammar) -> Mapping[str, Mapping[str, tuple[str, ...]]]:
     """Per rule kind but ``token_duplicate``, which acts on every token: the
     words of ``grammar`` the rule acts on, each with the words it may become
-    (none for a dropped determiner).  Read-only, as every caller shares it."""
+    (none for a dropped determiner)."""
     prepositions = grammar.prepositions if len(grammar.prepositions) > 1 else ()
     targets: dict[str, dict[str, tuple[str, ...]]] = {
         "drop_determiner": {d: () for d in grammar.determiners},
@@ -198,7 +195,7 @@ def _rule_targets(grammar: Grammar) -> Mapping[str, Mapping[str, tuple[str, ...]
     ):
         for a, b in pairs:  # a word in two pairs takes its form in the later one
             targets[kind][a], targets[kind][b] = (b,), (a,)
-    return MappingProxyType({kind: MappingProxyType(t) for kind, t in targets.items()})
+    return targets
 
 
 def _corrupt(

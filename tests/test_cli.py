@@ -281,6 +281,22 @@ def test_bad_config_file_is_usage_error(workdir, capsys, text):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["config", "src", "m2", "hyp"])
+def test_a_leading_byte_order_mark_is_not_part_of_an_input(workdir, capsys, name):
+    """Some editors begin a UTF-8 file with a byte-order mark: the file
+    reads as the same text without it, so the summary and the config hash
+    do not move."""
+    (workdir / "exp.cfg").write_text("eval.hyp = run/out/combined.hyp\n", encoding="utf-8")
+    path = {"config": workdir / "exp.cfg", **_dev_eval_files(workdir)}[name]
+    summaries = []
+    for _ in range(2):
+        assert run(workdir, ["eval"], "--config", "exp.cfg") == 0
+        summaries.append(capsys.readouterr().out)
+        _prepend_bom(path)
+    assert summaries[0] == summaries[1]
+    assert "config_sha256=" in summaries[0]
+
+
 def test_config_directory_is_usage_error(workdir, capsys):
     (workdir / "exp.cfg").mkdir()
     assert run(workdir, ["eval"], "--config", "exp.cfg") == 2
@@ -386,7 +402,10 @@ def _append_line(path: Path, line: str) -> None:
             ["diversity", "--set", DIV_A, "--set", DIV_B],
             lambda run_dir: _truncate(run_dir / "out/stage2.sys1.hyp"),
         ),
-        (["eval", "--set", "eval.hyp=run/out/combined.hyp"], lambda run_dir: _prepend_bom(run_dir / "data/dev.src")),
+        (
+            ["eval", "--set", "eval.hyp=run/out/combined.hyp"],
+            lambda run_dir: _replace_line(run_dir / "data/dev.src", 0, "no such source line"),
+        ),
         (
             ["tune", "--set", f"tune.hyps={HYPS}"],
             lambda run_dir: _replace_line(run_dir / "data/dev.src", 0, "no such source line"),
@@ -534,7 +553,7 @@ def test_diverging_training_is_numeric_failure(workdir, capsys):
     before = tree_bytes(models), report.read_bytes()
     for command, override, message in [
         ("train", "train.lr=1e300", "numeric failure: non-finite parameters after individual training of model 0\n"),
-        ("ddt", "ddt.lr=1e300", "numeric failure: non-finite parameters after diversity-driven training\n"),
+        ("ddt", "ddt.lr=1e300", "numeric failure: non-finite parameters after diversity-driven training stage 0\n"),
     ]:
         assert run(workdir, [command], "--set", override) == 4
         captured = capsys.readouterr()
@@ -703,8 +722,7 @@ def read_model(path: Path, vocab):
     return cli._read_text(str(path), lambda text: parse_model(text, vocab))
 
 
-def test_ddt_checkpoint_is_one_train_stage(pipeline):
-    root, _, _ = pipeline
+def _ddt_inputs(root: Path):
     models_dir = root / "run/models"
     vocab = cli._read_text(str(models_dir / "vocab.txt"), parse_vocab)
     models = [read_model(models_dir / f"model_{i}.txt", vocab) for i in range(3)]
@@ -712,12 +730,28 @@ def test_ddt_checkpoint_is_one_train_stage(pipeline):
         [tokenize(line) for line in (root / f"run/data/dev.{ext}").read_text().splitlines()]
         for ext in ("src", "ref")
     )
-    peers = [[greedy_decode(m, x) for m in models[1:]] for x in src]
-    seed = stream_seed(tiny_config(), "ddt")
-    cfg = DdtConfig(learning_rate=0.002, seed=seed)  # the ddt.* defaults
-    train_stage(models[0], list(zip(src, ref)), peers, cfg, np.random.default_rng((seed, 0)))
-    ddt = read_model(models_dir / "model_0_ddt.txt", vocab)
+    return vocab, models, list(zip(src, ref))
+
+
+def test_ddt_checkpoint_is_one_train_stage(pipeline):
+    root, _, _ = pipeline
+    vocab, models, data = _ddt_inputs(root)
+    peers = [[greedy_decode(m, x) for x, _ in data] for m in models[1:]]
+    cfg = DdtConfig(learning_rate=0.002, seed=stream_seed(tiny_config(), "ddt"))  # the ddt.* defaults
+    train_stage(models[0], data, peers, cfg, 0)
+    ddt = read_model(root / "run/models/model_0_ddt.txt", vocab)
     assert np.array_equal(ddt.params, models[0].params)
+
+
+def test_ddt_backbone_1_is_one_train_stage_against_models_0_and_2(workdir, capsys):
+    assert run(workdir, ["ddt"], "--set", "ddt.backbone=1") == 0
+    assert "backbone=1" in capsys.readouterr().out.splitlines()
+    vocab, models, data = _ddt_inputs(workdir)
+    peers = [[greedy_decode(m, x) for x, _ in data] for m in (models[0], models[2])]
+    cfg = DdtConfig(learning_rate=0.002, seed=stream_seed(tiny_config(), "ddt"))  # the ddt.* defaults
+    train_stage(models[1], data, peers, cfg, 0)
+    ddt = read_model(workdir / "run/models/model_1_ddt.txt", vocab)
+    assert np.array_equal(ddt.params, models[1].params)
 
 
 # more stages and tuning rounds than TINY: models, spaces and weights recur
@@ -972,7 +1006,7 @@ def test_tune_and_combine_do_not_depend_on_the_hash_seed(workdir, tmp_path):
 
 @pytest.mark.parametrize("command", [["eval", "--set", "eval.hyp=run/out/combined.hyp"], ["stages"]])
 def test_source_line_unlike_its_m2_line_names_both_files(workdir, capsys, command):
-    _prepend_bom(workdir / "run/data/dev.src")
+    _replace_line(workdir / "run/data/dev.src", 0, "no such source line")
     assert run(workdir, command) == 3
     err = capsys.readouterr().err
     assert "run/data/dev.src:1:" in err and "run/data/dev.m2" in err

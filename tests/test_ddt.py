@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from corrfuse import policy
+from corrfuse import ddt, policy
 from corrfuse.ddt import (
     DdtConfig,
     StageReport,
@@ -14,6 +14,7 @@ from corrfuse.ddt import (
     round_robin,
     train_stage,
 )
+from corrfuse.errors import NumericError
 from corrfuse.evaluation import diversity
 from corrfuse.policy import (
     EOS_ID,
@@ -228,9 +229,7 @@ def reference_round_robin(models, data, cfg, stages):
             [outputs[m][i] for m in range(len(models)) if m != backbone]
             for i in range(len(data))
         ]
-        mle_loss, mean_reward = train_stage(
-            models[backbone], data, peer_sets, cfg, np.random.default_rng((cfg.seed, stage))
-        )
+        mle_loss, mean_reward = train_stage(models[backbone], data, list(zip(*peer_sets)), cfg, stage)
         outputs = decode_all()
         reports.append(
             StageReport(
@@ -285,8 +284,8 @@ class TestRoundRobin:
         cfg = DdtConfig(seed=9, epochs=2)
         out, reports = round_robin(models, data, cfg, stages=1)
         expected = models[0].copy()
-        peers = [[greedy_decode(m, x) for m in models[1:]] for x, _ in data]
-        losses = train_stage(expected, data, peers, cfg, np.random.default_rng((9, 1)))
+        peers = [[greedy_decode(m, x) for x, _ in data] for m in models[1:]]
+        losses = train_stage(expected, data, peers, cfg, 1)
         assert np.array_equal(out[0].params, expected.params)
         assert (reports[1].mle_loss, reports[1].mean_reward) == losses
 
@@ -323,36 +322,35 @@ class TestRoundRobin:
         assert old_calls == (stages + 1) * n_models * n
         assert new_calls == n_models * n + stages * n
 
-    def test_after_stage_sees_each_trained_backbone_before_it_decodes(self, monkeypatch):
+    def test_a_diverging_stage_raises_naming_it_before_its_backbone_decodes(self, monkeypatch):
         models, data = self._setup()
-        seen = []
-        decoded = []
-        real_decode = policy.greedy_decode
+        decoded, steps = [], []
+        real_decode, real_step = policy.greedy_decode, ddt.ddt_step
         monkeypatch.setattr(policy, "greedy_decode", lambda m, x: decoded.append(m) or real_decode(m, x))
+        for stage in (1, 2, 3):
+            decoded.clear()
+            steps.clear()
 
-        def after_stage(model, stage):
-            seen.append((stage, model, model.params.copy(), len(decoded)))
+            def step(model, *args, stage=stage):
+                result = real_step(model, *args)
+                steps.append(model)
+                if len(steps) == (stage - 1) * len(data) + 1:  # the stage's first step
+                    model.params[0] = np.nan
+                return result
 
-        out, _ = round_robin(models, data, DdtConfig(), 4, after_stage)
-        first_decodes = len(models) * len(data)
-        assert [(stage, model) for stage, model, _, _ in seen] == [
-            (1, out[0]), (2, out[1]), (3, out[2]), (4, out[0])
-        ]
-        assert [n for *_, n in seen] == [first_decodes + i * len(data) for i in range(4)]
-        assert np.array_equal(seen[1][2], out[1].params)
-
-        def stop(model, stage):
-            raise RuntimeError(f"stop at {stage}")
-
-        with pytest.raises(RuntimeError, match="stop at 1"):
-            round_robin(models, data, DdtConfig(), 4, stop)
-
+            monkeypatch.setattr(ddt, "ddt_step", step)
+            with pytest.raises(NumericError) as exc:
+                round_robin(models, data, DdtConfig(), 4)
+            assert str(exc.value) == f"non-finite parameters after diversity-driven training stage {stage}"
+            assert len(steps) == stage * len(data)  # the stage ran its epoch before the check
+            # the first decodes and one per earlier stage's backbone, none after
+            assert len(decoded) == (len(models) + stage - 1) * len(data)
 
 
 class TestTrainStage:
     def _setup(self):
         data = [(("a", "b"), ("a", "b")), (("c",), ("c",)), (("b", "c"), ("b", "c"))]
-        peers = [[("a",), ("b", "b")], [()], [("c", "a")]]
+        peers = [[("a",), (), ("c", "a")], [("b", "b"), ("c",), ()]]  # two systems
         return tiny_model(max_len=3, seed=4), data, peers
 
     def test_matches_step_loop(self):
@@ -362,13 +360,11 @@ class TestTrainStage:
         rng = np.random.default_rng((cfg.seed, 5))
         losses, rewards = [], []
         for _ in range(cfg.epochs):
-            for (x, y), p in zip(data, peers):
-                loss, r = ddt_step(reference, x, y, p, cfg, rng)
+            for i, (x, y) in enumerate(data):
+                loss, r = ddt_step(reference, x, y, [p[i] for p in peers], cfg, rng)
                 losses.append(loss)
                 rewards.append(r)
-        mle_loss, mean_reward = train_stage(
-            model, data, peers, cfg, np.random.default_rng((cfg.seed, 5))
-        )
+        mle_loss, mean_reward = train_stage(model, data, peers, cfg, 5)
         assert np.array_equal(model.params, reference.params)
         assert mle_loss == sum(losses) / len(losses)
         assert mean_reward == sum(rewards) / len(rewards)
@@ -377,13 +373,29 @@ class TestTrainStage:
         model, data, peers = self._setup()
         before = model.params.copy()
         with pytest.raises(ValueError):
-            train_stage(model, data, peers[:2], DdtConfig(), np.random.default_rng(0))
+            train_stage(model, data, [peers[0], peers[1][:2]], DdtConfig(), 0)
         assert np.array_equal(model.params, before)
 
     def test_rejects_empty_data(self):
         model, _, _ = self._setup()
         with pytest.raises(ValueError):
-            train_stage(model, [], [], DdtConfig(), np.random.default_rng(0))
+            train_stage(model, [], [], DdtConfig(), 0)
+
+    def test_a_diverged_stage_is_a_numeric_error_naming_its_key(self, monkeypatch):
+        model, data, peers = self._setup()
+        cfg, steps, real_step = DdtConfig(epochs=2), [], ddt.ddt_step
+
+        def step(model, *args):
+            steps.append(model)
+            if len(steps) == len(data):  # the first epoch's last step
+                model.params[-1] = np.inf
+            return real_step(model, *args)
+
+        monkeypatch.setattr(ddt, "ddt_step", step)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+            train_stage(model, data, peers, cfg, 7)
+        assert str(exc.value) == "non-finite parameters after diversity-driven training stage 7"
+        assert len(steps) == cfg.epochs * len(data)
 
 
 class TestMeanPairwiseDiversity:
