@@ -10,7 +10,11 @@ corruption corpus (toydata), and a CLI tying it together (cli).
 
 The package imports none of them: import the module you use (``from corrfuse
 import cli``), so that a process loads numpy and the modules only when it
-needs them.
+needs them.  Only ``policy`` and ``toydata`` import numpy at the top; the
+other modules import it inside the functions that make arrays, and
+``combiner`` not at all, so ``cli`` loads no numpy until a command needs it.
+The text commands (``combine``, ``eval``, ``diversity``) do not, except for
+``eval``'s sign test against a baseline.
 """
 
 __version__ = "0.1.0"

@@ -14,9 +14,12 @@ or a setting that does not fit another key or the checkpoints); 3 data error
 written, an empty dev or test split, empty hypothesis files, hypothesis lines
 too long to align, reserved tokens in the training text); 4 numeric failure
 (non-finite parameters).  The library's errors for malformed files are
-mapped to these here.  Commands run with numpy's floating-point warnings
-off: a diverging run reports itself once, as its numeric failure, not also
-as overflow warnings along the way.
+mapped to these here.  Every command but those of ``TEXT_COMMANDS`` runs
+with numpy's floating-point warnings off: a diverging run reports itself
+once, as its numeric failure, not also as overflow warnings along the way.
+The text commands, ``combine``, ``eval`` and ``diversity``, make no float
+array, so they run without numpy; only ``eval``'s sign test, with
+``eval.baseline`` set, loads it, for its generator.
 
 ``_read_text`` reads and parses every input, the ``--config`` file (whose
 failures are usage errors) and the report included, and ``_write_all``
@@ -40,26 +43,35 @@ test's in ``_p_value``.
 The decode limit ``policy.max_len`` is checked where it enters: at config load
 and at checkpoint parse (``policy.parse_model``).
 
-Importing ``cli`` loads every corrfuse module but two: ``policy`` is
-imported inside the functions of ``train``, ``ddt`` and ``stages`` that use
-it, and ``toydata`` inside ``gen``.  So the children of ``tune``,
-``combine``, ``eval`` and ``diversity``, most of the fuse path's start-up,
-compile neither.  The rest stay top-level imports: the benchmark's tracer
-imports ``cli`` and then reads every module it hooks from ``sys.modules``,
-and its tests read ``cli.beam_search``.  The benchmark imports ``policy`` and
-``toydata`` itself before it installs the tracer.
+Importing ``cli`` loads every corrfuse module but two, and no numpy.
+``policy`` is imported inside the functions of ``train``, ``ddt`` and
+``stages`` that use it, and ``toydata`` inside ``gen``.  numpy is imported
+inside the functions that make arrays, here and in ``config``,
+``evaluation``, ``ddt`` and ``tuner``; ``combiner`` does not use it.  So the
+children of ``tune``, ``combine``, ``eval`` and ``diversity``, most of the
+fuse path's start-up, compile neither ``policy`` nor ``toydata``, and those
+of the text commands load no numpy, whose import was about a third of such
+a child's CPU time.  The corrfuse modules stay top-level imports: the
+benchmark's tracer imports ``cli`` and then reads every module it hooks
+from ``sys.modules``, and its tests read ``cli.beam_search``.  The benchmark
+imports ``policy`` and ``toydata`` itself before it installs the tracer.
 
 ``entry`` is the process entry, behind both the ``corrfuse`` script and
-``python -m corrfuse.cli``.  It calls ``gc.freeze()`` once, after the
-top-level imports, and then exits with ``main()``'s return code.  The freeze
-moves the about 22,000 container objects that the numpy and corrfuse imports
-made into the permanent generation, which no collection examines again:
-neither the full collections during a run nor those at interpreter exit, and
-the OS takes their memory back when the process ends.  That cuts the exit of
-a CLI child from about 35 ms to about 7 ms.  A command's own import of
-``policy`` or ``toydata`` comes after the freeze and adds about 260 or 270
-tracked objects, too few to lose that saving.  No output can depend on it:
-the collector only frees unreachable cycles, and no command reads when or
+``python -m corrfuse.cli``.  It parses the command line, so that ``--help``
+and usage errors exit before anything else loads; imports numpy unless the
+command is in ``TEXT_COMMANDS``; calls ``gc.freeze()`` once; and then exits
+with ``main()``'s return code (``main`` parses the command line again, as
+it does for in-process callers).  The freeze moves the container objects
+that the imports made into the permanent generation, which no collection
+examines again: neither the full collections during a run nor those at
+interpreter exit, and the OS takes their memory back when the process ends.
+That cuts the exit of a CLI child from about 35 ms to about 7 ms.  It
+freezes about 14,200 objects for a text command and about 21,900, numpy's
+included, for the others; importing numpy after the freeze instead made a
+``tune`` child about 10 ms slower.  A command's own import of ``policy`` or
+``toydata`` comes after the freeze and adds about 260 or 270 tracked
+objects, too few to lose that saving.  No output can depend on it: the
+collector only frees unreachable cycles, and no command reads when or
 whether it ran.
 ``main(argv)`` leaves the collector alone, because tests and in-process
 runners call it many times in one long-lived process, where a freeze would
@@ -76,8 +88,6 @@ import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TypeVar
-
-import numpy as np
 
 from .alignment import MAX_TOKENS
 from .combiner import (
@@ -108,6 +118,8 @@ from .textcore import TokenSeq, detokenize, split_lines, tokenize
 from .tuner import KBestPool, decode_corpus, tune_loop
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .policy import PolicyModel, Vocabulary
 
 T = TypeVar("T")
@@ -181,6 +193,8 @@ def _require_aligned(**named: Sequence) -> None:
 
 
 def _check_finite(model: PolicyModel, what: str) -> None:
+    import numpy as np
+
     if not np.isfinite(model.params).all():
         raise NumericError(f"non-finite parameters after {what}")
 
@@ -432,6 +446,8 @@ def _train_models(
     step writes its gradients and temporaries into it, so that no step
     allocates its arrays (see the ``policy`` module docstring).
     """
+    import numpy as np
+
     from .policy import PolicyModel, StepWorkspace, epoch_batches, mle_step, pad_batches, stack_params
 
     n_models = cfg.get_int("train.models")
@@ -673,6 +689,9 @@ COMMANDS: dict[str, Callable[[ExperimentConfig], Result]] = {
     "eval": cmd_eval,
     "diversity": cmd_diversity,
 }
+# the commands that run without numpy: main leaves its warnings alone for
+# them, and entry does not import it before the freeze
+TEXT_COMMANDS = frozenset({"combine", "eval", "diversity"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -713,7 +732,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             overrides[key.strip()] = value
         text = _read_text(args.config, str, UsageError) if args.config else None
         cfg = ExperimentConfig.load(text, overrides, args.config or "config")
-        with np.errstate(all="ignore"):
+        quiet: contextlib.AbstractContextManager = contextlib.nullcontext()
+        if args.command not in TEXT_COMMANDS:
+            import numpy as np
+
+            quiet = np.errstate(all="ignore")
+        with quiet:
             files, summary = COMMANDS[args.command](cfg)
         block = f"command={args.command}\nconfig_sha256={cfg.sha256()}\n"
         block += "".join(f"{key}={_fmt(value)}\n" for key, value in summary.items())
@@ -736,7 +760,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> NoReturn:
-    """Freeze the import-time heap, then exit with ``main()``'s code."""
+    """Load numpy unless the command is a text command, freeze the
+    import-time heap, then exit with ``main()``'s code."""
+    if build_parser().parse_args().command not in TEXT_COMMANDS:
+        import numpy  # noqa: F401  (before the freeze, so that its objects are frozen)
     gc.freeze()
     sys.exit(main())
 

@@ -39,6 +39,12 @@ probability the search and the tuner see.
 
 The tuned weights are a plain text file, made and read by the pure
 functions ``format_weights`` and ``parse_weights``; the CLI opens the file.
+
+Weights and features are tuples of floats: ``default_weights`` and
+``parse_weights`` make weight tuples, and ``beam_search`` returns the
+memo's own feature tuples, which no caller can change.  The module imports
+no numpy, so that ``combine`` runs without it; the tuner turns the tuples
+into arrays where it needs them.
 """
 
 from __future__ import annotations
@@ -49,8 +55,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, mul
 from typing import Sequence
-
-import numpy as np
 
 from .alignment import Alignment, align_all
 from .textcore import TokenSeq, split_lines
@@ -160,19 +164,17 @@ class FeatureSchema:
     def dim(self) -> int:
         return self.n_systems + 2
 
-    def default_weights(self) -> np.ndarray:
-        w = np.full(self.dim, 1.0)
-        w[-2] = 0.5  # length
-        w[-1] = 0.5  # lm
-        return w
+    def default_weights(self) -> tuple[float, ...]:
+        """1.0 for each match feature, 0.5 for length and for the LM."""
+        return (1.0,) * self.n_systems + (0.5, 0.5)
 
 
-def format_weights(schema: FeatureSchema, weights: np.ndarray) -> str:
+def format_weights(schema: FeatureSchema, weights: Sequence[float]) -> str:
     """The weights file: one ``name<TAB>repr(value)`` line per feature."""
     return "".join(f"{name}\t{repr(float(value))}\n" for name, value in zip(schema.names, weights))
 
 
-def parse_weights(text: str, schema: FeatureSchema) -> np.ndarray:
+def parse_weights(text: str, schema: FeatureSchema) -> tuple[float, ...]:
     """The weights of ``format_weights``'s text, in ``schema`` order: every
     name of the schema exactly once, each with a finite value."""
     entries = [line.partition("\t") for line in split_lines(text) if line.strip()]
@@ -180,9 +182,9 @@ def parse_weights(text: str, schema: FeatureSchema) -> np.ndarray:
     if sorted(names) != sorted(schema.names):
         raise ValueError(f"weight names {names} are not {list(schema.names)}, each once")
     values = {name: float(raw) for name, _, raw in entries}
-    weights = np.array([values[name] for name in schema.names])
-    if not np.isfinite(weights).all():
-        bad = [name for name, w in zip(schema.names, weights) if not np.isfinite(w)]
+    weights = tuple(values[name] for name in schema.names)
+    bad = [name for name, w in zip(schema.names, weights) if not math.isfinite(w)]
+    if bad:
         raise ValueError(f"non-finite weights {bad}")
     return weights
 
@@ -333,13 +335,13 @@ def beam_search(
     lm: NGramLM,
     beam: int | None = 64,
     k: int = 50,
-) -> list[tuple[TokenSeq, np.ndarray, float]]:
+) -> list[tuple[TokenSeq, tuple[float, ...], float]]:
     """Breadth-synchronous beam search over emitted length.
 
     States with the same (used words, LM context) recombine, keeping the
     higher score (ties: lexicographically smaller output).  Returns up to k
-    completed hypotheses sorted by score, deduplicated by token sequence,
-    each with a fresh feature array.  beam=None disables pruning entirely.
+    completed (tokens, feature tuple, score) triples sorted by score,
+    deduplicated by token sequence.  beam=None disables pruning entirely.
 
     The result depends on k only by truncation, so ``space.kbest`` keeps the
     ranked list of each (LM object, exact weight bits, beam) searched, up to
@@ -359,7 +361,7 @@ def beam_search(
             [(out, feats, score) for _, out, _, feats, score in ranked[:k]],
             len(ranked) <= k,
         )
-    return [(out, np.array(feats), score) for out, feats, score in kept[0][:k]]
+    return kept[0][:k]
 
 
 def _search(

@@ -9,7 +9,8 @@ flag is checked against its key's legal values as it is loaded, so a bad
 value fails every command before it reads or writes any data.  Unset path
 keys are derived from data.dir after merging, so a config file is optional.
 The seed of every random stream is derived here, by ``stream_seed``, from
-one table of purposes.
+one table of purposes; it imports numpy when it is called, so that loading
+a config does not.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
-
-import numpy as np
 
 from .alignment import MAX_TOKENS
 from .errors import UsageError
@@ -122,6 +121,8 @@ def stream_seed(cfg: ExperimentConfig, purpose: str, *key: int) -> int:
     ``SeedSequence(base, spawn_key=(code, *key))``, so that streams of
     different purposes, keys or base seeds draw unrelated numbers.  The base
     is ``seed`` unless the purpose's own key is >= 0."""
+    import numpy as np
+
     code, own_key = SEED_PURPOSES[purpose]
     own = cfg.get_int(own_key) if own_key is not None else -1
     base = own if own >= 0 else cfg.get_int("seed")

@@ -15,7 +15,9 @@ outputs as peers; the ``ddt`` command runs it once, key 0, for one backbone.
 ``cli`` imports this module at start-up, and the commands that train no
 policy (the fuse path's ``tune``, ``combine`` and ``eval``) then do not load
 it.  The functions look its kernels up as ``policy.<name>`` on each call,
-so that a wrapper set on the module is the one they call.
+so that a wrapper set on the module is the one they call.  ``train_stage``
+imports numpy inside too, for its generator and its divergence check, so
+that importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -24,14 +26,14 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .errors import NumericError
 from .evaluation import diversity
 from .rewards import RewardKind, reward
 from .textcore import TokenSeq
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .policy import PolicyModel
 
 
@@ -147,6 +149,8 @@ def train_stage(
     pre-step reference NLL and the mean sample reward over all steps.  A
     parameter that is not finite at the end raises ``NumericError``.
     """
+    import numpy as np
+
     if not data:
         raise ValueError("empty training data")
     if any(len(outputs) != len(data) for outputs in peer_outputs):

@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .textcore import Edit, EditScript, TokenSeq, edit_script, ngram_counts, split_lines, tokenize
 
 
@@ -188,8 +186,12 @@ def sign_test_bootstrap(
 
     Each entry is "A", "B", or "tie".  Sentence indices are resampled with
     replacement; the one-tail sign test p-value is computed per resample
-    (ties dropped) and averaged.  Deterministic given the seed.
+    (ties dropped) and averaged.  Deterministic given the seed.  It is the
+    module's one user of numpy, which it imports when called, so that scoring
+    alone does not load it.
     """
+    import numpy as np
+
     if not per_sentence_better:
         raise ValueError("need at least one per-sentence outcome")
     bad = set(per_sentence_better) - {"A", "B", "tie"}

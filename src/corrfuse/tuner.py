@@ -22,19 +22,24 @@ already searched.  ``tune_loop`` also takes a dict of candidate statistics
 keyed by (source, gold, tokens), so a caller that tunes several times on the
 same sentences, as ``stages`` does once per stage, scores each candidate
 once.
+
+numpy is imported inside the functions that make arrays, not at the top:
+``cli`` imports this module at start-up, and ``combine``, which decodes
+through ``decode_corpus`` with a weight tuple, then runs without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .combiner import NGramLM, SearchSpace, beam_search
 from .evaluation import GoldAnnotation, ScoreStats, f_beta, score_sentence
 from .textcore import TokenSeq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,8 @@ class KBestPool:
 
     @classmethod
     def empty(cls, n_sentences: int) -> "KBestPool":
+        import numpy as np
+
         return cls(
             [{} for _ in range(n_sentences)],
             [np.empty((0, 0)) for _ in range(n_sentences)],
@@ -77,6 +84,8 @@ class KBestPool:
         n = len(slot)
         mat = self._feats[sentence]
         if n == len(mat):
+            import numpy as np
+
             grown = np.empty((max(8, 2 * n), len(cand.feats)))
             if n:
                 grown[:n] = mat
@@ -104,7 +113,7 @@ class KBestPool:
         tp = fp = fn = 0
         for i, stats in enumerate(self._stats):
             if stats:
-                best = stats[int(np.argmax(self.features(i) @ weights))]
+                best = stats[int((self.features(i) @ weights).argmax())]
                 tp += best.tp
                 fp += best.fp
                 fn += best.fn
@@ -123,6 +132,8 @@ def line_search(
     Among equally good intervals the representative closest to 0 wins, and
     representatives are interval midpoints, never breakpoints.
     """
+    import numpy as np
+
     direction = np.asarray(direction, dtype=float)
     if not np.any(direction):
         raise ValueError("direction must be non-zero")
@@ -217,6 +228,8 @@ def mert(
     started from: no step has been accepted since, so the search would
     return the same rejected step.
     """
+    import numpy as np
+
     if iters < 1:
         raise ValueError("iters must be >= 1")
     w = np.asarray(w0, dtype=float).copy()
@@ -246,7 +259,7 @@ def tune_loop(
     golds: Sequence[GoldAnnotation],
     spaces: Sequence[SearchSpace],
     lm: NGramLM,
-    w0: np.ndarray,
+    w0: Sequence[float],
     beam: int | None = 64,
     k: int = 50,
     rounds: int = 3,
@@ -264,6 +277,8 @@ def tune_loop(
     it across several tuning runs on the same sentences scores each
     candidate once.
     """
+    import numpy as np
+
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if not len(sources) == len(golds) == len(spaces):
@@ -282,7 +297,7 @@ def tune_loop(
                 stats = scores.get(key)
                 if stats is None:
                     stats = scores[key] = score_sentence(sources[i], tokens, golds[i])
-                grew |= pool.add(i, Candidate(tokens, tuple(feats), stats))
+                grew |= pool.add(i, Candidate(tokens, feats, stats))
         if not grew and round_idx > 0:
             break
         w = mert(pool, w, iters=mert_iters, n_random=n_random, rng_seed=(rng_seed, round_idx))
@@ -291,7 +306,7 @@ def tune_loop(
 
 def decode_corpus(
     spaces: Sequence[SearchSpace],
-    weights: np.ndarray,
+    weights: Sequence[float],
     lm: NGramLM,
     beam: int | None = 64,
 ) -> list[TokenSeq]:

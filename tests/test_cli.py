@@ -867,7 +867,7 @@ def test_stage_files_are_what_tune_and_combine_make_of_the_stage_outputs(tmp_pat
     for stage in range(5):
         weights = stage_file(tmp_path, stage, "weights")
         # tuned weights, not the defaults, or the comparisons below show nothing
-        assert combiner.parse_weights(weights, schema).tolist() != schema.default_weights().tolist()
+        assert combiner.parse_weights(weights, schema) != schema.default_weights()
         hyps = ",".join(f"run/out/stage{stage}.sys{m}.hyp" for m in range(3))
         if stage == 0:
             assert run(tmp_path, ["tune"], *REUSE, "--set", f"tune.hyps={hyps}",
@@ -1064,6 +1064,7 @@ def test_set_value_that_is_not_utf8_is_a_usage_error_before_any_work(tmp_path, c
 def test_entry_freezes_once_then_exits_with_mains_code(monkeypatch, code):
     events = []
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["corrfuse", "eval"])  # entry parses it first
 
     def spy(argv=None):
         events.append(("main", argv))
@@ -1088,6 +1089,22 @@ def test_module_run_and_console_script_go_through_entry(tmp_path):
     assert scripts.split("[")[0].split() == ["corrfuse", "=", '"corrfuse.cli:entry"']
 
 
+@pytest.mark.parametrize("command, loaded, exit_code",
+                         [(["train"], True, 3), (["eval", "--set", "eval.hyp="], False, 2)],
+                         ids=["train", "eval"])
+def test_entry_loads_numpy_before_the_freeze_only_for_numeric_commands(tmp_path, command, loaded,
+                                                                       exit_code):
+    # numpy's objects are frozen with the rest of the start-up heap; a text
+    # command does not load it at all
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import gc, runpy, sys; gc.freeze = lambda: print('numpy' in sys.modules); "
+            f"sys.argv[1:] = {command!r}; "
+            "runpy.run_module('corrfuse.cli', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stdout) == (exit_code, f"{loaded}\n")
+
+
 def test_package_import_loads_no_module():
     # a child that imports the package alone must not pay for numpy or for
     # any corrfuse module it does not use
@@ -1099,31 +1116,46 @@ def test_package_import_loads_no_module():
     assert proc.stdout == "[]\n"
 
 
-POLICY, TOYDATA = "corrfuse.policy", "corrfuse.toydata"
+NUMPY, POLICY, TOYDATA = "numpy", "corrfuse.policy", "corrfuse.toydata"
 LOADED_BY_COMMAND = [
-    (["tune", "--set", f"tune.hyps={HYPS}"], []),
-    (["combine", "--set", f"combine.hyps={HYPS}"], []),
-    (["eval", "--set", "eval.hyp=run/out/combined.hyp"], []),
-    (["diversity", "--set", DIV_A, "--set", DIV_B], []),
-    (["gen"], [TOYDATA]),
-    (["train", "--set", "train.epochs=1"], [POLICY]),
-    (["ddt"], [POLICY]),
-    (["stages"], [POLICY]),
+    # (id, command, which of the three modules it loads, exit code)
+    ("tune", ["tune", "--set", f"tune.hyps={HYPS}"], [NUMPY], 0),
+    ("combine", ["combine", "--set", f"combine.hyps={HYPS}",
+                 "--set", "combine.weights=run/out/combine.weights"], [], 0),
+    ("combine-default-weights", ["combine", "--set", f"combine.hyps={HYPS}",
+                                 "--set", "combine.weights=run/none.weights"], [], 0),
+    ("eval", ["eval", "--set", "eval.hyp=run/out/combined.hyp"], [], 0),
+    # the sign test draws from a numpy generator
+    ("eval-baseline", ["eval", "--set", "eval.hyp=run/out/combined.hyp",
+                       "--set", "eval.baseline=run/out/stage2.sys0.hyp"], [NUMPY], 0),
+    ("diversity", ["diversity", "--set", DIV_A, "--set", DIV_B], [], 0),
+    ("gen", ["gen"], [NUMPY, TOYDATA], 0),
+    ("train", ["train", "--set", "train.epochs=1"], [NUMPY, POLICY], 0),
+    ("ddt", ["ddt"], [NUMPY, POLICY], 0),
+    ("stages", ["stages"], [NUMPY, POLICY], 0),
+    ("help", ["--help"], [], 0),
+    ("unknown-command", ["nosuch"], [], 2),  # argparse's usage error
 ]
 
 
-@pytest.mark.parametrize("command, loaded", LOADED_BY_COMMAND,
-                         ids=[command[0] for command, _ in LOADED_BY_COMMAND])
-def test_each_command_loads_policy_and_toydata_only_if_it_uses_them(workdir, command, loaded):
+@pytest.mark.parametrize("command, loaded, exit_code",
+                         [case[1:] for case in LOADED_BY_COMMAND],
+                         ids=[case[0] for case in LOADED_BY_COMMAND])
+def test_each_command_loads_policy_and_toydata_only_if_it_uses_them(workdir, command, loaded,
+                                                                   exit_code):
     # cli imports these two inside the commands that use them, so that the
-    # fuse commands' children do not compile them
+    # fuse commands' children do not compile them, and numpy inside the
+    # functions that make arrays, so that the text commands do not load it
+    assert (workdir / "run/out/combine.weights").is_file()  # the combine case's weights
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys; from corrfuse import cli; code = cli.main(sys.argv[1:]); "
-            f"print([m for m in {[POLICY, TOYDATA]!r} if m in sys.modules]); sys.exit(code)")
+    code = ("import sys\nfrom corrfuse import cli\n"
+            "try:\n    code = cli.main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n    code = exc.code\n"
+            f"print([m for m in {[NUMPY, POLICY, TOYDATA]!r} if m in sys.modules]); sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code, *command[:1], *TINY, *command[1:]],
                           cwd=workdir, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == exit_code, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 

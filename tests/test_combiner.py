@@ -261,11 +261,13 @@ class TestBeamSearch:
 class TestWeightsIO:
     def test_round_trip(self):
         schema = FeatureSchema(3)
-        weights = np.array([1.5, -0.25, 0.0, 2.0, 0.125])
+        weights = (1.5, -0.25, -0.0, 2.0, 0.125)
         text = format_weights(schema, weights)
+        assert format_weights(schema, np.array(weights)) == text  # tuned weights are an array
         for copy in (text, text.replace("\n", "\r\n")):  # the CR LF copy parses the same
-            assert np.array_equal(parse_weights(copy, schema), weights)
-            assert parse_weights(copy, schema).tobytes() == weights.tobytes()
+            parsed = parse_weights(copy, schema)
+            assert type(parsed) is tuple and all(type(w) is float for w in parsed)
+            assert [w.hex() for w in parsed] == [w.hex() for w in weights]
 
     def test_rejects_name_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@
 (LM object, exact weight bits, beam) it has searched.  Interleaved calls that
 vary the weights, the beam, the order of k and the LM object on the same
 spaces must return what a search on a fresh copy of the space (an empty
-memo) returns, bit for bit, with fresh feature arrays on every call.
+memo) returns, bit for bit.  The feature vectors it returns are tuples,
+which no caller can change, so the memo hands out its own.
 """
 
 import sys
@@ -49,16 +50,15 @@ def fresh_search(space, weights, lm, beam, k):
 def assert_same_kbest(got, want):
     assert [tokens for tokens, _, _ in got] == [tokens for tokens, _, _ in want]
     for (_, g_feats, g_score), (_, w_feats, w_score) in zip(got, want):
-        assert g_feats.dtype == w_feats.dtype
-        assert g_feats.tobytes() == w_feats.tobytes()
+        assert type(g_feats) is tuple and type(w_feats) is tuple
+        assert [bits(f) for f in g_feats] == [bits(f) for f in w_feats]
         assert bits(g_score) == bits(w_score)
 
 
 def check_interleaved(spaces, lms, weight_sets, beams, ks):
     """Every (space, lm, weights, beam, k) in an interleaved order, twice over,
-    each result against a memo-free search; returned arrays are scribbled
-    over to show that no later call shares them."""
-    returned = {}  # id -> array, kept alive so that ids stay unique
+    each result against a memo-free search; every feature vector returned is
+    an immutable tuple of floats, so sharing the memo's own is safe."""
     for _ in range(2):
         for k in ks:
             for beam in beams:
@@ -68,9 +68,7 @@ def check_interleaved(spaces, lms, weight_sets, beams, ks):
                             got = beam_search(space, weights, lm, beam, k)
                             assert_same_kbest(got, fresh_search(space, weights, lm, beam, k))
                             for _, feats, _ in got:
-                                assert id(feats) not in returned
-                                returned[id(feats)] = feats
-                                feats[:] = np.nan
+                                assert all(type(f) is float for f in feats)
     assert all(space.kbest for space in spaces)
 
 
