@@ -32,14 +32,15 @@ the dev split and ``data.dev_ref``, the references that DDT trains on,
 through ``_load_ddt_inputs``.  Combination runs in one process, so
 ``--jobs`` accepts only 1.
 
-``run_stages`` is the in-process entry for study scripts: it yields one
-``StageResult`` per DDT stage, and ``cmd_stages`` only scores them (one
-memoized ``_scorer`` per split), picks the best and formats.  A DDT stage,
-its random stream and its divergence check included, is one
-``ddt.train_stage`` call, keyed by the stage (0 for ``ddt``).  Every random
-stream's seed comes from ``config.stream_seed`` by purpose and key: DDT's in
-``_ddt_config``, the stage's MERT streams in ``_tune``, the significance
-test's in ``_p_value``.
+A command scores a split through one ``evaluation.Scorer``, so tuning and
+every report share one memo of sentence scores.  ``run_stages`` is the
+in-process entry for study scripts: it yields one ``StageResult`` per DDT
+stage, tuned through the scorer it is given, and ``cmd_stages`` reports from
+that scorer, picks the best and formats.  A DDT stage, its random stream and
+its divergence check included, is one ``ddt.train_stage`` call, keyed by the
+stage (0 for ``ddt``).  Every random stream's seed comes from
+``config.stream_seed`` by purpose and key: DDT's in ``_ddt_config``, the
+stage's MERT streams in ``_tune``, the significance test's in ``_p_value``.
 The decode limit ``policy.max_len`` is checked where it enters: at config load
 and at checkpoint parse (``policy.parse_model``).
 
@@ -82,7 +83,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import gc
 import os
 import sys
@@ -105,12 +105,12 @@ from .ddt import DdtConfig, StageReport, mean_pairwise_diversity, round_robin, t
 from .errors import DataError, NumericError, UsageError
 from .evaluation import (
     GoldAnnotation,
+    Scorer,
     ScoreStats,
     compare_outputs,
     diversity,
     format_m2,
     parse_m2,
-    score_corpus,
     sign_test_bootstrap,
 )
 from .rewards import RewardKind
@@ -306,24 +306,21 @@ def _ddt_config(cfg: ExperimentConfig) -> DdtConfig:
 def _tune(
     cfg: ExperimentConfig,
     outputs_per_model: Sequence[Sequence[TokenSeq]],
-    sources: Sequence[TokenSeq],
-    golds: Sequence[GoldAnnotation],
+    scorer: Scorer,
     lm: NGramLM,
     stage: int = 0,
     known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] | None = None,
-    scores: dict[tuple, ScoreStats] | None = None,
 ) -> tuple[list[SearchSpace], np.ndarray, KBestPool]:
     """Build the systems' search spaces and tune the combination weights on
-    ``sources``/``golds`` with the config's beam (``combine.beam``), k-best
+    ``scorer``'s split with the config's beam (``combine.beam``), k-best
     size (``combine.k``) and MERT schedule (``tune.rounds``, ``tune.iters``,
     ``tune.random_dirs``), seeded with the ``tune`` stream of ``stage``.
     Returns the spaces, the tuned weights and the k-best pool.
-    ``known_spaces`` and ``scores`` are ``build_spaces``'s and ``tune_loop``'s
-    memos, for a caller that tunes several times on the same sentences."""
+    ``known_spaces`` is ``build_spaces``'s memo, for a caller that tunes
+    several times on the same sentences."""
     spaces = build_spaces(outputs_per_model, known_spaces)
     weights, pool = tune_loop(
-        sources,
-        golds,
+        scorer,
         spaces,
         lm,
         FeatureSchema(len(outputs_per_model)).default_weights(),
@@ -333,7 +330,6 @@ def _tune(
         mert_iters=cfg.get_int("tune.iters"),
         n_random=cfg.get_int("tune.random_dirs"),
         rng_seed=stream_seed(cfg, "tune", stage),
-        scores=scores,
     )
     return spaces, weights, pool
 
@@ -353,34 +349,23 @@ class StageResult:
 def run_stages(
     cfg: ExperimentConfig,
     models: Sequence[PolicyModel],
-    sources: Sequence[TokenSeq],
-    golds: Sequence[GoldAnnotation],
+    scorer: Scorer,
     refs: Sequence[TokenSeq],
     lm: NGramLM,
 ) -> Iterator[StageResult]:
-    """Run ``ddt.stages`` round-robin DDT stages on (``sources``, ``refs``),
-    then tune and decode each stage's combination on ``sources``/``golds``.
-    A diverged stage raises ``NumericError`` before any stage is tuned.  The
-    search spaces (each with its memo of k-best searches) and candidate
-    scores are memos shared by the stages, as a model's outputs recur."""
+    """Run ``ddt.stages`` round-robin DDT stages on (``scorer.sources``,
+    ``refs``), then tune and decode each stage's combination on ``scorer``'s
+    split.  A diverged stage raises ``NumericError`` before any stage is
+    tuned.  The search spaces (each with its memo of k-best searches) are
+    shared by the stages, as a model's outputs recur, and so is ``scorer``."""
     _, reports = round_robin(
-        models, list(zip(sources, refs)), _ddt_config(cfg), cfg.get_int("ddt.stages")
+        models, list(zip(scorer.sources, refs)), _ddt_config(cfg), cfg.get_int("ddt.stages")
     )
     known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
-    scores: dict[tuple, ScoreStats] = {}
     for report in reports:
-        spaces, weights, pool = _tune(
-            cfg, report.outputs, sources, golds, lm, report.stage, known_spaces, scores
-        )
+        spaces, weights, pool = _tune(cfg, report.outputs, scorer, lm, report.stage, known_spaces)
         combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
         yield StageResult(report, weights, pool, tuple(combined))
-
-
-def _scorer(
-    sources: Sequence[TokenSeq], golds: Sequence[GoldAnnotation]
-) -> Callable[[tuple[TokenSeq, ...]], tuple[ScoreStats, list[ScoreStats]]]:
-    """``score_corpus`` on one split, memoized by the output tuple."""
-    return functools.cache(lambda outputs: score_corpus(sources, outputs, golds))
 
 
 def _p_value(cfg: ExperimentConfig, per_a: list[ScoreStats], per_b: list[ScoreStats]) -> float:
@@ -509,9 +494,9 @@ def cmd_train(cfg: ExperimentConfig) -> Result:
     files = {vocab_path: format_vocab(vocab)}
     files.update((path, format_model(model)) for model, path in zip(models, model_paths))
     summary: dict[str, object] = {"vocab_size": len(vocab), "n_pairs": len(pairs)}
+    scorer = Scorer(dev_src, dev_golds)
     for i, (model, nll) in enumerate(zip(models, nlls)):
-        outputs = [greedy_decode(model, x) for x in dev_src]
-        stats, _ = score_corpus(dev_src, outputs, dev_golds)
+        stats, _ = scorer.corpus([greedy_decode(model, x) for x in dev_src])
         summary[f"model_{i}_nll"] = nll
         summary[f"model_{i}_dev_f05"] = stats.f_beta(0.5)
     return files, summary
@@ -552,7 +537,7 @@ def cmd_ddt(cfg: ExperimentConfig) -> Result:
         cfg.get_str("model.dir"), f"model_{backbone_idx}_ddt.txt"
     )
     outputs = [greedy_decode(backbone, x) for x in dev_src]
-    stats, _ = score_corpus(dev_src, outputs, dev_golds)
+    stats, _ = Scorer(dev_src, dev_golds).corpus(outputs)
     div = mean_pairwise_diversity([outputs] + [list(p) for p in peer_outputs])
     return {out_path: format_model(backbone)}, {
         "backbone": backbone_idx,
@@ -579,13 +564,14 @@ def cmd_stages(cfg: ExperimentConfig) -> Result:
             f"dev references longer than the shortest model decode limit ({shortest_limit});"
             " regenerate or raise policy.max_len"
         )
-    score = _scorer(dev_src, dev_golds)
+    scorer = Scorer(dev_src, dev_golds)
+    score = scorer.corpus
     out_dir = os.path.join(cfg.get_str("data.dir"), "out")
     schema = FeatureSchema(len(models))
     files: dict[str, str] = {}
     summary: dict[str, object] = {"stages": cfg.get_int("ddt.stages"), "models": len(models)}
     combined: list[tuple[TokenSeq, ...]] = []
-    for result in run_stages(cfg, models, dev_src, dev_golds, dev_ref, lm):
+    for result in run_stages(cfg, models, scorer, dev_ref, lm):
         stage, outputs_per_model = result.report.stage, result.report.outputs
         prefix = os.path.join(out_dir, f"stage{stage}")
         for m, outputs in enumerate(outputs_per_model):
@@ -629,7 +615,7 @@ def cmd_tune(cfg: ExperimentConfig) -> Result:
         dev_src=dev_src, **{f"hyp_{i}": lines for i, lines in enumerate(hyp_lines)}
     )
     lm = _load_lm(cfg)
-    _, weights, pool = _tune(cfg, hyp_lines, dev_src, dev_golds, lm)
+    _, weights, pool = _tune(cfg, hyp_lines, Scorer(dev_src, dev_golds), lm)
     out_path = cfg.get_str("tune.out")
     return {out_path: format_weights(FeatureSchema(len(hyp_lines)), weights)}, {
         "systems": len(hyp_lines),
@@ -647,7 +633,8 @@ def cmd_eval(cfg: ExperimentConfig) -> Result:
     split = cfg.get_str("eval.split")
     src, golds = _load_split(cfg, split)
     _require_aligned(src=src, hyps=hyps)
-    stats, per_sentence = score_corpus(src, hyps, golds)
+    scorer = Scorer(src, golds)
+    stats, per_sentence = scorer.corpus(hyps)
     summary: dict[str, object] = {
         "hyp": hyp_path,
         "split": split,
@@ -663,7 +650,7 @@ def cmd_eval(cfg: ExperimentConfig) -> Result:
         baseline = _read_token_lines(baseline_path)
         _require_aligned(src=src, baseline=baseline)
         summary["baseline"] = baseline_path
-        summary["p_value"] = _p_value(cfg, per_sentence, score_corpus(src, baseline, golds)[1])
+        summary["p_value"] = _p_value(cfg, per_sentence, scorer.corpus(baseline)[1])
     return {}, summary
 
 

@@ -4,6 +4,10 @@ Scoring is untyped exact-span matching: a hypothesis edit counts as a true
 positive iff the identical (span, replacement) pair appears in the chosen
 annotator's gold set.  Corpus scores are computed from summed per-sentence
 sufficient statistics, never from averaged sentence scores.
+
+Every score of a split goes through one ``Scorer``: tuning's candidates and
+every reported output alike, so a (sentence, hypothesis) pair that recurs is
+scored once.
 """
 
 from __future__ import annotations
@@ -114,19 +118,37 @@ def score_sentence(source: TokenSeq, hyp: TokenSeq, gold: GoldAnnotation) -> Sco
     return best
 
 
-def score_corpus(
-    sources: Sequence[TokenSeq],
-    hyps: Sequence[TokenSeq],
-    golds: Sequence[GoldAnnotation],
-) -> tuple[ScoreStats, list[ScoreStats]]:
-    """Per-sentence stats plus their componentwise sum."""
-    if not len(sources) == len(hyps) == len(golds):
-        raise ValueError("sources, hypotheses and golds must be line-aligned")
-    per_sentence = [score_sentence(s, h, g) for s, h, g in zip(sources, hyps, golds)]
-    total = ScoreStats()
-    for st in per_sentence:
-        total = total + st
-    return total, per_sentence
+class Scorer:
+    """``score_sentence`` on one split, memoized by (sentence, hypothesis).
+
+    Equal (source, gold) sentences share their entries: each sentence is
+    keyed by the index of its first equal sentence.  ``score_sentence`` is
+    looked up as a module global at each call, not bound here.
+    """
+
+    def __init__(self, sources: Sequence[TokenSeq], golds: Sequence[GoldAnnotation]) -> None:
+        if len(sources) != len(golds):
+            raise ValueError("sources and golds must be line-aligned")
+        self.sources = tuple(sources)
+        self.golds = tuple(golds)
+        first: dict[tuple[TokenSeq, GoldAnnotation], int] = {}
+        self._key = [first.setdefault(pair, i) for i, pair in enumerate(zip(self.sources, self.golds))]
+        self._memo: dict[tuple[int, TokenSeq], ScoreStats] = {}
+
+    def sentence(self, i: int, hyp: TokenSeq) -> ScoreStats:
+        """The statistics of ``hyp`` as the output for sentence ``i``."""
+        key = (self._key[i], hyp)
+        stats = self._memo.get(key)
+        if stats is None:
+            stats = self._memo[key] = score_sentence(self.sources[i], hyp, self.golds[i])
+        return stats
+
+    def corpus(self, hyps: Sequence[TokenSeq]) -> tuple[ScoreStats, list[ScoreStats]]:
+        """Per-sentence statistics of line-aligned ``hyps`` and their sum."""
+        if len(hyps) != len(self.sources):
+            raise ValueError("hypotheses and sources must be line-aligned")
+        per_sentence = [self.sentence(i, hyp) for i, hyp in enumerate(hyps)]
+        return sum(per_sentence, ScoreStats()), per_sentence
 
 
 def bleu(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> float:

@@ -66,11 +66,7 @@ class Grammar:
         for s, p in self.nouns + self.verbs_intrans + self.verbs_trans:
             words += [s, p]
         words += self.adjectives + self.prepositions + self.adverbs
-        out: list[str] = []
-        for w in words:
-            if w not in out:
-                out.append(w)
-        return tuple(out)
+        return tuple(dict.fromkeys(words))
 
 
 DEFAULT_GRAMMAR = Grammar(
@@ -99,6 +95,8 @@ def parse_grammar(text: str) -> Grammar:
 
     det <word> | noun <sg> <pl> | verbi <3sg> <pl> | verbt <3sg> <pl> |
     adj <word> | prep <word> | adv <word>.  Blank lines and # comments ok.
+    A plural noun phrase takes the first ``det`` entry or no determiner, so
+    list the determiner that fits plurals (English "the") first.
     """
     slots: dict[str, list] = {k: [] for k in ("det", "noun", "verbi", "verbt", "adj", "prep", "adv")}
     arity = {"det": 1, "noun": 2, "verbi": 2, "verbt": 2, "adj": 1, "prep": 1, "adv": 1}
@@ -133,7 +131,7 @@ def _sample_np(rng: np.random.Generator, grammar: Grammar, plural: bool) -> list
     if not plural:
         words.append(grammar.determiners[rng.integers(len(grammar.determiners))])
     elif rng.random() < 0.5:
-        words.append("the")  # plural subjects take "the" or no determiner
+        words.append(grammar.determiners[0])  # plural subjects take the first determiner or none
     if grammar.adjectives and rng.random() < 0.4:
         words.append(grammar.adjectives[rng.integers(len(grammar.adjectives))])
     words.append(noun)

@@ -18,10 +18,9 @@ has not moved since that axis was last searched.
 ``tune_loop`` and ``decode_corpus`` search through ``beam_search``, whose
 per-space memo (keyed by LM object, exact weight bits and beam) serves a
 repeated search, such as the final decode with weights that the last round
-already searched.  ``tune_loop`` also takes a dict of candidate statistics
-keyed by (source, gold, tokens), so a caller that tunes several times on the
-same sentences, as ``stages`` does once per stage, scores each candidate
-once.
+already searched.  ``tune_loop`` scores candidates through the split's
+``evaluation.Scorer``, whose memo serves a caller that tunes several times on
+the same sentences and reports on them, as ``stages`` does.
 
 numpy is imported inside the functions that make arrays, not at the top:
 ``cli`` imports this module at start-up, and ``combine``, which decodes
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .combiner import NGramLM, SearchSpace, beam_search
-from .evaluation import GoldAnnotation, ScoreStats, f_beta, score_sentence
+from .evaluation import Scorer, ScoreStats, f_beta
 from .textcore import TokenSeq
 
 if TYPE_CHECKING:
@@ -255,8 +254,7 @@ def mert(
 
 
 def tune_loop(
-    sources: Sequence[TokenSeq],
-    golds: Sequence[GoldAnnotation],
+    scorer: Scorer,
     spaces: Sequence[SearchSpace],
     lm: NGramLM,
     w0: Sequence[float],
@@ -266,38 +264,25 @@ def tune_loop(
     mert_iters: int = 5,
     n_random: int = 8,
     rng_seed: int = 0,
-    scores: dict[tuple[TokenSeq, GoldAnnotation, TokenSeq], ScoreStats] | None = None,
 ) -> tuple[np.ndarray, KBestPool]:
     """Decode k-best, merge into the pool, re-optimize with MERT seeded
     ``(rng_seed, round)``; stop early when a round contributes no new
-    candidates.
-
-    ``scores`` maps (source, gold, candidate tokens) to the candidate's
-    statistics; it is filled as candidates are scored, so a caller that keeps
-    it across several tuning runs on the same sentences scores each
-    candidate once.
-    """
+    candidates.  A new candidate of sentence i is scored by
+    ``scorer.sentence(i, tokens)``."""
     import numpy as np
 
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if not len(sources) == len(golds) == len(spaces):
-        raise ValueError("sources, golds and search spaces must be line-aligned")
-    if scores is None:
-        scores = {}
-    pool = KBestPool.empty(len(sources))
+    if len(scorer.sources) != len(spaces):
+        raise ValueError("the scorer's sentences and the search spaces must be line-aligned")
+    pool = KBestPool.empty(len(spaces))
     w = np.asarray(w0, dtype=float).copy()
     for round_idx in range(rounds):
         grew = False
         for i, space in enumerate(spaces):
             for tokens, feats, _ in beam_search(space, w, lm, beam, k):
-                if tokens in pool.sentences[i]:
-                    continue
-                key = (sources[i], golds[i], tokens)
-                stats = scores.get(key)
-                if stats is None:
-                    stats = scores[key] = score_sentence(sources[i], tokens, golds[i])
-                grew |= pool.add(i, Candidate(tokens, feats, stats))
+                if tokens not in pool.sentences[i]:
+                    grew |= pool.add(i, Candidate(tokens, feats, scorer.sentence(i, tokens)))
         if not grew and round_idx > 0:
             break
         w = mert(pool, w, iters=mert_iters, n_random=n_random, rng_seed=(rng_seed, round_idx))

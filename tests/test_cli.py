@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrfuse import cli, combiner, policy, tuner
+from corrfuse import cli, combiner, evaluation, policy, tuner
 from corrfuse.config import ExperimentConfig, stream_seed
 from corrfuse.ddt import DdtConfig, train_stage
-from corrfuse.evaluation import parse_m2, score_corpus
+from corrfuse.evaluation import Scorer, parse_m2
 from corrfuse.policy import greedy_decode, parse_model, parse_vocab
-from corrfuse.textcore import tokenize
+from corrfuse.textcore import TokenSeq, tokenize
 
 TINY = [
     "--seed", "5",
@@ -86,12 +86,11 @@ def test_stages_reports_each_components_score(pipeline):
     summary = dict(line.split("=", 1) for line in section.splitlines())
     data = root / "run" / "data"
     sources = [tokenize(line) for line in (data / "dev.src").read_text().splitlines()]
-    golds = parse_m2((data / "dev.m2").read_text())
+    scorer = Scorer(sources, parse_m2((data / "dev.m2").read_text()))
     for stage in range(3):
         for m in range(3):
             path = root / "run" / "out" / f"stage{stage}.sys{m}.hyp"
-            hyps = [tokenize(line) for line in path.read_text().splitlines()]
-            total, _ = score_corpus(sources, hyps, golds)
+            total, _ = scorer.corpus([tokenize(line) for line in path.read_text().splitlines()])
             assert summary[f"stage{stage}_component{m}_f05"] == cli._fmt(total.f_beta(0.5))
 
 
@@ -466,6 +465,23 @@ def test_text_input_that_is_not_utf8_is_a_data_error_naming_the_file(workdir, ca
     assert "data error: run/out/combined.hyp: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_gen_with_a_custom_grammar_writes_only_its_words(tmp_path, capsys):
+    """Every token of every split comes from the grammar file: plural
+    subjects take its first determiner, not an English "the"."""
+    from corrfuse.toydata import parse_grammar
+
+    text = "det le\ndet un\nnoun chat chats\nverbi dort dorment\nverbt voit voient\nprep sur\n"
+    (tmp_path / "grammar.txt").write_text(text, encoding="utf-8")
+    assert run(tmp_path, ["gen"], "--set", "gen.grammar=grammar.txt", "--set", "gen.train=20") == 0
+    summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    vocabulary = parse_grammar(text).vocabulary()
+    assert summary["vocab_size"] == str(len(vocabulary))
+    for path in sorted((tmp_path / "run/data").iterdir()):
+        if path.suffix in (".src", ".ref"):
+            tokens = {tok for line in path.read_text(encoding="utf-8").splitlines() for tok in tokenize(line)}
+            assert tokens <= set(vocabulary), path.name
+
+
 @pytest.mark.parametrize(
     "content", [None, b"noun cat cats\n", "café".encode("latin-1"), "directory"],
     ids=["missing", "malformed", "not-utf8", "directory"],
@@ -697,6 +713,18 @@ def test_output_in_place_of_the_report_is_a_usage_error(workdir, capsys):
     assert tree_bytes(workdir / "run") == before and report.is_file()
 
 
+def test_ddt_normalize_changes_the_checkpoint(workdir):
+    """``ddt.normalize`` reaches the reward: at the same seed, a run with
+    normalized rewards writes a different checkpoint from the default's."""
+    texts = []
+    for setting in ("ddt.normalize=false", "ddt.normalize=true"):
+        out = f"run/models/{setting}.txt"
+        assert run(workdir, ["ddt"], "--set", setting, "--set", f"ddt.out={out}") == 0
+        texts.append((workdir / out).read_text(encoding="utf-8"))
+    assert texts[0] == (workdir / "run/models/model_0_ddt.txt").read_text(encoding="utf-8")
+    assert texts[0] != texts[1]
+
+
 def test_ddt_skips_references_over_the_length_limit(workdir, capsys):
     ref = workdir / "run/data/dev.ref"
     lines = ref.read_text(encoding="utf-8").splitlines()
@@ -758,14 +786,32 @@ def test_ddt_backbone_1_is_one_train_stage_against_models_0_and_2(workdir, capsy
 REUSE = ("--set", "ddt.stages=4", "--set", "tune.rounds=3", "--set", "tune.iters=2")
 
 
+def stage_outputs(cwd: Path, stages: int) -> list[tuple[TokenSeq, ...]]:
+    """The combined and component outputs of each stage's files under
+    ``cwd``, stage by stage."""
+    return [
+        tuple(map(tokenize, stage_file(cwd, stage, f"{name}.hyp").splitlines()))
+        for stage in range(stages)
+        for name in ("combined", "sys0", "sys1", "sys2")
+    ]
+
+
+def dev_sentences(cwd: Path) -> list[tuple]:
+    """The (source, gold) of each dev sentence under ``cwd``."""
+    data = cwd / "run/data"
+    sources = [tokenize(line) for line in (data / "dev.src").read_text(encoding="utf-8").splitlines()]
+    return list(zip(sources, parse_m2((data / "dev.m2").read_text(encoding="utf-8"))))
+
+
 def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
     """Every distinct hypothesis tuple is aligned once, every distinct
     (space, weights, beam) searched once and every distinct (sentence,
-    candidate) scored once over all stages."""
+    hypothesis) scored once over all stages, tuning's candidates and the
+    reported outputs together."""
     aligned, searches, scored, tuned_spaces, pools = [], [], [], [], []
     expansions = 0
     align_all, extensions = combiner.align_all, combiner.extensions
-    search, score, tune = tuner.beam_search, tuner.score_sentence, cli.tune_loop
+    search, score, tune = tuner.beam_search, evaluation.score_sentence, cli.tune_loop
 
     def counted_extensions(*args):
         nonlocal expansions
@@ -779,16 +825,17 @@ def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
         searches.append((key, expansions > before))
         return result
 
-    def recorded_tune(sources, golds, spaces, *args, **kwargs):
-        weights, pool = tune(sources, golds, spaces, *args, **kwargs)
+    def recorded_tune(scorer, spaces, *args, **kwargs):
+        weights, pool = tune(scorer, spaces, *args, **kwargs)
         tuned_spaces.append(spaces)
-        pools.append({(sources[i], golds[i], t) for i, slot in enumerate(pool.sentences) for t in slot})
+        sentences = list(zip(scorer.sources, scorer.golds))
+        pools.append({(*sentences[i], t) for i, slot in enumerate(pool.sentences) for t in slot})
         return weights, pool
 
     monkeypatch.setattr(combiner, "align_all", lambda hyps: aligned.append(hyps) or align_all(hyps))
     monkeypatch.setattr(combiner, "extensions", counted_extensions)
     monkeypatch.setattr(tuner, "beam_search", recorded_search)
-    monkeypatch.setattr(tuner, "score_sentence", lambda s, t, g: scored.append((s, g, t)) or score(s, t, g))
+    monkeypatch.setattr(evaluation, "score_sentence", lambda s, t, g: scored.append((s, g, t)) or score(s, t, g))
     monkeypatch.setattr(cli, "tune_loop", recorded_tune)
     assert run(workdir, ["stages"], *REUSE) == 0
 
@@ -800,8 +847,12 @@ def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
     expanded = [key for key, grew in searches if grew]
     assert len(expanded) == len(keys) < len(searches)
     candidates = set().union(*pools)
-    assert len(scored) == len(candidates) < sum(map(len, pools))
-    assert set(scored) == candidates
+    reports = stage_outputs(workdir, 5)
+    sentences = dev_sentences(workdir)
+    reported = {(*sentences[i], hyp) for outputs in reports for i, hyp in enumerate(outputs)}
+    assert len(candidates) < sum(map(len, pools))
+    assert len(scored) == len(set(scored)) < sum(map(len, pools)) + sum(map(len, reports))
+    assert set(scored) == candidates | reported
 
 
 def test_stages_tie_goes_to_the_earliest_stage(workdir, monkeypatch, capsys):
@@ -862,7 +913,7 @@ def test_stage_files_are_what_tune_and_combine_make_of_the_stage_outputs(tmp_pat
     )
     monkeypatch.chdir(tmp_path)
     cfg = tiny_config(*REUSE)
-    sources, golds = cli._load_split(cfg, "dev")
+    scorer = Scorer(*cli._load_split(cfg, "dev"))
     lm = cli._load_lm(cfg)
     for stage in range(5):
         weights = stage_file(tmp_path, stage, "weights")
@@ -877,7 +928,7 @@ def test_stage_files_are_what_tune_and_combine_make_of_the_stage_outputs(tmp_pat
                        "--set", "combine.weights=run/check.weights", "--set", "combine.out=run/check.hyp") == 0
             combined = (tmp_path / "run/check.hyp").read_text(encoding="utf-8")
         else:
-            spaces, tuned, _ = cli._tune(cfg, cli._read_hyps("tune.hyps", hyps), sources, golds, lm, stage)
+            spaces, tuned, _ = cli._tune(cfg, cli._read_hyps("tune.hyps", hyps), scorer, lm, stage)
             assert combiner.format_weights(schema, tuned) == weights
             combined = cli._lines_text(cli.decode_corpus(spaces, tuned, lm, cfg.get_int("combine.beam")))
         assert combined == stage_file(tmp_path, stage, "combined.hyp")
@@ -905,9 +956,9 @@ def test_run_stages_yields_what_the_stage_files_hold(pipeline, monkeypatch):
 
     monkeypatch.setattr(cli, "tune_loop", recorded_tune)
     cfg = tiny_config()
-    sources, golds = cli._load_split(cfg, "dev")
+    scorer = Scorer(*cli._load_split(cfg, "dev"))
     refs = cli._read_token_lines(cfg.get_str("data.dev_ref"))
-    records = list(cli.run_stages(cfg, cli._load_models(cfg), sources, golds, refs, cli._load_lm(cfg)))
+    records = list(cli.run_stages(cfg, cli._load_models(cfg), scorer, refs, cli._load_lm(cfg)))
 
     assert [record.report.stage for record in records] == [0, 1, 2]
     assert len(pools) == len(records)
@@ -924,18 +975,41 @@ def test_run_stages_yields_what_the_stage_files_hold(pipeline, monkeypatch):
 
 
 def test_stages_scores_each_distinct_output_once(workdir, monkeypatch):
-    """Component and combined outputs share one memo of corpus scores: a
-    model's outputs recur over the stages that do not train it."""
-    scored, score = [], cli.score_corpus
-    monkeypatch.setattr(cli, "score_corpus", lambda s, hyps, g: scored.append(tuple(hyps)) or score(s, hyps, g))
-    assert run(workdir, ["stages"], *REUSE) == 0
-    outputs = [
-        tuple(map(tokenize, stage_file(workdir, stage, f"{name}.hyp").splitlines()))
-        for stage in range(5)
-        for name in ("combined", "sys0", "sys1", "sys2")
-    ]
-    assert len(scored) == len(set(scored)) == len(set(outputs)) < len(outputs)
-    assert set(scored) == set(outputs)
+    """The report scores component and combined outputs through the scorer
+    that tuning fills: outside tuning, ``score_sentence`` runs only for
+    (sentence, output) pairs of the stage files that no k-best pool held
+    yet, and once each, though a model's outputs recur over the stages that
+    do not train it."""
+    tuning, pooled, reported, pooled_when_reported = False, set(), [], []
+    score, tune = evaluation.score_sentence, cli.tune_loop
+
+    def recorded_tune(scorer, *args, **kwargs):
+        nonlocal tuning
+        tuning = True
+        weights, pool = tune(scorer, *args, **kwargs)
+        tuning = False
+        sentences = list(zip(scorer.sources, scorer.golds))
+        pooled.update((*sentences[i], t) for i, slot in enumerate(pool.sentences) for t in slot)
+        return weights, pool
+
+    def recorded_score(source, hyp, gold):
+        if not tuning:
+            reported.append((source, gold, hyp))
+            pooled_when_reported.append((source, gold, hyp) in pooled)
+        return score(source, hyp, gold)
+
+    monkeypatch.setattr(evaluation, "score_sentence", recorded_score)
+    monkeypatch.setattr(cli, "tune_loop", recorded_tune)
+    # two candidates a search: some reported outputs are in no pool
+    assert run(workdir, ["stages"], *REUSE, "--set", "combine.k=2") == 0
+    outputs = stage_outputs(workdir, 5)
+    assert len(set(outputs)) < len(outputs)
+    sentences = dev_sentences(workdir)
+    reports = {(*sentences[i], hyp) for out in outputs for i, hyp in enumerate(out)}
+    assert 0 < len(reports - pooled) < len(reports)
+    assert not any(pooled_when_reported)
+    assert len(reported) == len(set(reported))
+    assert set(reported) <= reports <= pooled | set(reported)
 
 
 def test_repeated_token_outputs_combine_quickly(tmp_path):

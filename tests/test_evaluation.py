@@ -14,7 +14,7 @@ from corrfuse.evaluation import (
     f_beta_pr,
     format_m2,
     parse_m2,
-    score_corpus,
+    Scorer,
     score_sentence,
     sign_test_bootstrap,
 )
@@ -129,6 +129,42 @@ class TestScoreSentence:
         gold = GoldAnnotation(tokenize("a b"), ((),))
         with pytest.raises(ValueError):
             score_sentence(tokenize("a c"), tokenize("a c"), gold)
+
+
+class TestScorer:
+    def _split(self):
+        """Sentences 0 and 2 are equal (source and gold), sentence 1 differs."""
+        source = tokenize("He go home")
+        gold = GoldAnnotation(source, ((Edit(1, 2, ("goes",)),),))
+        other = tokenize("all fine here")
+        return [source, other, source], [gold, GoldAnnotation(other, ((),)), gold]
+
+    def test_corpus_is_score_sentence_per_line_and_their_sum(self):
+        sources, golds = self._split()
+        hyps = [tokenize("He goes home ."), tokenize("all fine here"), sources[2]]
+        total, per = Scorer(sources, golds).corpus(hyps)
+        assert per == [score_sentence(s, h, g) for s, h, g in zip(sources, hyps, golds)]
+        assert total == ScoreStats(1, 1, 1)
+
+    def test_equal_sentences_share_one_score(self, monkeypatch):
+        from corrfuse import evaluation
+
+        sources, golds = self._split()
+        calls = []
+        score = evaluation.score_sentence
+        monkeypatch.setattr(evaluation, "score_sentence", lambda *args: calls.append(args) or score(*args))
+        scorer = Scorer(sources, golds)
+        hyp = tokenize("He goes home")
+        assert scorer.sentence(0, hyp) == scorer.sentence(2, hyp) == ScoreStats(1, 0, 0)
+        scorer.corpus([hyp, sources[1], hyp])
+        assert calls == [(sources[0], hyp, golds[0]), (sources[1], sources[1], golds[1])]
+
+    def test_rejects_misaligned_lines(self):
+        sources, golds = self._split()
+        with pytest.raises(ValueError):
+            Scorer(sources[:2], golds)
+        with pytest.raises(ValueError):
+            Scorer(sources, golds).corpus(sources[:2])
 
 
 def manual_bleu(hyp, ref, max_n=4):
@@ -290,7 +326,7 @@ class TestM2Format:
         gold = GoldAnnotation(source, ((Edit(0, 1, ()),),))
         parsed = parse_m2(format_m2([gold]))
         hyp = tokenize("the cat sleeps")
-        total, per = score_corpus([source], [hyp], parsed)
+        total, per = Scorer([source], parsed).corpus([hyp])
         assert total == ScoreStats(1, 0, 0)
         assert compare_outputs(per, per) == ["tie"]
 

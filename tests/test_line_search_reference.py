@@ -15,7 +15,7 @@ import pytest
 from corrfuse import tuner
 from corrfuse.alignment import align_all
 from corrfuse.combiner import FeatureSchema, build_space, train_lm
-from corrfuse.evaluation import GoldAnnotation, ScoreStats, f_beta
+from corrfuse.evaluation import GoldAnnotation, Scorer, ScoreStats, f_beta
 from corrfuse.toydata import CorruptionRule, RULE_KINDS, generate_corpus
 from corrfuse.tuner import Candidate, KBestPool, line_search, mert, tune_loop
 
@@ -248,7 +248,7 @@ def tuned_pool():
     spaces = [build_space(hyps, align_all(hyps)) for hyps in zip(*systems)]
     lm = train_lm([ex.reference for ex in generate_corpus(4, 60)], order=3)
     w0 = FeatureSchema(3).default_weights()
-    _, pool = tune_loop(sources, golds, spaces, lm, w0, rounds=2, mert_iters=2, n_random=2)
+    _, pool = tune_loop(Scorer(sources, golds), spaces, lm, w0, rounds=2, mert_iters=2, n_random=2)
     assert pool.size() > 10 * n
     return pool
 

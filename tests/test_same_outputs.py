@@ -114,3 +114,10 @@ def test_a_differing_case_lists_how_many_files_differ_and_the_first_ten(monkeypa
 )
 def test_differing_files_line_counts_files_in_either_tree(head_files, listed):
     assert TOOL.differing_files_line(FILES, head_files) == listed
+
+
+def test_the_default_chain_runs_the_sign_test_against_a_stage0_output():
+    evals = [args for command, args in TOOL.default_chain().steps if command == "eval"]
+    assert [arg for args in evals for arg in args if arg.startswith("eval.baseline=")] == [
+        f"eval.baseline={TOOL.STAGE0[0]}"
+    ]

@@ -3,7 +3,7 @@ import pytest
 
 from corrfuse.alignment import align_all
 from corrfuse.combiner import FeatureSchema, build_space, train_lm
-from corrfuse.evaluation import GoldAnnotation, ScoreStats
+from corrfuse.evaluation import GoldAnnotation, Scorer, ScoreStats
 from corrfuse.textcore import Edit, tokenize
 from corrfuse.tuner import Candidate, KBestPool, decode_corpus, line_search, mert, tune_loop
 
@@ -153,50 +153,38 @@ class TestTuneLoop:
         lm = train_lm([tokenize("the cat sleeps ."), tokenize("a dog runs .")], order=2)
         spaces = [build_space(h, align_all(list(h))) for h in hyps_rows]
         schema = FeatureSchema(2)
-        return sources, golds, spaces, lm, schema
+        return Scorer(sources, golds), spaces, lm, schema
 
     def test_single_round_equals_decode_then_mert(self):
-        sources, golds, spaces, lm, schema = self._toy_setup()
-        w1, pool1 = tune_loop(
-            sources, golds, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4
-        )
-        w2, _ = tune_loop(
-            sources, golds, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4
-        )
+        scorer, spaces, lm, schema = self._toy_setup()
+        w1, pool1 = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4)
+        w2, _ = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4)
         assert np.array_equal(w1, w2)
         assert pool1.size() > 0
 
     def test_pool_grows_monotonically(self):
-        sources, golds, spaces, lm, schema = self._toy_setup()
-        _, pool1 = tune_loop(
-            sources, golds, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4
-        )
-        _, pool3 = tune_loop(
-            sources, golds, spaces, lm, schema.default_weights(), rounds=3, rng_seed=4
-        )
+        scorer, spaces, lm, schema = self._toy_setup()
+        _, pool1 = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4)
+        _, pool3 = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=3, rng_seed=4)
         assert pool3.size() >= pool1.size()
 
     def test_tuned_combination_beats_components_on_dev(self):
-        sources, golds, spaces, lm, schema = self._toy_setup()
-        weights, _ = tune_loop(
-            sources, golds, spaces, lm, schema.default_weights(), rounds=2, rng_seed=4
-        )
+        scorer, spaces, lm, schema = self._toy_setup()
+        weights, _ = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=2, rng_seed=4)
         combined = decode_corpus(spaces, weights, lm)
         # each sentence has one component with the right fix; the tuned
         # combination finds both
-        from corrfuse.evaluation import score_corpus
-
-        total, _ = score_corpus(sources, combined, golds)
+        total, _ = scorer.corpus(combined)
         f_combined = total.f_beta(0.5)
         for sys_idx in range(2):
-            hyps = [spaces[i].hyps[sys_idx] for i in range(len(sources))]
-            comp_total, _ = score_corpus(sources, hyps, golds)
+            comp_total, _ = scorer.corpus([space.hyps[sys_idx] for space in spaces])
             assert f_combined >= comp_total.f_beta(0.5)
 
     def test_rejects_misaligned_inputs(self):
-        sources, golds, spaces, lm, schema = self._toy_setup()
+        scorer, spaces, lm, schema = self._toy_setup()
+        one_sentence = Scorer(scorer.sources[:1], scorer.golds[:1])
         with pytest.raises(ValueError):
-            tune_loop(sources[:1], golds, spaces, lm, schema.default_weights())
+            tune_loop(one_sentence, spaces, lm, schema.default_weights())
 
 
 class TestKBestPool:

@@ -9,8 +9,10 @@ changes included), then run the same cases, every command as a CLI child
 thread and ``PYTHONHASHSEED=0`` (``bench/workloads.py`` ``child_env``):
 
 - the default config's chain ``gen``, ``train``, ``ddt``, ``stages``, then
-  ``tune``, ``combine``, ``eval`` and ``diversity`` on the stage-0 outputs
-  (``data.dir`` and ``train.models`` from the config's defaults);
+  ``tune``, ``combine``, ``eval`` and ``diversity`` on the stage-0 outputs,
+  and ``eval`` once more with ``eval.baseline`` set to a stage-0 output, so
+  that its sign test runs too (``data.dir`` and ``train.models`` from the
+  config's defaults);
 - the three benchmark plans of ``bench/workloads.py`` (``plan(workload,
   seed, STANDARD)``, imported from the working tree) at seeds 1000, 2000 and
   3000; a plan's input writer runs in a child of each tree.
@@ -76,6 +78,7 @@ def default_chain() -> Case:
             step("tune", f"tune.hyps={hyps}"),
             step("combine", f"combine.hyps={hyps}"),
             step("eval", f"eval.hyp={DEFAULT_DIR}/out/combined.hyp"),
+            step("eval", f"eval.hyp={DEFAULT_DIR}/out/combined.hyp", f"eval.baseline={STAGE0[0]}"),
             step("diversity", f"div.a={STAGE0[0]}", f"div.b={STAGE0[1]}"),
         ],
     )
