@@ -6,7 +6,8 @@ F0.5 / BLEU / significance metrics (evaluation), diversity rewards
 (policy), reward-driven training with round-robin scheduling (ddt),
 staged word alignment (alignment), lattice beam-search combination with an
 n-gram LM (combiner), line-search weight tuning (tuner), a synthetic
-corruption corpus (toydata), and a CLI tying it together (cli).
+corruption corpus (toydata), the experiment as functions of data
+(pipeline), and a CLI that reads, formats and writes for it (cli).
 
 The package imports none of them: import the module you use (``from corrfuse
 import cli``), so that a process loads numpy and the modules only when it

@@ -6,27 +6,21 @@ scheduling when several systems are trainable.
 ``train_stage`` is the one DDT stage: ``cfg.epochs`` passes of one
 ``ddt_step`` per sentence, in data order, against the fixed outputs of each
 peer system, on a generator keyed by the stage and checked for divergence at
-its end.  A step trains on one sentence: its reference gradient and its
-sampled reward gradient move the parameters before the next sentence is
-seen.  ``round_robin`` runs it once per stage with the other models' greedy
-outputs as peers; the ``ddt`` command runs it once, key 0, for one backbone.
+its end; a step's reference and reward gradients move the parameters before
+the next sentence is seen.  ``round_robin`` runs it once per stage with the
+other models' greedy outputs as peers; ``ddt`` runs it once, key 0.
 
-``policy`` is imported inside the functions that call it, not at the top:
-``cli`` imports this module at start-up, and the commands that train no
-policy (the fuse path's ``tune``, ``combine`` and ``eval``) then do not load
-it.  The functions look its kernels up as ``policy.<name>`` on each call,
-so that a wrapper set on the module is the one they call.  ``train_stage``
-imports numpy inside too, for its generator and its divergence check, so
-that importing this module does not load it.
+``policy`` and numpy are imported inside the functions that use them, so
+that importing this module, as ``cli`` does at start-up, loads neither.  The
+kernels are looked up as ``policy.<name>`` on each call, so that a wrapper
+set on the module is the one they call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import NumericError
 from .evaluation import diversity
 from .rewards import RewardKind, reward
 from .textcore import TokenSeq
@@ -39,23 +33,15 @@ if TYPE_CHECKING:
 
 @dataclass
 class DdtConfig:
-    alpha: float = 0.5
-    k_samples: int = 4
-    reward_kind: RewardKind = RewardKind.MIN_EDIT_DISTANCE
-    learning_rate: float = 0.05
-    epochs: int = 1
-    seed: int = 0
-    normalize_reward: bool = False
+    """DDT's settings, as ``pipeline.ddt_config`` reads the ``ddt.*`` keys."""
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
-        if self.k_samples < 2:
-            raise ValueError("k_samples must be >= 2 (the baseline needs multiple samples)")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+    alpha: float
+    k_samples: int
+    reward_kind: RewardKind
+    learning_rate: float
+    epochs: int
+    seed: int
+    normalize_reward: bool
 
 
 def rl_gradient(
@@ -151,6 +137,8 @@ def train_stage(
     """
     import numpy as np
 
+    from . import policy
+
     if not data:
         raise ValueError("empty training data")
     if any(len(outputs) != len(data) for outputs in peer_outputs):
@@ -163,8 +151,7 @@ def train_stage(
             loss, r = ddt_step(model, x, y_ref, peers, cfg, rng)
             loss_sum += loss
             reward_sum += r
-    if not np.isfinite(model.params).all():
-        raise NumericError(f"non-finite parameters after diversity-driven training stage {key}")
+    policy.check_finite(model, f"diversity-driven training stage {key}")
     steps = cfg.epochs * len(data)
     return loss_sum / steps, reward_sum / steps
 
@@ -175,16 +162,14 @@ def round_robin(
     cfg: DdtConfig,
     stages: int,
 ) -> tuple[list[PolicyModel], list[StageReport]]:
-    """Models take turns receiving diversity-driven training.
-
-    At stage s (1-based), model (s-1) mod n is the backbone and is trained by
-    ``train_stage`` with key s; the other models are frozen and their greedy
-    outputs are its peers.  The CLI takes ``cfg.seed`` from
-    ``config.stream_seed``.  A diverged stage raises before its backbone
-    decodes.  Greedy decoding is deterministic, so after a stage only the
-    backbone's outputs are decoded again.
-    Input models are not mutated; stage 0 in the report is the untrained
-    baseline.  Returns the updated models and per-stage reports.
+    """Models take turns receiving diversity-driven training: at stage s
+    (1-based), model (s-1) mod n is the backbone, trained by ``train_stage``
+    with key s against the greedy outputs of the other, frozen models.
+    ``pipeline.ddt_config`` takes ``cfg.seed`` from ``config.stream_seed``.
+    A diverged stage raises before its backbone decodes.  Greedy decoding is
+    deterministic, so after a stage only the backbone's outputs are decoded
+    again.  Input models are not mutated; stage 0 in the report is the
+    untrained baseline.  Returns the updated models and per-stage reports.
     """
     from . import policy
 

@@ -33,16 +33,8 @@ inverse-CDF pick per token.
 
 A training run makes one workspace and hands it to every ``mle_step``: the
 gradients and every temporary of a step live in buffers made once, at the
-sizes of the run's widest step.  At the default config a step's
-temporaries (the probabilities, the logits' gradients, the (T, M, B, H)
-states) are about 100 KB each, and three models' gradients about 390 KB.
-glibc serves an allocation of 128 KiB or more with mmap, and trims the top
-of the heap when more than 128 KiB is free there.  So arrays made anew at
-each step were mapped or trimmed away at its end and faulted back in at the
-next, as often as the malloc state that imports left behind allowed: a
-default-config ``train`` child took 67k-126k minor page faults and
-0.15-0.40 s of system time.  With the workspace it takes 7.3k-8.5k and
-0.03-0.05 s; importing the CLI alone takes 5.2k.
+sizes of the run's widest step, so that no step maps, trims and faults in
+its arrays anew (the measurements are in CHANGES.md).
 
 Checkpoints and the vocabulary file are plain text, made and read by pure
 functions of strings: ``format_model``/``parse_model`` and
@@ -58,6 +50,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .alignment import MAX_TOKENS
+from .errors import NumericError
 from .textcore import TokenSeq, split_lines
 
 BOS, EOS, UNK = "<bos>", "<eos>", "<unk>"
@@ -155,6 +148,12 @@ class PolicyModel:
 
     def zero_grad_like(self) -> np.ndarray:
         return np.zeros_like(self.params)
+
+
+def check_finite(model: PolicyModel, what: str) -> None:
+    """Raise ``NumericError``, naming ``what``, when a parameter is not finite."""
+    if not np.isfinite(model.params).all():
+        raise NumericError(f"non-finite parameters after {what}")
 
 
 def _layout(v: int, e: int, h: int) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:

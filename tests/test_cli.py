@@ -14,12 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrfuse import cli, combiner, evaluation, policy, tuner
+from corrfuse import cli, combiner, evaluation, pipeline, policy, tuner
 from corrfuse.config import ExperimentConfig, stream_seed
-from corrfuse.ddt import DdtConfig, train_stage
-from corrfuse.evaluation import Scorer, parse_m2
+from corrfuse.ddt import train_stage
+from corrfuse.evaluation import GoldAnnotation, Scorer, parse_m2
 from corrfuse.policy import greedy_decode, parse_model, parse_vocab
 from corrfuse.textcore import TokenSeq, tokenize
+
+from defaults import ddt_cfg
 
 TINY = [
     "--seed", "5",
@@ -61,7 +63,7 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
+def cli_chain(tmp_path_factory):
     """One finished pipeline directory, the exit codes and the printed summaries."""
     root = tmp_path_factory.mktemp("pipeline") / "a"
     capture = tmp_path_factory.mktemp("stdout") / "out.txt"
@@ -70,8 +72,8 @@ def pipeline(tmp_path_factory):
     return root, codes, capture.read_text(encoding="utf-8")
 
 
-def test_pipeline_exits_zero(pipeline):
-    root, codes, stdout = pipeline
+def test_pipeline_exits_zero(cli_chain):
+    root, codes, stdout = cli_chain
     assert codes == [0] * len(PIPELINE)
     for name in ("models/vocab.txt", "models/model_0_ddt.txt", "out/stage2.weights",
                  "out/combine.weights", "out/combined.hyp"):
@@ -80,8 +82,8 @@ def test_pipeline_exits_zero(pipeline):
     assert commands == [f"command={c[0]}" for c in PIPELINE]
 
 
-def test_stages_reports_each_components_score(pipeline):
-    root, _, stdout = pipeline
+def test_stages_reports_each_components_score(cli_chain):
+    root, _, stdout = cli_chain
     section = stdout.split("command=stages\n")[1].split("command=")[0]
     summary = dict(line.split("=", 1) for line in section.splitlines())
     data = root / "run" / "data"
@@ -94,8 +96,8 @@ def test_stages_reports_each_components_score(pipeline):
             assert summary[f"stage{stage}_component{m}_f05"] == cli._fmt(total.f_beta(0.5))
 
 
-def test_rerun_is_byte_identical(pipeline, tmp_path, capsys):
-    root, _, stdout = pipeline
+def test_rerun_is_byte_identical(cli_chain, tmp_path, capsys):
+    root, _, stdout = cli_chain
     capsys.readouterr()
     assert run_pipeline(tmp_path / "b") == [0] * len(PIPELINE)
     assert capsys.readouterr().out == stdout  # includes every config_sha256
@@ -171,9 +173,9 @@ def test_gen_adjacent_seeds_corrupt_as_unrelated_streams_do(monkeypatch):
 
 
 @pytest.fixture
-def workdir(pipeline, tmp_path):
+def workdir(cli_chain, tmp_path):
     """A private copy of the finished pipeline directory."""
-    root, _, _ = pipeline
+    root, _, _ = cli_chain
     copy = tmp_path / "w"
     shutil.copytree(root, copy)
     return copy
@@ -725,16 +727,23 @@ def test_ddt_normalize_changes_the_checkpoint(workdir):
     assert texts[0] != texts[1]
 
 
-def test_ddt_skips_references_over_the_length_limit(workdir, capsys):
+def test_ddt_and_stages_reject_a_dev_reference_over_the_decode_limit(workdir, capsys):
+    """DDT trains on every dev reference: one of 17 tokens, over the decode
+    limit ``policy.max_len`` 16, is the same data error under both commands,
+    before either trains or writes anything."""
     ref = workdir / "run/data/dev.ref"
     lines = ref.read_text(encoding="utf-8").splitlines()
-    # policy.max_len is 16: the first reference is dropped, the second kept
-    ref.write_text("\n".join(["word " * 17, "word " * 16] + lines[2:]) + "\n", encoding="utf-8")
-    assert run(workdir, ["ddt"], "--set", "ddt.epochs=2") == 0
-    assert "steps=4" in capsys.readouterr().out.splitlines()  # 2 epochs x 2 kept sentences
-    ref.write_text(("word " * 17 + "\n") * len(lines), encoding="utf-8")
-    assert run(workdir, ["ddt"]) == 3
-    assert "no DDT sentence fits" in capsys.readouterr().err
+    ref.write_text("\n".join(["word " * 17] + lines[1:]) + "\n", encoding="utf-8")
+    before = tree_bytes(workdir / "run")
+    for command in ("ddt", "stages"):
+        assert run(workdir, [command]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "data error: dev references longer than the shortest model decode limit (16);"
+            " regenerate or raise policy.max_len\n"
+        )
+        assert captured.out == ""
+    assert tree_bytes(workdir / "run") == before
 
 
 def test_train_takes_one_lockstep_step_per_minibatch(workdir, monkeypatch, capsys):
@@ -761,11 +770,11 @@ def _ddt_inputs(root: Path):
     return vocab, models, list(zip(src, ref))
 
 
-def test_ddt_checkpoint_is_one_train_stage(pipeline):
-    root, _, _ = pipeline
+def test_ddt_checkpoint_is_one_train_stage(cli_chain):
+    root, _, _ = cli_chain
     vocab, models, data = _ddt_inputs(root)
     peers = [[greedy_decode(m, x) for x, _ in data] for m in models[1:]]
-    cfg = DdtConfig(learning_rate=0.002, seed=stream_seed(tiny_config(), "ddt"))  # the ddt.* defaults
+    cfg = ddt_cfg(seed=stream_seed(tiny_config(), "ddt"))
     train_stage(models[0], data, peers, cfg, 0)
     ddt = read_model(root / "run/models/model_0_ddt.txt", vocab)
     assert np.array_equal(ddt.params, models[0].params)
@@ -776,7 +785,7 @@ def test_ddt_backbone_1_is_one_train_stage_against_models_0_and_2(workdir, capsy
     assert "backbone=1" in capsys.readouterr().out.splitlines()
     vocab, models, data = _ddt_inputs(workdir)
     peers = [[greedy_decode(m, x) for x, _ in data] for m in (models[0], models[2])]
-    cfg = DdtConfig(learning_rate=0.002, seed=stream_seed(tiny_config(), "ddt"))  # the ddt.* defaults
+    cfg = ddt_cfg(seed=stream_seed(tiny_config(), "ddt"))
     train_stage(models[1], data, peers, cfg, 0)
     ddt = read_model(workdir / "run/models/model_1_ddt.txt", vocab)
     assert np.array_equal(ddt.params, models[1].params)
@@ -811,7 +820,7 @@ def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
     aligned, searches, scored, tuned_spaces, pools = [], [], [], [], []
     expansions = 0
     align_all, extensions = combiner.align_all, combiner.extensions
-    search, score, tune = tuner.beam_search, evaluation.score_sentence, cli.tune_loop
+    search, score, tune = tuner.beam_search, evaluation.score_sentence, pipeline.tune_loop
 
     def counted_extensions(*args):
         nonlocal expansions
@@ -836,7 +845,7 @@ def test_stages_does_each_piece_of_lattice_work_once(workdir, monkeypatch):
     monkeypatch.setattr(combiner, "extensions", counted_extensions)
     monkeypatch.setattr(tuner, "beam_search", recorded_search)
     monkeypatch.setattr(evaluation, "score_sentence", lambda s, t, g: scored.append((s, g, t)) or score(s, t, g))
-    monkeypatch.setattr(cli, "tune_loop", recorded_tune)
+    monkeypatch.setattr(pipeline, "tune_loop", recorded_tune)
     assert run(workdir, ["stages"], *REUSE) == 0
 
     assert len(tuned_spaces) == 5
@@ -860,7 +869,7 @@ def test_stages_tie_goes_to_the_earliest_stage(workdir, monkeypatch, capsys):
     combination that always outputs model 2's hypothesis scores the same at
     every stage, and the tie goes to stage 0, which is not tested against
     itself."""
-    monkeypatch.setattr(cli, "decode_corpus", lambda spaces, *args: [space.hyps[2] for space in spaces])
+    monkeypatch.setattr(pipeline, "decode_corpus", lambda spaces, *args: [space.hyps[2] for space in spaces])
     assert run(workdir, ["stages"], "--set", "ddt.stages=2") == 0
     summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     out = workdir / "run/out"
@@ -872,8 +881,8 @@ def test_stages_tie_goes_to_the_earliest_stage(workdir, monkeypatch, capsys):
     assert "p_best_vs_stage0" not in summary
 
 
-def test_stages_artifacts_do_not_depend_on_the_search_memo(pipeline, tmp_path, monkeypatch, capsys):
-    root, _, _ = pipeline
+def test_stages_artifacts_do_not_depend_on_the_search_memo(cli_chain, tmp_path, monkeypatch, capsys):
+    root, _, _ = cli_chain
     search = tuner.beam_search
     results = []
     for memo in (True, False):
@@ -881,7 +890,7 @@ def test_stages_artifacts_do_not_depend_on_the_search_memo(pipeline, tmp_path, m
             monkeypatch.setattr(
                 tuner, "beam_search",
                 lambda space, *args, **kwargs: search(
-                    cli.SearchSpace(space.hyps, space.groups), *args, **kwargs
+                    combiner.SearchSpace(space.hyps, space.groups), *args, **kwargs
                 ),
             )
         copy = tmp_path / f"memo{memo}"
@@ -902,14 +911,14 @@ def test_stage_files_are_what_tune_and_combine_make_of_the_stage_outputs(tmp_pat
     outputs with that stage's ``tune`` key writes the stage's weights, and
     combining with them writes its combined outputs.  The ``tune`` command
     tunes with stage key 0, so stage 0 goes through the ``tune`` and
-    ``combine`` commands and the later stages through ``cli._tune`` and
+    ``combine`` commands and the later stages through ``pipeline.tune`` and
     ``decode_corpus`` in process; each tunes with its stage's seed."""
     sizes = ("--set", "gen.train=8", "--set", "gen.dev=8")
     assert [run(tmp_path, [command], *sizes, *REUSE) for command in ("gen", "train", "stages")] == [0] * 3
     schema = combiner.FeatureSchema(3)
-    seeds, tune = [], cli.tune_loop
+    seeds, tune = [], pipeline.tune_loop
     monkeypatch.setattr(
-        cli, "tune_loop", lambda *args, **kwargs: seeds.append(kwargs["rng_seed"]) or tune(*args, **kwargs)
+        pipeline, "tune_loop", lambda *args, **kwargs: seeds.append(kwargs["rng_seed"]) or tune(*args, **kwargs)
     )
     monkeypatch.chdir(tmp_path)
     cfg = tiny_config(*REUSE)
@@ -928,7 +937,7 @@ def test_stage_files_are_what_tune_and_combine_make_of_the_stage_outputs(tmp_pat
                        "--set", "combine.weights=run/check.weights", "--set", "combine.out=run/check.hyp") == 0
             combined = (tmp_path / "run/check.hyp").read_text(encoding="utf-8")
         else:
-            spaces, tuned, _ = cli._tune(cfg, cli._read_hyps("tune.hyps", hyps), scorer, lm, stage)
+            spaces, tuned, _ = pipeline.tune(cfg, cli._read_hyps("tune.hyps", hyps), scorer, lm, stage)
             assert combiner.format_weights(schema, tuned) == weights
             combined = cli._lines_text(cli.decode_corpus(spaces, tuned, lm, cfg.get_int("combine.beam")))
         assert combined == stage_file(tmp_path, stage, "combined.hyp")
@@ -942,36 +951,44 @@ def tiny_config(*extra: str) -> ExperimentConfig:
     return ExperimentConfig.load(None, {"seed": args.seed, **dict(kv.split("=", 1) for kv in args.set)})
 
 
-def test_run_stages_yields_what_the_stage_files_hold(pipeline, monkeypatch):
-    """``run_stages`` in process: each record formats to its stage's files
-    and carries its DDT losses and the pool that ``tune_loop`` returned."""
-    root, _, _ = pipeline
-    monkeypatch.chdir(root)
-    pools, tune = [], cli.tune_loop
+def test_run_stages_yields_what_the_stage_files_hold(cli_chain, monkeypatch):
+    """The chain in process: ``make_splits``, ``train_models`` and
+    ``run_stages`` at the tiny config, formatted by ``cli``'s own
+    formatters, give the CLI chain's data files, checkpoints and stage files
+    byte for byte.  Each stage's record carries its DDT losses and the pool
+    that ``tune_loop`` returned."""
+    from corrfuse.toydata import DEFAULT_GRAMMAR
+
+    root, _, _ = cli_chain
+    pools, tune = [], pipeline.tune_loop
 
     def recorded_tune(*args, **kwargs):
         weights, pool = tune(*args, **kwargs)
         pools.append(pool)
         return weights, pool
 
-    monkeypatch.setattr(cli, "tune_loop", recorded_tune)
+    monkeypatch.setattr(pipeline, "tune_loop", recorded_tune)
     cfg = tiny_config()
-    scorer = Scorer(*cli._load_split(cfg, "dev"))
-    refs = cli._read_token_lines(cfg.get_str("data.dev_ref"))
-    records = list(cli.run_stages(cfg, cli._load_models(cfg), scorer, refs, cli._load_lm(cfg)))
+    splits = pipeline.make_splits(cfg, DEFAULT_GRAMMAR)
+    files = {}
+    for split, examples in splits.items():
+        files.update(cli._split_files(cfg, split, examples))
+    train, dev = splits["train"], splits["dev"]
+    vocab, models, _ = pipeline.train_models(cfg, [(e.source, e.reference) for e in train])
+    files.update(cli._model_files(cfg, vocab, models))
+    scorer = Scorer([e.source for e in dev], [GoldAnnotation(e.source, (e.gold_edits,)) for e in dev])
+    lm = combiner.train_lm([e.reference for e in train], cfg.get_int("lm.order"))
+    records = list(pipeline.run_stages(cfg, models, scorer, [e.reference for e in dev], lm))
+    for record in records:
+        files.update(cli._stage_files(cfg, record))
 
+    assert len(files) == 3 * 3 + 1 + 3 + 3 * 5  # splits, vocabulary, checkpoints, stage files
+    assert files == {path: (root / path).read_text(encoding="utf-8") for path in files}
     assert [record.report.stage for record in records] == [0, 1, 2]
-    assert len(pools) == len(records)
-    schema = combiner.FeatureSchema(3)
-    for record, pool in zip(records, pools):
-        stage = record.report.stage
-        assert record.pool is pool
-        assert cli._lines_text(record.combined) == stage_file(root, stage, "combined.hyp")
-        assert combiner.format_weights(schema, record.weights) == stage_file(root, stage, "weights")
-        for m, outputs in enumerate(record.report.outputs):
-            assert cli._lines_text(outputs) == stage_file(root, stage, f"sys{m}.hyp")
+    assert len(pools) == len(records) and all(r.pool is pool for r, pool in zip(records, pools))
+    for record in records:
         losses = (record.report.mle_loss, record.report.mean_reward)
-        assert all(map(math.isnan, losses)) if stage == 0 else all(map(math.isfinite, losses))
+        assert all(map(math.isnan, losses)) if record.report.stage == 0 else all(map(math.isfinite, losses))
 
 
 def test_stages_scores_each_distinct_output_once(workdir, monkeypatch):
@@ -981,7 +998,7 @@ def test_stages_scores_each_distinct_output_once(workdir, monkeypatch):
     yet, and once each, though a model's outputs recur over the stages that
     do not train it."""
     tuning, pooled, reported, pooled_when_reported = False, set(), [], []
-    score, tune = evaluation.score_sentence, cli.tune_loop
+    score, tune = evaluation.score_sentence, pipeline.tune_loop
 
     def recorded_tune(scorer, *args, **kwargs):
         nonlocal tuning
@@ -999,7 +1016,7 @@ def test_stages_scores_each_distinct_output_once(workdir, monkeypatch):
         return score(source, hyp, gold)
 
     monkeypatch.setattr(evaluation, "score_sentence", recorded_score)
-    monkeypatch.setattr(cli, "tune_loop", recorded_tune)
+    monkeypatch.setattr(pipeline, "tune_loop", recorded_tune)
     # two candidates a search: some reported outputs are in no pool
     assert run(workdir, ["stages"], *REUSE, "--set", "combine.k=2") == 0
     outputs = stage_outputs(workdir, 5)

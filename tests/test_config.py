@@ -35,6 +35,9 @@ def test_every_reward_kind_is_a_legal_reward():
         ("gen.rule_prob", "1.5", "gen.rule_prob must be in [0,1], got 1.5"),
         ("train.lr", "inf", "train.lr must be finite and > 0, got inf"),
         ("ddt.lr", "0", "ddt.lr must be finite and > 0, got 0.0"),
+        ("ddt.lr", "nan", "ddt.lr must be finite and > 0, got nan"),
+        ("ddt.lr", "-0.5", "ddt.lr must be finite and > 0, got -0.5"),
+        ("ddt.alpha", "1.5", "ddt.alpha must be in [0,1], got 1.5"),
         ("ddt.reward", "nope", "ddt.reward must be one of edit|bleu|tokendiff, got 'nope'"),
         ("eval.split", "train", "eval.split must be one of dev|test, got 'train'"),
         ("tune.random_dirs", "-5", "tune.random_dirs must be >= 0, got -5"),

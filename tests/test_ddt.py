@@ -6,7 +6,6 @@ import pytest
 
 from corrfuse import ddt, policy
 from corrfuse.ddt import (
-    DdtConfig,
     StageReport,
     ddt_step,
     mean_pairwise_diversity,
@@ -29,6 +28,7 @@ from corrfuse.policy import (
 )
 from corrfuse.rewards import RewardKind
 
+from defaults import ddt_cfg
 from oracles import enumerate_sample_space, fd_gradient_of_expected_reward
 
 
@@ -61,38 +61,19 @@ def expected_estimator_over_tuples(model, x, peers, cfg):
     return total
 
 
-class TestDdtConfig:
-    def test_defaults_valid(self):
-        cfg = DdtConfig()
-        assert cfg.alpha == 0.5 and cfg.k_samples == 4
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            DdtConfig(alpha=1.5)
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            DdtConfig(k_samples=1)
-
-    @pytest.mark.parametrize("rate", [0.0, -0.5, math.nan, math.inf, -math.inf])
-    def test_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
-        with pytest.raises(ValueError, match="learning_rate"):
-            DdtConfig(learning_rate=rate)
-
-
 class TestRlGradient:
     def test_zero_when_all_samples_identical(self):
         model = tiny_model()
         model.params[:] = 0.0
         model._views["out_b"][EOS_ID] = 60.0  # deterministic empty output
-        cfg = DdtConfig(k_samples=4)
+        cfg = ddt_cfg(k_samples=4)
         grad, r_bar = rl_gradient(model, ("a",), [("b", "c")], cfg, np.random.default_rng(0))
         assert np.all(grad == 0.0)
         assert r_bar == 2.0  # edit distance of () vs the peer
 
     def test_deterministic_given_seed(self):
         model = tiny_model(seed=3)
-        cfg = DdtConfig(k_samples=3)
+        cfg = ddt_cfg(k_samples=3)
         g1, r1 = rl_gradient(model, ("a",), [("b",)], cfg, np.random.default_rng(7))
         g2, r2 = rl_gradient(model, ("a",), [("b",)], cfg, np.random.default_rng(7))
         assert np.array_equal(g1, g2) and r1 == r2
@@ -103,7 +84,7 @@ class TestRlGradient:
         model = tiny_model(max_len=2, seed=5)
         x = ("a", "b")
         peers = [("a", "b"), ("c",)]
-        cfg = DdtConfig(k_samples=2, reward_kind=RewardKind.MIN_EDIT_DISTANCE)
+        cfg = ddt_cfg(k_samples=2, reward_kind=RewardKind.MIN_EDIT_DISTANCE)
         estimated = expected_estimator_over_tuples(model, x, peers, cfg)
         exact = fd_gradient_of_expected_reward(model, x, peers, cfg.reward_kind)
         assert np.max(np.abs(estimated - exact)) < 1e-6
@@ -112,7 +93,7 @@ class TestRlGradient:
         model = tiny_model(content=("a", "b", "c"), embed=2, hidden=2, max_len=3, seed=1)
         x = ("a", "c")
         peers = [("a", "b", "c"), ("b", "b")]
-        cfg = DdtConfig(k_samples=4)
+        cfg = ddt_cfg(k_samples=4)
         trials = 2000
         with_baseline = np.zeros((trials, model.params.size))
         without_baseline = np.zeros((trials, model.params.size))
@@ -144,7 +125,7 @@ class TestDdtStep:
         model_a = tiny_model(seed=8)
         model_b = model_a.copy()
         x, y = ("b",), ("c", "a")
-        cfg = DdtConfig(alpha=0.0, learning_rate=0.03)
+        cfg = ddt_cfg(alpha=0.0, learning_rate=0.03)
         loss_ddt, mean_r = ddt_step(model_a, x, y, [("a",)], cfg, np.random.default_rng(0))
         padded = pad_batches(model_b, [x], [y], True)
         loss_mle = mle_step(StepWorkspace(model_b, model_b.params[None], padded, 1), padded, 0.03)[0]
@@ -157,7 +138,7 @@ class TestDdtStep:
         model.params[:] = 0.0
         model._views["out_b"][EOS_ID] = 60.0  # only possible output is ()
         before = model.params.copy()
-        cfg = DdtConfig(alpha=1.0)
+        cfg = ddt_cfg(alpha=1.0, learning_rate=0.05)
         ddt_step(model, ("a",), ("a",), [()], cfg, np.random.default_rng(1))
         assert np.array_equal(model.params, before)
 
@@ -167,17 +148,17 @@ class TestDdtStep:
         base = tiny_model(seed=17)
 
         m_mle = base.copy()
-        cfg_mle = DdtConfig(alpha=0.0, learning_rate=1.0)
+        cfg_mle = ddt_cfg(alpha=0.0, learning_rate=1.0)
         ddt_step(m_mle, *step, cfg_mle, np.random.default_rng(55))
         update_mle = m_mle.params - base.params
 
         m_rl = base.copy()
-        cfg_rl = DdtConfig(alpha=1.0, learning_rate=1.0)
+        cfg_rl = ddt_cfg(alpha=1.0, learning_rate=1.0)
         ddt_step(m_rl, *step, cfg_rl, np.random.default_rng(55))
         update_rl = m_rl.params - base.params
 
         m_mix = base.copy()
-        cfg_mix = DdtConfig(alpha=alpha, learning_rate=1.0)
+        cfg_mix = ddt_cfg(alpha=alpha, learning_rate=1.0)
         ddt_step(m_mix, *step, cfg_mix, np.random.default_rng(55))
         update_mix = m_mix.params - base.params
 
@@ -192,7 +173,7 @@ class TestDdtStep:
         base_div = diversity(
             [greedy_decode(model, x) for x in inputs], [peers[x][0] for x in inputs]
         )
-        cfg = DdtConfig(alpha=0.5, k_samples=4, learning_rate=0.2)
+        cfg = ddt_cfg(alpha=0.5, k_samples=4, learning_rate=0.2)
         rng = np.random.default_rng(23)
         for _ in range(50):
             for x in inputs:
@@ -251,14 +232,14 @@ class TestRoundRobin:
 
     def test_zero_stages_unchanged(self):
         models, data = self._setup()
-        out, reports = round_robin(models, data, DdtConfig(), stages=0)
+        out, reports = round_robin(models, data, ddt_cfg(), stages=0)
         for before, after in zip(models, out):
             assert np.array_equal(before.params, after.params)
         assert len(reports) == 1 and reports[0].stage == 0
 
     def test_single_stage_trains_only_first_model(self):
         models, data = self._setup()
-        out, reports = round_robin(models, data, DdtConfig(), stages=1)
+        out, reports = round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=1)
         assert not np.array_equal(out[0].params, models[0].params)
         assert np.array_equal(out[1].params, models[1].params)
         assert np.array_equal(out[2].params, models[2].params)
@@ -267,7 +248,7 @@ class TestRoundRobin:
     def test_freeze_contract_across_stages(self):
         models, data = self._setup()
         snapshots = [m.params.copy() for m in models]
-        out, _ = round_robin(models, data, DdtConfig(), stages=2)
+        out, _ = round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=2)
         # stage 1 trains model 0, stage 2 trains model 1; model 2 untouched
         assert np.array_equal(out[2].params, snapshots[2])
         # inputs never mutated
@@ -276,12 +257,12 @@ class TestRoundRobin:
 
     def test_round_robin_order(self):
         models, data = self._setup(n_models=2)
-        _, reports = round_robin(models, data, DdtConfig(), stages=4)
+        _, reports = round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=4)
         assert [r.backbone for r in reports[1:]] == [0, 1, 0, 1]
 
     def test_stage_is_train_stage_with_stage_seed(self):
         models, data = self._setup()
-        cfg = DdtConfig(seed=9, epochs=2)
+        cfg = ddt_cfg(seed=9, epochs=2, learning_rate=0.05)
         out, reports = round_robin(models, data, cfg, stages=1)
         expected = models[0].copy()
         peers = [[greedy_decode(m, x) for x, _ in data] for m in models[1:]]
@@ -292,11 +273,11 @@ class TestRoundRobin:
     def test_rejects_single_model(self):
         models, data = self._setup()
         with pytest.raises(ValueError):
-            round_robin(models[:1], data, DdtConfig(), stages=1)
+            round_robin(models[:1], data, ddt_cfg(), stages=1)
 
     def test_decodes_only_the_backbone_again(self, monkeypatch):
         models, data = self._setup()
-        cfg = DdtConfig(seed=3, learning_rate=0.3, epochs=3)
+        cfg = ddt_cfg(seed=3, learning_rate=0.3, epochs=3)
         stages, calls = 4, []
         real_decode = policy.greedy_decode
 
@@ -340,7 +321,7 @@ class TestRoundRobin:
 
             monkeypatch.setattr(ddt, "ddt_step", step)
             with pytest.raises(NumericError) as exc:
-                round_robin(models, data, DdtConfig(), 4)
+                round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), 4)
             assert str(exc.value) == f"non-finite parameters after diversity-driven training stage {stage}"
             assert len(steps) == stage * len(data)  # the stage ran its epoch before the check
             # the first decodes and one per earlier stage's backbone, none after
@@ -355,7 +336,7 @@ class TestTrainStage:
 
     def test_matches_step_loop(self):
         model, data, peers = self._setup()
-        cfg = DdtConfig(epochs=3, learning_rate=0.1)
+        cfg = ddt_cfg(epochs=3, learning_rate=0.1, seed=0)
         reference = model.copy()
         rng = np.random.default_rng((cfg.seed, 5))
         losses, rewards = [], []
@@ -373,17 +354,17 @@ class TestTrainStage:
         model, data, peers = self._setup()
         before = model.params.copy()
         with pytest.raises(ValueError):
-            train_stage(model, data, [peers[0], peers[1][:2]], DdtConfig(), 0)
+            train_stage(model, data, [peers[0], peers[1][:2]], ddt_cfg(), 0)
         assert np.array_equal(model.params, before)
 
     def test_rejects_empty_data(self):
         model, _, _ = self._setup()
         with pytest.raises(ValueError):
-            train_stage(model, [], [], DdtConfig(), 0)
+            train_stage(model, [], [], ddt_cfg(), 0)
 
     def test_a_diverged_stage_is_a_numeric_error_naming_its_key(self, monkeypatch):
         model, data, peers = self._setup()
-        cfg, steps, real_step = DdtConfig(epochs=2), [], ddt.ddt_step
+        cfg, steps, real_step = ddt_cfg(epochs=2, learning_rate=0.05, seed=0), [], ddt.ddt_step
 
         def step(model, *args):
             steps.append(model)

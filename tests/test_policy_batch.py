@@ -11,7 +11,7 @@ decoders must draw the same tokens from them.
 The ``ref_`` functions at the end are verbatim copies (apart from their
 names) of the single-model forward and backward, ``mle_step`` and the
 per-model training loop ``cli._train_one`` that the stacked kernel and the
-lockstep ``cli._train_models`` replaced.  Every model of a stack must get
+lockstep ``pipeline.train_models`` replaced.  Every model of a stack must get
 the log-likelihoods and gradients of its batch alone, bit for bit, and
 lockstep training must write the checkpoints and NLLs of separate training.
 """
@@ -27,10 +27,9 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from corrfuse import cli, policy
-from corrfuse.cli import _check_finite
+from corrfuse import cli, pipeline, policy
 from corrfuse.config import ExperimentConfig, stream_seed
-from corrfuse.ddt import DdtConfig, ddt_step, rl_gradient
+from corrfuse.ddt import ddt_step, rl_gradient
 from corrfuse.policy import (
     BOS_ID,
     EOS_ID,
@@ -51,6 +50,8 @@ from corrfuse.policy import (
 )
 from corrfuse.rewards import reward
 from corrfuse.textcore import TokenSeq, tokenize
+
+from defaults import ddt_cfg
 
 REL = 1e-12
 
@@ -217,7 +218,7 @@ class TestRlGradient:
                 model.params[:] = 0.0
                 model._views["out_b"][EOS_ID] = 60.0  # every sample is ()
             xs, ys, _, _ = random_batch(rng, model)
-            cfg = DdtConfig(k_samples=int(rng.integers(2, 7)))
+            cfg = ddt_cfg(k_samples=int(rng.integers(2, 7)))
             seed = int(rng.integers(1 << 30))
             got, r_got = rl_gradient(model, xs[0], ys, cfg, np.random.default_rng(seed))
             want, r_want = reference_rl_gradient(model, xs[0], ys, cfg, np.random.default_rng(seed))
@@ -379,7 +380,7 @@ class TestDdtStep:
         model = random_model(rng)
         xs, ys, _, _ = random_batch(rng, model, rows=1)
         want = -logprob(model, xs[0], ys[0])
-        nll, _ = ddt_step(model, xs[0], ys[0], ys, DdtConfig(alpha=1.0), np.random.default_rng(0))
+        nll, _ = ddt_step(model, xs[0], ys[0], ys, ddt_cfg(alpha=1.0), np.random.default_rng(0))
         assert nll == pytest.approx(want, rel=REL, abs=REL)
 
 
@@ -623,7 +624,7 @@ def ref_train_one(
             nll_sum += ref_mle_step(model, batch, lr)
             n_batches += 1
         last_nll = nll_sum / n_batches
-        _check_finite(model, f"individual training of model {index}")
+        policy.check_finite(model, f"individual training of model {index}")
     return model, last_nll
 
 
@@ -653,7 +654,7 @@ def widest(rows) -> int:
 def stack_of(model: PolicyModel, xs, ys, eos) -> policy.PaddedBatches:
     """Model m's batch ``xs[m]``, ``ys[m]`` (B rows each; ``eos`` one flag,
     or one list of flags per model) as one stack, made as
-    ``cli._train_models`` makes its steps: every row padded once, then one
+    ``pipeline.train_models`` makes its steps: every row padded once, then one
     epoch step that gives model m its own B rows."""
     n_models, rows = len(ys), len(ys[0])
     if not isinstance(eos, bool):
@@ -922,7 +923,8 @@ def test_lockstep_training_matches_separate_training(tmp_path, capsys, n_models,
     pairs = [(x, y) for x, y in zip(src, ref) if len(y) <= max_len]
     assert 0 < len(pairs) < 36 if drops else len(pairs) == 36
     vocab = Vocabulary.build(tok for x, y in pairs for tok in x + y)
-    models, nlls = cli._train_models(cfg, vocab, pairs)
+    got_vocab, models, nlls = pipeline.train_models(cfg, list(zip(src, ref)))
+    assert got_vocab == vocab
     assert len(models) == n_models
     for i in range(n_models):
         want, want_nll = ref_train_one(cfg, vocab, pairs, i)
