@@ -68,7 +68,7 @@ class NGramLM:
     """Count-based LM: stupid backoff renormalized to a proper distribution,
     with add-0.1 smoothing at the unigram level."""
 
-    def __init__(self, corpus: Sequence[TokenSeq], order: int = 3) -> None:
+    def __init__(self, corpus: Sequence[TokenSeq], order: int) -> None:
         if order < 1:
             raise ValueError("LM order must be >= 1")
         if not corpus:
@@ -146,7 +146,7 @@ class NGramLM:
         return step
 
 
-def train_lm(corpus: Sequence[TokenSeq], order: int = 3) -> NGramLM:
+def train_lm(corpus: Sequence[TokenSeq], order: int) -> NGramLM:
     return NGramLM(corpus, order)
 
 
@@ -333,8 +333,8 @@ def beam_search(
     space: SearchSpace,
     weights: Sequence[float],
     lm: NGramLM,
-    beam: int | None = 64,
-    k: int = 50,
+    beam: int | None,
+    k: int,
 ) -> list[tuple[TokenSeq, tuple[float, ...], float]]:
     """Breadth-synchronous beam search over emitted length.
 

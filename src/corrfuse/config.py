@@ -11,6 +11,12 @@ keys are derived from data.dir after merging, so a config file is optional.
 The seed of every random stream is derived here, by ``stream_seed``, from
 one table of purposes; it imports numpy when it is called, so that loading
 a config does not.
+
+``KNOWN_KEYS`` is the only source of each setting and ``stream_seed`` of
+each seed: settings and seeds enter the library only as required arguments,
+which ``pipeline`` and ``cli`` pass from here.  Two functions keep defaults:
+``toydata.generate_corpus``, which ``bench/fusegen.py`` calls with them, and
+``rewards.reward``, whose ``normalize`` is off unless ``ddt.normalize`` asks.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ set on the module is the one they call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -168,8 +169,9 @@ def round_robin(
     ``pipeline.ddt_config`` takes ``cfg.seed`` from ``config.stream_seed``.
     A diverged stage raises before its backbone decodes.  Greedy decoding is
     deterministic, so after a stage only the backbone's outputs are decoded
-    again.  Input models are not mutated; stage 0 in the report is the
-    untrained baseline.  Returns the updated models and per-stage reports.
+    again, and only the backbone's pairs' diversities are computed again.
+    Input models are not mutated; stage 0 in the report is the untrained
+    baseline.  Returns the updated models and per-stage reports.
     """
     from . import policy
 
@@ -186,8 +188,15 @@ def round_robin(
         return [policy.greedy_decode(model, x) for x in sources]
 
     outputs = [decode(m) for m in models]
+    # each pair's diversity, kept until one of its models is trained; a pair
+    # keeps its place in mean_pairwise_diversity's i < j order, so the mean
+    # sums the same values in the same order
+    pair_div = {
+        (i, j): diversity(outputs[i], outputs[j])
+        for i, j in itertools.combinations(range(len(models)), 2)
+    }
     reports = [
-        StageReport(0, None, mean_pairwise_diversity(outputs), float("nan"), float("nan"),
+        StageReport(0, None, sum(pair_div.values()) / len(pair_div), float("nan"), float("nan"),
                     tuple(tuple(o) for o in outputs))
     ]
     for stage in range(1, stages + 1):
@@ -195,9 +204,12 @@ def round_robin(
         peers = [o for m, o in enumerate(outputs) if m != backbone]
         mle_loss, mean_reward = train_stage(models[backbone], data, peers, cfg, stage)
         outputs[backbone] = decode(models[backbone])
+        for i, j in pair_div:
+            if backbone in (i, j):
+                pair_div[i, j] = diversity(outputs[i], outputs[j])
         reports.append(
             StageReport(
-                stage, backbone, mean_pairwise_diversity(outputs), mle_loss, mean_reward,
+                stage, backbone, sum(pair_div.values()) / len(pair_div), mle_loss, mean_reward,
                 tuple(tuple(o) for o in outputs),
             )
         )

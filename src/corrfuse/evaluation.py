@@ -151,8 +151,11 @@ class Scorer:
         return sum(per_sentence, ScoreStats()), per_sentence
 
 
-def bleu(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> float:
-    """Sentence BLEU with add-one smoothing on the n >= 2 precisions.
+BLEU_ORDER = 4
+
+
+def bleu(hyp: TokenSeq, ref: TokenSeq) -> float:
+    """Sentence BLEU-4 with add-one smoothing on the n >= 2 precisions.
 
     Smoothing adds one to both the clipped-match numerator and the total
     count denominator, so bleu(x, x) is exactly 1.  Brevity penalty is
@@ -161,7 +164,7 @@ def bleu(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> float:
     if not hyp:
         return 0.0
     log_p_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_ORDER + 1):
         hyp_counts = ngram_counts(hyp, n)
         ref_counts = ngram_counts(ref, n)
         total = sum(hyp_counts.values())
@@ -174,7 +177,7 @@ def bleu(hyp: TokenSeq, ref: TokenSeq, max_n: int = 4) -> float:
             p = (clipped + 1) / (total + 1)
         log_p_sum += math.log(p)
     bp = min(1.0, math.exp(1.0 - len(ref) / len(hyp)))
-    return bp * math.exp(log_p_sum / max_n)
+    return bp * math.exp(log_p_sum / BLEU_ORDER)
 
 
 def diversity(outputs_a: Sequence[TokenSeq], outputs_b: Sequence[TokenSeq]) -> float:
@@ -201,8 +204,8 @@ def _sign_test_one_tail(n_a: int, n_b: int) -> float:
 
 def sign_test_bootstrap(
     per_sentence_better: Sequence[str],
-    resamples: int = 100,
-    rng_seed: int = 0,
+    resamples: int,
+    rng_seed: int,
 ) -> float:
     """Bootstrapped one-tail sign test that system A beats system B.
 

@@ -4,14 +4,14 @@ runs the round-robin DDT stages and tunes each stage's combination.  They
 read and write no file, so a study can call them in process; ``cli`` formats
 what they return into the commands' bytes.
 
-``config.KNOWN_KEYS`` is the one table of defaults, and ``ddt_config`` the
-one builder of a ``ddt.DdtConfig``.  Every random stream's seed comes from
-``config.stream_seed`` by purpose and key.  A DDT stage, its random stream
-and its divergence check included, is one ``ddt.train_stage`` call, keyed by
-the stage (0 for the ``ddt`` command).  A dev reference longer than the
-decode limit of a model that DDT trains is a ``DataError``.  ``run_stages``
-tunes through the scorer it is given, so a caller that reports from that
-scorer shares its memo of sentence scores.
+Settings and seeds enter the library only as required arguments, which the
+functions here read from ``config.KNOWN_KEYS`` and ``config.stream_seed``,
+and ``ddt_config`` is the one builder of a ``ddt.DdtConfig``.  A DDT stage,
+its random stream and its divergence check included, is one
+``ddt.train_stage`` call, keyed by the stage (0 for the ``ddt`` command).  A
+dev reference longer than the decode limit of a model that DDT trains is a
+``DataError``.  ``run_stages`` tunes through the scorer it is given, so a
+caller that reports from that scorer shares its memo of sentence scores.
 
 ``policy``, ``toydata`` and numpy are imported inside the functions that use
 them, so importing this module, as ``cli`` does at start-up, loads none.
@@ -139,7 +139,10 @@ def ddt_config(cfg: ExperimentConfig) -> DdtConfig:
 
 def check_references_fit(models: Sequence[PolicyModel], refs: Sequence[TokenSeq]) -> None:
     """Raise ``DataError`` when a reference in ``refs`` is longer than the
-    decode limit of one of ``models``, the models that DDT trains on them."""
+    decode limit of one of ``models``, the models that DDT trains on them
+    (none: nothing to check)."""
+    if not models:
+        return
     limit = min(m.max_len for m in models)
     if any(len(y) > limit for y in refs):
         raise DataError(f"dev references longer than the shortest model decode limit ({limit});"
@@ -198,15 +201,15 @@ def run_stages(
 ) -> Iterator[StageResult]:
     """Run ``ddt.stages`` round-robin DDT stages on (``scorer.sources``,
     ``refs``), then tune and decode each stage's combination on ``scorer``'s
-    split.  A reference too long for any of ``models``, each of which the
-    round robin may train, raises ``DataError`` before any stage runs, and a
-    diverged stage raises ``NumericError`` before any stage is tuned.  The
-    search spaces (each with its memo of k-best searches) are shared by the
-    stages, as a model's outputs recur, and so is ``scorer``."""
-    check_references_fit(models, refs)
-    _, reports = round_robin(
-        models, list(zip(scorer.sources, refs)), ddt_config(cfg), cfg.get_int("ddt.stages")
-    )
+    split.  The round robin trains only the first ``ddt.stages`` of
+    ``models`` (all of them when there are fewer, none at 0 stages), and a
+    reference too long for one of those raises ``DataError`` before any stage
+    runs; a diverged stage raises ``NumericError`` before any stage is tuned.
+    The search spaces (each with its memo of k-best searches) are shared by
+    the stages, as a model's outputs recur, and so is ``scorer``."""
+    stages = cfg.get_int("ddt.stages")
+    check_references_fit(models[:stages], refs)
+    _, reports = round_robin(models, list(zip(scorer.sources, refs)), ddt_config(cfg), stages)
     known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
     for report in reports:
         spaces, weights, pool = tune(cfg, report.outputs, scorer, lm, report.stage, known_spaces)

@@ -112,10 +112,10 @@ class PolicyModel:
     def __init__(
         self,
         vocab: Vocabulary,
-        embed_width: int = 16,
-        hidden_width: int = 24,
-        max_len: int = 20,
-        init_seed: int = 0,
+        embed_width: int,
+        hidden_width: int,
+        max_len: int,
+        init_seed: int,
         params: np.ndarray | None = None,
     ) -> None:
         if embed_width < 1 or hidden_width < 1 or max_len < 0:

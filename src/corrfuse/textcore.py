@@ -9,11 +9,9 @@ in the edit-distance form of Hyyrö (2001).  Each column of the table is two
 masks of its +1 and -1 vertical steps plus the mask of its diagonal ties,
 computed from the column before in a fixed number of integer operations
 whatever the length of ``a``.  Scoring runs ``edit_script`` on every new
-k-best candidate while tuning (about 600 scripts of some 19 by 20 tokens
-in one benchmark ``tune``), DDT's min-edit-distance reward runs
+k-best candidate while tuning, DDT's min-edit-distance reward runs
 ``edit_distance`` on every sample, and ``toydata`` derives its gold edits
-with ``edit_script``.  On the fuse tuning pairs the kernel gives the scripts
-of the row-by-row table it replaced about 2.5 times as fast.
+with ``edit_script``.
 """
 
 from __future__ import annotations

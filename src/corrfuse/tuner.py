@@ -215,9 +215,9 @@ def line_search(
 def mert(
     pool: KBestPool,
     w0: np.ndarray,
-    iters: int = 5,
-    n_random: int = 8,
-    rng_seed: int | tuple[int, ...] = 0,
+    iters: int,
+    n_random: int,
+    rng_seed: int | tuple[int, ...],
     beta: float = 0.5,
 ) -> np.ndarray:
     """Iterated line search over coordinate axes plus random directions,
@@ -258,12 +258,12 @@ def tune_loop(
     spaces: Sequence[SearchSpace],
     lm: NGramLM,
     w0: Sequence[float],
-    beam: int | None = 64,
-    k: int = 50,
-    rounds: int = 3,
-    mert_iters: int = 5,
-    n_random: int = 8,
-    rng_seed: int = 0,
+    beam: int | None,
+    k: int,
+    rounds: int,
+    mert_iters: int,
+    n_random: int,
+    rng_seed: int,
 ) -> tuple[np.ndarray, KBestPool]:
     """Decode k-best, merge into the pool, re-optimize with MERT seeded
     ``(rng_seed, round)``; stop early when a round contributes no new
@@ -293,7 +293,7 @@ def decode_corpus(
     spaces: Sequence[SearchSpace],
     weights: Sequence[float],
     lm: NGramLM,
-    beam: int | None = 64,
+    beam: int | None,
 ) -> list[TokenSeq]:
     """1-best combination output for each sentence."""
     return [beam_search(space, weights, lm, beam, k=1)[0][0] for space in spaces]

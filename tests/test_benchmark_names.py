@@ -26,6 +26,8 @@ import pytest
 from corrfuse import cli, combiner, textcore, toydata
 from corrfuse.policy import PolicyModel, Vocabulary
 
+from defaults import setting
+
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,7 +56,10 @@ def test_every_traced_target_resolves(metric):
 
 
 def test_the_names_the_benchmark_imports_resolve():
-    model = PolicyModel(Vocabulary.build(["a", "b"]), embed_width=2, hidden_width=3)
+    model = PolicyModel(
+        Vocabulary.build(["a", "b"]), embed_width=2, hidden_width=3,
+        max_len=setting("policy.max_len"), init_seed=0,
+    )
     assert PolicyModel.param_count(len(model.vocab), 2, 3) == len(model.params)
     assert textcore.apply_edits(("a", "b"), []) == ("a", "b")
     assert toydata.DEFAULT_RULES and all(0.0 < rule.prob <= 1.0 for rule in toydata.DEFAULT_RULES)

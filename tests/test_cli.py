@@ -564,6 +564,25 @@ def test_stages_checks_dev_references_against_every_decode_limit(workdir, capsys
     assert tree_bytes(workdir) == before
 
 
+def test_stages_checks_only_the_decode_limits_of_models_it_trains(workdir, capsys):
+    """Model 2 decodes at most 3 tokens.  The round robin trains models 0 to
+    ``ddt.stages`` - 1, so model 2's limit counts only from 3 stages on."""
+    checkpoint = workdir / "run/models/model_2.txt"
+    header, _, body = checkpoint.read_text(encoding="utf-8").partition("\n")
+    assert "max_len=16" in header.split()
+    checkpoint.write_text(header.replace("max_len=16", "max_len=3") + "\n" + body, encoding="utf-8")
+    for stages in (0, 2):
+        assert run(workdir, ["stages"], "--set", f"ddt.stages={stages}") == 0
+    capsys.readouterr()
+    before = tree_bytes(workdir / "run")
+    assert run(workdir, ["stages"], "--set", "ddt.stages=3") == 3
+    assert capsys.readouterr().err == (
+        "data error: dev references longer than the shortest model decode limit (3);"
+        " regenerate or raise policy.max_len\n"
+    )
+    assert tree_bytes(workdir / "run") == before
+
+
 def test_diverging_training_is_numeric_failure(workdir, capsys):
     """The failure is the one line on stderr: no floating-point warning
     comes before it."""

@@ -18,6 +18,8 @@ from corrfuse.combiner import (
 )
 from corrfuse.textcore import tokenize
 
+from defaults import setting
+
 CORPUS = [
     tokenize("the cat sleeps ."),
     tokenize("a dog runs ."),
@@ -253,9 +255,9 @@ class TestBeamSearch:
     def test_rejects_bad_beam_and_k(self, lm):
         space = make_space([("a",), ("b",)])
         with pytest.raises(ValueError):
-            beam_search(space, space.schema().default_weights(), lm, beam=0)
+            beam_search(space, space.schema().default_weights(), lm, beam=0, k=setting("combine.k"))
         with pytest.raises(ValueError):
-            beam_search(space, space.schema().default_weights(), lm, k=0)
+            beam_search(space, space.schema().default_weights(), lm, beam=setting("combine.beam"), k=0)
 
 
 class TestWeightsIO:

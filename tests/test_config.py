@@ -1,9 +1,13 @@
 """The config table: each key's type, default and legal values, checked as
-the config loads."""
+the config loads; and the library's settings and seeds, which come only from
+the table and ``stream_seed``."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from corrfuse import combiner, evaluation, policy, tuner
 from corrfuse.config import KNOWN_KEYS, SEED_PURPOSES, ExperimentConfig, stream_seed
 from corrfuse.errors import UsageError
 from corrfuse.rewards import RewardKind
@@ -145,3 +149,37 @@ def test_a_purposes_own_seed_moves_that_purpose_alone(key, purpose):
     # the own key is the base that seed would be: seed 11's streams
     at_11 = seeds_by_stream(ExperimentConfig.load(None, {"seed": 11}))
     assert all(own[stream] == at_11[stream] for stream in moved)
+
+
+# (function, parameter): every setting and seed the library takes; each comes
+# from KNOWN_KEYS or stream_seed, so none may have a default of its own
+REQUIRED_SETTINGS = [
+    (tuner.tune_loop, "beam"),
+    (tuner.tune_loop, "k"),
+    (tuner.tune_loop, "rounds"),
+    (tuner.tune_loop, "mert_iters"),
+    (tuner.tune_loop, "n_random"),
+    (tuner.tune_loop, "rng_seed"),
+    (tuner.mert, "iters"),
+    (tuner.mert, "n_random"),
+    (tuner.mert, "rng_seed"),
+    (tuner.decode_corpus, "beam"),
+    (combiner.beam_search, "beam"),
+    (combiner.beam_search, "k"),
+    (combiner.NGramLM, "order"),
+    (combiner.train_lm, "order"),
+    (policy.PolicyModel, "embed_width"),
+    (policy.PolicyModel, "hidden_width"),
+    (policy.PolicyModel, "max_len"),
+    (policy.PolicyModel, "init_seed"),
+    (evaluation.sign_test_bootstrap, "resamples"),
+    (evaluation.sign_test_bootstrap, "rng_seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, name", REQUIRED_SETTINGS, ids=[f"{f.__name__}.{n}" for f, n in REQUIRED_SETTINGS]
+)
+def test_settings_and_seeds_are_required_arguments(function, name):
+    parameter = inspect.signature(function).parameters[name]
+    assert parameter.default is inspect.Parameter.empty

@@ -278,18 +278,24 @@ class TestRoundRobin:
     def test_decodes_only_the_backbone_again(self, monkeypatch):
         models, data = self._setup()
         cfg = ddt_cfg(seed=3, learning_rate=0.3, epochs=3)
-        stages, calls = 4, []
-        real_decode = policy.greedy_decode
+        stages, calls, pairs = 4, [], []
+        real_decode, real_diversity = policy.greedy_decode, ddt.diversity
 
         def counted(model, x):
             calls.append(x)
             return real_decode(model, x)
 
+        def counted_pair(outputs_a, outputs_b):
+            pairs.append(outputs_a)
+            return real_diversity(outputs_a, outputs_b)
+
         monkeypatch.setattr(policy, "greedy_decode", counted)
+        monkeypatch.setattr(ddt, "diversity", counted_pair)
         out, reports = round_robin(models, data, cfg, stages)
         new_calls, calls[:] = len(calls), []
+        new_pairs, pairs[:] = len(pairs), []
         want_out, want_reports = reference_round_robin(models, data, cfg, stages)
-        old_calls = len(calls)
+        old_calls, old_pairs = len(calls), len(pairs)
 
         def fields(report):
             return (report.stage, report.backbone, report.diversity.hex(),
@@ -302,6 +308,10 @@ class TestRoundRobin:
         n, n_models = len(data), len(models)
         assert old_calls == (stages + 1) * n_models * n
         assert new_calls == n_models * n + stages * n
+        # every pair at stage 0, then only the backbone's pairs after each stage
+        n_pairs = n_models * (n_models - 1) // 2
+        assert old_pairs == (stages + 1) * n_pairs
+        assert new_pairs == n_pairs + stages * (n_models - 1)
 
     def test_a_diverging_stage_raises_naming_it_before_its_backbone_decodes(self, monkeypatch):
         models, data = self._setup()

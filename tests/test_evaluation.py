@@ -20,6 +20,8 @@ from corrfuse.evaluation import (
 )
 from corrfuse.textcore import Edit, tokenize
 
+from defaults import setting
+
 
 class TestFBeta:
     def test_published_component_row(self):
@@ -291,9 +293,9 @@ class TestSignTest:
 
     def test_rejects_empty_and_bad_values(self):
         with pytest.raises(ValueError):
-            sign_test_bootstrap([])
+            sign_test_bootstrap([], setting("eval.resamples"), 0)
         with pytest.raises(ValueError):
-            sign_test_bootstrap(["A", "maybe"])
+            sign_test_bootstrap(["A", "maybe"], setting("eval.resamples"), 0)
 
 
 class TestM2Format:

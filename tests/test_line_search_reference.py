@@ -248,7 +248,10 @@ def tuned_pool():
     spaces = [build_space(hyps, align_all(hyps)) for hyps in zip(*systems)]
     lm = train_lm([ex.reference for ex in generate_corpus(4, 60)], order=3)
     w0 = FeatureSchema(3).default_weights()
-    _, pool = tune_loop(Scorer(sources, golds), spaces, lm, w0, rounds=2, mert_iters=2, n_random=2)
+    _, pool = tune_loop(
+        Scorer(sources, golds), spaces, lm, w0,
+        beam=64, k=50, rounds=2, mert_iters=2, n_random=2, rng_seed=0,
+    )
     assert pool.size() > 10 * n
     return pool
 

@@ -7,6 +7,8 @@ from corrfuse.evaluation import GoldAnnotation, Scorer, ScoreStats
 from corrfuse.textcore import Edit, tokenize
 from corrfuse.tuner import Candidate, KBestPool, decode_corpus, line_search, mert, tune_loop
 
+from defaults import setting
+
 
 def pool_from(sentences):
     """sentences: list of lists of (feats, stats) tuples."""
@@ -95,7 +97,7 @@ class TestMert:
         # single feature, single candidate: F constant, no step accepted
         pool = pool_from([[(np.array([1.0]), ScoreStats(1, 0, 0))]])
         w0 = np.array([2.0])
-        assert np.array_equal(mert(pool, w0, iters=3), w0)
+        assert np.array_equal(mert(pool, w0, iters=3, n_random=8, rng_seed=0), w0)
 
     def test_separable_instance_learns_positive_weight(self):
         # match_0 alone separates good from bad candidates
@@ -106,7 +108,7 @@ class TestMert:
             [(np.array([1.0, 0.1]), good), (np.array([0.0, 0.9]), bad)],
         ]
         pool = pool_from(sentences)
-        w = mert(pool, np.array([0.0, 1.0]), iters=4, rng_seed=3)
+        w = mert(pool, np.array([0.0, 1.0]), iters=4, n_random=8, rng_seed=3)
         assert pool.corpus_f(w) == pytest.approx(1.0)
         # the tuned model must rank good candidates on top via feature 0
         assert w[0] * 1.0 + w[1] * 0.3 > w[0] * 0.0 + w[1] * 0.7
@@ -116,13 +118,13 @@ class TestMert:
         for _ in range(10):
             pool = random_pool(rng)
             w0 = rng.normal(size=3)
-            w = mert(pool, w0, iters=3, rng_seed=1)
+            w = mert(pool, w0, iters=3, n_random=8, rng_seed=1)
             assert pool.corpus_f(w) >= pool.corpus_f(w0) - 1e-12
 
     def test_deterministic(self):
         pool = random_pool(np.random.default_rng(2))
-        w1 = mert(pool, np.zeros(3), iters=2, rng_seed=7)
-        w2 = mert(pool, np.zeros(3), iters=2, rng_seed=7)
+        w1 = mert(pool, np.zeros(3), iters=2, n_random=8, rng_seed=7)
+        w2 = mert(pool, np.zeros(3), iters=2, n_random=8, rng_seed=7)
         assert np.array_equal(w1, w2)
 
 
@@ -136,7 +138,7 @@ class TestScaleInvariance:
         spaces = [build_space(h, align_all(list(h))) for h in hyps_rows]
         w = np.array([0.9, 1.1, 0.2, 0.4])
         for c in (2.0, 7.5):
-            assert decode_corpus(spaces, w, lm) == decode_corpus(spaces, c * w, lm)
+            assert decode_corpus(spaces, w, lm, 64) == decode_corpus(spaces, c * w, lm, 64)
 
 
 class TestTuneLoop:
@@ -155,23 +157,30 @@ class TestTuneLoop:
         schema = FeatureSchema(2)
         return Scorer(sources, golds), spaces, lm, schema
 
+    @staticmethod
+    def _tune(scorer, spaces, lm, schema, rounds):
+        """``tune_loop`` seeded 4, with the beam, k-best size and MERT
+        schedule that were its defaults."""
+        return tune_loop(scorer, spaces, lm, schema.default_weights(), beam=64, k=50,
+                         rounds=rounds, mert_iters=5, n_random=8, rng_seed=4)
+
     def test_single_round_equals_decode_then_mert(self):
         scorer, spaces, lm, schema = self._toy_setup()
-        w1, pool1 = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4)
-        w2, _ = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4)
+        w1, pool1 = self._tune(scorer, spaces, lm, schema, 1)
+        w2, _ = self._tune(scorer, spaces, lm, schema, 1)
         assert np.array_equal(w1, w2)
         assert pool1.size() > 0
 
     def test_pool_grows_monotonically(self):
         scorer, spaces, lm, schema = self._toy_setup()
-        _, pool1 = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=1, rng_seed=4)
-        _, pool3 = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=3, rng_seed=4)
+        _, pool1 = self._tune(scorer, spaces, lm, schema, 1)
+        _, pool3 = self._tune(scorer, spaces, lm, schema, 3)
         assert pool3.size() >= pool1.size()
 
     def test_tuned_combination_beats_components_on_dev(self):
         scorer, spaces, lm, schema = self._toy_setup()
-        weights, _ = tune_loop(scorer, spaces, lm, schema.default_weights(), rounds=2, rng_seed=4)
-        combined = decode_corpus(spaces, weights, lm)
+        weights, _ = self._tune(scorer, spaces, lm, schema, 2)
+        combined = decode_corpus(spaces, weights, lm, 64)
         # each sentence has one component with the right fix; the tuned
         # combination finds both
         total, _ = scorer.corpus(combined)
@@ -184,7 +193,9 @@ class TestTuneLoop:
         scorer, spaces, lm, schema = self._toy_setup()
         one_sentence = Scorer(scorer.sources[:1], scorer.golds[:1])
         with pytest.raises(ValueError):
-            tune_loop(one_sentence, spaces, lm, schema.default_weights())
+            tune_loop(one_sentence, spaces, lm, schema.default_weights(), setting("combine.beam"),
+                      setting("combine.k"), setting("tune.rounds"), setting("tune.iters"),
+                      setting("tune.random_dirs"), 0)
 
 
 class TestKBestPool:
@@ -233,11 +244,11 @@ class TestPoolMatrix:
         w, d = rng.normal(size=5), rng.normal(size=5)
         first = build(12)
         want = line_search(first, w, d)
-        want_w = mert(first, w, iters=2, rng_seed=5)
+        want_w = mert(first, w, iters=2, n_random=8, rng_seed=5)
         del first
         for seed in (13, 12, 14, 12):  # new pools reuse the freed objects' ids
             pool = build(seed)
             if seed == 12:
                 assert line_search(pool, w, d) == want
-                assert np.array_equal(mert(pool, w, iters=2, rng_seed=5), want_w)
+                assert np.array_equal(mert(pool, w, iters=2, n_random=8, rng_seed=5), want_w)
             del pool

@@ -24,9 +24,7 @@ error and the sha256 of every file in the case directory must be equal.
 Every case runs.  A case that failed or differs prints its first failure or
 difference, led by ``FAILED:`` or ``DIFFERENT:``, then how many of its files
 differ and the first ``LISTED_FILES`` of them, and the exit code is then 1;
-it is 0 when every command succeeded and every case matched.  The default
-chain takes about 13 s per tree on a 2-vCPU host, and the whole check about
-a minute for both.
+it is 0 when every command succeeded and every case matched.
 """
 
 from __future__ import annotations
