@@ -119,11 +119,9 @@ def score_sentence(source: TokenSeq, hyp: TokenSeq, gold: GoldAnnotation) -> Sco
 
 
 class Scorer:
-    """``score_sentence`` on one split, memoized by (sentence, hypothesis).
-
-    Equal (source, gold) sentences share their entries: each sentence is
-    keyed by the index of its first equal sentence.  ``score_sentence`` is
-    looked up as a module global at each call, not bound here.
+    """``score_sentence`` on one split, memoized by (sentence index,
+    hypothesis).  ``score_sentence`` is looked up as a module global at each
+    call, not bound here.
     """
 
     def __init__(self, sources: Sequence[TokenSeq], golds: Sequence[GoldAnnotation]) -> None:
@@ -131,13 +129,11 @@ class Scorer:
             raise ValueError("sources and golds must be line-aligned")
         self.sources = tuple(sources)
         self.golds = tuple(golds)
-        first: dict[tuple[TokenSeq, GoldAnnotation], int] = {}
-        self._key = [first.setdefault(pair, i) for i, pair in enumerate(zip(self.sources, self.golds))]
         self._memo: dict[tuple[int, TokenSeq], ScoreStats] = {}
 
     def sentence(self, i: int, hyp: TokenSeq) -> ScoreStats:
         """The statistics of ``hyp`` as the output for sentence ``i``."""
-        key = (self._key[i], hyp)
+        key = (i, hyp)
         stats = self._memo.get(key)
         if stats is None:
             stats = self._memo[key] = score_sentence(self.sources[i], hyp, self.golds[i])

@@ -3,11 +3,13 @@ upper envelope of per-sentence candidate scores, coordinate plus random
 directions, and the outer decode/merge/optimize loop.
 
 The objective is corpus F0.5 computed from summed per-sentence statistics
-over accumulated k-best pools.  The pool keeps each sentence's candidate
-features as the rows of one matrix, so a line search gets every candidate's
-slope and intercept from two matrix-vector products per sentence, and
-``corpus_f`` its argmax from one; both read the same products, so they agree
-on which candidate is best.
+over accumulated k-best pools.  The pool stores each candidate once; a
+sentence's feature matrix and statistics list are derived from its
+candidates on the first read after an ``add`` to it, so during one ``mert``
+call, when the pool does not change, each is built once.  A line search gets
+every candidate's slope and intercept from two matrix-vector products per
+sentence, and ``corpus_f`` its argmax from one; both read the same matrix, so
+they agree on which candidate is best.
 
 A line search builds each sentence's envelope from plain sorted
 ``(slope, -intercept, id)`` tuples, records each breakpoint as integer
@@ -52,27 +54,20 @@ class Candidate:
 class KBestPool:
     """Per-sentence candidate lists, deduplicated by token sequence.
 
-    Alongside each sentence's dict the pool keeps the candidates' features
-    as the rows of one matrix and their statistics as a list, both in
-    insertion order; ``add`` extends them, so model scores for a whole
-    sentence are one matrix-vector product.  A pool starts as ``empty``.
+    ``features(i)`` and ``stats(i)`` are derived from sentence i's
+    candidates, in insertion order, on the first read after an ``add`` to
+    it, and kept until the next one.  A pool starts as ``empty``.
     """
 
     sentences: list[dict[TokenSeq, Candidate]]
-    # per sentence: feature rows (capacity grows by doubling; the first
-    # len(sentences[i]) rows are live) and statistics, in insertion order
-    _feats: list[np.ndarray] = field(repr=False, compare=False)
-    _stats: list[list[ScoreStats]] = field(repr=False, compare=False)
+    # sentence -> (feature matrix, statistics), dropped by an add to it
+    _derived: dict[int, tuple[np.ndarray, list[ScoreStats]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @classmethod
     def empty(cls, n_sentences: int) -> "KBestPool":
-        import numpy as np
-
-        return cls(
-            [{} for _ in range(n_sentences)],
-            [np.empty((0, 0)) for _ in range(n_sentences)],
-            [[] for _ in range(n_sentences)],
-        )
+        return cls([{} for _ in range(n_sentences)])
 
     def add(self, sentence: int, cand: Candidate) -> bool:
         """Insert unless a candidate with the same tokens exists; returns
@@ -80,28 +75,28 @@ class KBestPool:
         slot = self.sentences[sentence]
         if cand.tokens in slot:
             return False
-        n = len(slot)
-        mat = self._feats[sentence]
-        if n == len(mat):
+        slot[cand.tokens] = cand
+        self._derived.pop(sentence, None)
+        return True
+
+    def _derive(self, sentence: int) -> tuple[np.ndarray, list[ScoreStats]]:
+        derived = self._derived.get(sentence)
+        if derived is None:
             import numpy as np
 
-            grown = np.empty((max(8, 2 * n), len(cand.feats)))
-            if n:
-                grown[:n] = mat
-            mat = self._feats[sentence] = grown
-        mat[n] = cand.feats
-        slot[cand.tokens] = cand
-        self._stats[sentence].append(cand.stats)
-        return True
+            cands = self.sentences[sentence].values()
+            feats = np.array([c.feats for c in cands], dtype=float) if cands else np.empty((0, 0))
+            derived = self._derived[sentence] = (feats, [c.stats for c in cands])
+        return derived
 
     def features(self, sentence: int) -> np.ndarray:
         """Feature matrix of a sentence's candidates, one row each in
-        insertion order (a view: valid until the next ``add``)."""
-        return self._feats[sentence][: len(self.sentences[sentence])]
+        insertion order."""
+        return self._derive(sentence)[0]
 
     def stats(self, sentence: int) -> list[ScoreStats]:
         """Statistics of a sentence's candidates in insertion order."""
-        return self._stats[sentence]
+        return self._derive(sentence)[1]
 
     def size(self) -> int:
         return sum(len(s) for s in self.sentences)
@@ -110,9 +105,10 @@ class KBestPool:
         """F-score of the per-sentence argmax candidates under ``weights``
         (ties: earliest inserted)."""
         tp = fp = fn = 0
-        for i, stats in enumerate(self._stats):
-            if stats:
-                best = stats[int((self.features(i) @ weights).argmax())]
+        for i, slot in enumerate(self.sentences):
+            if slot:
+                feats, stats = self._derive(i)
+                best = stats[int((feats @ weights).argmax())]
                 tp += best.tp
                 fp += best.fp
                 fn += best.fn
@@ -236,8 +232,9 @@ def mert(
     rng = np.random.default_rng(rng_seed)
     current_f = pool.corpus_f(w, beta)
     searched_at: list[np.ndarray | None] = [None] * dim  # w at each axis's last search
+    axes = list(np.eye(dim))
     for _ in range(iters):
-        directions = [np.eye(dim)[i] for i in range(dim)]
+        directions = axes.copy()
         for _ in range(n_random):
             d = rng.normal(size=dim)
             directions.append(d / np.linalg.norm(d))

@@ -148,19 +148,6 @@ class TestScorer:
         assert per == [score_sentence(s, h, g) for s, h, g in zip(sources, hyps, golds)]
         assert total == ScoreStats(1, 1, 1)
 
-    def test_equal_sentences_share_one_score(self, monkeypatch):
-        from corrfuse import evaluation
-
-        sources, golds = self._split()
-        calls = []
-        score = evaluation.score_sentence
-        monkeypatch.setattr(evaluation, "score_sentence", lambda *args: calls.append(args) or score(*args))
-        scorer = Scorer(sources, golds)
-        hyp = tokenize("He goes home")
-        assert scorer.sentence(0, hyp) == scorer.sentence(2, hyp) == ScoreStats(1, 0, 0)
-        scorer.corpus([hyp, sources[1], hyp])
-        assert calls == [(sources[0], hyp, golds[0]), (sources[1], sources[1], golds[1])]
-
     def test_rejects_misaligned_lines(self):
         sources, golds = self._split()
         with pytest.raises(ValueError):

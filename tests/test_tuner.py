@@ -223,10 +223,16 @@ class TestPoolMatrix:
             i = int(rng.integers(0, 3))
             tokens = (f"w{int(rng.integers(0, 25))}",)  # repeats: rejected duplicates
             feats = tuple(rng.normal(size=4))
+            before = [(pool.features(j), pool.stats(j)) for j in range(3)]
             grew = pool.add(i, Candidate(tokens, feats, ScoreStats(step, 0, 0)))
             assert grew == (pool.sentences[i][tokens].feats == feats)
             for j, slot in enumerate(pool.sentences):
                 assert pool.features(j).tolist() == [list(c.feats) for c in slot.values()]
+                assert pool.stats(j) == [c.stats for c in slot.values()]
+                # derived once per add: the same objects until an add to j
+                rebuilt = grew and j == i
+                assert (pool.features(j) is before[j][0]) != rebuilt
+                assert (pool.stats(j) is before[j][1]) != rebuilt
 
     def test_corpus_f_tie_goes_to_earliest_inserted(self):
         good, bad = ScoreStats(2, 0, 0), ScoreStats(0, 2, 2)
