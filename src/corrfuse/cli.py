@@ -12,11 +12,12 @@ checks as it loads, before any file is read or written; an unset file key,
 or a setting that does not fit another key or the checkpoints); 3 data error
 (missing, misaligned or malformed input files, an output path that cannot be
 written, an empty dev or test split, empty hypothesis files, hypothesis lines
-too long to align, reserved tokens in the training text); 4 numeric failure
-(non-finite parameters).  The library's errors for malformed files are
-mapped to these here.  Every command but those of ``TEXT_COMMANDS`` runs
-with numpy's floating-point warnings off: a diverging run reports itself
-once, as its numeric failure, not also as overflow warnings along the way.
+too long to align, reserved tokens in the training text or in the dev text
+that DDT trains on); 4 numeric failure (non-finite parameters).  The
+library's errors for malformed files are mapped to these here.  Every
+command but those of ``TEXT_COMMANDS`` runs with numpy's floating-point
+warnings off: a diverging run reports itself once, as its numeric failure,
+not also as overflow warnings along the way.
 
 ``_read_text`` reads and parses every input, the ``--config`` file (whose
 failures are usage errors) and the report included, and ``_write_all``
@@ -67,7 +68,7 @@ from .combiner import beam_search  # noqa: F401  (bench/tests read cli's traced 
 from .config import ExperimentConfig
 from .ddt import mean_pairwise_diversity, train_stage
 from .errors import DataError, NumericError, UsageError
-from .evaluation import GoldAnnotation, Scorer, diversity, format_m2, parse_m2
+from .evaluation import GoldAnnotation, Scorer, ScoreStats, diversity, format_m2, parse_m2
 from .textcore import TokenSeq, detokenize, split_lines, tokenize
 from .tuner import decode_corpus
 
@@ -308,7 +309,7 @@ def cmd_train(cfg: ExperimentConfig) -> Result:
     for i, (model, nll) in enumerate(zip(models, nlls)):
         stats, _ = scorer.corpus([greedy_decode(model, x) for x in dev_src])
         summary[f"model_{i}_nll"] = nll
-        summary[f"model_{i}_dev_f05"] = stats.f_beta(0.5)
+        summary[f"model_{i}_dev_f05"] = stats.f05
     return _model_files(cfg, vocab, models), summary
 
 
@@ -319,7 +320,7 @@ def cmd_ddt(cfg: ExperimentConfig) -> Result:
     if backbone_idx >= n_models:
         raise UsageError(f"ddt.backbone must be in [0,{n_models - 1}], got {backbone_idx}")
     models, dev_src, dev_golds, dev_ref = _load_ddt_inputs(cfg)
-    pipeline.check_references_fit([models[backbone_idx]], dev_ref)
+    pipeline.check_references_fit([models[backbone_idx]], dev_src, dev_ref)
     ddt_cfg = pipeline.ddt_config(cfg)
     peer_files = _split_paths(cfg.get_str("ddt.peers"))
     if peer_files:
@@ -353,7 +354,7 @@ def cmd_ddt(cfg: ExperimentConfig) -> Result:
         "steps": ddt_cfg.epochs * len(dev_src),
         "mle_loss": mle_loss,
         "mean_reward": mean_reward,
-        "dev_f05": stats.f_beta(0.5),
+        "dev_f05": stats.f05,
         "diversity": div,
         "checkpoint": out_path,
     }
@@ -366,23 +367,23 @@ def cmd_stages(cfg: ExperimentConfig) -> Result:
     models, dev_src, dev_golds, dev_ref = _load_ddt_inputs(cfg)
     lm = _load_lm(cfg)
     scorer = Scorer(dev_src, dev_golds)
-    score = scorer.corpus
     files: dict[str, str] = {}
     summary: dict[str, object] = {"stages": cfg.get_int("ddt.stages"), "models": len(models)}
-    combined: list[tuple[TokenSeq, ...]] = []
+    # each stage's combination, scored: (corpus statistics, per sentence)
+    combined: list[tuple[ScoreStats, list[ScoreStats]]] = []
     for result in pipeline.run_stages(cfg, models, scorer, dev_ref, lm):
         stage = result.report.stage
         files.update(_stage_files(cfg, result))
-        combined.append(result.combined)
+        combined.append(scorer.corpus(result.combined))
         summary[f"stage{stage}_diversity"] = result.report.diversity
-        summary[f"stage{stage}_combined_f05"] = score(result.combined)[0].f_beta(0.5)
+        summary[f"stage{stage}_combined_f05"] = combined[-1][0].f05
         for m, outputs in enumerate(result.report.outputs):
-            summary[f"stage{stage}_component{m}_f05"] = score(outputs)[0].f_beta(0.5)
-    best = max(range(len(combined)), key=lambda i: (score(combined[i])[0].f_beta(0.5), -i))
+            summary[f"stage{stage}_component{m}_f05"] = scorer.corpus(outputs)[0].f05
+    best = max(range(len(combined)), key=lambda i: (combined[i][0].f05, -i))
     summary["best_stage"] = best
-    summary["best_combined_f05"] = score(combined[best])[0].f_beta(0.5)
+    summary["best_combined_f05"] = combined[best][0].f05
     if best != 0:
-        summary["p_best_vs_stage0"] = pipeline.p_value(cfg, score(combined[best])[1], score(combined[0])[1])
+        summary["p_best_vs_stage0"] = pipeline.p_value(cfg, combined[best][1], combined[0][1])
     return files, summary
 
 
@@ -438,7 +439,7 @@ def cmd_eval(cfg: ExperimentConfig) -> Result:
         "fn": stats.fn,
         "precision": stats.precision,
         "recall": stats.recall,
-        "f05": stats.f_beta(0.5),
+        "f05": stats.f05,
     }
     baseline_path = cfg.get_str("eval.baseline")
     if baseline_path:

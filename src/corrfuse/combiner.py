@@ -16,7 +16,7 @@ over plain tuples ``(used, out, lm_ctx, feats, score)``:
   states recombine on ``(used, lm_ctx)``.
 - The LM memoizes transitions: ``(context, token)`` maps to the log
   probability and the next context, so scoring a word is one dict lookup.
-- ``extensions`` is the successor rule, once per state; ``beam_search``
+- ``extensions`` is the successor rule, once per state; ``_search``
   recombines its output inline.
 
 Scores are still the full dot product of weights and features, summed left

@@ -1,4 +1,4 @@
-"""Span-based precision/recall/F-beta scoring, BLEU, diversity, significance.
+"""Span precision, recall and F0.5, BLEU, diversity, significance.
 
 Scoring is untyped exact-span matching: a hypothesis edit counts as a true
 positive iff the identical (span, replacement) pair appears in the chosen
@@ -43,34 +43,23 @@ class ScoreStats:
     def recall(self) -> float:
         return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
 
-    def f_beta(self, beta: float = 0.5) -> float:
-        return f_beta(self.tp, self.fp, self.fn, beta)
+    @property
+    def f05(self) -> float:
+        return f05(self.tp, self.fp, self.fn)
 
 
-def f_beta(tp: int, fp: int, fn: int, beta: float = 0.5) -> float:
-    """F-measure from counts.
+def f05(tp: int, fp: int, fn: int) -> float:
+    """Span F0.5 from counts, as the M2 scorer reports it.
 
     Convention for degenerate inputs: a hypothesis that proposes no edits
     when the gold has none is a perfect no-op (score 1.0); any other case
-    with zero precision or recall scores 0.0.
+    with no true positive scores 0.0.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if tp + fp == 0 and tp + fn == 0:
-        return 1.0
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return f_beta_pr(p, r, beta)
-
-
-def f_beta_pr(precision: float, recall: float, beta: float = 0.5) -> float:
-    """F-measure from precision and recall (any common scale, e.g. percent)."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if precision <= 0.0 or recall <= 0.0:
-        return 0.0
-    b2 = beta * beta
-    return (1.0 + b2) * precision * recall / (b2 * precision + recall)
+    if tp == 0:
+        return 1.0 if fp == fn == 0 else 0.0
+    p = tp / (tp + fp)
+    r = tp / (tp + fn)
+    return 1.25 * p * r / (0.25 * p + r)
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,7 @@ def score_sentence(source: TokenSeq, hyp: TokenSeq, gold: GoldAnnotation) -> Sco
         gold_edits = set(edits)
         tp = len(hyp_edits & gold_edits)
         stats = ScoreStats(tp, len(hyp_edits) - tp, len(gold_edits) - tp)
-        f = stats.f_beta(0.5)
+        f = stats.f05
         if f > best_f:
             best, best_f = stats, f
     assert best is not None
@@ -310,6 +299,6 @@ def compare_outputs(
         raise ValueError("per-sentence stats must be line-aligned")
     outcomes = []
     for sa, sb in zip(per_sentence_a, per_sentence_b):
-        fa, fb = sa.f_beta(0.5), sb.f_beta(0.5)
+        fa, fb = sa.f05, sb.f05
         outcomes.append("A" if fa > fb else "B" if fb > fa else "tie")
     return outcomes

@@ -9,9 +9,10 @@ functions here read from ``config.KNOWN_KEYS`` and ``config.stream_seed``,
 and ``ddt_config`` is the one builder of a ``ddt.DdtConfig``.  A DDT stage,
 its random stream and its divergence check included, is one
 ``ddt.train_stage`` call, keyed by the stage (0 for the ``ddt`` command).  A
-dev reference longer than the decode limit of a model that DDT trains is a
-``DataError``.  ``run_stages`` tunes through the scorer it is given, so a
-caller that reports from that scorer shares its memo of sentence scores.
+reserved token in the dev text, or a dev reference longer than the decode
+limit of a model that DDT trains, is a ``DataError``.  ``run_stages`` tunes
+through the scorer it is given, so a caller that reports from that scorer
+shares its memo of sentence scores.
 
 ``policy``, ``toydata`` and numpy are imported inside the functions that use
 them, so importing this module, as ``cli`` does at start-up, loads none.
@@ -137,12 +138,21 @@ def ddt_config(cfg: ExperimentConfig) -> DdtConfig:
     )
 
 
-def check_references_fit(models: Sequence[PolicyModel], refs: Sequence[TokenSeq]) -> None:
-    """Raise ``DataError`` when a reference in ``refs`` is longer than the
-    decode limit of one of ``models``, the models that DDT trains on them
-    (none: nothing to check)."""
+def check_references_fit(
+    models: Sequence[PolicyModel], sources: Sequence[TokenSeq], refs: Sequence[TokenSeq]
+) -> None:
+    """Raise ``DataError`` when the dev text that DDT trains ``models`` on
+    holds a reserved token (``policy.RESERVED``) in ``sources`` or ``refs``,
+    or a reference in ``refs`` is longer than the decode limit of one of
+    ``models`` (none: nothing to check)."""
     if not models:
         return
+    from .policy import RESERVED
+
+    for line in (*sources, *refs):
+        for tok in line:
+            if tok in RESERVED:
+                raise DataError(f"dev text: {tok} is reserved")
     limit = min(m.max_len for m in models)
     if any(len(y) > limit for y in refs):
         raise DataError(f"dev references longer than the shortest model decode limit ({limit});"
@@ -203,12 +213,13 @@ def run_stages(
     ``refs``), then tune and decode each stage's combination on ``scorer``'s
     split.  The round robin trains only the first ``ddt.stages`` of
     ``models`` (all of them when there are fewer, none at 0 stages), and a
-    reference too long for one of those raises ``DataError`` before any stage
-    runs; a diverged stage raises ``NumericError`` before any stage is tuned.
+    reserved token in the dev text or a reference too long for one of those
+    raises ``DataError`` before any stage runs; a diverged stage raises
+    ``NumericError`` before any stage is tuned.
     The search spaces (each with its memo of k-best searches) are shared by
     the stages, as a model's outputs recur, and so is ``scorer``."""
     stages = cfg.get_int("ddt.stages")
-    check_references_fit(models[:stages], refs)
+    check_references_fit(models[:stages], scorer.sources, refs)
     _, reports = round_robin(models, list(zip(scorer.sources, refs)), ddt_config(cfg), stages)
     known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
     for report in reports:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .combiner import NGramLM, SearchSpace, beam_search
-from .evaluation import Scorer, ScoreStats, f_beta
+from .evaluation import Scorer, ScoreStats, f05
 from .textcore import TokenSeq
 
 if TYPE_CHECKING:
@@ -101,8 +101,8 @@ class KBestPool:
     def size(self) -> int:
         return sum(len(s) for s in self.sentences)
 
-    def corpus_f(self, weights: np.ndarray, beta: float = 0.5) -> float:
-        """F-score of the per-sentence argmax candidates under ``weights``
+    def corpus_f(self, weights: np.ndarray) -> float:
+        """Corpus F0.5 of the per-sentence argmax candidates under ``weights``
         (ties: earliest inserted)."""
         tp = fp = fn = 0
         for i, slot in enumerate(self.sentences):
@@ -112,18 +112,17 @@ class KBestPool:
                 tp += best.tp
                 fp += best.fp
                 fn += best.fn
-        return f_beta(tp, fp, fn, beta)
+        return f05(tp, fp, fn)
 
 
 def line_search(
     pool: KBestPool,
     weights: np.ndarray,
     direction: np.ndarray,
-    beta: float = 0.5,
 ) -> tuple[float, float]:
     """Best step size along ``direction`` by exact envelope sweep.
 
-    Returns (gamma*, corpus F at gamma*); F at gamma* is >= F at gamma 0.
+    Returns (gamma*, corpus F0.5 at gamma*), which is >= F0.5 at gamma 0.
     Among equally good intervals the representative closest to 0 wins, and
     representatives are interval midpoints, never breakpoints.
     """
@@ -183,7 +182,7 @@ def line_search(
     ev = 0
     while True:
         hi = events[ev][0] if ev < len(events) else math.inf
-        f = f_beta(tp, fp, fn, beta)
+        f = f05(tp, fp, fn)
         if f >= best_f:
             if lo < 0.0 < hi:
                 gamma = 0.0
@@ -214,7 +213,6 @@ def mert(
     iters: int,
     n_random: int,
     rng_seed: int | tuple[int, ...],
-    beta: float = 0.5,
 ) -> np.ndarray:
     """Iterated line search over coordinate axes plus random directions,
     accepting only strictly improving steps.  Deterministic given the seed.
@@ -230,7 +228,7 @@ def mert(
     w = np.asarray(w0, dtype=float).copy()
     dim = w.shape[0]
     rng = np.random.default_rng(rng_seed)
-    current_f = pool.corpus_f(w, beta)
+    current_f = pool.corpus_f(w)
     searched_at: list[np.ndarray | None] = [None] * dim  # w at each axis's last search
     axes = list(np.eye(dim))
     for _ in range(iters):
@@ -243,7 +241,7 @@ def mert(
                 if searched_at[axis] is w:
                     continue
                 searched_at[axis] = w
-            gamma, f = line_search(pool, w, d, beta)
+            gamma, f = line_search(pool, w, d)
             if f > current_f:
                 w = w + gamma * d
                 current_f = f

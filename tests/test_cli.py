@@ -93,7 +93,7 @@ def test_stages_reports_each_components_score(cli_chain):
         for m in range(3):
             path = root / "run" / "out" / f"stage{stage}.sys{m}.hyp"
             total, _ = scorer.corpus([tokenize(line) for line in path.read_text().splitlines()])
-            assert summary[f"stage{stage}_component{m}_f05"] == cli._fmt(total.f_beta(0.5))
+            assert summary[f"stage{stage}_component{m}_f05"] == cli._fmt(total.f05)
 
 
 def test_rerun_is_byte_identical(cli_chain, tmp_path, capsys):
@@ -331,6 +331,11 @@ def _prepend_latin1_word(path: Path) -> None:
     path.write_bytes("caf\u00e9 ".encode("latin-1") + path.read_bytes())
 
 
+def _prepend_word(path: Path, word: str) -> None:
+    """``word`` and a space at the start of the first line."""
+    path.write_text(f"{word} " + path.read_text(encoding="utf-8"), encoding="utf-8")
+
+
 def _set_weight(path: Path, name: str, value: str) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
     lines = [f"{name}\t{value}" if line.startswith(name + "\t") else line for line in lines]
@@ -453,6 +458,7 @@ def _append_line(path: Path, line: str) -> None:
         (["stages"], lambda run_dir: _replace_line(run_dir / "models/model_1.txt", 2, "abc")),
         (["ddt"], lambda run_dir: _set_max_len(run_dir / "models/model_1.txt", 129)),
         (["stages"], lambda run_dir: _set_max_len(run_dir / "models/model_1.txt", 129)),
+        (["train"], lambda run_dir: _prepend_word(run_dir / "data/train.src", "<eos>")),
     ],
 )
 def test_bad_inputs_are_data_errors(workdir, capsys, command, damage):
@@ -746,21 +752,38 @@ def test_ddt_normalize_changes_the_checkpoint(workdir):
     assert texts[0] != texts[1]
 
 
-def test_ddt_and_stages_reject_a_dev_reference_over_the_decode_limit(workdir, capsys):
-    """DDT trains on every dev reference: one of 17 tokens, over the decode
-    limit ``policy.max_len`` 16, is the same data error under both commands,
-    before either trains or writes anything."""
-    ref = workdir / "run/data/dev.ref"
-    lines = ref.read_text(encoding="utf-8").splitlines()
-    ref.write_text("\n".join(["word " * 17] + lines[1:]) + "\n", encoding="utf-8")
+def _prepend_to_first_dev_source(data: Path, word: str) -> None:
+    """``word`` at the start of the first dev source, in dev.src and in its
+    ``S`` line in dev.m2, so that the two still agree."""
+    _prepend_word(data / "dev.src", word)
+    m2 = data / "dev.m2"
+    m2.write_text(m2.read_text(encoding="utf-8").replace("S ", f"S {word} ", 1), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "damage, error",
+    [
+        (
+            lambda data: _replace_line(data / "dev.ref", 0, "word " * 17),
+            "dev references longer than the shortest model decode limit (16);"
+            " regenerate or raise policy.max_len",
+        ),
+        (lambda data: _prepend_word(data / "dev.ref", "<eos>"), "dev text: <eos> is reserved"),
+        (lambda data: _prepend_to_first_dev_source(data, "<unk>"), "dev text: <unk> is reserved"),
+    ],
+    ids=["ref-over-decode-limit", "ref-eos", "src-unk"],
+)
+def test_ddt_and_stages_reject_dev_text_that_ddt_cannot_train_on(workdir, capsys, damage, error):
+    """DDT trains on every dev source and reference: a reference of 17
+    tokens, over the decode limit ``policy.max_len`` 16, or a reserved token
+    in either is the same data error under both commands, before either
+    trains or writes anything."""
+    damage(workdir / "run/data")
     before = tree_bytes(workdir / "run")
     for command in ("ddt", "stages"):
         assert run(workdir, [command]) == 3
         captured = capsys.readouterr()
-        assert captured.err == (
-            "data error: dev references longer than the shortest model decode limit (16);"
-            " regenerate or raise policy.max_len\n"
-        )
+        assert captured.err == f"data error: {error}\n"
         assert captured.out == ""
     assert tree_bytes(workdir / "run") == before
 

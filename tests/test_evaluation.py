@@ -10,8 +10,7 @@ from corrfuse.evaluation import (
     bleu,
     compare_outputs,
     diversity,
-    f_beta,
-    f_beta_pr,
+    f05,
     format_m2,
     parse_m2,
     Scorer,
@@ -26,22 +25,22 @@ from defaults import setting
 class TestFBeta:
     def test_published_component_row(self):
         # component system scored 75.19 / 51.91 / 69.00
-        assert f_beta_pr(75.19, 51.91, 0.5) == pytest.approx(69.00, abs=0.05)
+        assert 100 * f05(7519, 2481, 6966) == pytest.approx(69.00, abs=0.05)
 
     def test_published_component_row_one_decimal(self):
-        assert f_beta_pr(72.1, 61.8, 0.5) == pytest.approx(69.8, abs=0.05)
+        # 72.1 / 61.8 / 69.8
+        assert 100 * f05(721, 279, 446) == pytest.approx(69.8, abs=0.05)
 
     def test_equal_pr_is_fixed_point(self):
-        for p in (0.1, 0.35, 0.9):
-            for beta in (0.5, 1.0, 2.0):
-                assert f_beta_pr(p, p, beta) == pytest.approx(p)
+        for tp, fp in ((1, 9), (7, 13), (9, 1)):
+            assert f05(tp, fp, fp) == pytest.approx(tp / (tp + fp))
 
     def test_perfect_noop_convention(self):
-        assert f_beta(0, 0, 0) == 1.0
+        assert f05(0, 0, 0) == 1.0
 
     def test_degenerate_zero(self):
-        assert f_beta(0, 0, 3) == 0.0
-        assert f_beta(0, 2, 0) == 0.0
+        assert f05(0, 0, 3) == 0.0
+        assert f05(0, 2, 0) == 0.0
 
     def test_monotonicity_grid(self):
         for tp in range(0, 5):
@@ -49,14 +48,10 @@ class TestFBeta:
                 for fn in range(0, 5):
                     if tp + fp + fn == 0:
                         continue
-                    base = f_beta(tp, fp, fn)
-                    assert f_beta(tp + 1, fp, fn) >= base
-                    assert f_beta(tp, fp + 1, fn) <= base
-                    assert f_beta(tp, fp, fn + 1) <= base
-
-    def test_rejects_bad_beta(self):
-        with pytest.raises(ValueError):
-            f_beta(1, 1, 1, beta=0.0)
+                    base = f05(tp, fp, fn)
+                    assert f05(tp + 1, fp, fn) >= base
+                    assert f05(tp, fp + 1, fn) <= base
+                    assert f05(tp, fp, fn + 1) <= base
 
 
 class TestScoreStats:
@@ -76,9 +71,9 @@ class TestScoreStats:
         total = ScoreStats()
         for s in stats:
             total = total + s
-        f_sum = total.f_beta(0.5)
-        f_mean = sum(s.f_beta(0.5) for s in stats) / len(stats)
-        assert f_sum == f_beta(total.tp, total.fp, total.fn, 0.5)
+        f_sum = total.f05
+        f_mean = sum(s.f05 for s in stats) / len(stats)
+        assert f_sum == f05(total.tp, total.fp, total.fn)
         assert f_sum != pytest.approx(f_mean)  # the two aggregations genuinely differ
 
 

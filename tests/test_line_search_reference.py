@@ -15,7 +15,7 @@ import pytest
 from corrfuse import tuner
 from corrfuse.alignment import align_all
 from corrfuse.combiner import FeatureSchema, build_space, train_lm
-from corrfuse.evaluation import GoldAnnotation, Scorer, ScoreStats, f_beta
+from corrfuse.evaluation import GoldAnnotation, Scorer, ScoreStats, f05
 from corrfuse.toydata import CorruptionRule, RULE_KINDS, generate_corpus
 from corrfuse.tuner import Candidate, KBestPool, line_search, mert, tune_loop
 
@@ -59,7 +59,6 @@ def ref_line_search(
     pool: KBestPool,
     weights: np.ndarray,
     direction: np.ndarray,
-    beta: float = 0.5,
 ) -> tuple[float, float]:
     direction = np.asarray(direction, dtype=float)
     if not np.any(direction):
@@ -114,7 +113,7 @@ def ref_line_search(
     best_f = -1.0
     best_gamma = 0.0
     for lo, hi, stats in intervals:
-        f = f_beta(stats.tp, stats.fp, stats.fn, beta)
+        f = f05(stats.tp, stats.fp, stats.fn)
         if lo < 0.0 < hi:
             gamma = 0.0
         elif np.isinf(lo) and np.isinf(hi):
@@ -136,21 +135,20 @@ def ref_mert(
     iters: int = 5,
     n_random: int = 8,
     rng_seed: int = 0,
-    beta: float = 0.5,
 ) -> np.ndarray:
     if iters < 1:
         raise ValueError("iters must be >= 1")
     w = np.asarray(w0, dtype=float).copy()
     dim = w.shape[0]
     rng = np.random.default_rng(rng_seed)
-    current_f = pool.corpus_f(w, beta)
+    current_f = pool.corpus_f(w)
     for _ in range(iters):
         directions = [np.eye(dim)[i] for i in range(dim)]
         for _ in range(n_random):
             d = rng.normal(size=dim)
             directions.append(d / np.linalg.norm(d))
         for d in directions:
-            gamma, f = ref_line_search(pool, w, d, beta)
+            gamma, f = ref_line_search(pool, w, d)
             if f > current_f:
                 w = w + gamma * d
                 current_f = f

@@ -63,7 +63,7 @@ class TestLineSearch:
         pool = pool_from([[(np.array([1.0, 2.0]), stats), (np.array([1.0, 2.0]), stats)]])
         gamma, f = line_search(pool, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         assert gamma == 0.0
-        assert f == pytest.approx(stats.f_beta(0.5))
+        assert f == pytest.approx(stats.f05)
 
     def test_never_worse_than_gamma_zero(self):
         rng = np.random.default_rng(0)
@@ -184,10 +184,10 @@ class TestTuneLoop:
         # each sentence has one component with the right fix; the tuned
         # combination finds both
         total, _ = scorer.corpus(combined)
-        f_combined = total.f_beta(0.5)
+        f_combined = total.f05
         for sys_idx in range(2):
             comp_total, _ = scorer.corpus([space.hyps[sys_idx] for space in spaces])
-            assert f_combined >= comp_total.f_beta(0.5)
+            assert f_combined >= comp_total.f05
 
     def test_rejects_misaligned_inputs(self):
         scorer, spaces, lm, schema = self._toy_setup()
@@ -212,7 +212,7 @@ class TestKBestPool:
         pool.add(0, Candidate(("x",), (1.0,), ScoreStats(1, 0, 1)))
         pool.add(1, Candidate(("y",), (1.0,), ScoreStats(1, 1, 0)))
         total = ScoreStats(2, 1, 1)
-        assert pool.corpus_f(np.array([1.0])) == pytest.approx(total.f_beta(0.5))
+        assert pool.corpus_f(np.array([1.0])) == pytest.approx(total.f05)
 
 
 class TestPoolMatrix:
@@ -240,7 +240,7 @@ class TestPoolMatrix:
             pool = KBestPool.empty(1)
             pool.add(0, Candidate(("a",), (1.0, 2.0), first))
             pool.add(0, Candidate(("b",), (2.0, 1.0), second))  # same score under w = (1, 1)
-            assert pool.corpus_f(np.array([1.0, 1.0])) == first.f_beta(0.5)
+            assert pool.corpus_f(np.array([1.0, 1.0])) == first.f05
 
     def test_pools_built_alike_search_alike(self):
         def build(seed):
