@@ -15,7 +15,11 @@ needs them.  Only ``policy`` and ``toydata`` import numpy at the top; the
 other modules import it inside the functions that make arrays, and
 ``combiner`` not at all, so ``cli`` loads no numpy until a command needs it.
 The text commands (``combine``, ``eval``, ``diversity``) do not, except for
-``eval``'s sign test against a baseline.
+``eval``'s sign test against a baseline.  Records are named tuples, checked
+in ``__new__`` where their fields need it, or classes with ``__slots__``,
+never data classes: a data class compiles and runs generated code for its
+methods when its module is imported, so every command's child process would
+pay for that, and for the standard-library modules it loads, at start-up.
 """
 
 __version__ = "0.1.0"

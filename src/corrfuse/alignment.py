@@ -17,7 +17,8 @@ row, right to left, by comparisons instead of ``max()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .textcore import TokenSeq
 
@@ -27,26 +28,22 @@ _STEM_SUFFIXES = ("ing", "es", "ed", "s")
 _MIN_STEM_LEN = 2
 
 
-@dataclass(frozen=True)
-class AlignedPair:
+class AlignedPair(NamedTuple):
     a: int
     b: int
     stage: str
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(namedtuple("Alignment", "len_a len_b pairs")):
     """One-to-one partial matching between token positions of two sentences."""
 
-    len_a: int
-    len_b: int
-    pairs: tuple[AlignedPair, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, len_a: int, len_b: int, pairs: tuple[AlignedPair, ...]) -> Alignment:
         seen_a: set[int] = set()
         seen_b: set[int] = set()
-        for p in self.pairs:
-            if not (0 <= p.a < self.len_a and 0 <= p.b < self.len_b):
+        for p in pairs:
+            if not (0 <= p.a < len_a and 0 <= p.b < len_b):
                 raise ValueError(f"pair {p} out of range")
             if p.a in seen_a or p.b in seen_b:
                 raise ValueError(f"pair {p} reuses an already matched token")
@@ -54,6 +51,7 @@ class Alignment:
                 raise ValueError(f"unknown stage {p.stage!r}")
             seen_a.add(p.a)
             seen_b.add(p.b)
+        return super().__new__(cls, len_a, len_b, pairs)
 
     def a_to_b(self) -> dict[int, int]:
         return {p.a: p.b for p in self.pairs}

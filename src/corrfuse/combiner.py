@@ -52,9 +52,8 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .alignment import Alignment, align_all
 from .textcore import TokenSeq, split_lines
@@ -150,8 +149,7 @@ def train_lm(corpus: Sequence[TokenSeq], order: int) -> NGramLM:
     return NGramLM(corpus, order)
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
+class FeatureSchema(NamedTuple):
     """Named dimensions of the linear combination model."""
 
     n_systems: int
@@ -189,29 +187,26 @@ def parse_weights(text: str, schema: FeatureSchema) -> tuple[float, ...]:
     return weights
 
 
-@dataclass(frozen=True)
 class SearchSpace:
-    hyps: tuple[TokenSeq, ...]
-    groups: tuple[tuple[frozenset, ...], ...]  # groups[s][i]: aligned group of word (s, i)
-    # the search's form of groups: all used masks live in one int, system s in
-    # the width bits from s * width (width is one more than the longest
-    # hypothesis, so a field's lowest unset bit never leaves it); packed[s] is
-    # (s * width, row), row[i] = (token, bits, delta): emitting word (s, i) ORs
-    # bits into the used mask and adds delta to the match features (1.0 for
-    # each system in the group) and the length feature; row ends with None,
-    # the frontier index of an exhausted system
-    packed: tuple[tuple[int, tuple], ...] = field(init=False, repr=False, compare=False)
-    # beam_search's memo: (LM, weight bits, beam) -> (ranked (tokens, features,
-    # score) tuples, whether they are all the completed hypotheses)
-    kbest: dict[tuple, tuple[list[tuple], bool]] = field(
-        init=False, repr=False, compare=False
-    )
+    """One sentence's hypotheses and their aligned word groups; two spaces
+    are equal when their ``(hyps, groups)`` are."""
 
-    def __post_init__(self) -> None:
-        n = len(self.hyps)
-        width = max(map(len, self.hyps), default=0) + 1
+    __slots__ = ("hyps", "groups", "packed", "kbest")
+
+    def __init__(self, hyps: tuple[TokenSeq, ...], groups: tuple[tuple[frozenset, ...], ...]) -> None:
+        self.hyps = hyps
+        self.groups = groups  # groups[s][i]: aligned group of word (s, i)
+        # the search's form of groups: all used masks live in one int, system s in
+        # the width bits from s * width (width is one more than the longest
+        # hypothesis, so a field's lowest unset bit never leaves it); packed[s] is
+        # (s * width, row), row[i] = (token, bits, delta): emitting word (s, i) ORs
+        # bits into the used mask and adds delta to the match features (1.0 for
+        # each system in the group) and the length feature; row ends with None,
+        # the frontier index of an exhausted system
+        n = len(hyps)
+        width = max(map(len, hyps), default=0) + 1
         packed = []
-        for s, row in enumerate(self.groups):
+        for s, row in enumerate(groups):
             entries = []
             for i, group in enumerate(row):
                 bits = 0
@@ -219,10 +214,15 @@ class SearchSpace:
                 for sys_idx, tok_idx in group:
                     bits |= 1 << (sys_idx * width + tok_idx)
                     delta[sys_idx] = 1.0
-                entries.append((self.hyps[s][i], bits, tuple(delta)))
+                entries.append((hyps[s][i], bits, tuple(delta)))
             packed.append((s * width, (*entries, None)))
-        object.__setattr__(self, "packed", tuple(packed))
-        object.__setattr__(self, "kbest", {})
+        self.packed: tuple[tuple[int, tuple], ...] = tuple(packed)
+        # beam_search's memo: (LM, weight bits, beam) -> (ranked (tokens, features,
+        # score) tuples, whether they are all the completed hypotheses)
+        self.kbest: dict[tuple, tuple[list[tuple], bool]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SearchSpace) and (self.hyps, self.groups) == (other.hyps, other.groups)
 
     def schema(self) -> FeatureSchema:
         return FeatureSchema(len(self.hyps))

@@ -24,8 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .alignment import MAX_TOKENS
 from .errors import UsageError
@@ -179,8 +178,7 @@ def _coerce(key: str, raw: object) -> object:
     return value
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     values: dict[str, object]
 
     @classmethod

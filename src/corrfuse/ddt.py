@@ -19,8 +19,7 @@ set on the module is the one they call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .evaluation import diversity
 from .rewards import RewardKind, reward
@@ -32,8 +31,7 @@ if TYPE_CHECKING:
     from .policy import PolicyModel
 
 
-@dataclass
-class DdtConfig:
+class DdtConfig(NamedTuple):
     """DDT's settings, as ``pipeline.ddt_config`` reads the ``ddt.*`` keys."""
 
     alpha: float
@@ -104,14 +102,13 @@ def ddt_step(
     return -lp, mean_reward
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(NamedTuple):
     stage: int
     backbone: int | None  # model index trained at this stage, None for stage 0
     diversity: float  # mean pairwise 1-BLEU between model outputs
     mle_loss: float
     mean_reward: float
-    outputs: tuple[tuple[TokenSeq, ...], ...] = field(repr=False, default=())
+    outputs: tuple[tuple[TokenSeq, ...], ...] = ()
 
 
 def mean_pairwise_diversity(outputs_per_model: Sequence[Sequence[TokenSeq]]) -> float:

@@ -13,26 +13,23 @@ scored once.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Iterable, Sequence
 
 from .textcore import Edit, EditScript, TokenSeq, edit_script, ngram_counts, split_lines, tokenize
 
 
-@dataclass(frozen=True)
-class ScoreStats:
+class ScoreStats(namedtuple("ScoreStats", "tp fp fn")):
     """TP/FP/FN sufficient statistics; aggregation is componentwise addition."""
 
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tp < 0 or self.fp < 0 or self.fn < 0:
+    def __new__(cls, tp: int = 0, fp: int = 0, fn: int = 0) -> ScoreStats:
+        if tp < 0 or fp < 0 or fn < 0:
             raise ValueError("score statistics must be non-negative")
+        return super().__new__(cls, tp, fp, fn)
 
-    def __add__(self, other: "ScoreStats") -> "ScoreStats":
+    def __add__(self, other: ScoreStats) -> ScoreStats:  # type: ignore[override]
         return ScoreStats(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
     @property
@@ -62,26 +59,25 @@ def f05(tp: int, fp: int, fn: int) -> float:
     return 1.25 * p * r / (0.25 * p + r)
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(namedtuple("GoldAnnotation", "source annotators")):
     """Gold edits for one source sentence, one edit tuple per annotator."""
 
-    source: TokenSeq
-    annotators: tuple[EditScript, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.annotators:
+    def __new__(cls, source: TokenSeq, annotators: tuple[EditScript, ...]) -> GoldAnnotation:
+        if not annotators:
             raise ValueError("at least one annotator required")
-        for edits in self.annotators:
+        for edits in annotators:
             prev: Edit | None = None
             for e in edits:
-                if e.end > len(self.source):
+                if e.end > len(source):
                     raise ValueError(
-                        f"gold edit [{e.start},{e.end}) outside sentence of length {len(self.source)}"
+                        f"gold edit [{e.start},{e.end}) outside sentence of length {len(source)}"
                     )
                 if prev is not None and (e.start < prev.end or (e.start, e.end) <= (prev.start, prev.end)):
                     raise ValueError("gold edits must be sorted and non-overlapping")
                 prev = e
+        return super().__new__(cls, source, annotators)
 
 
 def score_sentence(source: TokenSeq, hyp: TokenSeq, gold: GoldAnnotation) -> ScoreStats:

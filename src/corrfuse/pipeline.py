@@ -20,8 +20,7 @@ them, so importing this module, as ``cli`` does at start-up, loads none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .combiner import FeatureSchema, NGramLM, SearchSpace, build_spaces
 from .config import ExperimentConfig, stream_seed
@@ -190,8 +189,7 @@ def tune(
     return spaces, weights, pool
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     """One round-robin stage: its DDT report (the outputs per model, their
     diversity, ``mle_loss`` and ``mean_reward``), the weights tuned on its
     outputs, the tuner's k-best pool and the tuned combination's outputs."""

@@ -44,7 +44,6 @@ functions of strings: ``format_model``/``parse_model`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,22 +59,25 @@ BOS_ID, EOS_ID, UNK_ID = 0, 1, 2
 PROB_FLOOR = 1e-12  # guards log() against underflow; gradients ignore it
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    """Ordered token list; reserved symbols occupy the first three slots."""
+    """Ordered token list; reserved symbols occupy the first three slots.
+    Two vocabularies are equal when their tokens are."""
 
-    tokens: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("tokens", "_index")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tokens: tuple[str, ...]) -> None:
         for sym, pos in zip(RESERVED, (BOS_ID, EOS_ID, UNK_ID)):
-            if self.tokens.count(sym) != 1 or self.tokens[pos] != sym:
+            if tokens.count(sym) != 1 or tokens[pos] != sym:
                 raise ValueError(f"reserved symbol {sym} must appear exactly once at slot {pos}")
-        if any(not t or t.split() != [t] for t in self.tokens):
+        if any(not t or t.split() != [t] for t in tokens):
             raise ValueError("tokens must be non-empty and whitespace-free")
-        if len(set(self.tokens)) != len(self.tokens):
+        if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        self.tokens = tokens
+        self._index = {t: i for i, t in enumerate(tokens)}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Vocabulary) and self.tokens == other.tokens
 
     @classmethod
     def build(cls, content_tokens: Iterable[str]) -> "Vocabulary":
@@ -297,7 +299,6 @@ def _pad(rows: list[Sequence[int]], left: bool) -> tuple[np.ndarray, np.ndarray]
     return ids, (steps >= width - np.array(lengths) if left else steps < np.array(lengths))
 
 
-@dataclass(frozen=True)
 class PaddedBatches:
     """M batches of B (source, target) rows each, as time-major token ids
     padded with BOS to common widths: sources on the left, targets (with
@@ -306,13 +307,16 @@ class PaddedBatches:
     and the first ``t_ends[m]`` target steps.  Its length is M: 1 from
     ``pad_batches``, the models of a stack from ``epoch_batches``."""
 
-    x_ids: np.ndarray  # (Tx, M, B)
-    x_mask: np.ndarray  # (Tx, M, B), 1.0 on real steps
-    prev_ids: np.ndarray  # (Ty, M, B) decoder input ids: BOS, then the targets
-    t_ids: np.ndarray  # (Ty, M, B) targets
-    t_mask: np.ndarray  # (Ty, M, B), True on real steps
-    x_starts: list[int]
-    t_ends: list[int]
+    __slots__ = ("x_ids", "x_mask", "prev_ids", "t_ids", "t_mask", "x_starts", "t_ends")
+
+    def __init__(self, x_ids, x_mask, prev_ids, t_ids, t_mask, x_starts, t_ends) -> None:
+        self.x_ids: np.ndarray = x_ids  # (Tx, M, B)
+        self.x_mask: np.ndarray = x_mask  # (Tx, M, B), 1.0 on real steps
+        self.prev_ids: np.ndarray = prev_ids  # (Ty, M, B) decoder input ids: BOS, then the targets
+        self.t_ids: np.ndarray = t_ids  # (Ty, M, B) targets
+        self.t_mask: np.ndarray = t_mask  # (Ty, M, B), True on real steps
+        self.x_starts: list[int] = x_starts
+        self.t_ends: list[int] = t_ends
 
     def __len__(self) -> int:
         return len(self.x_starts)

@@ -16,8 +16,7 @@ with ``edit_script``.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 TokenSeq = tuple[str, ...]
 
@@ -45,23 +44,22 @@ def detokenize(tokens: TokenSeq) -> str:
     return " ".join(tokens)
 
 
-@dataclass(frozen=True, order=True)
-class Edit:
+class Edit(namedtuple("Edit", "start end replacement")):
     """Replace source tokens in [start, end) with ``replacement``.
 
     start == end is an insertion, empty replacement a deletion, anything
-    else a (possibly multi-token) substitution.
+    else a (possibly multi-token) substitution.  Edits order by (start,
+    end, replacement).
     """
 
-    start: int
-    end: int
-    replacement: TokenSeq
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"bad edit span [{self.start},{self.end})")
-        if self.start == self.end and not self.replacement:
+    def __new__(cls, start: int, end: int, replacement: TokenSeq) -> Edit:
+        if start < 0 or end < start:
+            raise ValueError(f"bad edit span [{start},{end})")
+        if start == end and not replacement:
             raise ValueError("empty edit (no span, no replacement)")
+        return super().__new__(cls, start, end, replacement)
 
     @property
     def kind(self) -> str:

@@ -16,8 +16,8 @@ way and is the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections import namedtuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,23 +32,21 @@ RULE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class CorruptionRule:
-    kind: str
-    prob: float
+class CorruptionRule(namedtuple("CorruptionRule", "kind prob")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in RULE_KINDS:
-            raise ValueError(f"unknown corruption rule {self.kind!r}")
-        if not 0.0 <= self.prob <= 1.0:
-            raise ValueError(f"rule probability must be in [0,1], got {self.prob}")
+    def __new__(cls, kind: str, prob: float) -> CorruptionRule:
+        if kind not in RULE_KINDS:
+            raise ValueError(f"unknown corruption rule {kind!r}")
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"rule probability must be in [0,1], got {prob}")
+        return super().__new__(cls, kind, prob)
 
 
 DEFAULT_RULES = tuple(CorruptionRule(kind, 0.35) for kind in RULE_KINDS)
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     """Lexicon for the template grammar; all corruption rules operate on
     words listed here."""
 
@@ -161,8 +159,7 @@ def sample_sentence(rng: np.random.Generator, grammar: Grammar) -> TokenSeq:
     return tuple(words)
 
 
-@dataclass(frozen=True)
-class CorpusExample:
+class CorpusExample(NamedTuple):
     source: TokenSeq  # erroneous
     reference: TokenSeq  # correct
     applied: tuple[str, ...]

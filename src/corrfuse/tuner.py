@@ -32,8 +32,7 @@ through ``decode_corpus`` with a weight tuple, then runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .combiner import NGramLM, SearchSpace, beam_search
 from .evaluation import Scorer, ScoreStats, f05
@@ -43,14 +42,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     tokens: TokenSeq
     feats: tuple[float, ...]
     stats: ScoreStats
 
 
-@dataclass
 class KBestPool:
     """Per-sentence candidate lists, deduplicated by token sequence.
 
@@ -59,11 +56,12 @@ class KBestPool:
     it, and kept until the next one.  A pool starts as ``empty``.
     """
 
-    sentences: list[dict[TokenSeq, Candidate]]
-    # sentence -> (feature matrix, statistics), dropped by an add to it
-    _derived: dict[int, tuple[np.ndarray, list[ScoreStats]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    __slots__ = ("sentences", "_derived")
+
+    def __init__(self, sentences: list[dict[TokenSeq, Candidate]]) -> None:
+        self.sentences = sentences
+        # sentence -> (feature matrix, statistics), dropped by an add to it
+        self._derived: dict[int, tuple[np.ndarray, list[ScoreStats]]] = {}
 
     @classmethod
     def empty(cls, n_sentences: int) -> "KBestPool":

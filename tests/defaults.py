@@ -7,8 +7,6 @@ the ``ddt.DdtConfig`` that tests start from: the config table's defaults, as
 ``pipeline.ddt_config`` builds them, with the fields a test names replaced.
 """
 
-import dataclasses
-
 from corrfuse.config import KNOWN_KEYS, ExperimentConfig
 from corrfuse.ddt import DdtConfig
 from corrfuse.pipeline import ddt_config
@@ -20,4 +18,4 @@ def setting(key: str):
 
 
 def ddt_cfg(**fields) -> DdtConfig:
-    return dataclasses.replace(ddt_config(ExperimentConfig.load()), **fields)
+    return ddt_config(ExperimentConfig.load())._replace(**fields)

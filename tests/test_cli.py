@@ -1250,8 +1250,9 @@ def test_package_import_loads_no_module():
 
 
 NUMPY, POLICY, TOYDATA = "numpy", "corrfuse.policy", "corrfuse.toydata"
+DATACLASSES = "dataclasses"  # no command loads it
 LOADED_BY_COMMAND = [
-    # (id, command, which of the three modules it loads, exit code)
+    # (id, command, which of the four modules it loads, exit code)
     ("tune", ["tune", "--set", f"tune.hyps={HYPS}"], [NUMPY], 0),
     ("combine", ["combine", "--set", f"combine.hyps={HYPS}",
                  "--set", "combine.weights=run/out/combine.weights"], [], 0),
@@ -1278,13 +1279,16 @@ def test_each_command_loads_policy_and_toydata_only_if_it_uses_them(workdir, com
                                                                    exit_code):
     # cli imports these two inside the commands that use them, so that the
     # fuse commands' children do not compile them, and numpy inside the
-    # functions that make arrays, so that the text commands do not load it
+    # functions that make arrays, so that the text commands do not load it;
+    # records are named tuples and slotted classes, so no child runs the
+    # generated code of dataclasses or imports it
     assert (workdir / "run/out/combine.weights").is_file()  # the combine case's weights
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys\nfrom corrfuse import cli\n"
             "try:\n    code = cli.main(sys.argv[1:])\n"
             "except SystemExit as exc:\n    code = exc.code\n"
-            f"print([m for m in {[NUMPY, POLICY, TOYDATA]!r} if m in sys.modules]); sys.exit(code)")
+            f"print([m for m in {[NUMPY, POLICY, TOYDATA, DATACLASSES]!r} if m in sys.modules]); "
+            "sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code, *command[:1], *TINY, *command[1:]],
                           cwd=workdir, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
