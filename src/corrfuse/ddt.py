@@ -7,8 +7,9 @@ scheduling when several systems are trainable.
 ``ddt_step`` per sentence, in data order, against the fixed outputs of each
 peer system, on a generator keyed by the stage and checked for divergence at
 its end; a step's reference and reward gradients move the parameters before
-the next sentence is seen.  ``round_robin`` runs it once per stage with the
-other models' greedy outputs as peers; ``ddt`` runs it once, key 0.
+the next sentence is seen.  ``round_robin`` checks its arguments, then runs
+it once per stage, on a copy of the backbone, as its stream is read; each
+stage yields its report and frozen models.  ``ddt`` runs it once, key 0.
 
 ``policy`` and numpy are imported inside the functions that use them, so
 that importing this module, as ``cli`` does at start-up, loads neither.  The
@@ -19,7 +20,7 @@ set on the module is the one they call.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .evaluation import diversity
 from .rewards import RewardKind, reward
@@ -159,16 +160,18 @@ def round_robin(
     data: Sequence[tuple[TokenSeq, TokenSeq]],
     cfg: DdtConfig,
     stages: int,
-) -> tuple[list[PolicyModel], list[StageReport]]:
+) -> Iterator[tuple[StageReport, tuple[PolicyModel, ...]]]:
     """Models take turns receiving diversity-driven training: at stage s
     (1-based), model (s-1) mod n is the backbone, trained by ``train_stage``
     with key s against the greedy outputs of the other, frozen models.
     ``pipeline.ddt_config`` takes ``cfg.seed`` from ``config.stream_seed``.
-    A diverged stage raises before its backbone decodes.  Greedy decoding is
-    deterministic, so after a stage only the backbone's outputs are decoded
-    again, and only the backbone's pairs' diversities are computed again.
-    Input models are not mutated; stage 0 in the report is the untrained
-    baseline.  Returns the updated models and per-stage reports.
+    Checks the arguments, then returns an iterator of ``(report, models)``
+    per stage, stage 0 (untrained) first.  Each stage trains a copy of its
+    backbone, so no stage changes the input models or those yielded before.
+    A diverged stage raises from its ``next()``, before its backbone decodes.
+    Greedy decoding is deterministic, so after a stage only the backbone's
+    outputs are decoded again, and only the backbone's pairs' diversities
+    are computed again.
     """
     from . import policy
 
@@ -178,36 +181,33 @@ def round_robin(
         raise ValueError("stage count must be >= 0")
     if not data:
         raise ValueError("empty training data")
-    models = [m.copy() for m in models]
-    sources = [x for x, _ in data]
 
     def decode(model: PolicyModel) -> list[TokenSeq]:
-        return [policy.greedy_decode(model, x) for x in sources]
+        return [policy.greedy_decode(model, x) for x, _ in data]
 
-    outputs = [decode(m) for m in models]
-    # each pair's diversity, kept until one of its models is trained; a pair
-    # keeps its place in mean_pairwise_diversity's i < j order, so the mean
-    # sums the same values in the same order
-    pair_div = {
-        (i, j): diversity(outputs[i], outputs[j])
-        for i, j in itertools.combinations(range(len(models)), 2)
-    }
-    reports = [
-        StageReport(0, None, sum(pair_div.values()) / len(pair_div), float("nan"), float("nan"),
-                    tuple(tuple(o) for o in outputs))
-    ]
-    for stage in range(1, stages + 1):
-        backbone = (stage - 1) % len(models)
-        peers = [o for m, o in enumerate(outputs) if m != backbone]
-        mle_loss, mean_reward = train_stage(models[backbone], data, peers, cfg, stage)
-        outputs[backbone] = decode(models[backbone])
-        for i, j in pair_div:
-            if backbone in (i, j):
-                pair_div[i, j] = diversity(outputs[i], outputs[j])
-        reports.append(
-            StageReport(
-                stage, backbone, sum(pair_div.values()) / len(pair_div), mle_loss, mean_reward,
-                tuple(tuple(o) for o in outputs),
-            )
-        )
-    return models, reports
+    def stream() -> Iterator[tuple[StageReport, tuple[PolicyModel, ...]]]:
+        stage_models = tuple(models)
+        outputs = [decode(m) for m in stage_models]
+        # each pair's diversity, kept until one of its models is trained; a
+        # pair keeps its place in mean_pairwise_diversity's i < j order, so
+        # the mean sums the same values in the same order
+        pair_div = {
+            (i, j): diversity(outputs[i], outputs[j])
+            for i, j in itertools.combinations(range(len(models)), 2)
+        }
+        yield StageReport(0, None, sum(pair_div.values()) / len(pair_div), float("nan"),
+                          float("nan"), tuple(map(tuple, outputs))), stage_models
+        for stage in range(1, stages + 1):
+            backbone = (stage - 1) % len(models)
+            peers = [o for m, o in enumerate(outputs) if m != backbone]
+            trained = stage_models[backbone].copy()
+            mle_loss, mean_reward = train_stage(trained, data, peers, cfg, stage)
+            stage_models = (*stage_models[:backbone], trained, *stage_models[backbone + 1:])
+            outputs[backbone] = decode(trained)
+            for i, j in pair_div:
+                if backbone in (i, j):
+                    pair_div[i, j] = diversity(outputs[i], outputs[j])
+            yield StageReport(stage, backbone, sum(pair_div.values()) / len(pair_div), mle_loss,
+                              mean_reward, tuple(map(tuple, outputs))), stage_models
+
+    return stream()

@@ -1,6 +1,6 @@
 """The experiment as functions of data: ``make_splits`` draws the toy
 splits, ``train_models`` trains the component models, and ``run_stages``
-runs the round-robin DDT stages and tunes each stage's combination.  They
+tunes each stage's combination as the round robin yields the stage.  They
 read and write no file, so a study can call them in process; ``cli`` formats
 what they return into the commands' bytes.
 
@@ -208,19 +208,18 @@ def run_stages(
     lm: NGramLM,
 ) -> Iterator[StageResult]:
     """Run ``ddt.stages`` round-robin DDT stages on (``scorer.sources``,
-    ``refs``), then tune and decode each stage's combination on ``scorer``'s
-    split.  The round robin trains only the first ``ddt.stages`` of
-    ``models`` (all of them when there are fewer, none at 0 stages), and a
-    reserved token in the dev text or a reference too long for one of those
-    raises ``DataError`` before any stage runs; a diverged stage raises
-    ``NumericError`` before any stage is tuned.
+    ``refs``), tuning and decoding each stage's combination on ``scorer``'s
+    split as ``ddt.round_robin`` yields it.  The round robin trains only the
+    first ``ddt.stages`` of ``models`` (all of them when there are fewer,
+    none at 0 stages); a reserved token in the dev text or a reference too
+    long for one of those raises ``DataError`` before any stage runs, and a
+    diverged stage raises ``NumericError`` after earlier stages were yielded.
     The search spaces (each with its memo of k-best searches) are shared by
     the stages, as a model's outputs recur, and so is ``scorer``."""
     stages = cfg.get_int("ddt.stages")
     check_references_fit(models[:stages], scorer.sources, refs)
-    _, reports = round_robin(models, list(zip(scorer.sources, refs)), ddt_config(cfg), stages)
     known_spaces: dict[tuple[TokenSeq, ...], SearchSpace] = {}
-    for report in reports:
+    for report, _ in round_robin(models, list(zip(scorer.sources, refs)), ddt_config(cfg), stages):
         spaces, weights, pool = tune(cfg, report.outputs, scorer, lm, report.stage, known_spaces)
         combined = decode_corpus(spaces, weights, lm, cfg.get_int("combine.beam"))
         yield StageResult(report, weights, pool, tuple(combined))

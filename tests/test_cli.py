@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrfuse import cli, combiner, evaluation, pipeline, policy, tuner
+from corrfuse import cli, combiner, ddt, evaluation, pipeline, policy, tuner
 from corrfuse.config import ExperimentConfig, stream_seed
 from corrfuse.ddt import train_stage
 from corrfuse.evaluation import GoldAnnotation, Scorer, parse_m2
@@ -682,6 +682,44 @@ def test_diverging_stage_training_is_numeric_failure(workdir, capsys):
     assert captured.err == "numeric failure: non-finite parameters after diversity-driven training stage 1\n"
     assert "command=stages" not in captured.out
     assert report.read_bytes() == before
+
+
+def test_a_stage_diverging_after_earlier_stages_were_tuned_writes_nothing(workdir, capsys, monkeypatch):
+    """Stage 2's first DDT step writes a NaN.  The round robin yields stages
+    0 and 1, which are tuned as they come, and raises at stage 2; ``stages``
+    exits 4 with the numeric failure as its one line on stderr and writes
+    nothing."""
+    events, steps = [], []
+    real_stage, real_step, real_tune = ddt.train_stage, ddt.ddt_step, pipeline.tune_loop
+
+    def stage(*args):
+        events.append(("ddt", args[-1]))
+        steps.clear()
+        return real_stage(*args)
+
+    def step(model, *args):
+        result = real_step(model, *args)
+        steps.append(model)
+        if events[-1] == ("ddt", 2) and len(steps) == 1:
+            model.params[0] = np.nan
+        return result
+
+    def tune(*args, **kwargs):
+        events.append(("tune", kwargs["rng_seed"]))
+        return real_tune(*args, **kwargs)
+
+    monkeypatch.setattr(ddt, "train_stage", stage)
+    monkeypatch.setattr(ddt, "ddt_step", step)
+    monkeypatch.setattr(pipeline, "tune_loop", tune)
+    before = tree_bytes(workdir / "run")
+    assert run(workdir, ["stages"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: non-finite parameters after diversity-driven training stage 2\n"
+    assert captured.out == ""
+    assert tree_bytes(workdir / "run") == before
+    cfg = tiny_config()
+    tuned = [("tune", stream_seed(cfg, "tune", stage)) for stage in (0, 1)]
+    assert events == [tuned[0], ("ddt", 1), tuned[1], ("ddt", 2)]
 
 
 def test_report_is_each_successful_commands_summary_block_in_order(workdir, capsys):

@@ -221,6 +221,13 @@ def reference_round_robin(models, data, cfg, stages):
     return models, reports
 
 
+def read_stream(stream):
+    """The last stage's models and every stage's report, read from a round
+    robin's stream of (report, models) pairs."""
+    pairs = list(stream)
+    return pairs[-1][1], [report for report, _ in pairs]
+
+
 class TestRoundRobin:
     def _setup(self, n_models=3):
         data = [(("a", "b"), ("a", "b")), (("c",), ("c",)), (("b", "c"), ("b", "c"))]
@@ -232,14 +239,14 @@ class TestRoundRobin:
 
     def test_zero_stages_unchanged(self):
         models, data = self._setup()
-        out, reports = round_robin(models, data, ddt_cfg(), stages=0)
+        out, reports = read_stream(round_robin(models, data, ddt_cfg(), stages=0))
         for before, after in zip(models, out):
             assert np.array_equal(before.params, after.params)
         assert len(reports) == 1 and reports[0].stage == 0
 
     def test_single_stage_trains_only_first_model(self):
         models, data = self._setup()
-        out, reports = round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=1)
+        out, reports = read_stream(round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=1))
         assert not np.array_equal(out[0].params, models[0].params)
         assert np.array_equal(out[1].params, models[1].params)
         assert np.array_equal(out[2].params, models[2].params)
@@ -248,7 +255,7 @@ class TestRoundRobin:
     def test_freeze_contract_across_stages(self):
         models, data = self._setup()
         snapshots = [m.params.copy() for m in models]
-        out, _ = round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=2)
+        out, _ = read_stream(round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=2))
         # stage 1 trains model 0, stage 2 trains model 1; model 2 untouched
         assert np.array_equal(out[2].params, snapshots[2])
         # inputs never mutated
@@ -257,23 +264,48 @@ class TestRoundRobin:
 
     def test_round_robin_order(self):
         models, data = self._setup(n_models=2)
-        _, reports = round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=4)
+        _, reports = read_stream(round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), stages=4))
         assert [r.backbone for r in reports[1:]] == [0, 1, 0, 1]
 
     def test_stage_is_train_stage_with_stage_seed(self):
         models, data = self._setup()
         cfg = ddt_cfg(seed=9, epochs=2, learning_rate=0.05)
-        out, reports = round_robin(models, data, cfg, stages=1)
+        out, reports = read_stream(round_robin(models, data, cfg, stages=1))
         expected = models[0].copy()
         peers = [[greedy_decode(m, x) for x, _ in data] for m in models[1:]]
         losses = train_stage(expected, data, peers, cfg, 1)
         assert np.array_equal(out[0].params, expected.params)
         assert (reports[1].mle_loss, reports[1].mean_reward) == losses
 
-    def test_rejects_single_model(self):
+    @pytest.mark.parametrize(
+        "n_models, stages, n_data, message",
+        [(1, 1, 3, "at least 2 models"), (3, -1, 3, "stage count"), (3, 1, 0, "empty training data")],
+        ids=["single-model", "negative-stages", "empty-data"],
+    )
+    def test_rejects_single_model(self, n_models, stages, n_data, message):
+        """The arguments are checked at the call, before the stream is read."""
         models, data = self._setup()
-        with pytest.raises(ValueError):
-            round_robin(models[:1], data, ddt_cfg(), stages=1)
+        with pytest.raises(ValueError, match=message):
+            round_robin(models[:n_models], data[:n_data], ddt_cfg(), stages=stages)
+
+    def test_each_yielded_stage_keeps_its_own_models(self):
+        """Two models and four stages, so each model is trained twice: each
+        yielded pair's models decode the sources to that report's outputs,
+        and once the stream is exhausted they still hold the parameters they
+        had when yielded, which a stream of the live model list would not."""
+        models, data = self._setup(n_models=2)
+        yielded = []
+        for report, stage_models in round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), 4):
+            decoded = tuple(tuple(greedy_decode(m, x) for x, _ in data) for m in stage_models)
+            assert decoded == report.outputs
+            yielded.append((stage_models, [m.params.copy() for m in stage_models]))
+        assert len(yielded) == 5
+        for stage_models, snapshot in yielded:
+            for model, params in zip(stage_models, snapshot):
+                assert np.array_equal(model.params, params)
+        # stages 1 and 3 train model 0, 2 and 4 model 1: each training moved it
+        for stage, m in ((1, 0), (2, 1), (3, 0), (4, 1)):
+            assert not np.array_equal(yielded[stage][1][m], yielded[stage - 1][1][m])
 
     def test_decodes_only_the_backbone_again(self, monkeypatch):
         models, data = self._setup()
@@ -291,7 +323,7 @@ class TestRoundRobin:
 
         monkeypatch.setattr(policy, "greedy_decode", counted)
         monkeypatch.setattr(ddt, "diversity", counted_pair)
-        out, reports = round_robin(models, data, cfg, stages)
+        out, reports = read_stream(round_robin(models, data, cfg, stages))
         new_calls, calls[:] = len(calls), []
         new_pairs, pairs[:] = len(pairs), []
         want_out, want_reports = reference_round_robin(models, data, cfg, stages)
@@ -331,7 +363,7 @@ class TestRoundRobin:
 
             monkeypatch.setattr(ddt, "ddt_step", step)
             with pytest.raises(NumericError) as exc:
-                round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), 4)
+                list(round_robin(models, data, ddt_cfg(learning_rate=0.05, seed=0), 4))
             assert str(exc.value) == f"non-finite parameters after diversity-driven training stage {stage}"
             assert len(steps) == stage * len(data)  # the stage ran its epoch before the check
             # the first decodes and one per earlier stage's backbone, none after
