@@ -66,9 +66,11 @@ from .alignment import MAX_TOKENS
 from .combiner import FeatureSchema, NGramLM, build_spaces, format_weights, parse_weights, train_lm
 from .combiner import beam_search  # noqa: F401  (bench/tests read cli's traced binding)
 from .config import ExperimentConfig
-from .ddt import mean_pairwise_diversity, train_stage
+from .ddt import train_stage
 from .errors import DataError, NumericError, UsageError
-from .evaluation import GoldAnnotation, Scorer, ScoreStats, diversity, format_m2, parse_m2
+from .evaluation import (
+    GoldAnnotation, Scorer, ScoreStats, diversity, format_m2, mean_pairwise_diversity, parse_m2,
+)
 from .textcore import TokenSeq, detokenize, split_lines, tokenize
 from .tuner import decode_corpus
 

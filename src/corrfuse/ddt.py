@@ -19,10 +19,9 @@ set on the module is the one they call.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .evaluation import diversity
+from .evaluation import mean_pairwise_diversity
 from .rewards import RewardKind, reward
 from .textcore import TokenSeq
 
@@ -112,14 +111,6 @@ class StageReport(NamedTuple):
     outputs: tuple[tuple[TokenSeq, ...], ...] = ()
 
 
-def mean_pairwise_diversity(outputs_per_model: Sequence[Sequence[TokenSeq]]) -> float:
-    values = []
-    for i in range(len(outputs_per_model)):
-        for j in range(i + 1, len(outputs_per_model)):
-            values.append(diversity(outputs_per_model[i], outputs_per_model[j]))
-    return sum(values) / len(values) if values else 0.0
-
-
 def train_stage(
     model: PolicyModel,
     data: Sequence[tuple[TokenSeq, TokenSeq]],
@@ -170,8 +161,7 @@ def round_robin(
     backbone, so no stage changes the input models or those yielded before.
     A diverged stage raises from its ``next()``, before its backbone decodes.
     Greedy decoding is deterministic, so after a stage only the backbone's
-    outputs are decoded again, and only the backbone's pairs' diversities
-    are computed again.
+    outputs are decoded again.
     """
     from . import policy
 
@@ -188,15 +178,8 @@ def round_robin(
     def stream() -> Iterator[tuple[StageReport, tuple[PolicyModel, ...]]]:
         stage_models = tuple(models)
         outputs = [decode(m) for m in stage_models]
-        # each pair's diversity, kept until one of its models is trained; a
-        # pair keeps its place in mean_pairwise_diversity's i < j order, so
-        # the mean sums the same values in the same order
-        pair_div = {
-            (i, j): diversity(outputs[i], outputs[j])
-            for i, j in itertools.combinations(range(len(models)), 2)
-        }
-        yield StageReport(0, None, sum(pair_div.values()) / len(pair_div), float("nan"),
-                          float("nan"), tuple(map(tuple, outputs))), stage_models
+        yield StageReport(0, None, mean_pairwise_diversity(outputs), float("nan"), float("nan"),
+                          tuple(map(tuple, outputs))), stage_models
         for stage in range(1, stages + 1):
             backbone = (stage - 1) % len(models)
             peers = [o for m, o in enumerate(outputs) if m != backbone]
@@ -204,10 +187,7 @@ def round_robin(
             mle_loss, mean_reward = train_stage(trained, data, peers, cfg, stage)
             stage_models = (*stage_models[:backbone], trained, *stage_models[backbone + 1:])
             outputs[backbone] = decode(trained)
-            for i, j in pair_div:
-                if backbone in (i, j):
-                    pair_div[i, j] = diversity(outputs[i], outputs[j])
-            yield StageReport(stage, backbone, sum(pair_div.values()) / len(pair_div), mle_loss,
+            yield StageReport(stage, backbone, mean_pairwise_diversity(outputs), mle_loss,
                               mean_reward, tuple(map(tuple, outputs))), stage_models
 
     return stream()

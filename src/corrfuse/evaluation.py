@@ -174,6 +174,16 @@ def diversity(outputs_a: Sequence[TokenSeq], outputs_b: Sequence[TokenSeq]) -> f
     return 1.0 - sum(sym) / len(sym)
 
 
+def mean_pairwise_diversity(outputs_per_model: Sequence[Sequence[TokenSeq]]) -> float:
+    """The mean ``diversity`` over every pair of systems, i < j in order;
+    0.0 for fewer than two."""
+    values = []
+    for i in range(len(outputs_per_model)):
+        for j in range(i + 1, len(outputs_per_model)):
+            values.append(diversity(outputs_per_model[i], outputs_per_model[j]))
+    return sum(values) / len(values) if values else 0.0
+
+
 def _sign_test_one_tail(n_a: int, n_b: int) -> float:
     """P(X >= n_a) for X ~ Binomial(n_a + n_b, 0.5); 1.0 when no decisions."""
     n = n_a + n_b

@@ -304,8 +304,7 @@ class PaddedBatches:
     padded with BOS to common widths: sources on the left, targets (with
     their end symbols) on the right.  Model m's own steps, the ones its
     batch alone would have, are the source steps from ``x_starts[m]`` on
-    and the first ``t_ends[m]`` target steps.  Its length is M: 1 from
-    ``pad_batches``, the models of a stack from ``epoch_batches``."""
+    and the first ``t_ends[m]`` target steps."""
 
     __slots__ = ("x_ids", "x_mask", "prev_ids", "t_ids", "t_mask", "x_starts", "t_ends")
 
@@ -317,9 +316,6 @@ class PaddedBatches:
         self.t_mask: np.ndarray = t_mask  # (Ty, M, B), True on real steps
         self.x_starts: list[int] = x_starts
         self.t_ends: list[int] = t_ends
-
-    def __len__(self) -> int:
-        return len(self.x_starts)
 
 
 def pad_batches(model: PolicyModel, xs, ys, include_eos) -> PaddedBatches:

@@ -829,7 +829,7 @@ def test_ddt_and_stages_reject_dev_text_that_ddt_cannot_train_on(workdir, capsys
 def test_train_takes_one_lockstep_step_per_minibatch(workdir, monkeypatch, capsys):
     steps = []
     mle_step = policy.mle_step
-    monkeypatch.setattr(policy, "mle_step", lambda *args: steps.append(len(args[1])) or mle_step(*args))
+    monkeypatch.setattr(policy, "mle_step", lambda *args: steps.append(len(args[1].x_starts)) or mle_step(*args))
     assert run(workdir, ["train"], "--set", "train.epochs=2", "--set", "train.batch=4") == 0
     summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert steps == [3] * 2 * math.ceil(int(summary["n_pairs"]) / 4)  # a batch per model

@@ -5,16 +5,9 @@ import numpy as np
 import pytest
 
 from corrfuse import ddt, policy
-from corrfuse.ddt import (
-    StageReport,
-    ddt_step,
-    mean_pairwise_diversity,
-    rl_gradient,
-    round_robin,
-    train_stage,
-)
+from corrfuse.ddt import StageReport, ddt_step, rl_gradient, round_robin, train_stage
 from corrfuse.errors import NumericError
-from corrfuse.evaluation import diversity
+from corrfuse.evaluation import diversity, mean_pairwise_diversity
 from corrfuse.policy import (
     EOS_ID,
     PolicyModel,
@@ -307,27 +300,22 @@ class TestRoundRobin:
         for stage, m in ((1, 0), (2, 1), (3, 0), (4, 1)):
             assert not np.array_equal(yielded[stage][1][m], yielded[stage - 1][1][m])
 
-    def test_decodes_only_the_backbone_again(self, monkeypatch):
-        models, data = self._setup()
+    @pytest.mark.parametrize("n_models", [2, 3, 4])
+    def test_decodes_only_the_backbone_again(self, monkeypatch, n_models):
+        models, data = self._setup(n_models=n_models)
         cfg = ddt_cfg(seed=3, learning_rate=0.3, epochs=3)
-        stages, calls, pairs = 4, [], []
-        real_decode, real_diversity = policy.greedy_decode, ddt.diversity
+        stages, calls = 4, []
+        real_decode = policy.greedy_decode
 
         def counted(model, x):
             calls.append(x)
             return real_decode(model, x)
 
-        def counted_pair(outputs_a, outputs_b):
-            pairs.append(outputs_a)
-            return real_diversity(outputs_a, outputs_b)
-
         monkeypatch.setattr(policy, "greedy_decode", counted)
-        monkeypatch.setattr(ddt, "diversity", counted_pair)
         out, reports = read_stream(round_robin(models, data, cfg, stages))
         new_calls, calls[:] = len(calls), []
-        new_pairs, pairs[:] = len(pairs), []
         want_out, want_reports = reference_round_robin(models, data, cfg, stages)
-        old_calls, old_pairs = len(calls), len(pairs)
+        old_calls = len(calls)
 
         def fields(report):
             return (report.stage, report.backbone, report.diversity.hex(),
@@ -337,13 +325,12 @@ class TestRoundRobin:
         assert len({r.outputs for r in reports}) > 1  # training moved some outputs
         for got, want in zip(out, want_out):
             assert np.array_equal(got.params, want.params)
-        n, n_models = len(data), len(models)
+        n = len(data)
         assert old_calls == (stages + 1) * n_models * n
         assert new_calls == n_models * n + stages * n
-        # every pair at stage 0, then only the backbone's pairs after each stage
-        n_pairs = n_models * (n_models - 1) // 2
-        assert old_pairs == (stages + 1) * n_pairs
-        assert new_pairs == n_pairs + stages * (n_models - 1)
+        # each report's diversity is evaluation's one function of its outputs
+        for report in reports:
+            assert report.diversity.hex() == mean_pairwise_diversity(report.outputs).hex()
 
     def test_a_diverging_stage_raises_naming_it_before_its_backbone_decodes(self, monkeypatch):
         models, data = self._setup()

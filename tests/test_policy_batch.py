@@ -835,7 +835,7 @@ class TestStackedKernel:
             for start, got in zip(range(0, n_pairs, batch_size), steps):
                 rows = orders[:, start : start + batch_size]
                 wants = [pad_batches(models[0], [xs[i] for i in r], [ys[i] for i in r], True) for r in rows]
-                assert len(got) == len(models) and got.x_ids.shape[1:] == rows.shape
+                assert len(got.x_starts) == len(models) and got.x_ids.shape[1:] == rows.shape
                 assert len(got.x_ids) == max(len(want.x_ids) for want in wants)
                 assert len(got.t_ids) == max(len(want.t_ids) for want in wants)
                 assert (got.prev_ids[:1] == BOS_ID).all()
